@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .experiments import ExperimentConfig, gset_sweep, run_experiment
+from .experiments import ExperimentConfig, fixed_point_curve, run_experiment, run_grid
 from .fileio import (
     dump_matrix,
     load_matrix,
@@ -24,35 +25,20 @@ from .fileio import (
     write_json,
 )
 from .linalg import InvalidInputError
-from .metrics import (
-    ari,
-    bound_report,
-    cut_value,
-    estimate_fixed_point,
-    phase_aligned_l2,
-    signed_error_rate,
-    sync_mse,
-)
+from .metrics import bound_report, cut_value
 from .models import (
+    MaxCutInstance,
     SsbmParams,
     SyncParams,
     gen_bipartite_perturbed,
     gen_sbm,
     gen_ssbm,
     gen_sync,
-    membership_matrix,
 )
+from .problems import PROBLEMS
 from .rounding import extract_communities, extract_phases, gw_round
-from .signed import bnc_cluster, spectral_cluster
-from .solvers import (
-    BmConfig,
-    PierraConfig,
-    bm_solve,
-    pierra_community,
-    pierra_signed,
-    pierra_solve,
-    unit_diag_atoms,
-)
+from .signed import BASELINES, cluster_baseline
+from .solvers import BmConfig, PierraConfig
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -64,54 +50,48 @@ def _float_list(text: str):
 
 
 def _load_instance(prefix: str):
+    """(sidecar, observed matrix, graph that cuts are scored on)."""
     meta = read_json(prefix + ".json")
     observed = load_matrix(prefix + ".coo")
-    full = None
+    graph = observed
     if meta["problem"] == "maxcut":
-        full = load_matrix(prefix + ".full.coo")
-    return meta, observed, full
+        graph = load_matrix(prefix + ".full.coo")
+    return meta, observed, graph
+
+
+_GENERATORS = {
+    "community": lambda a: gen_sbm(a.n, a.k, a.p, a.q, seed=a.seed),
+    "signed": lambda a: gen_ssbm(
+        SsbmParams(n=a.n, n_clusters=a.k, p=a.p, q=a.q, delta=a.delta), seed=a.seed),
+    "sync": lambda a: gen_sync(
+        SyncParams(n=a.n, sigma=a.sigma, noise_model=a.noise_model, gamma=a.gamma,
+                   sample_prob=a.sample_prob), seed=a.seed),
+    "maxcut": lambda a: gen_bipartite_perturbed(a.n, a.eta, a.delta, seed=a.seed),
+}
 
 
 def _cmd_generate(args) -> int:
-    seed = args.seed
     out = args.out or "instance"
-    if args.problem == "community":
-        inst = gen_sbm(args.n, args.k, args.p, args.q, seed=seed)
-        meta = {"problem": "community", "params": inst.params, "seed": seed,
-                "ground_truth": inst.ground_truth}
-        dump_matrix(inst.observed, out + ".coo")
-    elif args.problem == "signed":
-        params = SsbmParams(n=args.n, n_clusters=args.k, p=args.p, q=args.q,
-                            delta=args.delta)
-        inst = gen_ssbm(params, seed=seed)
-        meta = {"problem": "signed", "params": inst.params, "seed": seed,
-                "ground_truth": inst.ground_truth}
-        dump_matrix(inst.observed, out + ".coo")
-    elif args.problem == "sync":
-        params = SyncParams(n=args.n, sigma=args.sigma, noise_model=args.noise_model,
-                            gamma=args.gamma, sample_prob=args.sample_prob)
-        inst = gen_sync(params, seed=seed)
-        meta = {"problem": "sync", "params": inst.params, "seed": seed,
-                "ground_truth": inst.ground_truth}
-        dump_matrix(inst.observed, out + ".coo")
-    elif args.problem == "maxcut":
-        inst = gen_bipartite_perturbed(args.n, args.eta, args.delta, seed=seed)
-        meta = {"problem": "maxcut",
-                "params": {"n": args.n, "eta": args.eta, "mask_prob": args.delta},
-                "seed": seed,
-                "ground_truth": inst.ground_truth_partition}
-        dump_matrix(inst.observed, out + ".coo")
+    inst = _GENERATORS[args.problem](args)
+    if isinstance(inst, MaxCutInstance):
+        params = {"n": args.n, "eta": args.eta, "mask_prob": args.delta}
+        truth = inst.ground_truth_partition
         dump_matrix(inst.full_adjacency, out + ".full.coo")
-    else:  # pragma: no cover - argparse restricts choices
-        raise InvalidInputError(f"unknown problem {args.problem}")
-    write_json(meta, out + ".json")
+    else:
+        params, truth = inst.params, inst.ground_truth
+    dump_matrix(inst.observed, out + ".coo")
+    write_json({"problem": args.problem, "params": params, "seed": args.seed,
+                "ground_truth": truth}, out + ".json")
     return EXIT_OK
 
 
 def _solver_configs(args):
     overrides = read_json(args.config) if args.config else {}
-    pierra_keys = {"epsilon", "max_iters", "feas_tol", "obj_tol"}
-    bm_keys = {"rank", "max_iters", "grad_tol", "restarts", "seed"}
+    pierra_keys = {f.name for f in fields(PierraConfig)}
+    bm_keys = {f.name for f in fields(BmConfig)}
+    unknown = set(overrides) - pierra_keys - bm_keys
+    if unknown:
+        raise InvalidInputError(f"unknown solver config keys {sorted(unknown)}")
     pc = PierraConfig(**{k: v for k, v in overrides.items() if k in pierra_keys})
     bm_over = {k: v for k, v in overrides.items() if k in bm_keys}
     bm_over.setdefault("seed", args.seed)
@@ -119,33 +99,14 @@ def _solver_configs(args):
 
 
 def _cmd_solve(args) -> int:
-    meta, observed, full = _load_instance(args.infile)
+    meta, observed, _ = _load_instance(args.infile)
     pc, bc = _solver_configs(args)
     problem = meta["problem"]
     if args.problem is not None and args.problem != problem:
         raise InvalidInputError(
             f"--problem {args.problem} does not match the instance ({problem})"
         )
-    if args.solver == "pierra":
-        if problem == "community":
-            Z, report = pierra_community(observed, meta["params"]["lam"], pc)
-        elif problem == "signed":
-            Z, report = pierra_signed(observed, meta["params"]["alpha"], pc)
-        elif problem == "sync":
-            Z, report = pierra_solve(observed, unit_diag_atoms(), pc)
-        else:  # maxcut: maximize the rescaled objective B = -(1/p) A
-            B = -observed / meta["params"]["mask_prob"]
-            Z, report = pierra_solve(B, unit_diag_atoms(), pc)
-    else:
-        if problem in ("community", "signed"):
-            raise InvalidInputError(
-                "the low-rank solver only handles the unit-diagonal constraint set"
-            )
-        if problem == "sync":
-            _, Z, report = bm_solve(observed, "max", bc)
-        else:
-            B = -observed / meta["params"]["mask_prob"]
-            _, Z, report = bm_solve(B, "max", bc)
+    Z, report = PROBLEMS[problem].solve(observed, meta["params"], args.solver, pc, bc)
     out = args.out or "result"
     dump_matrix(Z, out + ".coo")
     write_json({"problem": problem, "solver": args.solver,
@@ -159,8 +120,7 @@ def _cmd_round(args) -> int:
     out = args.out or "rounded.json"
     if args.mode == "cut":
         if args.instance:
-            _, observed, full = _load_instance(args.instance)
-            graph = full if full is not None else observed
+            _, _, graph = _load_instance(args.instance)
         elif args.graph:
             graph = load_matrix(args.graph)
         else:
@@ -184,24 +144,16 @@ def _cmd_cluster(args) -> int:
         raise InvalidInputError("cluster works on signed instances")
     if args.input == "raw":
         matrix = observed
+    elif args.solution:
+        matrix = load_matrix(args.solution + ".coo")
     else:
-        if args.solution:
-            matrix = load_matrix(args.solution + ".coo")
-        else:
-            matrix, _ = pierra_signed(observed, meta["params"]["alpha"],
-                                      PierraConfig())
+        matrix, _ = PROBLEMS["signed"].solve(observed, meta["params"], "pierra")
     K = args.k or meta["params"]["K"]
-    if args.algo == "bnc":
-        assignment = bnc_cluster(matrix, K, seed=args.seed)
-    else:
-        assignment = spectral_cluster(matrix, args.algo, K, seed=args.seed)
+    assignment = cluster_baseline(matrix, args.algo, K, seed=args.seed)
     result = {"labels": assignment.labels, "algorithm": args.algo, "input": args.input}
     truth = meta.get("ground_truth")
     if truth is not None:
-        truth = np.asarray(truth, dtype=int)
-        result["ari"] = ari(assignment.labels, truth)
-        com = 2.0 * membership_matrix(truth) - 1.0
-        result["gamma"] = signed_error_rate(assignment.labels, com)
+        result.update(PROBLEMS["signed"].score(assignment.labels, truth))
     write_json(result, args.out or "clusters.json")
     return EXIT_OK
 
@@ -219,48 +171,23 @@ def _cmd_evaluate(args) -> int:
         report = bound_report(args.bound, **{k: inputs[k] for k in needed})
         write_json(report.to_dict(), out)
         return EXIT_OK
-    meta, observed, full = _load_instance(args.instance)
-    payload = read_json(args.infile)
-    problem = meta["problem"]
-    result = {"problem": problem}
-    truth = meta.get("ground_truth")
-    if problem in ("community", "signed"):
-        labels = np.asarray(payload["labels"], dtype=int)
-        truth = np.asarray(truth, dtype=int)
-        result["ari"] = ari(labels, truth)
-        if problem == "signed":
-            com = 2.0 * membership_matrix(truth) - 1.0
-            result["gamma"] = signed_error_rate(labels, com)
-    elif problem == "sync":
-        phases = np.asarray(payload["phases"], dtype=float)
-        truth = np.asarray(truth, dtype=float)
-        result["mse"] = sync_mse(phases, truth)
-        result["aligned_l2"] = phase_aligned_l2(np.exp(1j * phases), np.exp(1j * truth))
-    else:
-        x = np.asarray(payload["cut_vector"], dtype=float)
-        graph = full if full is not None else observed
-        result["cut_full"] = cut_value(graph, x)
-        if truth is not None:
-            labels = (x > 0).astype(int)
-            result["ari"] = ari(labels, np.asarray(truth, dtype=int))
+    meta, _, graph = _load_instance(args.instance)
+    problem = PROBLEMS[meta["problem"]]
+    answer = read_json(args.infile)[problem.answer_key]
+    result = {"problem": meta["problem"],
+              **problem.score(answer, meta.get("ground_truth"), graph)}
     write_json(result, out)
     return EXIT_OK
 
 
 def _cmd_fixed_point(args) -> int:
-    from .experiments import _problem_generator_for_fixed_point
-
     params = {"problem": args.problem, "n": args.n, "p": args.p, "K": args.k,
-              "q": args.q, "delta": args.delta_param, "graph_seed": args.graph_seed}
+              "q": args.q, "delta": args.delta_param, "graph_seed": args.graph_seed,
+              "localization": args.localization, "delta_prob": args.delta_prob,
+              "r_grid": _float_list(args.r_grid)}
     params = {k: v for k, v in params.items() if v is not None}
-    generator, atoms = _problem_generator_for_fixed_point(params)
-    estimate = estimate_fixed_point(
-        generator, atoms, args.localization, args.delta_prob,
-        n_mc=args.n_mc, r_grid=_float_list(args.r_grid), seed=args.seed,
-    )
+    rows, estimate = fixed_point_curve(params, args.n_mc, args.seed)
     out = args.out or "fixed_point"
-    rows = [{"r": r, "quantile": q, "n_effective": estimate.n_effective}
-            for r, q in estimate.quantile_curve]
     write_csv(out + ".csv", ("r", "quantile", "n_effective"), rows)
     write_json(estimate.to_dict(), out + ".json")
     return EXIT_OK
@@ -277,16 +204,18 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_gset(args) -> int:
-    graph = parse_gset(Path(args.infile).read_text())
     if args.sweep:
-        rows, agg = gset_sweep(graph, _float_list(args.delta_grid),
-                               replicates=args.replicates, seed=args.seed,
-                               gw_samples=args.samples)
+        config = ExperimentConfig("maxcut_gset_sweep", replicates=args.replicates,
+                                  seed=args.seed, params={
+                                      "gset_path": args.infile, "gw_samples": args.samples,
+                                      "delta_grid": _float_list(args.delta_grid)})
+        rows, agg = run_grid(config, threads=args.threads)
         out = args.out or "gset_sweep"
         write_csv(out + ".csv", ("delta", "replicate", "seed", "cut_full", "status"), rows)
         write_csv(out + ".agg.csv",
                   ("delta", "count", "mean_cut_full", "std_cut_full"), agg)
         return EXIT_OK
+    graph = parse_gset(Path(args.infile).read_text())
     info = {"n": graph.n, "m": graph.m, "average_degree": graph.average_degree}
     if args.out:
         write_json(info, args.out)
@@ -310,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sub.add_parser(name, parents=[common], **kw)
 
     g = add_parser("generate", help="generate a synthetic instance")
-    g.add_argument("--problem", required=True,
-                   choices=["community", "signed", "sync", "maxcut"])
+    g.add_argument("--problem", required=True, choices=list(PROBLEMS))
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--k", type=int, default=2)
     g.add_argument("--p", type=float, default=0.9)
@@ -326,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = add_parser("solve", help="solve the SDP for a generated instance")
     s.add_argument("--in", dest="infile", required=True, help="instance prefix")
-    s.add_argument("--problem", choices=["community", "signed", "sync", "maxcut"],
+    s.add_argument("--problem", choices=list(PROBLEMS),
                    help="sanity check against the instance sidecar")
     s.add_argument("--solver", default="pierra", choices=["pierra", "bm"])
     s.add_argument("--config", help="JSON file with solver overrides")
@@ -345,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--in", dest="infile", required=True, help="instance prefix")
     c.add_argument("--input", default="raw", choices=["raw", "sdp"])
     c.add_argument("--solution", help="solved result prefix (skips in-process solve)")
-    c.add_argument("--algo", default="adjacency",
-                   choices=["adjacency", "lbar", "lbar_rw", "lbar_sym", "bnc"])
+    c.add_argument("--algo", default="adjacency", choices=BASELINES)
     c.add_argument("--k", type=int)
     c.set_defaults(func=_cmd_cluster)
 

@@ -11,46 +11,47 @@ Per-cell seeds derive from (master seed, flat grid index, replicate), so
 grids can be extended without perturbing existing cells, and rows are
 emitted sorted by (grid point, replicate) so a worker pool never changes
 the output bytes.  Solver failures are recorded in the row's status column
-and never abort a sweep.
+and never abort a sweep.  The fixed-point curve is the one experiment whose
+replicates are pooled by its estimator: it writes the quantile curve as
+both tables.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
 from . import _rng
-from .fileio import GsetGraph, write_csv, write_json
+from .fileio import GsetGraph, parse_gset, write_csv, write_json
 from .linalg import InvalidInputError
-from .metrics import ari, cut_value, estimate_fixed_point, signed_error_rate, sync_mse
+from .metrics import estimate_fixed_point
 from .models import (
-    MaxCutInstance,
     SsbmParams,
     SyncParams,
     apply_mask,
     gen_bipartite_perturbed,
     gen_ssbm,
     gen_sync,
-    membership_matrix,
 )
+from .problems import PROBLEMS
 from .rounding import extract_phases, gw_round, spectral_sync
-from .signed import SPECTRAL_VARIANTS, bnc_cluster, spectral_cluster
-from .solvers import BmConfig, PierraConfig, bm_solve, pierra_signed, unit_diag_atoms
+from .signed import BASELINES, cluster_baseline
+from .solvers import BmConfig, PierraConfig, bm_solve, pierra_solve
 
 __all__ = [
     "ExperimentConfig",
     "EXPERIMENTS",
     "run_experiment",
+    "run_grid",
     "gset_sweep",
-    "signed_ground_truth_matrix",
+    "fixed_point_curve",
 ]
 
 SCHEMA_VERSION = 1
-
-SIGNED_ALGORITHMS = SPECTRAL_VARIANTS + ("bnc",)
 
 
 @dataclass(frozen=True)
@@ -76,21 +77,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {"experiment", "params", "replicates", "seed", "full_scale", "schema_version"}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidInputError(f"unknown config fields {sorted(unknown)}")
         return cls(**data)
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "params": self.params,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "full_scale": self.full_scale,
-            "schema_version": self.schema_version,
-        }
+        return asdict(self)
 
     def resolved_params(self) -> dict:
         spec = EXPERIMENTS[self.experiment]
@@ -101,25 +94,58 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class _ExperimentSpec:
-    grid_axes: tuple          # parameter names iterated as a cartesian grid
-    group_cols: tuple         # aggregation keys
-    value_cols: tuple         # numeric outputs to aggregate
+    """A sweep: one cell per (grid point, replicate), aggregated per group."""
+
     header: tuple
-    cell_fn: object           # (params, axis_values, replicate, seed_seq) -> [rows]
+    cell_fn: object           # (params, axes, replicate, seed_seq) -> [rows]
     desk_defaults: dict
     full_defaults: dict
+    grid_axes: tuple = ()     # parameter names iterated as a cartesian grid
+    group_cols: tuple = ()    # aggregation keys
+    value_cols: tuple = ()    # numeric outputs to aggregate
+    setup: object = dict      # params -> params for the cells, run once
+
+    def run(self, config, params, threads):
+        """Every cell of the sweep: (rows, agg header, agg rows, sidecar fields)."""
+        params = self.setup(params)
+        grids = [list(params[axis]) for axis in self.grid_axes]
+        for axis, grid in zip(self.grid_axes, grids):
+            if not grid:
+                raise InvalidInputError(f"grid '{axis}' must be non-empty")
+        tasks = [(gi, axes, rep) for gi, axes in enumerate(product(*grids))
+                 for rep in range(config.replicates)]
+
+        def run_task(task):
+            gi, axes, rep = task
+            seed_seq = _rng.cell_seed_sequence(config.seed, gi, rep)
+            return self.cell_fn(params, axes, rep, seed_seq)
+
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(run_task, tasks))
+        else:
+            results = [run_task(t) for t in tasks]
+        rows = [row for chunk in results for row in chunk]
+        sort_cols = list(self.group_cols) + ["replicate"]
+        if self.group_cols == ("algorithm",):
+            sort_cols = ["replicate", "algorithm"]
+        rows.sort(key=lambda row: tuple(row.get(c) for c in sort_cols))
+        agg_header, agg_rows = _aggregate(self, rows)
+        n_ok = sum(1 for r in rows if r.get("status") == "ok")
+        return rows, agg_header, agg_rows, {"rows": len(rows), "rows_ok": n_ok}
 
 
-def signed_ground_truth_matrix(labels: np.ndarray) -> np.ndarray:
-    """Complete +-1 ground truth: +1 on diagonal blocks, -1 elsewhere."""
-    Z = membership_matrix(labels)
-    return 2.0 * Z - 1.0
+@dataclass(frozen=True)
+class _FixedPointSpec:
+    """The fixed-point quantile curve: one estimator call pools the replicates."""
 
+    desk_defaults: dict
+    full_defaults: dict
+    header = ("r", "quantile", "n_effective")
 
-def _cluster_signed(matrix, algo, K, seed):
-    if algo == "bnc":
-        return bnc_cluster(matrix, K, seed=seed)
-    return spectral_cluster(matrix, algo, K, seed=seed)
+    def run(self, config, params, threads):
+        rows, estimate = fixed_point_curve(params, config.replicates, config.seed)
+        return rows, self.header, rows, {"estimate": estimate.to_dict()}
 
 
 def _cell_signed_before_after(params, axes, replicate, seed_seq):
@@ -129,24 +155,25 @@ def _cell_signed_before_after(params, axes, replicate, seed_seq):
         delta=params["delta"],
     )
     inst = gen_ssbm(ssbm, seed=seed)
-    truth = signed_ground_truth_matrix(inst.ground_truth)
+    signed = PROBLEMS["signed"]
     K = params["K"]
+
+    def gamma(matrix, algo):
+        labels = cluster_baseline(matrix, algo, K, seed).labels
+        return signed.score(labels, inst.ground_truth)["gamma"]
+
     rows = []
-    before = {}
-    for algo in SIGNED_ALGORITHMS:
-        labels = _cluster_signed(inst.observed, algo, K, seed)
-        before[algo] = signed_error_rate(labels, truth)
+    before = {algo: gamma(inst.observed, algo) for algo in BASELINES}
     status = "ok"
     after = {}
     try:
         # denoising needs only a moderately accurate solve; a larger step
         # weight and looser feasibility cut the iteration count ~3x with
         # identical downstream error rates
-        J = np.ones((params["n"], params["n"]))
-        scale = np.linalg.norm(inst.observed - inst.params["alpha"] * J)
-        eps = params.get("eps_scale", 4.0) * np.sqrt(params["n"]) / max(scale, 1e-12)
-        Z_hat, report = pierra_signed(
-            inst.observed, inst.params["alpha"],
+        M = signed.objective(inst.observed, inst.params)
+        eps = params.get("eps_scale", 4.0) * np.sqrt(params["n"]) / max(np.linalg.norm(M), 1e-12)
+        Z_hat, report = pierra_solve(
+            M, signed.atoms(inst.params),
             PierraConfig(epsilon=eps,
                          max_iters=params.get("max_iters", 20000),
                          feas_tol=params.get("feas_tol", 1e-5),
@@ -154,12 +181,11 @@ def _cell_signed_before_after(params, axes, replicate, seed_seq):
         )
         if not report.converged:
             status = "solver_max_iters"
-        for algo in SIGNED_ALGORITHMS:
-            labels = _cluster_signed(Z_hat, algo, K, seed)
-            after[algo] = signed_error_rate(labels, truth)
+        for algo in BASELINES:
+            after[algo] = gamma(Z_hat, algo)
     except Exception as exc:  # never abort the sweep
         status = f"error:{type(exc).__name__}"
-    for algo in SIGNED_ALGORITHMS:
+    for algo in BASELINES:
         row = {"replicate": replicate, "seed": seed, "algorithm": algo,
                "gamma_before": before[algo], "status": status}
         if algo in after:
@@ -169,11 +195,19 @@ def _cell_signed_before_after(params, axes, replicate, seed_seq):
     return rows
 
 
-def _solve_maxcut(instance: MaxCutInstance, params, seed):
-    config = BmConfig(max_iters=params.get("max_iters", 20000),
-                      restarts=params.get("restarts", 2), seed=seed)
-    _, Z_hat, report = bm_solve(instance.rescaled, "max", config)
-    return Z_hat, report
+def _bm_config(params, seed):
+    return BmConfig(max_iters=params.get("max_iters", 20000),
+                    restarts=params.get("restarts", 2), seed=seed)
+
+
+def _round_maxcut(inst, params, seed):
+    """Solve a masked cut instance by BM, round it on the full graph:
+    (best sign vector, mean sampled cut, status)."""
+    Z_hat, report = PROBLEMS["maxcut"].solve(
+        inst.observed, {"mask_prob": inst.mask_prob}, "bm", bm_config=_bm_config(params, seed)
+    )
+    x, mean_cut = gw_round(Z_hat, inst.full_adjacency, params.get("gw_samples", 100), seed=seed)
+    return x, mean_cut, "ok" if report.converged else "solver_max_iters"
 
 
 def _cell_maxcut_bipartite(params, axes, replicate, seed_seq):
@@ -181,16 +215,12 @@ def _cell_maxcut_bipartite(params, axes, replicate, seed_seq):
     seed = int(seed_seq.generate_state(1)[0])
     try:
         inst = gen_bipartite_perturbed(params["n"], eta, delta, seed=seed)
-        Z_hat, report = _solve_maxcut(inst, params, seed)
-        x, mean_cut = gw_round(Z_hat, inst.full_adjacency,
-                               params.get("gw_samples", 100), seed=seed)
-        labels = (np.asarray(x) > 0).astype(int)
+        x, mean_cut, status = _round_maxcut(inst, params, seed)
+        scores = PROBLEMS["maxcut"].score(x, inst.ground_truth_partition, inst.full_adjacency)
         row = {
             "eta": eta, "delta": delta, "replicate": replicate, "seed": seed,
-            "ari": ari(labels, inst.ground_truth_partition),
-            "best_cut": cut_value(inst.full_adjacency, x),
-            "mean_cut": mean_cut,
-            "status": "ok" if report.converged else "solver_max_iters",
+            "ari": scores["ari"], "best_cut": scores["cut_full"], "mean_cut": mean_cut,
+            "status": status,
         }
     except Exception as exc:
         row = {"eta": eta, "delta": delta, "replicate": replicate, "seed": seed,
@@ -207,17 +237,29 @@ def _synthetic_benchmark_graph(n: int, avg_degree: float, seed: int) -> np.ndarr
     return upper + upper.T
 
 
+def _benchmark_graph(params):
+    """Params plus ``_adjacency``: the given graph, a Gset file or a synthetic one."""
+    params = dict(params)
+    if "_adjacency" not in params:
+        if params.get("gset_path"):
+            graph = parse_gset(Path(params["gset_path"]).read_text())
+            params["_adjacency"] = graph.adjacency()
+        else:
+            params["_adjacency"] = _synthetic_benchmark_graph(
+                params["n"], params["avg_degree"], params["graph_seed"]
+            )
+    return params
+
+
 def _cell_gset_sweep(params, axes, replicate, seed_seq):
     (delta,) = axes
     seed = int(seed_seq.generate_state(1)[0])
     A0 = params["_adjacency"]
     try:
-        inst = apply_mask(A0, delta, seed=seed)
-        Z_hat, report = _solve_maxcut(inst, params, seed)
-        x, _ = gw_round(Z_hat, inst.full_adjacency, params.get("gw_samples", 100), seed=seed)
+        x, _, status = _round_maxcut(apply_mask(A0, delta, seed=seed), params, seed)
         row = {"delta": delta, "replicate": replicate, "seed": seed,
-               "cut_full": cut_value(A0, x),
-               "status": "ok" if report.converged else "solver_max_iters"}
+               "cut_full": PROBLEMS["maxcut"].score(x, None, A0)["cut_full"],
+               "status": status}
     except Exception as exc:
         row = {"delta": delta, "replicate": replicate, "seed": seed,
                "status": f"error:{type(exc).__name__}"}
@@ -229,22 +271,22 @@ def _cell_sync(noise_model):
         level, sample_prob = axes
         seed = int(seed_seq.generate_state(1)[0])
         kwargs = {"sigma": level} if noise_model == "gaussian" else {"sigma": 0.0, "gamma": level}
+        sync = PROBLEMS["sync"]
         try:
             inst = gen_sync(
                 SyncParams(n=params["n"], noise_model=noise_model,
                            sample_prob=sample_prob, **kwargs),
                 seed=seed,
             )
-            config = BmConfig(max_iters=params.get("max_iters", 20000),
-                              restarts=params.get("restarts", 2), seed=seed)
-            _, Z_hat, report = bm_solve(inst.observed, "max", config)
+            Z_hat, report = sync.solve(inst.observed, inst.params, "bm",
+                                       bm_config=_bm_config(params, seed))
             phases_sdp = np.angle(extract_phases(Z_hat))
             phases_spec = np.angle(spectral_sync(inst.observed))
             row = {
                 "level": level, "sample_prob": sample_prob,
                 "replicate": replicate, "seed": seed,
-                "mse_sdp": sync_mse(phases_sdp, inst.ground_truth),
-                "mse_spectral": sync_mse(phases_spec, inst.ground_truth),
+                "mse_sdp": sync.score(phases_sdp, inst.ground_truth)["mse"],
+                "mse_spectral": sync.score(phases_spec, inst.ground_truth)["mse"],
                 "status": "ok" if report.converged else "solver_max_iters",
             }
         except Exception as exc:
@@ -285,6 +327,7 @@ EXPERIMENTS = {
         value_cols=("cut_full",),
         header=("delta", "replicate", "seed", "cut_full", "status"),
         cell_fn=_cell_gset_sweep,
+        setup=_benchmark_graph,
         desk_defaults={"n": 150, "avg_degree": 12.0, "graph_seed": 53,
                        "delta_grid": [0.2, 0.5, 0.8, 1.0], "gw_samples": 100},
         full_defaults={"n": 1000, "avg_degree": 12.0, "graph_seed": 53,
@@ -315,7 +358,12 @@ EXPERIMENTS = {
         full_defaults={"n": 500, "level_grid": [0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9],
                        "prob_grid": [0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 1.0]},
     ),
-    "fixed_point_curve": None,  # special-cased: emits the quantile curve directly
+    "fixed_point_curve": _FixedPointSpec(
+        desk_defaults={"problem": "maxcut", "n": 20, "p": 0.8, "localization": "excess_risk",
+                       "delta_prob": 0.005, "r_grid": [2.0 * k for k in range(1, 41)]},
+        full_defaults={"problem": "maxcut", "n": 40, "p": 0.8, "localization": "excess_risk",
+                       "delta_prob": 0.005, "r_grid": [5.0 * k for k in range(1, 61)]},
+    ),
 }
 
 
@@ -346,46 +394,28 @@ def _aggregate(spec: _ExperimentSpec, rows):
     return header, out
 
 
-def _run_grid(config: ExperimentConfig, threads: int = 1):
-    spec = EXPERIMENTS[config.experiment]
-    params = config.resolved_params()
-    if config.experiment == "maxcut_gset_sweep" and "_adjacency" not in params:
-        if params.get("gset_path"):
-            from .fileio import parse_gset
-            from pathlib import Path
-            graph = parse_gset(Path(params["gset_path"]).read_text())
-            params["_adjacency"] = graph.adjacency()
-        else:
-            params["_adjacency"] = _synthetic_benchmark_graph(
-                params["n"], params["avg_degree"], params["graph_seed"]
-            )
-    grids = [list(params[axis]) for axis in spec.grid_axes]
-    for axis, grid in zip(spec.grid_axes, grids):
-        if not grid:
-            raise InvalidInputError(f"grid '{axis}' must be non-empty")
-    cells = list(product(*grids)) if grids else [()]
-
-    tasks = []
-    for gi, axes in enumerate(cells):
-        for rep in range(config.replicates):
-            tasks.append((gi, axes, rep))
-
-    def run_task(task):
-        gi, axes, rep = task
-        seed_seq = _rng.cell_seed_sequence(config.seed, gi, rep)
-        return spec.cell_fn(params, axes, rep, seed_seq)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_task, tasks))
-    else:
-        results = [run_task(t) for t in tasks]
-    rows = [row for chunk in results for row in chunk]
-    return spec, params, rows
+def run_grid(config: ExperimentConfig, threads: int = 1):
+    """Run a sweep without writing files; returns (rows, aggregated rows)."""
+    rows, _, agg_rows, _ = EXPERIMENTS[config.experiment].run(
+        config, config.resolved_params(), threads
+    )
+    return rows, agg_rows
 
 
-def _problem_generator_for_fixed_point(params):
-    """Build (generator, atoms) for the fixed-point curve experiment."""
+def fixed_point_curve(params, n_mc: int, seed: int):
+    """(quantile curve rows, estimate) for the fixed point of ``params``'s problem."""
+    generator, atoms = _fixed_point_problem(params)
+    estimate = estimate_fixed_point(
+        generator, atoms, params["localization"], params["delta_prob"],
+        n_mc=n_mc, r_grid=params["r_grid"], seed=seed,
+    )
+    rows = [{"r": r, "quantile": q, "n_effective": estimate.n_effective}
+            for r, q in estimate.quantile_curve]
+    return rows, estimate
+
+
+def _fixed_point_problem(params):
+    """Build (generator, atoms) for the fixed-point curve."""
     problem = params.get("problem", "maxcut")
     n = params.get("n", 20)
     if problem == "maxcut":
@@ -399,27 +429,20 @@ def _problem_generator_for_fixed_point(params):
             inst = apply_mask(A0, p, seed=seed)
             return inst.rescaled, -A0, Z_star
 
-        return generator, unit_diag_atoms()
+        return generator, PROBLEMS["maxcut"].atoms(params)
     if problem == "signed":
         ssbm = SsbmParams(n=n, n_clusters=params.get("K", 2), p=params.get("p", 0.9),
                           q=params.get("q", 0.1), delta=params.get("delta", 1.0))
+        signed = PROBLEMS["signed"]
 
         def generator(rng):
             seed = int(rng.integers(0, 2**32))
             inst = gen_ssbm(ssbm, seed=seed)
-            alpha = inst.params["alpha"]
-            J = np.ones((n, n))
-            return inst.observed - alpha * J, inst.expected - alpha * J, inst.oracle
+            return (signed.objective(inst.observed, inst.params),
+                    signed.objective(inst.expected, inst.params), inst.oracle)
 
-        from .solvers import signed_atoms
-        return generator, signed_atoms()
+        return generator, signed.atoms(params)
     raise InvalidInputError(f"fixed_point_curve does not support problem '{problem}'")
-
-
-_FIXED_POINT_DESK = {
-    "problem": "maxcut", "n": 20, "p": 0.8, "localization": "excess_risk",
-    "delta_prob": 0.005, "r_grid": [2.0 * k for k in range(1, 41)],
-}
 
 
 def run_experiment(config: ExperimentConfig, out_prefix, threads: int = 1) -> dict:
@@ -428,38 +451,14 @@ def run_experiment(config: ExperimentConfig, out_prefix, threads: int = 1) -> di
     Returns a summary dict (also written into the sidecar).
     """
     out_prefix = str(out_prefix)
-    sidecar = {"config": config.to_dict(), "schema_version": SCHEMA_VERSION}
-    if config.experiment == "fixed_point_curve":
-        params = dict(_FIXED_POINT_DESK)
-        params.update(config.params)
-        generator, atoms = _problem_generator_for_fixed_point(params)
-        estimate = estimate_fixed_point(
-            generator, atoms, params["localization"], params["delta_prob"],
-            n_mc=config.replicates, r_grid=params["r_grid"], seed=config.seed,
-        )
-        header = ("r", "quantile", "n_effective")
-        rows = [{"r": r, "quantile": q, "n_effective": estimate.n_effective}
-                for r, q in estimate.quantile_curve]
-        write_csv(out_prefix + ".csv", header, rows)
-        write_csv(out_prefix + ".agg.csv", header, rows)
-        public_params = {k: v for k, v in params.items() if not k.startswith("_")}
-        sidecar.update({"resolved_params": public_params,
-                        "estimate": estimate.to_dict()})
-        write_json(sidecar, out_prefix + ".json")
-        return sidecar
-
-    spec, params, rows = _run_grid(config, threads=threads)
-    sort_cols = list(spec.group_cols) + ["replicate"]
-    if spec.group_cols == ("algorithm",):
-        sort_cols = ["replicate", "algorithm"]
-    rows.sort(key=lambda row: tuple(row.get(c) for c in sort_cols))
+    spec = EXPERIMENTS[config.experiment]
+    params = config.resolved_params()
+    rows, agg_header, agg_rows, fields = spec.run(config, params, threads)
     write_csv(out_prefix + ".csv", spec.header, rows)
-    agg_header, agg_rows = _aggregate(spec, rows)
     write_csv(out_prefix + ".agg.csv", agg_header, agg_rows)
     public_params = {k: v for k, v in params.items() if not k.startswith("_")}
-    n_ok = sum(1 for r in rows if r.get("status") == "ok")
-    sidecar.update({"resolved_params": public_params,
-                    "rows": len(rows), "rows_ok": n_ok})
+    sidecar = {"config": config.to_dict(), "schema_version": SCHEMA_VERSION,
+               "resolved_params": public_params, **fields}
     write_json(sidecar, out_prefix + ".json")
     return sidecar
 
@@ -475,15 +474,8 @@ def gset_sweep(adjacency, delta_grid, replicates: int, seed: int = 0,
     """
     if isinstance(adjacency, GsetGraph):
         adjacency = adjacency.adjacency()
-    adjacency = np.asarray(adjacency, dtype=float)
-    params = {"_adjacency": adjacency, "gw_samples": gw_samples,
+    params = {"_adjacency": np.asarray(adjacency, dtype=float),
+              "delta_grid": [float(d) for d in delta_grid], "gw_samples": gw_samples,
               "max_iters": max_iters, "restarts": restarts}
-    rows = []
-    for gi, delta in enumerate(delta_grid):
-        for rep in range(replicates):
-            seed_seq = _rng.cell_seed_sequence(seed, gi, rep)
-            rows.extend(_cell_gset_sweep(params, (float(delta),), rep, seed_seq))
-    spec = EXPERIMENTS["maxcut_gset_sweep"]
-    rows.sort(key=lambda row: (row["delta"], row["replicate"]))
-    agg_header, agg_rows = _aggregate(spec, rows)
-    return rows, agg_rows
+    return run_grid(ExperimentConfig("maxcut_gset_sweep", params=params,
+                                     replicates=replicates, seed=seed))

@@ -1,8 +1,8 @@
 """Dense symmetric / Hermitian linear algebra kernels.
 
 Everything downstream (solvers, rounding, spectral baselines) goes through
-these few primitives: eigendecomposition, PSD projection, top eigenvector
-extraction, SVD and the trace inner product.  All matrices are plain numpy
+these few primitives: eigendecomposition, PSD projection and top
+eigenvector extraction.  All matrices are plain numpy
 arrays; the helpers here validate and symmetrize instead of wrapping them
 in dedicated classes.
 """
@@ -21,8 +21,6 @@ __all__ = [
     "eigh_sorted",
     "project_psd",
     "top_eigenvector",
-    "svd",
-    "frobenius_inner",
     "frobenius_norm",
 ]
 
@@ -67,9 +65,6 @@ class EigenDecomposition:
     values: np.ndarray
     vectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
-
 
 def eigh_sorted(M: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a (conjugate-)symmetric matrix, eigenvalues descending."""
@@ -104,32 +99,6 @@ def top_eigenvector(M: np.ndarray, target_norm: float = 1.0) -> np.ndarray:
         elif pivot.real < 0:
             v = -v
     return v * target_norm
-
-
-def svd(M: np.ndarray):
-    """Singular value decomposition ``M = U @ diag(s) @ Vt`` with s descending."""
-    M = np.asarray(M)
-    if not np.all(np.isfinite(M)):
-        raise InvalidInputError("svd input has non-finite entries")
-    U, s, Vt = np.linalg.svd(M)
-    return U, s, Vt
-
-
-def frobenius_inner(A: np.ndarray, B: np.ndarray) -> float:
-    """Trace inner product sum_ij A_ij * conj(B_ij), imaginary residue dropped.
-
-    For Hermitian pairs the pairing is real up to roundoff; a residue above
-    1e-10 relative indicates a non-Hermitian operand and raises.
-    """
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.shape != B.shape:
-        raise InvalidInputError(f"inner product shape mismatch {A.shape} vs {B.shape}")
-    val = complex(np.sum(A * B.conj()))
-    scale = 1.0 + abs(val)
-    if abs(val.imag) > 1e-10 * scale:
-        raise InvalidInputError("inner product has a non-negligible imaginary part")
-    return float(val.real)
 
 
 def frobenius_norm(M: np.ndarray) -> float:

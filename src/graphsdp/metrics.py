@@ -141,13 +141,17 @@ def phase_aligned_l2(x_hat: np.ndarray, x_star: np.ndarray) -> float:
     return float(np.linalg.norm(x_hat - z * x_star))
 
 
-def cut_value(A0: np.ndarray, x: np.ndarray) -> float:
-    """cut(G, x) = (1/4) sum_ij A0_ij (1 - x_i x_j)."""
+def cut_value(A0: np.ndarray, x: np.ndarray):
+    """cut(G, x) = (1/4) sum_ij A0_ij (1 - x_i x_j) = (sum(A0) - x' A0 x) / 4.
+
+    A 2-d ``x`` holds one sign vector per row and gets one cut value per row.
+    """
     A0 = check_square(np.asarray(A0, dtype=float))
     x = np.asarray(x, dtype=float)
-    if x.size != A0.shape[0]:
+    if x.ndim not in (1, 2) or x.shape[-1] != A0.shape[0]:
         raise InvalidInputError("sign vector length mismatch")
-    return float(0.25 * np.sum(A0 * (1.0 - np.outer(x, x))))
+    cuts = 0.25 * (np.sum(A0) - np.sum((x @ A0) * x, axis=-1))
+    return float(cuts) if x.ndim == 1 else cuts
 
 
 def brute_force_maxcut(A0: np.ndarray):
@@ -160,7 +164,6 @@ def brute_force_maxcut(A0: np.ndarray):
     n = A0.shape[0]
     if n > 20:
         raise InvalidInputError("brute force limited to n <= 20")
-    total = float(A0.sum())
     best_val = -np.inf
     best_x = None
     n_free = n - 1
@@ -170,7 +173,7 @@ def brute_force_maxcut(A0: np.ndarray):
         masks = np.arange(start, min(start + chunk, 1 << n_free))
         X = np.ones((masks.size, n))
         X[:, 1:] = 1.0 - 2.0 * ((masks[:, None] >> bits[None, :]) & 1)
-        vals = 0.25 * (total - np.einsum("ij,jk,ik->i", X, A0, X))
+        vals = cut_value(A0, X)
         local = int(np.argmax(vals))
         if vals[local] > best_val:
             best_val = float(vals[local])

@@ -33,6 +33,7 @@ __all__ = [
     "gen_sync",
     "gen_bipartite_perturbed",
     "apply_mask",
+    "rescale_masked",
     "sample_feasible",
 ]
 
@@ -117,21 +118,6 @@ class SsbmParams:
     def theta(self) -> float:
         return self.delta * (self.p - self.q)
 
-    @property
-    def separation(self) -> float:
-        return self.delta * (self.p - self.q) ** 2
-
-    @property
-    def rho(self) -> float:
-        return self.delta * max(
-            1.0 - self.delta * (2.0 * self.p - 1.0) ** 2,
-            1.0 - self.delta * (2.0 * self.q - 1.0) ** 2,
-        )
-
-    @property
-    def nu(self) -> float:
-        return max(2.0 * self.p - 1.0, 1.0 - 2.0 * self.q)
-
 
 @dataclass(frozen=True)
 class SyncParams:
@@ -211,10 +197,6 @@ class MaxCutInstance:
         A0 = np.asarray(self.full_adjacency, dtype=float)
         if np.any(np.diagonal(A0) != 0):
             raise InvalidInputError("full adjacency must have zero diagonal")
-
-    @property
-    def expected_rescaled(self) -> np.ndarray:
-        return -np.asarray(self.full_adjacency, dtype=float)
 
 
 def default_sizes(n: int, K: int) -> tuple:
@@ -378,6 +360,11 @@ def apply_mask(A0: np.ndarray, p: float, seed=0) -> MaxCutInstance:
     return _masked_instance(A0, p, seed, ground_truth=None)
 
 
+def rescale_masked(A: np.ndarray, p: float) -> np.ndarray:
+    """B = -(1/p) * A: under an Erdos-Renyi(p) mask of A0, E[B] = -A0."""
+    return -A / p
+
+
 def _masked_instance(A0, p, seed, ground_truth) -> MaxCutInstance:
     n = A0.shape[0]
     keep = _bernoulli_symmetric(np.full((n, n), p), _rng.stream(seed, _rng.STREAM_MASK))
@@ -386,7 +373,7 @@ def _masked_instance(A0, p, seed, ground_truth) -> MaxCutInstance:
         full_adjacency=A0,
         observed=A,
         mask_prob=p,
-        rescaled=-A / p,
+        rescaled=rescale_masked(A, p),
         ground_truth_partition=ground_truth,
         seed=seed,
     )

@@ -14,6 +14,7 @@ from .linalg import (
     frobenius_norm,
     top_eigenvector,
 )
+from .metrics import cut_value
 from .models import CommunityAssignment
 from .signed import kmeans
 
@@ -63,10 +64,6 @@ def factorize_gram(Z: np.ndarray) -> GramFactor:
     return GramFactor(rows=X / norms)
 
 
-def _cut_value(A0: np.ndarray, x: np.ndarray) -> float:
-    return float(0.25 * np.real(np.vdot(A0, 1.0 - np.outer(x, x))))
-
-
 def gw_round(Z: np.ndarray, graph: np.ndarray, n_samples: int, seed: int = 0):
     """Gaussian hyperplane rounding of a solved cut matrix.
 
@@ -74,27 +71,18 @@ def gw_round(Z: np.ndarray, graph: np.ndarray, n_samples: int, seed: int = 0):
     scores each sample by its cut value on ``graph`` (the full adjacency when
     available, the observed one otherwise), and returns the best sign vector
     together with the sample-mean cut value.  Ties keep the earliest sample.
+    All samples are drawn in one block and scored together.
     """
     if n_samples < 1:
         raise InvalidInputError("n_samples must be >= 1")
-    graph = np.asarray(graph, dtype=float)
     factor = factorize_gram(Z)
+    if np.iscomplexobj(factor.rows):
+        raise InvalidInputError("hyperplane rounding expects a real factor")
     rng = _rng.stream(seed, _rng.STREAM_SOLVER)
-    best_x = None
-    best_val = -np.inf
-    total = 0.0
-    for _ in range(n_samples):
-        g = rng.standard_normal(factor.rows.shape[1])
-        if np.iscomplexobj(factor.rows):
-            raise InvalidInputError("hyperplane rounding expects a real factor")
-        proj = factor.rows @ g
-        x = np.where(proj >= 0, 1.0, -1.0)
-        val = _cut_value(graph, x)
-        total += val
-        if val > best_val:
-            best_val = val
-            best_x = x
-    return best_x.astype(int), total / n_samples
+    g = rng.standard_normal((n_samples, factor.rows.shape[1]))
+    x = np.where(g @ factor.rows.T >= 0, 1.0, -1.0)
+    cuts = cut_value(graph, x)
+    return x[int(np.argmax(cuts))].astype(int), float(cuts.mean())
 
 
 def expected_cut_closed_form(A0: np.ndarray, Z: np.ndarray) -> float:

@@ -26,10 +26,13 @@ __all__ = [
     "spectral_cluster",
     "bnc_cluster",
     "bnc_objective",
+    "cluster_baseline",
     "SPECTRAL_VARIANTS",
+    "BASELINES",
 ]
 
 SPECTRAL_VARIANTS = ("adjacency", "lbar", "lbar_rw", "lbar_sym")
+BASELINES = SPECTRAL_VARIANTS + ("bnc",)
 
 
 @dataclass(frozen=True)
@@ -228,6 +231,13 @@ def bnc_cluster(A: np.ndarray, K: int, seed: int = 0, restarts: int = 10) -> Com
     norms[norms == 0] = 1.0
     emb = emb / norms
     return kmeans(emb, K, restarts=restarts, seed=seed)
+
+
+def cluster_baseline(A: np.ndarray, algo: str, K: int, seed: int = 0) -> CommunityAssignment:
+    """Run one baseline by name: a spectral variant or ``bnc``."""
+    if algo == "bnc":
+        return bnc_cluster(A, K, seed=seed)
+    return spectral_cluster(A, algo, K, seed=seed)
 
 
 def bnc_objective(A: np.ndarray, assignment: CommunityAssignment) -> float:

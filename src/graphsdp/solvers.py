@@ -359,6 +359,8 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
 
 
 def community_atoms(lam: float) -> list[ConstraintAtom]:
+    if lam <= 0:
+        raise InvalidInputError("lam must be > 0")
     return [psd(), nonneg(), diag_leq_one(), total_sum_leq(lam)]
 
 
@@ -373,8 +375,6 @@ def unit_diag_atoms() -> list[ConstraintAtom]:
 def pierra_community(A: np.ndarray, lam: float, config: PierraConfig | None = None):
     """Community detection program: maximize <A, Z> over
     {Z psd, Z >= 0, diag(Z) <= 1, sum(Z) <= lam}."""
-    if lam <= 0:
-        raise InvalidInputError("lam must be > 0")
     return pierra_solve(A, community_atoms(lam), config)
 
 

@@ -68,6 +68,16 @@ class TestGenerateSolveRoundEvaluate:
              "--out", inst])
         assert run(["solve", "--in", inst, "--solver", "bm", "--out", tmp_path / "r"]) == 2
 
+    def test_unknown_config_key_is_invalid_input(self, tmp_path, capsys):
+        inst = tmp_path / "inst"
+        run(["generate", "--problem", "signed", "--n", 8, "--k", 2, "--seed", 0,
+             "--out", inst])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_iter": 3}))
+        assert run(["solve", "--in", inst, "--config", cfg, "--out", tmp_path / "r"]) == 2
+        assert "max_iter" in capsys.readouterr().err
+        assert not (tmp_path / "r.coo").exists()
+
     def test_missing_instance_is_invalid_input(self, tmp_path):
         assert run(["solve", "--in", tmp_path / "nope", "--out", tmp_path / "r"]) == 2
 

@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from graphsdp.experiments import (
-    ExperimentConfig,
-    gset_sweep,
-    run_experiment,
-    signed_ground_truth_matrix,
-)
+from graphsdp.experiments import ExperimentConfig, gset_sweep, run_experiment, run_grid
 from graphsdp.fileio import parse_gset, read_csv
 from graphsdp.linalg import InvalidInputError
+from graphsdp.problems import signed_ground_truth_matrix
 
 
 class TestConfig:
@@ -28,6 +24,17 @@ class TestConfig:
     def test_unknown_field(self):
         with pytest.raises(InvalidInputError):
             ExperimentConfig.from_dict({"experiment": "sync_heatmap_gaussian", "bogus": 1})
+
+    def test_fixed_point_curve_desk_and_full_defaults(self):
+        desk = ExperimentConfig(experiment="fixed_point_curve").resolved_params()
+        assert desk == {"problem": "maxcut", "n": 20, "p": 0.8,
+                        "localization": "excess_risk", "delta_prob": 0.005,
+                        "r_grid": [2.0 * k for k in range(1, 41)]}
+        full = ExperimentConfig(experiment="fixed_point_curve",
+                                full_scale=True).resolved_params()
+        assert full["n"] == 40 and full["r_grid"][-1] == 300.0
+        assert {k: v for k, v in full.items() if k not in ("n", "r_grid")} == \
+            {k: v for k, v in desk.items() if k not in ("n", "r_grid")}
 
 
 class TestGroundTruthMatrix:
@@ -105,6 +112,13 @@ class TestRunExperiment:
         p1, _ = run_to_tmp(tmp_path, cfg, "serial", threads=1)
         p2, _ = run_to_tmp(tmp_path, cfg, "pooled", threads=4)
         assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()
+        # the gset sweep (library and CLI) runs through the same pooled grid
+        gset = ExperimentConfig(
+            experiment="maxcut_gset_sweep",
+            params={"n": 24, "avg_degree": 6.0, "delta_grid": [0.5, 1.0], "gw_samples": 30},
+            replicates=2, seed=4,
+        )
+        assert run_grid(gset, threads=1) == run_grid(gset, threads=4)
 
     def test_aggregate_matches_independent_reader(self, tmp_path):
         cfg = ExperimentConfig(

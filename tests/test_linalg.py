@@ -4,10 +4,8 @@ import pytest
 from graphsdp.linalg import (
     InvalidInputError,
     eigh_sorted,
-    frobenius_inner,
     frobenius_norm,
     project_psd,
-    svd,
     symmetrize,
     top_eigenvector,
 )
@@ -33,7 +31,7 @@ class TestEigh:
         M = random_symmetric(7, rng)
         dec = eigh_sorted(M)
         assert np.all(np.diff(dec.values) <= 1e-12)
-        err = frobenius_norm(dec.reconstruct() - M)
+        err = frobenius_norm((dec.vectors * dec.values) @ dec.vectors.conj().T - M)
         assert err <= 1e-8 * (1 + frobenius_norm(M))
 
     def test_columns_orthonormal(self):
@@ -106,55 +104,6 @@ class TestTopEigenvector:
         x = np.array([0.8, -0.6])
         v = top_eigenvector(np.outer(x, x))
         assert v[np.argmax(np.abs(v))].real >= 0
-
-
-class TestSvd:
-    def test_rotation_has_unit_singular_values(self):
-        t = 0.7
-        R = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
-        _, s, _ = svd(R)
-        assert np.allclose(s, [1.0, 1.0], atol=1e-12)
-
-    def test_zero_matrix(self):
-        _, s, _ = svd(np.zeros((2, 2)))
-        assert np.allclose(s, [0.0, 0.0])
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_against_gram_eigen_oracle(self, seed):
-        rng = np.random.default_rng(400 + seed)
-        M = rng.standard_normal((2, 2))
-        U, s, Vt = svd(M)
-        oracle = np.sqrt(np.maximum(np.sort(np.linalg.eigvalsh(M.T @ M))[::-1], 0.0))
-        assert np.allclose(s, oracle, atol=1e-10)
-        assert frobenius_norm(U @ np.diag(s) @ Vt - M) <= 1e-8 * (1 + frobenius_norm(M))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(InvalidInputError):
-            svd(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-
-
-class TestFrobeniusInner:
-    def test_identity_pair(self):
-        assert frobenius_inner(np.eye(3), np.eye(3)) == 3.0
-
-    def test_ones_against_diag(self):
-        assert frobenius_inner(np.ones((2, 2)), np.diag([1.0, 1.0])) == 2.0
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_naive_double_loop(self, seed):
-        rng = np.random.default_rng(500 + seed)
-        A = random_symmetric(5, rng, complex_valued=True)
-        B = random_symmetric(5, rng, complex_valued=True)
-        naive = 0.0
-        for i in range(5):
-            for j in range(5):
-                naive += A[i, j] * np.conj(B[i, j])
-        assert abs(frobenius_inner(A, B) - naive.real) <= 1e-12
-        assert abs(naive.imag) <= 1e-10
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            frobenius_inner(np.eye(2), np.eye(3))
 
 
 def test_symmetrize_enforces_exact_symmetry():

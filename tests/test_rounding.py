@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphsdp import _rng
 from graphsdp.linalg import InvalidInputError, frobenius_norm
 from graphsdp.metrics import cut_value, phase_aligned_l2, sync_mse
 from graphsdp.models import SsbmParams, SyncParams, gen_ssbm, gen_sync, membership_matrix, oracle_sync, sample_feasible
@@ -72,6 +73,31 @@ class TestGwRound:
         # binomial-style bound on the sd of one sampled cut value
         sd = A0.sum() / 2 / 2
         assert abs(mean - closed) <= 3 * max(sd, 0.25) / np.sqrt(n_samples) + 1e-9
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_one_sample_at_a_time(self, seed):
+        rng = np.random.default_rng(80 + seed)
+        n = 9
+        Z = random_unit_diag_psd(n, rng)
+        A0 = (rng.random((n, n)) < 0.5).astype(float)
+        A0 = np.triu(A0, 1) + np.triu(A0, 1).T
+        # reference: one draw, one sign vector and one cut per sample
+        rows = factorize_gram(Z).rows
+        sampler = _rng.stream(seed, _rng.STREAM_SOLVER)
+        best_x, best_val, total = None, -np.inf, 0.0
+        for _ in range(40):
+            x = np.where(rows @ sampler.standard_normal(n) >= 0, 1.0, -1.0)
+            val = float(0.25 * np.sum(A0 * (1.0 - np.outer(x, x))))
+            total += val
+            if val > best_val:
+                best_x, best_val = x, val
+        x, mean = gw_round(Z, A0, 40, seed=seed)
+        assert np.array_equal(x, best_x) and mean == total / 40
+
+    def test_rejects_complex_factor(self):
+        Z = oracle_sync(np.array([0.0, 1.0, 2.0]))
+        with pytest.raises(InvalidInputError):
+            gw_round(Z, np.ones((3, 3)) - np.eye(3), 10)
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
