@@ -4,7 +4,7 @@ Library surface:
 
 * :mod:`graphsdp.linalg` dense symmetric/Hermitian kernels
 * :mod:`graphsdp.models` seeded observation-model generators
-* :mod:`graphsdp.solvers` projection-splitting and low-rank SDP solvers
+* :mod:`graphsdp.solvers` ADMM and low-rank SDP solvers
 * :mod:`graphsdp.rounding` hyperplane rounding, phase and community extraction
 * :mod:`graphsdp.signed` signed-graph clustering baselines and k-means
 * :mod:`graphsdp.metrics` metrics, curvature checks, bounds, fixed-point estimator

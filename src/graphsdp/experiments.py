@@ -40,7 +40,7 @@ from .models import (
 from .problems import PROBLEMS
 from .rounding import extract_phases, gw_round, spectral_sync
 from .signed import BASELINES, cluster_baseline
-from .solvers import BmConfig, PierraConfig, bm_solve, pierra_solve
+from .solvers import BmConfig, PierraConfig, bm_solve
 
 __all__ = [
     "ExperimentConfig",
@@ -74,6 +74,12 @@ class ExperimentConfig:
             raise InvalidInputError("replicates must be >= 1")
         if self.schema_version != SCHEMA_VERSION:
             raise InvalidInputError(f"unsupported schema_version {self.schema_version}")
+        spec = EXPERIMENTS[self.experiment]
+        unknown = set(self.params) - {*spec.desk_defaults, *spec.full_defaults, *spec.optional}
+        if unknown:
+            raise InvalidInputError(
+                f"unknown params {sorted(unknown)} for experiment '{self.experiment}'"
+            )
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -89,7 +95,7 @@ class ExperimentConfig:
         spec = EXPERIMENTS[self.experiment]
         out = dict(spec.full_defaults if self.full_scale else spec.desk_defaults)
         out.update(self.params)
-        return out
+        return spec.complete(out)
 
 
 @dataclass(frozen=True)
@@ -103,7 +109,11 @@ class _ExperimentSpec:
     grid_axes: tuple = ()     # parameter names iterated as a cartesian grid
     group_cols: tuple = ()    # aggregation keys
     value_cols: tuple = ()    # numeric outputs to aggregate
+    optional: tuple = ()      # params the cells read that have no default
     setup: object = dict      # params -> params for the cells, run once
+
+    def complete(self, params):
+        return params
 
     def run(self, config, params, threads):
         """Every cell of the sweep: (rows, agg header, agg rows, sidecar fields)."""
@@ -141,7 +151,14 @@ class _FixedPointSpec:
 
     desk_defaults: dict
     full_defaults: dict
+    optional: tuple = ("p", "K", "q", "delta", "avg_degree", "graph_seed")
     header = ("r", "quantile", "n_effective")
+
+    def complete(self, params):
+        """The problem's own default ``p``, unless given."""
+        if params["problem"] in _FIXED_POINT_P:
+            return {"p": _FIXED_POINT_P[params["problem"]], **params}
+        return params
 
     def run(self, config, params, threads):
         rows, estimate = fixed_point_curve(params, config.replicates, config.seed)
@@ -167,15 +184,10 @@ def _cell_signed_before_after(params, axes, replicate, seed_seq):
     status = "ok"
     after = {}
     try:
-        # denoising needs only a moderately accurate solve; a larger step
-        # weight and looser feasibility cut the iteration count ~3x with
-        # identical downstream error rates
-        M = signed.objective(inst.observed, inst.params)
-        eps = params.get("eps_scale", 4.0) * np.sqrt(params["n"]) / max(np.linalg.norm(M), 1e-12)
-        Z_hat, report = pierra_solve(
-            M, signed.atoms(inst.params),
-            PierraConfig(epsilon=eps,
-                         max_iters=params.get("max_iters", 20000),
+        # denoising needs only a moderately accurate solve
+        Z_hat, report = signed.solve(
+            inst.observed, inst.params, "pierra",
+            PierraConfig(max_iters=params.get("max_iters", 20000),
                          feas_tol=params.get("feas_tol", 1e-5),
                          obj_tol=params.get("obj_tol", 1e-7)),
         )
@@ -193,6 +205,9 @@ def _cell_signed_before_after(params, axes, replicate, seed_seq):
             row["gamma_delta"] = before[algo] - after[algo]
         rows.append(row)
     return rows
+
+
+_BM_PARAMS = ("max_iters", "restarts")
 
 
 def _bm_config(params, seed):
@@ -305,6 +320,7 @@ EXPERIMENTS = {
         header=("replicate", "seed", "algorithm", "gamma_before", "gamma_after",
                 "gamma_delta", "status"),
         cell_fn=_cell_signed_before_after,
+        optional=("max_iters", "feas_tol", "obj_tol"),
         desk_defaults={"n": 200, "K": 5, "p": 0.8, "q": 0.2, "delta": 0.3},
         full_defaults={"n": 200, "K": 5, "p": 0.8, "q": 0.2, "delta": 0.3},
     ),
@@ -315,6 +331,7 @@ EXPERIMENTS = {
         header=("eta", "delta", "replicate", "seed", "ari", "best_cut",
                 "mean_cut", "status"),
         cell_fn=_cell_maxcut_bipartite,
+        optional=_BM_PARAMS,
         desk_defaults={"n": 100, "eta_grid": [0.0, 0.05, 0.1],
                        "delta_grid": [0.3, 0.6, 1.0], "gw_samples": 100},
         full_defaults={"n": 500, "eta_grid": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5],
@@ -327,6 +344,7 @@ EXPERIMENTS = {
         value_cols=("cut_full",),
         header=("delta", "replicate", "seed", "cut_full", "status"),
         cell_fn=_cell_gset_sweep,
+        optional=_BM_PARAMS + ("gset_path", "_adjacency"),
         setup=_benchmark_graph,
         desk_defaults={"n": 150, "avg_degree": 12.0, "graph_seed": 53,
                        "delta_grid": [0.2, 0.5, 0.8, 1.0], "gw_samples": 100},
@@ -341,6 +359,7 @@ EXPERIMENTS = {
         header=("level", "sample_prob", "replicate", "seed", "mse_sdp",
                 "mse_spectral", "status"),
         cell_fn=_cell_sync("gaussian"),
+        optional=_BM_PARAMS,
         desk_defaults={"n": 100, "level_grid": [0.0, 0.25, 0.5, 1.0],
                        "prob_grid": [0.3, 0.6, 1.0]},
         full_defaults={"n": 500, "level_grid": [0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2],
@@ -353,15 +372,16 @@ EXPERIMENTS = {
         header=("level", "sample_prob", "replicate", "seed", "mse_sdp",
                 "mse_spectral", "status"),
         cell_fn=_cell_sync("outlier"),
+        optional=_BM_PARAMS,
         desk_defaults={"n": 100, "level_grid": [0.0, 0.2, 0.4, 0.6],
                        "prob_grid": [0.3, 0.6, 1.0]},
         full_defaults={"n": 500, "level_grid": [0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9],
                        "prob_grid": [0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 1.0]},
     ),
     "fixed_point_curve": _FixedPointSpec(
-        desk_defaults={"problem": "maxcut", "n": 20, "p": 0.8, "localization": "excess_risk",
+        desk_defaults={"problem": "maxcut", "n": 20, "localization": "excess_risk",
                        "delta_prob": 0.005, "r_grid": [2.0 * k for k in range(1, 41)]},
-        full_defaults={"problem": "maxcut", "n": 40, "p": 0.8, "localization": "excess_risk",
+        full_defaults={"problem": "maxcut", "n": 40, "localization": "excess_risk",
                        "delta_prob": 0.005, "r_grid": [5.0 * k for k in range(1, 61)]},
     ),
 }
@@ -414,12 +434,17 @@ def fixed_point_curve(params, n_mc: int, seed: int):
     return rows, estimate
 
 
+# default p per fixed-point problem: the MAX-CUT mask probability, the SSBM
+# sign probability
+_FIXED_POINT_P = {"maxcut": 0.8, "signed": 0.9}
+
+
 def _fixed_point_problem(params):
     """Build (generator, atoms) for the fixed-point curve."""
     problem = params.get("problem", "maxcut")
     n = params.get("n", 20)
+    p = params.get("p", _FIXED_POINT_P.get(problem))
     if problem == "maxcut":
-        p = params.get("p", 0.8)
         A0 = _synthetic_benchmark_graph(n, params.get("avg_degree", 0.5 * (n - 1)),
                                         params.get("graph_seed", 7))
         _, Z_star, _ = bm_solve(-A0, "max", BmConfig(seed=params.get("graph_seed", 7)))
@@ -431,7 +456,7 @@ def _fixed_point_problem(params):
 
         return generator, PROBLEMS["maxcut"].atoms(params)
     if problem == "signed":
-        ssbm = SsbmParams(n=n, n_clusters=params.get("K", 2), p=params.get("p", 0.9),
+        ssbm = SsbmParams(n=n, n_clusters=params.get("K", 2), p=p,
                           q=params.get("q", 0.1), delta=params.get("delta", 1.0))
         signed = PROBLEMS["signed"]
 

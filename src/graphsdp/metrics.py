@@ -370,13 +370,13 @@ def estimate_fixed_point(
             loc = _localization_atom(localization, EA, Z_star, r)
             solve_atoms = list(atoms) + [loc]
             # warm-start along the ascending grid: the localities are nested
-            Ybar, state, _, termination, _ = _splitting_engine(
+            Z, state, _, termination, _ = _splitting_engine(
                 W, solve_atoms, config, X0=state
             )
             if termination != "converged":
                 flagged = True
                 break
-            Z_hat = _final_sweep(solve_atoms, Ybar)
+            Z_hat = _final_sweep(solve_atoms, Z)
             value = float(np.real(np.vdot(W, Z_hat))) - offset
             # nested suprema: enforce monotonicity along the grid
             row.append(max(value, row[-1]) if row else value)

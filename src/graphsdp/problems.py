@@ -40,7 +40,7 @@ class Problem:
     def solve(self, observed, params, solver, pierra_config=None, bm_config=None):
         """Maximize the objective over the atoms; returns ``(Z_hat, SolveReport)``.
 
-        ``solver`` is ``"pierra"`` (projection splitting) or ``"bm"`` (low
+        ``solver`` is ``"pierra"`` (two-block ADMM) or ``"bm"`` (low
         rank), and the low-rank solver takes only the unit-diagonal set.
         """
         M = self.objective(observed, params)

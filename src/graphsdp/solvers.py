@@ -1,14 +1,16 @@
-"""SDP solvers: product-space projection splitting and low-rank factorization.
+"""SDP solvers: two-block ADMM over the psd cone and low-rank factorization.
 
 Two solver families cover every program in the library:
 
 * :func:`pierra_solve` maximizes ``<M, Z>`` over an intersection of convex
-  constraint atoms.  The constraint set is lifted to a product space (one
-  copy of Z per atom); each sweep applies the per-atom proximal update
-  ``P_Sj(B_j + eps/(2J) * M)`` followed by diagonal-space averaging.  The
-  auxiliary components are driven by the Douglas-Rachford recursion, which
-  converges to the exact constrained maximizer at a fixed step weight
-  (plain re-averaging stalls at an O(eps) feasibility floor).
+  constraint atoms.  The psd cone is one block; every other atom together
+  forms a set P with a cheap projection (entrywise bounds plus at most one
+  half-space, projected exactly by a clip and a 1-D multiplier search;
+  any other list by Dykstra's algorithm).  Each sweep is one
+  Douglas-Rachford / ADMM step ``X = P_psd(Z - U + eps*M)``,
+  ``Z = P_P(X + U)``, ``U += X - Z``, and the penalty ``1/eps`` is
+  rebalanced every 10 sweeps so that the primal and dual residuals stay
+  within a factor 10 of each other.
 * :func:`bm_solve` optimizes ``<M, Y Y*>`` over unit-norm rows of a low-rank
   factor Y (Riemannian gradient descent on a product of spheres/circles),
   for the special constraint set {Z psd, diag(Z) = 1}.
@@ -17,6 +19,7 @@ Two solver families cover every program in the library:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -182,7 +185,9 @@ def _proj_l1_ball(atom, Z):
     k = np.arange(1, u.size + 1)
     valid = u > (css - atom.bound) / k
     k_star = int(np.nonzero(valid)[0][-1]) + 1
-    tau = (css[k_star - 1] - atom.bound) / k_star
+    # a point on the sphere can give tau = -roundoff: zero moduli would then
+    # pass the shrink and divide by zero
+    tau = max((css[k_star - 1] - atom.bound) / k_star, 0.0)
     return atom.matrix + _shrink_moduli(D, tau)
 
 
@@ -213,11 +218,12 @@ _PROJECTIONS = {
 
 @dataclass(frozen=True)
 class PierraConfig:
-    """Projection-splitting knobs.
+    """ADMM knobs.
 
-    ``epsilon`` is the objective step weight; ``None`` auto-scales it to
-    ``sqrt(n) / ||M||_F``, which keeps the per-sweep drift commensurate with
-    the feasible set's diameter.
+    ``epsilon`` is the initial objective step ``1/rho_0`` (the inverse of
+    the starting penalty); ``None`` auto-scales it to ``sqrt(n) / ||M||_F``,
+    which keeps the per-sweep drift commensurate with the feasible set's
+    diameter.  The penalty then adapts every 10 sweeps.
     """
 
     epsilon: Optional[float] = None
@@ -253,7 +259,8 @@ class BmConfig:
 class SolveReport:
     solver: str
     iterations: int
-    termination: str                     # "converged" | "max_iters"
+    # "converged" | "max_iters" (budget spent) | "stalled" (BM line search failed)
+    termination: str
     objective: float
     objective_trace: np.ndarray
     residuals: dict = field(default_factory=dict)
@@ -274,9 +281,21 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# projection splitting
+# two-block ADMM: the psd cone against one projection onto the other atoms
 
 _CHECK_EVERY = 10
+_RHO_BALANCE = 10.0      # residual ratio that triggers a penalty change
+_DYKSTRA_PASSES = 1000
+_MULTIPLIER_STEPS = 100
+
+# per-entry bounds of the entrywise atoms: (off-diagonal lo, hi, diagonal lo, hi)
+_ENTRY_BOUNDS = {
+    "nonneg": (0.0, np.inf, 0.0, np.inf),
+    "box01": (0.0, 1.0, 0.0, 1.0),
+    "diag_leq_one": (-np.inf, np.inf, -np.inf, 1.0),
+    "diag_eq_one": (-np.inf, np.inf, 1.0, 1.0),
+}
+_HALFSPACES = ("total_sum_leq", "affine_halfspace")
 
 
 def _auto_epsilon(M: np.ndarray) -> float:
@@ -298,55 +317,163 @@ def _final_sweep(atoms: Sequence[ConstraintAtom], Z: np.ndarray) -> np.ndarray:
     return Z
 
 
-def _splitting_engine(M, atoms, config, X0=None):
-    """Core product-space recursion; returns (Ybar, X, iterations, termination, trace).
+def _halfspace_multiplier(V, C, lo, hi, bound, tau):
+    """tau >= 0 with <C, clip(V - tau*C, lo, hi)> = bound, from a first guess.
 
-    ``X0`` warm-starts the auxiliary components (continuation across related
-    constraint sets); callers outside this module use :func:`pierra_solve`.
+    The left side falls piecewise linearly in tau: an entry contributes
+    slope -c^2 while V - tau*C is inside its bounds.  Newton steps on the
+    current piece, kept inside a bracket of the root by bisection, end
+    once a step lands on the piece it was computed on, where it is exact.
     """
-    J = len(atoms)
-    eps = config.epsilon if config.epsilon is not None else _auto_epsilon(M)
-    drift = (eps / (2.0 * J)) * M
-    X = [x.copy() for x in X0] if X0 is not None else [np.zeros_like(M) for _ in range(J)]
+    sq = C * C
+    left, right = 0.0, np.inf
+    stepped_from = None
+    for _ in range(_MULTIPLIER_STEPS):
+        Y = V - tau * C
+        Z = np.clip(Y, lo, hi)
+        gap = float(np.vdot(C, Z)) - bound
+        piece = np.sign(Z - Y)          # -1 / +1 clamped at hi / lo, 0 inside
+        if gap == 0 or np.array_equal(piece, stepped_from):
+            break
+        if gap > 0:
+            left = tau
+        else:
+            right = tau
+        slope = float(sq[piece == 0].sum())
+        step = tau + gap / slope if slope > 0 else np.inf
+        if left < step < right:
+            tau, stepped_from = step, piece
+        else:
+            tau, stepped_from = (0.5 * (left + right) if right < np.inf else 2.0 * tau + 1.0), None
+    return tau
+
+
+def _dykstra(projections, V):
+    """Projection onto an intersection by Dykstra's algorithm, given the
+    projection onto each set."""
+    if len(projections) == 1:
+        return projections[0](V)
+    Z = V
+    increments = [np.zeros_like(V) for _ in projections]
+    for _ in range(_DYKSTRA_PASSES):
+        Z_start = Z
+        for j, project in enumerate(projections):
+            Y = Z + increments[j]
+            Z = project(Y)
+            increments[j] = Y - Z
+        if frobenius_norm(Z - Z_start) <= 1e-13 * (1.0 + frobenius_norm(Z)):
+            break
+    return Z
+
+
+def _box_halfspace_projection(entrywise, halfspace, shape):
+    """Exact projection onto entrywise bounds intersected with at most one
+    half-space: clip, and if the half-space is violated, clip ``V - tau*C``
+    at the multiplier tau found by :func:`_halfspace_multiplier`."""
+    lo, hi = np.full(shape, -np.inf), np.full(shape, np.inf)
+    if entrywise:
+        bounds = np.array([_ENTRY_BOUNDS[a.kind] for a in entrywise])
+        lo[:], hi[:] = bounds[:, 0].max(), bounds[:, 1].min()
+        np.fill_diagonal(lo, bounds[:, 2].max())
+        np.fill_diagonal(hi, bounds[:, 3].min())
+    if halfspace is None:
+        return lambda V: np.clip(V, lo, hi)
+    if halfspace.kind == "total_sum_leq":
+        C, bound = np.ones(shape), halfspace.lam
+    else:
+        C, bound = np.asarray(halfspace.matrix, dtype=float), halfspace.bound
+
+    last = [0.0]    # the multiplier moves little from one sweep to the next
+
+    def project(V):
+        Z = np.clip(V, lo, hi)
+        if float(np.vdot(C, Z)) <= bound:
+            return Z
+        last[0] = _halfspace_multiplier(V, C, lo, hi, bound, last[0])
+        return np.clip(V - last[0] * C, lo, hi)
+
+    return project
+
+
+def _set_projection(atoms, M):
+    """Projection onto the intersection of the non-psd atoms, for iterates
+    shaped like ``M``.
+
+    For a real ``M`` the entrywise atoms and the first half-space form one
+    exactly projected block; that covers every set the library builds.
+    Atoms left over (balls, further half-spaces) and complex objectives go
+    through Dykstra's algorithm.
+    """
+    others = [a for a in atoms if a.kind != "psd"]
+    if not others:
+        return lambda V: V
+    entrywise = [a for a in others if a.kind in _ENTRY_BOUNDS]
+    halfspace = next((a for a in others if a.kind in _HALFSPACES), None)
+    rest = [a.project for a in others if a.kind not in _ENTRY_BOUNDS and a is not halfspace]
+    if np.iscomplexobj(M) or len(rest) == len(others):
+        return partial(_dykstra, [a.project for a in others])
+    return partial(_dykstra, [_box_halfspace_projection(entrywise, halfspace, M.shape)] + rest)
+
+
+def _splitting_engine(M, atoms, config, X0=None):
+    """Two-block ADMM; returns (Z, state, iterations, termination, trace).
+
+    ``Z`` is the last iterate in the non-psd atoms' set.  ``state`` is
+    ``(Z, U, rho)``: the iterate, the scaled dual and the penalty; passed
+    back as ``X0`` it warm-starts a solve over a related constraint set
+    (continuation).  Callers outside this module use :func:`pierra_solve`.
+    """
+    project_set = _set_projection(atoms, M)
+    has_cone = any(a.kind == "psd" for a in atoms)
+    if X0 is not None:
+        Z, U, rho = X0
+    else:
+        eps = config.epsilon if config.epsilon is not None else _auto_epsilon(M)
+        Z, U, rho = np.zeros_like(M), np.zeros_like(M), 1.0 / eps
     trace = []
     termination = "max_iters"
     iterations = config.max_iters
-    Ybar = np.zeros_like(M)
     for it in range(1, config.max_iters + 1):
-        Y = [atom.project(X[j] + drift) for j, atom in enumerate(atoms)]
-        avg_reflected = sum(2.0 * Y[j] - X[j] for j in range(J)) / J
-        X = [X[j] + avg_reflected - Y[j] for j in range(J)]
-        Ybar = sum(Y) / J
-        trace.append(float(np.real(np.vdot(M, Ybar))))
-        if it % _CHECK_EVERY == 0:
-            resid = max(_residuals(atoms, Ybar).values())
-            stable = False
-            if len(trace) > _CHECK_EVERY:
-                prev = trace[-1 - _CHECK_EVERY]
-                stable = abs(trace[-1] - prev) <= config.obj_tol * (1.0 + abs(trace[-1]))
-            if resid <= config.feas_tol and stable:
+        V = Z - U + M / rho
+        X = project_psd(V) if has_cone else V
+        Z_prev = Z
+        Z = project_set(X + U)
+        U = U + X - Z
+        trace.append(float(np.real(np.vdot(M, Z))))
+        if it % _CHECK_EVERY:
+            continue
+        if len(trace) > _CHECK_EVERY:
+            prev = trace[-1 - _CHECK_EVERY]
+            if (abs(trace[-1] - prev) <= config.obj_tol * (1.0 + abs(trace[-1]))
+                    and max(_residuals(atoms, Z).values()) <= config.feas_tol):
                 termination = "converged"
                 iterations = it
                 break
-    return Ybar, X, iterations, termination, trace
+        primal = frobenius_norm(X - Z)
+        dual = rho * frobenius_norm(Z - Z_prev)
+        if primal > _RHO_BALANCE * dual:
+            rho, U = 2.0 * rho, U / 2.0
+        elif dual > _RHO_BALANCE * primal:
+            rho, U = rho / 2.0, 2.0 * U
+    return Z, (Z, U, rho), iterations, termination, trace
 
 
 def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraConfig | None = None):
     """Maximize ``Re <M, Z>`` over the intersection of ``atoms``.
 
     Returns ``(Z_hat, SolveReport)``.  Terminates once the scaled feasibility
-    residual of the averaged iterate drops below ``feas_tol`` and the
-    objective has moved by at most ``obj_tol`` (relative) over 10 iterations;
-    the returned matrix is the average after one last sweep through all
-    projections with the psd cone applied last.
+    residual of the iterate drops below ``feas_tol`` and the objective has
+    moved by at most ``obj_tol`` (relative) over 10 iterations; the returned
+    matrix is the iterate after one last sweep through all projections with
+    the psd cone applied last.
     """
     config = config or PierraConfig()
     M = check_square(np.asarray(M), "objective")
     if not atoms:
         raise InvalidInputError("need at least one constraint atom")
     M = symmetrize(M)
-    Ybar, _, iterations, termination, trace = _splitting_engine(M, atoms, config)
-    Z_hat = _final_sweep(atoms, Ybar)
+    Z, _, iterations, termination, trace = _splitting_engine(M, atoms, config)
+    Z_hat = _final_sweep(atoms, Z)
     report = SolveReport(
         solver="pierra",
         iterations=iterations,
@@ -415,7 +542,7 @@ def _bm_objective(M: np.ndarray, Y: np.ndarray, sense: float) -> float:
 
 
 def _bm_descend(M, Y, sense, grad_tol, max_iters, step0, trace):
-    """Armijo backtracking descent; returns (Y, value, iterations, converged)."""
+    """Armijo backtracking descent; returns (Y, value, iterations, termination)."""
     value = _bm_objective(M, Y, sense)
     step_init = step0
     it = 0
@@ -424,7 +551,7 @@ def _bm_descend(M, Y, sense, grad_tol, max_iters, step0, trace):
         G = _riemannian_grad(M, Y, sense)
         sq = float(np.real(np.vdot(G, G)))
         if np.sqrt(sq) <= grad_tol:
-            return Y, value, it, True
+            return Y, value, it, "converged"
         t = step_init
         accepted = False
         for _ in range(60):
@@ -435,11 +562,11 @@ def _bm_descend(M, Y, sense, grad_tol, max_iters, step0, trace):
                 break
             t *= 0.5
         if not accepted:
-            return Y, value, it, False
+            return Y, value, it, "stalled"
         Y, value = Y_new, v_new
         trace.append(value)
         step_init = 2.0 * t
-    return Y, value, it, False
+    return Y, value, it, "max_iters"
 
 
 _MAX_ESCAPES = 20
@@ -483,7 +610,7 @@ def bm_solve(M: np.ndarray, sense: str = "max", config: BmConfig | None = None):
             Y = rng.standard_normal((n, p))
         Y = _retract_rows(Y)
         trace = [_bm_objective(M, Y, sgn)]
-        Y, value, its, converged = _bm_descend(
+        Y, value, its, termination = _bm_descend(
             M, Y, sgn, grad_tol, config.max_iters, step0, trace
         )
         total_iters += its
@@ -500,25 +627,25 @@ def bm_solve(M: np.ndarray, sense: str = "max", config: BmConfig | None = None):
             xi *= 1e-3 * np.linalg.norm(Y) / nx
             Y_kick = _retract_rows(Y + xi)
             kick_trace = []
-            Y_kick, v_kick, its_kick, conv_kick = _bm_descend(
+            Y_kick, v_kick, its_kick, term_kick = _bm_descend(
                 M, Y_kick, sgn, grad_tol, config.max_iters, step0, kick_trace
             )
             total_iters += its_kick
             if v_kick < value - 1e-8 * (1.0 + abs(value)):
-                Y, value, converged = Y_kick, v_kick, conv_kick
+                Y, value, termination = Y_kick, v_kick, term_kick
                 trace.extend(kick_trace)
             else:
                 break
         if best is None or value < best[1]:
-            best = (Y, value, converged, trace)
+            best = (Y, value, termination, trace)
 
-    Y, value, converged, trace = best
+    Y, value, termination, trace = best
     Z = symmetrize(Y @ Y.conj().T)
     diag_err = float(np.max(np.abs(np.diagonal(Z) - 1.0)))
     report = SolveReport(
         solver="bm",
         iterations=total_iters,
-        termination="converged" if converged else "max_iters",
+        termination=termination,
         objective=float(np.real(np.vdot(M, Z))),
         objective_trace=np.asarray([sgn * v for v in trace]),
         residuals={"0:psd": 0.0, "1:diag_eq_one": diag_err},

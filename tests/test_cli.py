@@ -134,6 +134,30 @@ class TestFixedPointCommand:
         side = read_json(str(out) + ".json")
         assert side["r_hat"] in (5.0, 20.0, 80.0)
 
+    def test_signed_curve_matches_experiment(self, tmp_path):
+        # both front ends build the signed instance with the SSBM default p
+        out = tmp_path / "fp"
+        assert run(["fixed-point", "--problem", "signed", "--n", 6, "--n-mc", 3,
+                    "--delta-prob", 0.3, "--r-grid", "1,4", "--seed", 2,
+                    "--out", out]) == 0
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "experiment": "fixed_point_curve", "replicates": 3, "seed": 2,
+            "params": {"problem": "signed", "n": 6, "delta_prob": 0.3, "r_grid": [1, 4]}}))
+        assert run(["experiment", "--config", cfg, "--out", tmp_path / "exp"]) == 0
+        assert file_bytes(str(out) + ".csv") == file_bytes(tmp_path / "exp.csv")
+        assert read_json(tmp_path / "exp.json")["resolved_params"]["p"] == 0.9
+
+
+class TestExperimentCommand:
+    def test_unknown_param_is_invalid_input(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"experiment": "sync_heatmap_gaussian",
+                                   "params": {"n": 8, "level_grd": [0.5]}}))
+        assert run(["experiment", "--config", cfg, "--out", tmp_path / "x"]) == 2
+        assert "level_grd" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestGsetCommand:
     def test_info_and_sweep(self, tmp_path, capsys):

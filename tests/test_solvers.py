@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from graphsdp.linalg import InvalidInputError, frobenius_norm
+from graphsdp.metrics import estimate_fixed_point
 from graphsdp.models import SsbmParams, gen_sbm, gen_ssbm, sample_feasible
 from graphsdp.solvers import (
     BmConfig,
     PierraConfig,
+    _set_projection,
     affine_halfspace,
     bm_rank,
     bm_solve,
     box01,
+    community_atoms,
     diag_eq_one,
     diag_leq_one,
     l1_ball_around,
@@ -19,6 +22,7 @@ from graphsdp.solvers import (
     pierra_signed,
     pierra_solve,
     psd,
+    signed_atoms,
     total_sum_leq,
     unit_diag_atoms,
 )
@@ -95,6 +99,62 @@ class TestAtomProjections:
             PZ, PW = atom.project(Z), atom.project(W)
             assert frobenius_norm(atom.project(PZ) - PZ) <= 1e-12 * (1 + frobenius_norm(PZ))
             assert frobenius_norm(PZ - PW) <= frobenius_norm(Z - W) + 1e-12
+
+
+def dykstra_oracle(atoms, V, passes=20_000):
+    """Projection onto the intersection of the non-psd atoms, one atom at a time."""
+    atoms = [a for a in atoms if a.kind != "psd"]
+    Z, increments = V, [np.zeros_like(V) for _ in atoms]
+    for _ in range(passes):
+        Z_start = Z
+        for j, atom in enumerate(atoms):
+            Y = Z + increments[j]
+            Z = atom.project(Y)
+            increments[j] = Y - Z
+        if frobenius_norm(Z - Z_start) <= 1e-15:
+            break
+    return Z
+
+
+LIBRARY_SETS = ("signed", "unit_diag", "excess_risk", "community")
+
+
+def library_set(name, n, rng):
+    """One of the four constraint sets the library builds; the half-spaces
+    are tight enough that random inputs often violate them."""
+    EA = rng.standard_normal((n, n))
+    EA = (EA + EA.T) / 2
+    return {
+        "signed": signed_atoms(),
+        "unit_diag": unit_diag_atoms(),
+        "excess_risk": unit_diag_atoms() + [affine_halfspace(-EA, -1.0)],
+        "community": community_atoms(2.0),
+    }[name]
+
+
+class TestSetProjection:
+    @pytest.mark.parametrize("name", LIBRARY_SETS)
+    def test_matches_dykstra_idempotent_nonexpansive(self, name):
+        rng = np.random.default_rng(LIBRARY_SETS.index(name))
+        n = 5
+        atoms = library_set(name, n, rng)
+        project = _set_projection(atoms, np.zeros((n, n)))
+        for _ in range(5):
+            V = 2.0 * rng.standard_normal((n, n))
+            W = 2.0 * rng.standard_normal((n, n))
+            V, W = (V + V.T) / 2, (W + W.T) / 2
+            PV, PW = project(V), project(W)
+            assert frobenius_norm(PV - dykstra_oracle(atoms, V)) <= 1e-10
+            assert frobenius_norm(project(PV) - PV) <= 1e-12 * (1 + frobenius_norm(PV))
+            assert frobenius_norm(PV - PW) <= frobenius_norm(V - W) + 1e-12
+
+    def test_newton_step_across_an_entry_range(self):
+        # the first step from tau = 0 carries the diagonal from above its
+        # bounds to below them; the multiplier is 9, not that step's 10
+        V = np.array([[3.0, 10.0], [10.0, 3.0]])
+        out = _set_projection(community_atoms(2.0), V)(V)
+        assert np.allclose(out, [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
+        assert frobenius_norm(out - dykstra_oracle(community_atoms(2.0), V)) <= 1e-10
 
 
 class TestPierra:
@@ -176,6 +236,44 @@ class TestPierra:
         with pytest.raises(InvalidInputError):
             PierraConfig(epsilon=-1.0)
 
+    def test_signed_sweep_guard(self):
+        inst = gen_ssbm(SsbmParams(n=100, n_clusters=5, p=0.8, q=0.2, delta=0.4), seed=0)
+        _, report = pierra_signed(inst.observed, inst.params["alpha"])
+        assert report.converged
+        assert report.iterations <= 1000
+
+    def test_adaptive_penalty_corrects_a_poor_initial_step(self):
+        # with the penalty held at 1/epsilon this step does not converge
+        # within 20000 sweeps
+        inst = gen_ssbm(SsbmParams(n=12, n_clusters=2, p=0.8, q=0.2, delta=0.8), seed=0)
+        M = inst.observed - inst.params["alpha"]
+        epsilon = 100 * np.sqrt(12) / frobenius_norm(M)
+        _, report = pierra_signed(inst.observed, inst.params["alpha"],
+                                  PierraConfig(epsilon=epsilon, max_iters=10_000))
+        assert report.converged
+
+    def test_warm_started_curve_equals_cold_solves(self):
+        rng = np.random.default_rng(21)
+        n = 8
+        A0 = np.triu((rng.random((n, n)) < 0.5).astype(float), 1)
+        A0 = A0 + A0.T
+        _, Z_star, _ = bm_solve(-A0, "max", BmConfig(seed=0))
+        mask = np.triu(rng.random((n, n)) < 0.8, 1)
+        A = -(A0 * (mask + mask.T)) / 0.8
+        radii = [1.0, 3.0, 6.0, 10.0, 20.0]
+        est = estimate_fixed_point(lambda _: (A, -A0, Z_star), unit_diag_atoms(),
+                                   "excess_risk", 0.5, 1, radii)
+        W = A + A0
+        offset = np.vdot(W, Z_star)
+        cold = []
+        for r in radii:
+            halfspace = affine_halfspace(A0, r + np.vdot(A0, Z_star))
+            _, report = pierra_solve(W, unit_diag_atoms() + [halfspace])
+            assert report.converged
+            cold.append(report.objective - offset)
+        for (_, q), c in zip(est.quantile_curve, np.maximum.accumulate(cold)):
+            assert abs(q - c) <= 1e-5 * (1 + abs(c))
+
     def test_max_iters_reported(self):
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
         _, report = pierra_solve(A, unit_diag_atoms(), PierraConfig(max_iters=5))
@@ -232,6 +330,16 @@ class TestBm:
         _, Z2, r2 = bm_solve(M, "max", BmConfig(seed=4))
         assert np.array_equal(Z1, Z2)
         assert r1.iterations == r2.iterations
+
+    def test_stop_reasons(self):
+        rng = np.random.default_rng(3)
+        M = rng.standard_normal((10, 10))
+        M = (M + M.T) / 2
+        # a gradient tolerance below roundoff: the line search fails first
+        _, _, stalled = bm_solve(M, "max", BmConfig(grad_tol=1e-30, restarts=1))
+        assert stalled.termination == "stalled" and not stalled.converged
+        _, _, spent = bm_solve(M, "max", BmConfig(max_iters=3, restarts=1))
+        assert spent.termination == "max_iters" and not spent.converged
 
     def test_invalid(self):
         with pytest.raises(InvalidInputError):
