@@ -12,8 +12,9 @@ Two solver families cover every program in the library:
   rebalanced every 10 sweeps so that the primal and dual residuals stay
   within a factor 10 of each other.
 * :func:`bm_solve` optimizes ``<M, Y Y*>`` over unit-norm rows of a low-rank
-  factor Y (Riemannian gradient descent on a product of spheres/circles),
-  for the special constraint set {Z psd, diag(Z) = 1}.
+  factor Y (Barzilai-Borwein gradient descent on a product of
+  spheres/circles), for the special constraint set {Z psd, diag(Z) = 1},
+  and stops on a dual certificate that bounds the gap to the optimum.
 """
 
 from __future__ import annotations
@@ -240,7 +241,15 @@ class PierraConfig:
 
 @dataclass(frozen=True)
 class BmConfig:
-    """Low-rank factorization knobs; ``rank=None`` uses :func:`bm_rank`."""
+    """Low-rank factorization knobs; ``rank=None`` uses :func:`bm_rank`.
+
+    ``restarts`` is the most seeded starts that run: the first one whose
+    dual certificate proves it optimal to ``grad_tol * (1 + |objective|)``
+    ends the solve.  ``max_iters`` is one restart's budget, shared by its
+    first descent and its escapes along the certificate's bottom
+    eigenvector.  ``grad_tol`` also stops each descent once the gradient
+    norm is at most ``grad_tol * (1 + ||M||_F)``.
+    """
 
     rank: Optional[int] = None
     max_iters: int = 20_000
@@ -259,11 +268,14 @@ class BmConfig:
 class SolveReport:
     solver: str
     iterations: int
-    # "converged" | "max_iters" (budget spent) | "stalled" (BM line search failed)
+    # "converged" (BM: certified to ``gap``) | "max_iters" (budget spent) |
+    # "stalled" (BM: not certified and no escape decreases the objective)
     termination: str
     objective: float
     objective_trace: np.ndarray
     residuals: dict = field(default_factory=dict)
+    # BM: certified bound on the distance from objective to optimum; None for splitting
+    gap: Optional[float] = None
 
     @property
     def converged(self) -> bool:
@@ -276,6 +288,7 @@ class SolveReport:
             "termination": self.termination,
             "objective": float(self.objective),
             "residuals": {k: float(v) for k, v in sorted(self.residuals.items())},
+            "gap": None if self.gap is None else float(self.gap),
             "objective_trace": [float(v) for v in self.objective_trace],
         }
 
@@ -531,45 +544,106 @@ def _retract_rows(Y: np.ndarray) -> np.ndarray:
     return Y / norms
 
 
-def _riemannian_grad(M: np.ndarray, Y: np.ndarray, sense: float) -> np.ndarray:
-    G = 2.0 * sense * (M @ Y)
-    radial = np.real(np.sum(G * Y.conj(), axis=1, keepdims=True))
-    return G - radial * Y
+def _tangent(Y: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Project X onto the tangent space at Y (drop each row's radial part)."""
+    radial = np.real(np.sum(X * Y.conj(), axis=1, keepdims=True))
+    return X - radial * Y
 
 
-def _bm_objective(M: np.ndarray, Y: np.ndarray, sense: float) -> float:
-    return sense * float(np.real(np.vdot(Y, M @ Y)))
+def _bm_objective(Y: np.ndarray, CY: np.ndarray) -> float:
+    return float(np.real(np.vdot(Y, CY)))
 
 
-def _bm_descend(M, Y, sense, grad_tol, max_iters, step0, trace):
-    """Armijo backtracking descent; returns (Y, value, iterations, termination)."""
-    value = _bm_objective(M, Y, sense)
-    step_init = step0
-    it = 0
-    while it < max_iters:
-        it += 1
-        G = _riemannian_grad(M, Y, sense)
+def _bm_descend(C, Y, grad_tol, max_iters, step0, trace):
+    """Minimize ``<C, Y Y*>`` by Riemannian gradient descent with
+    Barzilai-Borwein trial steps, each backtracked until it passes the
+    Armijo test with a strict decrease (so the descent stalls at the
+    roundoff floor instead of accepting equal values).  Stops once the
+    gradient norm is at most grad_tol, no step decreases the objective or
+    max_iters iterations have run; returns ``(Y, CY, value, iterations)``.
+    Appends the objective at the start and at every accepted step to trace."""
+    CY = C @ Y
+    value = _bm_objective(Y, CY)
+    trace.append(value)
+    G = _tangent(Y, 2.0 * CY)
+    t = step0
+    for it in range(1, max_iters + 1):
         sq = float(np.real(np.vdot(G, G)))
         if np.sqrt(sq) <= grad_tol:
-            return Y, value, it, "converged"
-        t = step_init
-        accepted = False
+            return Y, CY, value, it
         for _ in range(60):
             Y_new = _retract_rows(Y - t * G)
-            v_new = _bm_objective(M, Y_new, sense)
-            if v_new <= value - 1e-4 * t * sq:
-                accepted = True
+            CY_new = C @ Y_new
+            v_new = _bm_objective(Y_new, CY_new)
+            if v_new < value and v_new <= value - 1e-4 * t * sq:
                 break
             t *= 0.5
-        if not accepted:
-            return Y, value, it, "stalled"
-        Y, value = Y_new, v_new
+        else:
+            return Y, CY, value, it
+        G_new = _tangent(Y_new, 2.0 * CY_new)
+        s, d = Y_new - Y, G_new - G
+        sd = abs(float(np.real(np.vdot(s, d))))
+        t = float(np.real(np.vdot(s, s))) / sd if sd > 0 else 2.0 * t
+        Y, CY, value, G = Y_new, CY_new, v_new, G_new
         trace.append(value)
-        step_init = 2.0 * t
-    return Y, value, it, "max_iters"
+    return Y, CY, value, max_iters
 
 
-_MAX_ESCAPES = 20
+def _certificate(C, Y, CY):
+    """Dual certificate of ``min <C, Z>`` over {Z psd, diag(Z) = 1} at Z = Y Y*.
+
+    With lam = Re diag(C Z), ``S = C - Diag(lam)`` is dual feasible once it
+    is psd, so ``n * max(0, -lambda_min(S))`` bounds the gap between
+    ``<C, Z>`` and the optimum.  The eigensolver's backward error (at most
+    ``n * eps * ||S||_2``) is added to ``-lambda_min`` so that roundoff
+    cannot certify.  Returns ``(S, gap)``."""
+    n = C.shape[0]
+    lam = np.real(np.sum(CY * Y.conj(), axis=1))
+    S = C - np.diag(lam)
+    w = np.linalg.eigvalsh(S)
+    slack = n * np.finfo(float).eps * max(abs(w[0]), abs(w[-1]))
+    return S, n * max(0.0, slack - w[0])
+
+
+def _escape(C, Y, S, value):
+    """Step from a point that the certificate rejects along ``v u*``: v the
+    bottom eigenvector of S, u the right singular vector of Y with the
+    least singular value (a null vector of Y when Y is rank deficient,
+    where the objective drops like ``t^2 lambda_min(S)``).  Backtracks from
+    t = 1 to the first strict decrease; returns None when there is none."""
+    _, V = np.linalg.eigh(S)
+    _, U = np.linalg.eigh(Y.conj().T @ Y)
+    D = _tangent(Y, np.outer(V[:, 0], U[:, 0].conj()))
+    t = 1.0
+    for _ in range(60):
+        Y_new = _retract_rows(Y + t * D)
+        if _bm_objective(Y_new, C @ Y_new) < value:
+            return Y_new
+        t *= 0.5
+    return None
+
+
+def _bm_restart(C, Y, config, grad_tol, step0, trace):
+    """Descend from Y, then certify or escape and descend again; every
+    descent takes at least one iteration of the ``config.max_iters`` budget.
+
+    Returns ``(Y, value, gap, iterations, termination)``: "converged" once
+    the gap bound is at most ``config.grad_tol * (1 + |value|)``,
+    "max_iters" when the budget is spent, "stalled" when the escape finds
+    no decrease."""
+    budget = config.max_iters
+    while True:
+        Y, CY, value, its = _bm_descend(C, Y, grad_tol, budget, step0, trace)
+        budget -= its
+        S, gap = _certificate(C, Y, CY)
+        if gap <= config.grad_tol * (1.0 + abs(value)):
+            return Y, value, gap, config.max_iters - budget, "converged"
+        if budget <= 0:
+            return Y, value, gap, config.max_iters - budget, "max_iters"
+        Y_escape = _escape(C, Y, S, value)
+        if Y_escape is None:
+            return Y, value, gap, config.max_iters - budget, "stalled"
+        Y = Y_escape
 
 
 def bm_solve(M: np.ndarray, sense: str = "max", config: BmConfig | None = None):
@@ -577,12 +651,19 @@ def bm_solve(M: np.ndarray, sense: str = "max", config: BmConfig | None = None):
 
     The feasible Gram matrices are exactly {Z psd, diag(Z) = 1}; complex
     objectives run on the product of unit circles, real ones on unit
-    spheres.  After each converged descent a small random tangent kick is
-    applied and the descent restarted; the kick is kept only when it
-    improves the objective beyond 1e-8 relative (saddle escape).  Best over
-    ``config.restarts`` seeded restarts wins, ties to the lowest index.
+    spheres.  Each restart starts from a seeded random Y and runs
+    Barzilai-Borwein gradient descent.  The stop is a dual certificate:
+    with ``S = Diag(Re diag(M Z)) - M`` (``M -> -M`` for ``sense="min"``)
+    the objective is within ``n * max(0, -lambda_min(S))`` of the optimum,
+    and the solve is ``converged`` once that gap is at most
+    ``grad_tol * (1 + |objective|)``.  A restart that is not certified
+    escapes along the bottom eigenvector of S and descends again; the
+    descents and escapes of one restart share its ``max_iters`` budget.
+    At most ``config.restarts`` restarts run: the first certified one ends
+    the solve, otherwise the best one wins, ties to the lowest index.
 
-    Returns ``(Y, Z_hat, SolveReport)`` with ``Z_hat = Y @ Y*``.
+    Returns ``(Y, Z_hat, SolveReport)`` with ``Z_hat = Y @ Y*``; the
+    report's ``gap`` is the bound of the returned point.
     """
     if sense not in ("max", "min"):
         raise InvalidInputError("sense must be 'max' or 'min'")
@@ -594,6 +675,7 @@ def bm_solve(M: np.ndarray, sense: str = "max", config: BmConfig | None = None):
     if p < 1:
         raise InvalidInputError("rank must be >= 1")
     sgn = 1.0 if sense == "min" else -1.0
+    C = sgn * M
     scale = frobenius_norm(M)
     grad_tol = config.grad_tol * (1.0 + scale)
     step0 = 1.0 / (2.0 * scale) if scale > 0 else 1.0
@@ -602,44 +684,22 @@ def bm_solve(M: np.ndarray, sense: str = "max", config: BmConfig | None = None):
     root = np.random.SeedSequence(config.seed, spawn_key=(0,))
     best = None
     total_iters = 0
-    for restart, child in enumerate(root.spawn(config.restarts)):
+    for child in root.spawn(config.restarts):
         rng = np.random.default_rng(child)
         if complex_valued:
             Y = rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))
         else:
             Y = rng.standard_normal((n, p))
-        Y = _retract_rows(Y)
-        trace = [_bm_objective(M, Y, sgn)]
-        Y, value, its, termination = _bm_descend(
-            M, Y, sgn, grad_tol, config.max_iters, step0, trace
-        )
+        trace = []
+        Y, value, gap, its, termination = _bm_restart(
+            C, _retract_rows(Y), config, grad_tol, step0, trace)
         total_iters += its
-        for _ in range(_MAX_ESCAPES):
-            if complex_valued:
-                xi = rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))
-            else:
-                xi = rng.standard_normal((n, p))
-            radial = np.real(np.sum(xi * Y.conj(), axis=1, keepdims=True))
-            xi = xi - radial * Y
-            nx = np.linalg.norm(xi)
-            if nx == 0:
-                break
-            xi *= 1e-3 * np.linalg.norm(Y) / nx
-            Y_kick = _retract_rows(Y + xi)
-            kick_trace = []
-            Y_kick, v_kick, its_kick, term_kick = _bm_descend(
-                M, Y_kick, sgn, grad_tol, config.max_iters, step0, kick_trace
-            )
-            total_iters += its_kick
-            if v_kick < value - 1e-8 * (1.0 + abs(value)):
-                Y, value, termination = Y_kick, v_kick, term_kick
-                trace.extend(kick_trace)
-            else:
-                break
         if best is None or value < best[1]:
-            best = (Y, value, termination, trace)
+            best = (Y, value, gap, termination, trace)
+        if termination == "converged":
+            break
 
-    Y, value, termination, trace = best
+    Y, value, gap, termination, trace = best
     Z = symmetrize(Y @ Y.conj().T)
     diag_err = float(np.max(np.abs(np.diagonal(Z) - 1.0)))
     report = SolveReport(
@@ -649,5 +709,6 @@ def bm_solve(M: np.ndarray, sense: str = "max", config: BmConfig | None = None):
         objective=float(np.real(np.vdot(M, Z))),
         objective_trace=np.asarray([sgn * v for v in trace]),
         residuals={"0:psd": 0.0, "1:diag_eq_one": diag_err},
+        gap=gap,
     )
     return Y, Z, report

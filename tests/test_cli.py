@@ -24,7 +24,7 @@ class TestGenerateSolveRoundEvaluate:
         assert meta["problem"] == "signed"
         assert run(["solve", "--in", inst, "--solver", "pierra", "--out", res]) == 0
         report = read_json(str(res) + ".json")["report"]
-        assert report["termination"] == "converged"
+        assert report["termination"] == "converged" and report["gap"] is None
         out = tmp_path / "comm.json"
         assert run(["round", "--in", res, "--mode", "communities", "--k", 2,
                     "--out", out]) == 0
@@ -40,6 +40,8 @@ class TestGenerateSolveRoundEvaluate:
                     "--delta", 1.0, "--seed", 1, "--out", inst]) == 0
         assert (tmp_path / "mc.full.coo").exists()
         assert run(["solve", "--in", inst, "--solver", "bm", "--out", res]) == 0
+        report = read_json(str(res) + ".json")["report"]
+        assert report["gap"] <= 1e-7 * (1.0 + abs(report["objective"]))
         out = tmp_path / "cut.json"
         assert run(["round", "--in", res, "--mode", "cut", "--instance", inst,
                     "--samples", 100, "--seed", 2, "--out", out]) == 0

@@ -3,10 +3,23 @@ import pytest
 
 from graphsdp.linalg import InvalidInputError, frobenius_norm
 from graphsdp.metrics import estimate_fixed_point
-from graphsdp.models import SsbmParams, gen_sbm, gen_ssbm, sample_feasible
+from graphsdp.models import (
+    SsbmParams,
+    SyncParams,
+    gen_bipartite_perturbed,
+    gen_sbm,
+    gen_ssbm,
+    gen_sync,
+    sample_feasible,
+)
 from graphsdp.solvers import (
     BmConfig,
     PierraConfig,
+    _bm_descend,
+    _bm_objective,
+    _bm_restart,
+    _certificate,
+    _escape,
     _set_projection,
     affine_halfspace,
     bm_rank,
@@ -340,6 +353,71 @@ class TestBm:
         assert stalled.termination == "stalled" and not stalled.converged
         _, _, spent = bm_solve(M, "max", BmConfig(max_iters=3, restarts=1))
         assert spent.termination == "max_iters" and not spent.converged
+
+    def test_certified_at_the_roundoff_floor(self):
+        # the descent ends on a failed line search; the certificate still
+        # proves the point optimal (lambda_min(S) is about 1e-13)
+        M = gen_sync(SyncParams(n=200, sigma=0.1), seed=4).observed
+        _, _, report = bm_solve(M, "max", BmConfig(seed=4, restarts=2))
+        assert report.termination == "converged"
+        assert 0.0 < report.gap <= 1e-7 * (1.0 + abs(report.objective))
+        assert report.to_dict()["gap"] == report.gap
+
+    def test_certified_restart_ends_the_solve(self):
+        M = gen_bipartite_perturbed(40, 0.1, 0.6, seed=3).rescaled
+        _, Z1, r1 = bm_solve(M, "max", BmConfig(seed=5, restarts=1))
+        _, Z3, r3 = bm_solve(M, "max", BmConfig(seed=5, restarts=3))
+        assert r1.converged and r1.gap <= 1e-7 * (1.0 + abs(r1.objective))
+        assert np.array_equal(Z1, Z3)
+        assert r1.iterations == r3.iterations
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_rank_one_is_not_certified(self, complex_valued):
+        rng = np.random.default_rng(21)
+        M = rng.standard_normal((30, 30))
+        if complex_valued:
+            M = M + 1j * rng.standard_normal((30, 30))
+        M = (M + M.conj().T) / 2
+        config = BmConfig(rank=1, max_iters=40, restarts=3, seed=1)
+        _, _, report = bm_solve(M, "max", config)
+        assert report.iterations <= config.restarts * config.max_iters
+        assert not report.converged and report.gap > 0.0
+
+    def test_escape_leaves_a_saddle(self):
+        # equal rows are a critical point of every objective, and for the
+        # MAX-CUT objective the worst one: the gradient vanishes there
+        A = gen_bipartite_perturbed(30, 0.1, 0.6, seed=0).full_adjacency
+        saddle = np.zeros((30, bm_rank(30)))
+        saddle[:, 0] = 1.0
+        C = A.astype(float)
+        Y, CY, value, its = _bm_descend(C, saddle, 1e-6, 100, 1e-2, [])
+        assert its == 1
+        S, gap = _certificate(C, Y, CY)
+        assert gap > 1.0
+        Y_escape = _escape(C, Y, S, value)
+        assert _bm_objective(Y_escape, C @ Y_escape) < value
+        config = BmConfig()
+        _, best, gap, _, termination = _bm_restart(C, saddle, config, 1e-6, 1e-2, [])
+        _, _, reference = bm_solve(-A, "max", config)
+        assert termination == "converged"
+        assert abs(best + reference.objective) <= gap + reference.gap
+        # the descent after the escape draws on the same budget
+        _, _, _, its, termination = _bm_restart(C, saddle, BmConfig(max_iters=5), 1e-6, 1e-2, [])
+        assert (its, termination) == (5, "max_iters")
+
+    def test_certificate_bounds_the_gap(self):
+        rng = np.random.default_rng(9)
+        M = rng.standard_normal((20, 20))
+        M = (M + M.T) / 2
+        _, _, optimum = bm_solve(M, "min", BmConfig(seed=0))
+        assert optimum.converged
+        for _ in range(5):
+            Y = rng.standard_normal((20, 5))
+            Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+            _, gap = _certificate(M, Y, M @ Y)
+            value = float(np.vdot(Y, M @ Y))
+            assert optimum.objective - optimum.gap <= value
+            assert value - optimum.objective <= gap
 
     def test_invalid(self):
         with pytest.raises(InvalidInputError):
