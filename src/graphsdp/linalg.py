@@ -75,11 +75,16 @@ def eigh_sorted(M: np.ndarray) -> EigenDecomposition:
 
 
 def project_psd(M: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix: clamp negative eigenvalues."""
-    dec = eigh_sorted(M)
-    w = np.maximum(dec.values, 0.0)
-    out = (dec.vectors * w) @ dec.vectors.conj().T
-    return symmetrize(out)
+    """Frobenius-nearest positive semidefinite matrix: clamp negative eigenvalues.
+
+    Only the eigenpairs with positive eigenvalues enter the product, so the
+    cost beyond ``eigh`` scales with the rank of the result.
+    """
+    w, V = np.linalg.eigh(symmetrize(M))
+    first = int(np.searchsorted(w, 0.0, side="right"))    # w is ascending
+    Vp = V[:, first:]
+    out = (Vp * w[first:]) @ Vp.conj().T
+    return (out + out.conj().T) / 2
 
 
 def top_eigenvector(M: np.ndarray, target_norm: float = 1.0) -> np.ndarray:

@@ -10,7 +10,12 @@ Two solver families cover every program in the library:
   Douglas-Rachford / ADMM step ``X = P_psd(Z - U + eps*M)``,
   ``Z = P_P(X + U)``, ``U += X - Z``, and the penalty ``1/eps`` is
   rebalanced every 10 sweeps so that the primal and dual residuals stay
-  within a factor 10 of each other.
+  within a factor 10 of each other.  The sweeps are a fixed-point map on
+  ``Z + U``, and type-II Anderson acceleration over the last 5 steps
+  extrapolates it.  A safeguard rejects an extrapolated point whose
+  fixed-point residual exceeds the last accepted one and takes the plain
+  step instead.  The memory is cleared on a rejection and on a penalty
+  change.
 * :func:`bm_solve` optimizes ``<M, Y Y*>`` over unit-norm rows of a low-rank
   factor Y (Barzilai-Borwein gradient descent on a product of
   spheres/circles), for the special constraint set {Z psd, diag(Z) = 1},
@@ -224,7 +229,11 @@ class PierraConfig:
     ``epsilon`` is the initial objective step ``1/rho_0`` (the inverse of
     the starting penalty); ``None`` auto-scales it to ``sqrt(n) / ||M||_F``,
     which keeps the per-sweep drift commensurate with the feasible set's
-    diameter.  The penalty then adapts every 10 sweeps.
+    diameter.  The penalty then adapts every 10 sweeps.  The sweeps are
+    always Anderson-accelerated, with a memory fixed at 5 steps and a
+    safeguard that falls back to the plain step whenever an extrapolated
+    point raises the fixed-point residual; ``max_iters`` counts every
+    sweep, rejected ones included.
     """
 
     epsilon: Optional[float] = None
@@ -264,6 +273,17 @@ class BmConfig:
             raise InvalidInputError("restarts must be >= 1")
 
 
+_TRACE_ENTRIES = 1000    # most objective_trace entries a serialized report holds
+
+
+def _thin(trace) -> np.ndarray:
+    """At most ``_TRACE_ENTRIES`` evenly spaced entries, first and last kept."""
+    trace = np.asarray(trace)
+    if trace.size <= _TRACE_ENTRIES:
+        return trace
+    return trace[np.linspace(0, trace.size - 1, _TRACE_ENTRIES).round().astype(int)]
+
+
 @dataclass
 class SolveReport:
     solver: str
@@ -272,7 +292,7 @@ class SolveReport:
     # "stalled" (BM: not certified and no escape decreases the objective)
     termination: str
     objective: float
-    objective_trace: np.ndarray
+    objective_trace: np.ndarray     # complete; ``to_dict`` thins it to 1000 entries
     residuals: dict = field(default_factory=dict)
     # BM: certified bound on the distance from objective to optimum; None for splitting
     gap: Optional[float] = None
@@ -289,7 +309,7 @@ class SolveReport:
             "objective": float(self.objective),
             "residuals": {k: float(v) for k, v in sorted(self.residuals.items())},
             "gap": None if self.gap is None else float(self.gap),
-            "objective_trace": [float(v) for v in self.objective_trace],
+            "objective_trace": [float(v) for v in _thin(self.objective_trace)],
         }
 
 
@@ -297,6 +317,8 @@ class SolveReport:
 # two-block ADMM: the psd cone against one projection onto the other atoms
 
 _CHECK_EVERY = 10
+_ANDERSON_MEMORY = 5     # (delta T(y), delta g) pairs kept by the acceleration
+_ANDERSON_REG = 1e-10    # Tikhonov weight, relative to the trace of the Gram matrix
 _RHO_BALANCE = 10.0      # residual ratio that triggers a penalty change
 _DYKSTRA_PASSES = 1000
 _MULTIPLIER_STEPS = 100
@@ -428,8 +450,71 @@ def _set_projection(atoms, M):
     return partial(_dykstra, [_box_halfspace_projection(entrywise, halfspace, M.shape)] + rest)
 
 
+class _Anderson:
+    """Type-II Anderson acceleration of a fixed-point map T on matrices.
+
+    ``step(F, g)`` takes ``F = T(y)`` and ``g = F - y`` at an accepted
+    point y and returns the next point ``F - dF @ gamma``, where dF and dG
+    hold the differences of F and g between the last accepted points and
+    gamma minimizes ``||g - dG @ gamma||^2 + reg * ||gamma||^2``.  The
+    differences sit in preallocated ring buffers and their Gram matrix is
+    updated one row per step.  Complex matrices are treated as real
+    vectors, so gamma is real and Hermitian iterates stay Hermitian.
+    """
+
+    def __init__(self, template: np.ndarray):
+        shape = (_ANDERSON_MEMORY,) + template.shape
+        self.dF = np.empty(shape, template.dtype)
+        self.dG = np.empty(shape, template.dtype)
+        # real views, one row per slot, for the inner products
+        self._real = np.finfo(template.dtype).dtype
+        self._dF = self.dF.reshape(_ANDERSON_MEMORY, -1).view(self._real)
+        self._dG = self.dG.reshape(_ANDERSON_MEMORY, -1).view(self._real)
+        self.gram = np.empty((_ANDERSON_MEMORY, _ANDERSON_MEMORY))
+        self.clear()
+
+    def clear(self):
+        """Forget every pair and the last point."""
+        self.pairs = 0
+        self.slot = 0
+        self.F = self.g = None               # T(y) and g at the last accepted y
+
+    def step(self, F: np.ndarray, g: np.ndarray):
+        """Record the accepted pair; returns ``(next point, extrapolated)``."""
+        if self.F is not None:
+            j = self.slot
+            np.subtract(F, self.F, out=self.dF[j])
+            np.subtract(g, self.g, out=self.dG[j])
+            self.pairs = min(self.pairs + 1, _ANDERSON_MEMORY)
+            self.slot = (j + 1) % _ANDERSON_MEMORY
+            row = self._dG[:self.pairs] @ self._dG[j]
+            self.gram[j, :self.pairs] = row
+            self.gram[:self.pairs, j] = row
+        self.F, self.g = F, g                # held, not copied: callers make new arrays
+        k = self.pairs
+        gram = self.gram[:k, :k]
+        reg = _ANDERSON_REG * np.trace(gram)
+        if reg == 0.0:          # no pair, or g has not changed
+            return F, False
+        gamma = np.linalg.solve(gram + reg * np.eye(k),
+                                self._dG[:k] @ g.reshape(-1).view(self._real))
+        correction = (gamma @ self._dF[:k]).view(F.dtype).reshape(F.shape)
+        return np.subtract(F, correction, out=correction), True
+
+
 def _splitting_engine(M, atoms, config, X0=None):
-    """Two-block ADMM; returns (Z, state, iterations, termination, trace).
+    """Two-block ADMM with Anderson acceleration; returns
+    (Z, state, iterations, termination, trace).
+
+    The sweep is the Douglas-Rachford map on ``y = Z + U``:
+    ``Z = P_P(y)``, ``X = P_psd(2Z - y + M/rho)``, ``T(y) = y + X - Z``.
+    Every accepted point feeds :class:`_Anderson`, which proposes the next
+    point from the last ``_ANDERSON_MEMORY`` steps.  A proposed point whose
+    residual ``||X - Z||`` exceeds the last accepted one is rejected: the
+    solve falls back to the plain step ``T(y)`` from the last accepted
+    point and the memory is cleared, as it is whenever the penalty changes.
+    Every 10th sweep takes the plain step, so the stop rule and the penalty
+    test only ever judge points reached from an accepted one.
 
     ``Z`` is the last iterate in the non-psd atoms' set.  ``state`` is
     ``(Z, U, rho)``: the iterate, the scaled dual and the penalty; passed
@@ -443,15 +528,29 @@ def _splitting_engine(M, atoms, config, X0=None):
     else:
         eps = config.epsilon if config.epsilon is not None else _auto_epsilon(M)
         Z, U, rho = np.zeros_like(M), np.zeros_like(M), 1.0 / eps
+    y = Z + U
+    accel = _Anderson(y)
+    extrapolated = False       # whether y came from the acceleration
+    accepted_norm = np.inf     # ||g|| at the last accepted point
     trace = []
     termination = "max_iters"
     iterations = config.max_iters
     for it in range(1, config.max_iters + 1):
-        V = Z - U + M / rho
+        V = 2.0 * Z - y + M / rho
         X = project_psd(V) if has_cone else V
+        g = X - Z
+        g_norm = frobenius_norm(g)
+        if extrapolated and g_norm > accepted_norm:
+            y, extrapolated = accel.F, False
+            accel.clear()
+        else:
+            accepted_norm = g_norm
+            y, extrapolated = accel.step(y + g, g)
+            if it % _CHECK_EVERY == 0:
+                # the stop rule and the penalty test judge a plain step
+                y, extrapolated = accel.F, False
         Z_prev = Z
-        Z = project_set(X + U)
-        U = U + X - Z
+        Z = project_set(y)
         trace.append(float(np.real(np.vdot(M, Z))))
         if it % _CHECK_EVERY:
             continue
@@ -465,10 +564,15 @@ def _splitting_engine(M, atoms, config, X0=None):
         primal = frobenius_norm(X - Z)
         dual = rho * frobenius_norm(Z - Z_prev)
         if primal > _RHO_BALANCE * dual:
-            rho, U = 2.0 * rho, U / 2.0
+            scale = 2.0
         elif dual > _RHO_BALANCE * primal:
-            rho, U = rho / 2.0, 2.0 * U
-    return Z, (Z, U, rho), iterations, termination, trace
+            scale = 0.5
+        else:
+            continue
+        # the scaled dual U = y - Z follows the penalty; T changes with it
+        rho, y = scale * rho, Z + (y - Z) / scale
+        accel.clear()
+    return Z, (Z, y - Z, rho), iterations, termination, trace
 
 
 def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraConfig | None = None):

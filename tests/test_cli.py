@@ -92,6 +92,21 @@ class TestGenerateSolveRoundEvaluate:
         cfg.write_text(json.dumps({"max_iters": 3}))
         assert run(["solve", "--in", inst, "--config", cfg, "--out", res]) == 3
 
+    def test_sidecar_trace_is_bounded(self, tmp_path):
+        inst = tmp_path / "inst"
+        res = tmp_path / "r"
+        run(["generate", "--problem", "signed", "--n", 12, "--k", 2, "--seed", 0,
+             "--out", inst])
+        # tolerances no solve meets: the budget is spent
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_iters": 2500, "feas_tol": 1e-300, "obj_tol": 1e-300}))
+        assert run(["solve", "--in", inst, "--config", cfg, "--out", res]) == 3
+        report = read_json(str(res) + ".json")["report"]
+        assert report["iterations"] == 2500
+        trace = report["objective_trace"]
+        assert len(trace) == 1000
+        assert abs(trace[-1] - report["objective"]) <= 1e-6 * abs(report["objective"])
+
 
 class TestClusterCommand:
     def test_raw_and_sdp_modes(self, tmp_path):

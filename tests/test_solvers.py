@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from graphsdp.linalg import InvalidInputError, frobenius_norm
+from graphsdp import solvers
+from graphsdp.linalg import InvalidInputError, frobenius_norm, symmetrize
 from graphsdp.metrics import estimate_fixed_point
 from graphsdp.models import (
     SsbmParams,
@@ -15,12 +16,15 @@ from graphsdp.models import (
 from graphsdp.solvers import (
     BmConfig,
     PierraConfig,
+    SolveReport,
+    _Anderson,
     _bm_descend,
     _bm_objective,
     _bm_restart,
     _certificate,
     _escape,
     _set_projection,
+    _splitting_engine,
     affine_halfspace,
     bm_rank,
     bm_solve,
@@ -253,7 +257,65 @@ class TestPierra:
         inst = gen_ssbm(SsbmParams(n=100, n_clusters=5, p=0.8, q=0.2, delta=0.4), seed=0)
         _, report = pierra_signed(inst.observed, inst.params["alpha"])
         assert report.converged
-        assert report.iterations <= 1000
+        assert report.iterations <= 400
+
+    def test_small_signed_sweep_guard(self):
+        # 15,850 sweeps without the acceleration
+        inst = gen_ssbm(SsbmParams(n=16, n_clusters=2, p=0.8, q=0.2, delta=0.8), seed=1)
+        _, report = pierra_signed(inst.observed, inst.params["alpha"])
+        assert report.converged
+        assert report.iterations <= 5000
+
+    def test_safeguard_rejects_bad_extrapolations(self, monkeypatch):
+        # an accelerator that proposes a far-off point at every step: each
+        # proposal must be rejected for the plain step, so the solve still
+        # converges to the same optimum
+        inst = gen_ssbm(SsbmParams(n=12, n_clusters=2, p=0.8, q=0.2, delta=0.8), seed=2)
+        _, default = pierra_signed(inst.observed, inst.params["alpha"])
+        rng = np.random.default_rng(0)
+        step = _Anderson.step
+
+        def hostile(self, F, g):
+            step(self, F, g)
+            return F + 100.0 * rng.standard_normal(F.shape), True
+
+        monkeypatch.setattr(_Anderson, "step", hostile)
+        _, report = pierra_signed(inst.observed, inst.params["alpha"],
+                                  PierraConfig(max_iters=10_000))
+        assert report.converged
+        assert abs(report.objective - default.objective) <= 1e-6 * (1 + abs(default.objective))
+
+    @pytest.mark.parametrize("n, delta, seed, factor, budget", [
+        (12, 0.8, 0, 1e-2, 1000),
+        (50, 0.6, 2, 1e-3, 5000),
+    ])
+    def test_poor_initial_step_reaches_the_optimum(self, n, delta, seed, factor, budget):
+        # a step far below the default halves the penalty many times; when
+        # extrapolated points reach the stop rule and the penalty test, the
+        # n=50 case does not converge within 20,000 sweeps
+        inst = gen_ssbm(SsbmParams(n=n, n_clusters=2, p=0.8, q=0.2, delta=delta), seed=seed)
+        M = inst.observed - inst.params["alpha"]
+        epsilon = factor * np.sqrt(n) / frobenius_norm(M)
+        _, report = pierra_signed(inst.observed, inst.params["alpha"],
+                                  PierraConfig(epsilon=epsilon, max_iters=budget))
+        _, default = pierra_signed(inst.observed, inst.params["alpha"])
+        assert report.converged
+        assert abs(report.objective - default.objective) <= 1e-6 * abs(default.objective)
+
+    @pytest.mark.parametrize("factor", [1e-2, 1e2])
+    def test_penalty_change_leaves_no_acceleration_state(self, factor):
+        # a penalty change alters the map, so the acceleration forgets every
+        # pair: the solve then goes on exactly as one warm-started from
+        # (Z, U, rho) at that sweep
+        inst = gen_ssbm(SsbmParams(n=30, n_clusters=3, p=0.8, q=0.2, delta=0.6), seed=0)
+        M = symmetrize(inst.observed - inst.params["alpha"])
+        epsilon = factor * np.sqrt(30) / frobenius_norm(M)
+        config = lambda k: PierraConfig(epsilon=epsilon, max_iters=k)
+        _, state, _, _, _ = _splitting_engine(M, signed_atoms(), config(10))
+        assert state[2] != 1.0 / epsilon
+        _, _, _, _, full = _splitting_engine(M, signed_atoms(), config(40))
+        _, _, _, _, resumed = _splitting_engine(M, signed_atoms(), config(30), X0=state)
+        assert np.allclose(full[10:], resumed, rtol=1e-12, atol=0)
 
     def test_adaptive_penalty_corrects_a_poor_initial_step(self):
         # with the penalty held at 1/epsilon this step does not converge
@@ -291,6 +353,92 @@ class TestPierra:
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
         _, report = pierra_solve(A, unit_diag_atoms(), PierraConfig(max_iters=5))
         assert report.termination == "max_iters"
+
+    @pytest.mark.parametrize("kind", ["sync", "gaussian"])
+    def test_unit_diagonal_matches_certified_bm(self, kind):
+        # the complex objective takes the generic atom-by-atom projection,
+        # the real one the exact clip; BM's optimum is certified
+        if kind == "sync":
+            M = gen_sync(SyncParams(n=30, sigma=0.5), seed=0).observed
+        else:
+            rng = np.random.default_rng(30)
+            M = rng.standard_normal((30, 30))
+            M = (M + M.T) / 2
+        _, rp = pierra_solve(M, unit_diag_atoms())
+        _, _, rb = bm_solve(M, "max")
+        assert rp.converged and rb.converged
+        assert abs(rp.objective - rb.objective) <= 1e-8 * abs(rb.objective)
+
+
+def naive_anderson(pairs, memory):
+    """Reference for :class:`_Anderson`: stack the last ``memory``
+    differences of the accepted (F, g) and solve the regularized normal
+    equations from scratch."""
+    F, g = pairs[-1]
+    dF = [a[0] - b[0] for a, b in zip(pairs[1:], pairs[:-1])][-memory:]
+    dG = [a[1] - b[1] for a, b in zip(pairs[1:], pairs[:-1])][-memory:]
+    if not dG:
+        return F
+    as_real = lambda X: np.concatenate([X.real.ravel(), X.imag.ravel()])
+    G = np.stack([as_real(d) for d in dG], axis=1)
+    H = G.T @ G
+    H = H + solvers._ANDERSON_REG * np.trace(H) * np.eye(len(dG))
+    gamma = np.linalg.solve(H, G.T @ as_real(g))
+    return F - sum(c * d for c, d in zip(gamma, dF))
+
+
+class TestAnderson:
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_ring_buffer_matches_stacked_reference(self, complex_valued):
+        rng = np.random.default_rng(3)
+        shape = (4, 4)
+        draw = lambda: (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                        if complex_valued else rng.standard_normal(shape))
+        accel = _Anderson(draw())
+        pairs = []
+        for _ in range(12):     # wraps the 5-slot buffer twice
+            F, g = draw(), draw()
+            pairs.append((F, g))
+            y, extrapolated = accel.step(F, g)
+            ref = naive_anderson(pairs, solvers._ANDERSON_MEMORY)
+            assert extrapolated == (len(pairs) > 1)
+            assert np.max(np.abs(y - ref)) <= 1e-10 * (1 + np.max(np.abs(ref)))
+        accel.clear()
+        F, g = draw(), draw()
+        y, extrapolated = accel.step(F, g)
+        assert y is F and not extrapolated
+
+    def test_solves_a_linear_map_in_dimension_plus_one_steps(self):
+        # on an affine map of a 2x2 matrix (4 real unknowns) the extrapolation
+        # is GMRES: exact after 5 steps, where the plain iteration is not
+        rng = np.random.default_rng(4)
+        A = 0.9 * np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        b = rng.standard_normal(4)
+        T = lambda y: (A @ y.ravel() + b).reshape(2, 2)
+        fixed = np.linalg.solve(np.eye(4) - A, b).reshape(2, 2)
+        y = np.zeros((2, 2))
+        accel = _Anderson(y)
+        for _ in range(6):
+            F = T(y)
+            y, _ = accel.step(F, F - y)
+        assert np.max(np.abs(y - fixed)) <= 1e-6
+        plain = np.zeros((2, 2))
+        for _ in range(6):
+            plain = T(plain)
+        assert np.max(np.abs(plain - fixed)) > 1e-2
+
+
+class TestReportSerialization:
+    def test_trace_thinned_to_1000_entries(self):
+        trace = np.arange(2500, dtype=float)
+        report = SolveReport("pierra", 2500, "converged", 2499.0, trace)
+        out = report.to_dict()["objective_trace"]
+        assert len(out) == 1000
+        assert out[0] == 0.0 and out[-1] == 2499.0
+        assert np.all(np.diff(out) > 0)
+        assert np.array_equal(report.objective_trace, trace)
+        short = SolveReport("pierra", 3, "converged", 2.0, np.arange(3.0))
+        assert short.to_dict()["objective_trace"] == [0.0, 1.0, 2.0]
 
 
 class TestBm:
