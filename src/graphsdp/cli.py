@@ -106,10 +106,10 @@ def _cmd_solve(args) -> int:
         raise InvalidInputError(
             f"--problem {args.problem} does not match the instance ({problem})"
         )
-    Z, report = PROBLEMS[problem].solve(observed, meta["params"], args.solver, pc, bc)
+    Z, report = PROBLEMS[problem].solve(observed, meta["params"], pc, bc)
     out = args.out or "result"
     dump_matrix(Z, out + ".coo")
-    write_json({"problem": problem, "solver": args.solver,
+    write_json({"problem": problem, "solver": report.solver,
                 "instance": Path(args.infile).name,
                 "report": report.to_dict()}, out + ".json")
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
@@ -147,7 +147,7 @@ def _cmd_cluster(args) -> int:
     elif args.solution:
         matrix = load_matrix(args.solution + ".coo")
     else:
-        matrix, _ = PROBLEMS["signed"].solve(observed, meta["params"], "pierra")
+        matrix, _ = PROBLEMS["signed"].solve(observed, meta["params"])
     K = args.k or meta["params"]["K"]
     assignment = cluster_baseline(matrix, args.algo, K, seed=args.seed)
     result = {"labels": assignment.labels, "algorithm": args.algo, "input": args.input}
@@ -171,6 +171,8 @@ def _cmd_evaluate(args) -> int:
         report = bound_report(args.bound, **{k: inputs[k] for k in needed})
         write_json(report.to_dict(), out)
         return EXIT_OK
+    if args.infile is None or args.instance is None:
+        raise InvalidInputError("evaluate needs --bound, or both --in and --instance")
     meta, _, graph = _load_instance(args.instance)
     problem = PROBLEMS[meta["problem"]]
     answer = read_json(args.infile)[problem.answer_key]
@@ -256,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--in", dest="infile", required=True, help="instance prefix")
     s.add_argument("--problem", choices=list(PROBLEMS),
                    help="sanity check against the instance sidecar")
-    s.add_argument("--solver", default="pierra", choices=["pierra", "bm"])
     s.add_argument("--config", help="JSON file with solver overrides")
     s.set_defaults(func=_cmd_solve)
 
@@ -326,10 +327,7 @@ def main(argv=None) -> int:
         args.seed = 0
     try:
         return args.func(args)
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except FileNotFoundError as exc:
+    except (InvalidInputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (ValueError, KeyError) as exc:

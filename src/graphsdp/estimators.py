@@ -1,7 +1,8 @@
 """Estimator-style front end (fit / fit_predict / get_params / set_params).
 
-Thin wrappers over the functional pipeline so the four programs compose
-with scikit-learn-style tooling without a scikit-learn dependency.  Fitted
+Thin wrappers over ``PROBLEMS[name].solve`` (whose constraint set picks the
+solver) and the rounding steps, so the four programs compose with
+scikit-learn-style tooling without a scikit-learn dependency.  Fitted
 attributes follow the trailing-underscore convention.
 """
 
@@ -13,8 +14,9 @@ import numpy as np
 
 from .linalg import InvalidInputError, check_square, is_hermitian, symmetrize
 from .metrics import cut_value
+from .problems import PROBLEMS
 from .rounding import expected_cut_closed_form, extract_communities, extract_phases, gw_round
-from .solvers import BmConfig, PierraConfig, bm_solve, pierra_community, pierra_signed
+from .solvers import BmConfig, PierraConfig
 
 __all__ = [
     "SdpSignedClustering",
@@ -58,12 +60,26 @@ class _SdpEstimatorBase:
                 raise InvalidInputError("input must be Hermitian")
         return symmetrize(A)
 
-    def _pierra_config(self):
-        return PierraConfig(epsilon=self.epsilon, max_iters=self.max_iters,
-                            feas_tol=self.feas_tol, obj_tol=self.obj_tol)
+    def _bm_config(self):
+        return BmConfig(rank=self.rank, max_iters=self.max_iters, grad_tol=self.grad_tol,
+                        restarts=self.restarts, seed=self.seed)
 
 
-class SdpSignedClustering(_SdpEstimatorBase):
+class _SdpClustering(_SdpEstimatorBase):
+    """A clustering program of the problem table, labels read off its solution."""
+
+    def _fit(self, A, problem, params):
+        config = PierraConfig(epsilon=self.epsilon, max_iters=self.max_iters,
+                              feas_tol=self.feas_tol, obj_tol=self.obj_tol)
+        self.denoised_, self.report_ = PROBLEMS[problem].solve(A, params, config)
+        self.labels_ = extract_communities(self.denoised_, self.n_clusters, seed=self.seed).labels
+        return self
+
+    def fit_predict(self, A, y=None):
+        return self.fit(A).labels_
+
+
+class SdpSignedClustering(_SdpClustering):
     """Denoise a signed adjacency matrix by the clustering program
     max <A - alpha J, Z> over {Z psd, Z in [0,1], diag(Z) = 1}, then read
     communities off the top eigenvectors of the solution."""
@@ -79,17 +95,10 @@ class SdpSignedClustering(_SdpEstimatorBase):
         self.seed = seed
 
     def fit(self, A, y=None):
-        A = self._check_input(A)
-        self.denoised_, self.report_ = pierra_signed(A, self.alpha, self._pierra_config())
-        assignment = extract_communities(self.denoised_, self.n_clusters, seed=self.seed)
-        self.labels_ = assignment.labels
-        return self
-
-    def fit_predict(self, A, y=None):
-        return self.fit(A).labels_
+        return self._fit(self._check_input(A), "signed", {"alpha": self.alpha})
 
 
-class SdpCommunityClustering(_SdpEstimatorBase):
+class SdpCommunityClustering(_SdpClustering):
     """Community detection via max <A, Z> over
     {Z psd, Z >= 0, diag(Z) <= 1, sum(Z) <= lam}; ``lam=None`` uses the
     balanced-community value n^2 / n_clusters."""
@@ -107,13 +116,7 @@ class SdpCommunityClustering(_SdpEstimatorBase):
     def fit(self, A, y=None):
         A = self._check_input(A)
         lam = self.lam if self.lam is not None else A.shape[0] ** 2 / self.n_clusters
-        self.denoised_, self.report_ = pierra_community(A, lam, self._pierra_config())
-        assignment = extract_communities(self.denoised_, self.n_clusters, seed=self.seed)
-        self.labels_ = assignment.labels
-        return self
-
-    def fit_predict(self, A, y=None):
-        return self.fit(A).labels_
+        return self._fit(A, "community", {"lam": lam})
 
 
 class SdpAngularSynchronization(_SdpEstimatorBase):
@@ -129,9 +132,7 @@ class SdpAngularSynchronization(_SdpEstimatorBase):
 
     def fit(self, A, y=None):
         A = self._check_input(np.asarray(A, dtype=complex), complex_ok=True)
-        config = BmConfig(rank=self.rank, max_iters=self.max_iters,
-                          grad_tol=self.grad_tol, restarts=self.restarts, seed=self.seed)
-        _, self.gram_, self.report_ = bm_solve(A, "max", config)
+        self.gram_, self.report_ = PROBLEMS["sync"].solve(A, {}, bm_config=self._bm_config())
         self.estimate_ = extract_phases(self.gram_)
         self.phases_ = np.angle(self.estimate_)
         return self
@@ -141,8 +142,8 @@ class SdpAngularSynchronization(_SdpEstimatorBase):
 
 
 class SdpMaxCut(_SdpEstimatorBase):
-    """Goemans-Williamson pipeline: min <A, Z> over {Z psd, diag(Z) = 1} via
-    the low-rank solver, then Gaussian hyperplane rounding."""
+    """Goemans-Williamson pipeline: max <-A, Z> over {Z psd, diag(Z) = 1} via the
+    low-rank solver (``report_.objective`` is ``<-A, gram_>``), then hyperplane rounding."""
 
     def __init__(self, rank=None, gw_samples=200, max_iters=20_000, grad_tol=1e-7,
                  restarts=3, seed=0):
@@ -156,9 +157,8 @@ class SdpMaxCut(_SdpEstimatorBase):
     def fit(self, A, y=None, full_adjacency=None):
         A = self._check_input(np.asarray(A, dtype=float))
         graph = A if full_adjacency is None else np.asarray(full_adjacency, dtype=float)
-        config = BmConfig(rank=self.rank, max_iters=self.max_iters,
-                          grad_tol=self.grad_tol, restarts=self.restarts, seed=self.seed)
-        _, self.gram_, self.report_ = bm_solve(A, "min", config)
+        self.gram_, self.report_ = PROBLEMS["maxcut"].solve(
+            A, {"mask_prob": 1.0}, bm_config=self._bm_config())
         self.cut_vector_, self.mean_cut_ = gw_round(
             self.gram_, graph, self.gw_samples, seed=self.seed
         )

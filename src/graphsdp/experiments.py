@@ -40,7 +40,7 @@ from .models import (
 from .problems import PROBLEMS
 from .rounding import extract_phases, gw_round, spectral_sync
 from .signed import BASELINES, cluster_baseline
-from .solvers import BmConfig, PierraConfig, bm_solve
+from .solvers import BmConfig, PierraConfig
 
 __all__ = [
     "ExperimentConfig",
@@ -186,7 +186,7 @@ def _cell_signed_before_after(params, axes, replicate, seed_seq):
     try:
         # denoising needs only a moderately accurate solve
         Z_hat, report = signed.solve(
-            inst.observed, inst.params, "pierra",
+            inst.observed, inst.params,
             PierraConfig(max_iters=params.get("max_iters", 20000),
                          feas_tol=params.get("feas_tol", 1e-5),
                          obj_tol=params.get("obj_tol", 1e-7)),
@@ -219,7 +219,7 @@ def _round_maxcut(inst, params, seed):
     """Solve a masked cut instance by BM, round it on the full graph:
     (best sign vector, mean sampled cut, status)."""
     Z_hat, report = PROBLEMS["maxcut"].solve(
-        inst.observed, {"mask_prob": inst.mask_prob}, "bm", bm_config=_bm_config(params, seed)
+        inst.observed, {"mask_prob": inst.mask_prob}, bm_config=_bm_config(params, seed)
     )
     x, mean_cut = gw_round(Z_hat, inst.full_adjacency, params.get("gw_samples", 100), seed=seed)
     return x, mean_cut, "ok" if report.converged else "solver_max_iters"
@@ -293,7 +293,7 @@ def _cell_sync(noise_model):
                            sample_prob=sample_prob, **kwargs),
                 seed=seed,
             )
-            Z_hat, report = sync.solve(inst.observed, inst.params, "bm",
+            Z_hat, report = sync.solve(inst.observed, inst.params,
                                        bm_config=_bm_config(params, seed))
             phases_sdp = np.angle(extract_phases(Z_hat))
             phases_spec = np.angle(spectral_sync(inst.observed))
@@ -447,7 +447,8 @@ def _fixed_point_problem(params):
     if problem == "maxcut":
         A0 = _synthetic_benchmark_graph(n, params.get("avg_degree", 0.5 * (n - 1)),
                                         params.get("graph_seed", 7))
-        _, Z_star, _ = bm_solve(-A0, "max", BmConfig(seed=params.get("graph_seed", 7)))
+        Z_star, _ = PROBLEMS["maxcut"].solve(
+            A0, {"mask_prob": 1.0}, bm_config=BmConfig(seed=params.get("graph_seed", 7)))
 
         def generator(rng):
             seed = int(rng.integers(0, 2**32))

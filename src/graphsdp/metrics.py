@@ -19,11 +19,10 @@ from .models import CommunityAssignment
 from .solvers import (
     ConstraintAtom,
     PierraConfig,
-    _final_sweep,
-    _splitting_engine,
     affine_halfspace,
     l1_ball_around,
     l2_ball_around,
+    pierra_solve,
 )
 
 __all__ = [
@@ -364,24 +363,18 @@ def estimate_fixed_point(
         W = symmetrize(np.asarray(A) - np.asarray(EA))
         offset = float(np.real(np.vdot(W, Z_star)))
         row = []
-        flagged = False
         state = None
         for r in r_grid:
             loc = _localization_atom(localization, EA, Z_star, r)
-            solve_atoms = list(atoms) + [loc]
             # warm-start along the ascending grid: the localities are nested
-            Z, state, _, termination, _ = _splitting_engine(
-                W, solve_atoms, config, X0=state
-            )
-            if termination != "converged":
-                flagged = True
+            _, report = pierra_solve(W, list(atoms) + [loc], config, warm_start=state)
+            if not report.converged:
+                n_flagged += 1
                 break
-            Z_hat = _final_sweep(solve_atoms, Z)
-            value = float(np.real(np.vdot(W, Z_hat))) - offset
+            state = report.state
+            value = report.objective - offset
             # nested suprema: enforce monotonicity along the grid
             row.append(max(value, row[-1]) if row else value)
-        if flagged:
-            n_flagged += 1
         else:
             sups.append(row)
 

@@ -178,7 +178,7 @@ class ProblemInstance:
             resid = atom.residual(self.oracle) / scale
             if resid > _FEAS_TOL:
                 raise InvalidInputError(
-                    f"oracle infeasible for atom {atom.label}: residual {resid:.2e}"
+                    f"oracle infeasible for atom {atom.kind}: residual {resid:.2e}"
                 )
 
 

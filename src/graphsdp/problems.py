@@ -4,8 +4,9 @@ Every problem here maximizes ``<M, Z>`` over a problem-specific constraint
 set and then rounds the solution.  A :class:`Problem` entry holds what
 differs between them: how to build the objective ``M`` from an observation
 and its sidecar params, which constraint atoms to solve over, and how to
-score a rounded answer against the ground truth.  The command line and the
-experiment cells read this table instead of wiring each problem by hand.
+score a rounded answer against the ground truth.  The atoms also pick the
+solver.  The command line, the estimators and the experiment cells read this
+table instead of wiring each problem by hand.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import InvalidInputError
 from .metrics import ari, cut_value, phase_aligned_l2, signed_error_rate, sync_mse
 from .models import membership_matrix, rescale_masked
 from .solvers import bm_solve, community_atoms, pierra_solve, signed_atoms, unit_diag_atoms
@@ -37,22 +37,18 @@ class Problem:
     score: Callable        # (answer, ground truth, graph) -> {metric: value}
     answer_key: str        # field of a round output holding the answer
 
-    def solve(self, observed, params, solver, pierra_config=None, bm_config=None):
+    def solve(self, observed, params, pierra_config=None, bm_config=None):
         """Maximize the objective over the atoms; returns ``(Z_hat, SolveReport)``.
 
-        ``solver`` is ``"pierra"`` (two-block ADMM) or ``"bm"`` (low
-        rank), and the low-rank solver takes only the unit-diagonal set.
+        The constraint set picks the solver: the certified low-rank one
+        (``bm_config``) when the atoms are exactly the unit-diagonal set,
+        the two-block ADMM (``pierra_config``) otherwise.
         """
         M = self.objective(observed, params)
         atoms = self.atoms(params)
-        if solver == "pierra":
-            return pierra_solve(M, atoms, pierra_config)
-        if [a.kind for a in atoms] != [a.kind for a in unit_diag_atoms()]:
-            raise InvalidInputError(
-                "the low-rank solver only handles the unit-diagonal constraint set"
-            )
-        _, Z, report = bm_solve(M, "max", bm_config)
-        return Z, report
+        if {a.kind for a in atoms} == {a.kind for a in unit_diag_atoms()}:
+            return bm_solve(M, "max", bm_config)[1:]    # (Z, report) without the factor
+        return pierra_solve(M, atoms, pierra_config)
 
 
 def _score_communities(labels, truth, graph=None):

@@ -24,6 +24,7 @@ Two solver families cover every program in the library:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional, Sequence
@@ -72,10 +73,6 @@ class ConstraintAtom:
     lam: float = 0.0
     matrix: Optional[np.ndarray] = None   # halfspace normal or ball center
     bound: float = 0.0                    # halfspace offset or ball radius
-
-    @property
-    def label(self) -> str:
-        return self.kind
 
     def project(self, Z: np.ndarray) -> np.ndarray:
         return _PROJECTIONS[self.kind](self, Z)
@@ -222,6 +219,21 @@ _PROJECTIONS = {
 # configuration and reporting
 
 
+def _check_fields(config, integers, reals, positive):
+    """Reject a field that is not an integer / a real number, or one in ``positive``
+    that is not > 0 (None passes where it is the default); JSON overrides land here."""
+    for name in integers + reals:
+        value = getattr(config, name)
+        if value is None and config.__dataclass_fields__[name].default is None:
+            continue
+        kind, noun = ((numbers.Integral, "an integer") if name in integers
+                      else (numbers.Real, "a real number"))
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise InvalidInputError(f"{name} must be {noun}, got {value!r}")
+        if name in positive and value <= 0:
+            raise InvalidInputError(f"{name} must be > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PierraConfig:
     """ADMM knobs.
@@ -242,10 +254,8 @@ class PierraConfig:
     obj_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise InvalidInputError("epsilon must be > 0")
-        if self.feas_tol <= 0 or self.obj_tol <= 0:
-            raise InvalidInputError("tolerances must be > 0")
+        reals = ("epsilon", "feas_tol", "obj_tol")
+        _check_fields(self, ("max_iters",), reals, positive=reals)
 
 
 @dataclass(frozen=True)
@@ -267,10 +277,8 @@ class BmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rank is not None and self.rank < 1:
-            raise InvalidInputError("rank must be >= 1")
-        if self.restarts < 1:
-            raise InvalidInputError("restarts must be >= 1")
+        _check_fields(self, ("rank", "max_iters", "restarts", "seed"), ("grad_tol",),
+                      positive=("rank", "restarts"))
 
 
 _TRACE_ENTRIES = 1000    # most objective_trace entries a serialized report holds
@@ -296,6 +304,8 @@ class SolveReport:
     residuals: dict = field(default_factory=dict)
     # BM: certified bound on the distance from objective to optimum; None for splitting
     gap: Optional[float] = None
+    # splitting: the end state (Z, U, rho), for ``pierra_solve(warm_start=...)``; not serialized
+    state: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def converged(self) -> bool:
@@ -342,7 +352,7 @@ def _auto_epsilon(M: np.ndarray) -> float:
 
 def _residuals(atoms: Sequence[ConstraintAtom], Z: np.ndarray) -> dict:
     scale = 1.0 + frobenius_norm(Z)
-    return {f"{i}:{a.label}": a.residual(Z) / scale for i, a in enumerate(atoms)}
+    return {f"{i}:{a.kind}": a.residual(Z) / scale for i, a in enumerate(atoms)}
 
 
 def _final_sweep(atoms: Sequence[ConstraintAtom], Z: np.ndarray) -> np.ndarray:
@@ -575,21 +585,23 @@ def _splitting_engine(M, atoms, config, X0=None):
     return Z, (Z, y - Z, rho), iterations, termination, trace
 
 
-def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraConfig | None = None):
+def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraConfig | None = None,
+                 warm_start=None):
     """Maximize ``Re <M, Z>`` over the intersection of ``atoms``.
 
     Returns ``(Z_hat, SolveReport)``.  Terminates once the scaled feasibility
     residual of the iterate drops below ``feas_tol`` and the objective has
     moved by at most ``obj_tol`` (relative) over 10 iterations; the returned
     matrix is the iterate after one last sweep through all projections with
-    the psd cone applied last.
+    the psd cone applied last.  ``warm_start``, an earlier report's ``state``,
+    resumes the sweeps where that solve ended (continuation over a related set).
     """
     config = config or PierraConfig()
     M = check_square(np.asarray(M), "objective")
     if not atoms:
         raise InvalidInputError("need at least one constraint atom")
     M = symmetrize(M)
-    Z, _, iterations, termination, trace = _splitting_engine(M, atoms, config)
+    Z, state, iterations, termination, trace = _splitting_engine(M, atoms, config, warm_start)
     Z_hat = _final_sweep(atoms, Z)
     report = SolveReport(
         solver="pierra",
@@ -598,6 +610,7 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
         objective=float(np.real(np.vdot(M, Z_hat))),
         objective_trace=np.asarray(trace),
         residuals=_residuals(atoms, Z_hat),
+        state=state,
     )
     return Z_hat, report
 
@@ -776,8 +789,6 @@ def bm_solve(M: np.ndarray, sense: str = "max", config: BmConfig | None = None):
     M = symmetrize(M)
     n = M.shape[0]
     p = config.rank if config.rank is not None else bm_rank(n)
-    if p < 1:
-        raise InvalidInputError("rank must be >= 1")
     sgn = 1.0 if sense == "min" else -1.0
     C = sgn * M
     scale = frobenius_norm(M)

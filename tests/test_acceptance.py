@@ -272,7 +272,7 @@ def _cli_outputs(base: Path, tag: str):
     _run_cli(["generate", "--problem", "signed", "--n", 16, "--k", 2, "--p", 0.95,
               "--q", 0.05, "--delta", 0.9, "--seed", 11, "--out", inst])
     res = work / "res"
-    _run_cli(["solve", "--in", inst, "--solver", "pierra", "--out", res])
+    _run_cli(["solve", "--in", inst, "--out", res])
     comm = work / "comm.json"
     _run_cli(["round", "--in", res, "--mode", "communities", "--k", 2, "--seed", 3,
               "--out", comm])
@@ -285,7 +285,7 @@ def _cli_outputs(base: Path, tag: str):
     _run_cli(["generate", "--problem", "sync", "--n", 14, "--sigma", 0.2, "--seed", 5,
               "--out", sy])
     syres = work / "syres"
-    _run_cli(["solve", "--in", sy, "--solver", "bm", "--out", syres])
+    _run_cli(["solve", "--in", sy, "--out", syres])
     ph = work / "ph.json"
     _run_cli(["round", "--in", syres, "--mode", "phases", "--out", ph])
 
@@ -293,7 +293,7 @@ def _cli_outputs(base: Path, tag: str):
     _run_cli(["generate", "--problem", "maxcut", "--n", 12, "--eta", 0.1,
               "--delta", 0.9, "--seed", 6, "--out", mc])
     mcres = work / "mcres"
-    _run_cli(["solve", "--in", mc, "--solver", "bm", "--out", mcres])
+    _run_cli(["solve", "--in", mc, "--out", mcres])
     cut = work / "cut.json"
     _run_cli(["round", "--in", mcres, "--mode", "cut", "--instance", mc,
               "--samples", 64, "--seed", 8, "--out", cut])

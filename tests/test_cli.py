@@ -22,7 +22,7 @@ class TestGenerateSolveRoundEvaluate:
                     "--seed", 7, "--out", inst]) == 0
         meta = read_json(str(inst) + ".json")
         assert meta["problem"] == "signed"
-        assert run(["solve", "--in", inst, "--solver", "pierra", "--out", res]) == 0
+        assert run(["solve", "--in", inst, "--out", res]) == 0
         report = read_json(str(res) + ".json")["report"]
         assert report["termination"] == "converged" and report["gap"] is None
         out = tmp_path / "comm.json"
@@ -39,7 +39,7 @@ class TestGenerateSolveRoundEvaluate:
         assert run(["generate", "--problem", "maxcut", "--n", 12, "--eta", 0.0,
                     "--delta", 1.0, "--seed", 1, "--out", inst]) == 0
         assert (tmp_path / "mc.full.coo").exists()
-        assert run(["solve", "--in", inst, "--solver", "bm", "--out", res]) == 0
+        assert run(["solve", "--in", inst, "--out", res]) == 0
         report = read_json(str(res) + ".json")["report"]
         assert report["gap"] <= 1e-7 * (1.0 + abs(report["objective"]))
         out = tmp_path / "cut.json"
@@ -57,18 +57,22 @@ class TestGenerateSolveRoundEvaluate:
         res = tmp_path / "syres"
         assert run(["generate", "--problem", "sync", "--n", 20, "--sigma", 0.0,
                     "--seed", 3, "--out", inst]) == 0
-        assert run(["solve", "--in", inst, "--solver", "bm", "--out", res]) == 0
+        assert run(["solve", "--in", inst, "--out", res]) == 0
         out = tmp_path / "ph.json"
         assert run(["round", "--in", res, "--mode", "phases", "--out", out]) == 0
         ev = tmp_path / "ev.json"
         assert run(["evaluate", "--in", out, "--instance", inst, "--out", ev]) == 0
         assert read_json(ev)["mse"] < 1e-6
 
-    def test_bm_rejected_for_box_constraints(self, tmp_path):
-        inst = tmp_path / "inst"
-        run(["generate", "--problem", "signed", "--n", 8, "--k", 2, "--seed", 0,
-             "--out", inst])
-        assert run(["solve", "--in", inst, "--solver", "bm", "--out", tmp_path / "r"]) == 2
+    def test_sidecar_solver_follows_the_constraint_set(self, tmp_path):
+        expected = {"community": "pierra", "signed": "pierra", "sync": "bm", "maxcut": "bm"}
+        for problem, solver in expected.items():
+            inst, res = tmp_path / problem, tmp_path / (problem + "res")
+            assert run(["generate", "--problem", problem, "--n", 8, "--seed", 0,
+                        "--out", inst]) == 0
+            assert run(["solve", "--in", inst, "--out", res]) == 0
+            side = read_json(str(res) + ".json")
+            assert side["solver"] == side["report"]["solver"] == solver, problem
 
     def test_unknown_config_key_is_invalid_input(self, tmp_path, capsys):
         inst = tmp_path / "inst"
@@ -78,6 +82,16 @@ class TestGenerateSolveRoundEvaluate:
         cfg.write_text(json.dumps({"max_iter": 3}))
         assert run(["solve", "--in", inst, "--config", cfg, "--out", tmp_path / "r"]) == 2
         assert "max_iter" in capsys.readouterr().err
+        assert not (tmp_path / "r.coo").exists()
+
+    def test_non_numeric_config_value_is_invalid_input(self, tmp_path, capsys):
+        inst = tmp_path / "inst"
+        run(["generate", "--problem", "signed", "--n", 8, "--k", 2, "--seed", 0,
+             "--out", inst])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_iters": "5"}))
+        assert run(["solve", "--in", inst, "--config", cfg, "--out", tmp_path / "r"]) == 2
+        assert "max_iters" in capsys.readouterr().err
         assert not (tmp_path / "r.coo").exists()
 
     def test_missing_instance_is_invalid_input(self, tmp_path):
@@ -137,6 +151,12 @@ class TestEvaluateBounds:
     def test_bound_missing_inputs(self, tmp_path):
         assert run(["evaluate", "--bound", "sync_excess", "--n", 10,
                     "--out", tmp_path / "b.json"]) == 2
+
+    def test_no_bound_and_no_inputs(self, tmp_path, capsys):
+        assert run(["evaluate", "--out", tmp_path / "e.json"]) == 2
+        err = capsys.readouterr().err
+        assert "--in" in err and "--instance" in err
+        assert not (tmp_path / "e.json").exists()
 
 
 class TestFixedPointCommand:
@@ -222,7 +242,7 @@ class TestDeterminism:
         outputs = []
         for name in ("r1", "r2"):
             res = tmp_path / name
-            run(["solve", "--in", inst, "--solver", "bm", "--out", res])
+            run(["solve", "--in", inst, "--out", res])
             cut = tmp_path / (name + "cut.json")
             run(["round", "--in", res, "--mode", "cut", "--instance", inst,
                  "--samples", 50, "--seed", 5, "--out", cut])

@@ -60,7 +60,7 @@ class TestCliRemainingPaths:
         inst, res = tmp_path / "c", tmp_path / "cres"
         assert run(["generate", "--problem", "community", "--n", 14, "--k", 2,
                     "--p", 0.95, "--q", 0.05, "--seed", 2, "--out", inst]) == 0
-        assert run(["solve", "--in", inst, "--solver", "pierra", "--out", res]) == 0
+        assert run(["solve", "--in", inst, "--out", res]) == 0
         out = tmp_path / "lbl.json"
         assert run(["round", "--in", res, "--mode", "communities", "--k", 2,
                     "--out", out]) == 0
@@ -68,15 +68,15 @@ class TestCliRemainingPaths:
         assert run(["evaluate", "--in", out, "--instance", inst, "--out", ev]) == 0
         assert read_json(ev)["ari"] == 1.0
 
-    def test_sync_and_maxcut_with_pierra_solver(self, tmp_path):
+    def test_sync_and_maxcut_default_solver(self, tmp_path):
         sy, res = tmp_path / "sy", tmp_path / "syres"
         run(["generate", "--problem", "sync", "--n", 10, "--sigma", 0.1,
              "--seed", 1, "--out", sy])
-        assert run(["solve", "--in", sy, "--solver", "pierra", "--out", res]) == 0
+        assert run(["solve", "--in", sy, "--out", res]) == 0
         mc, mcres = tmp_path / "mc", tmp_path / "mcres"
         run(["generate", "--problem", "maxcut", "--n", 10, "--eta", 0.0,
              "--delta", 1.0, "--seed", 1, "--out", mc])
-        assert run(["solve", "--in", mc, "--solver", "pierra", "--out", mcres]) == 0
+        assert run(["solve", "--in", mc, "--out", mcres]) == 0
         out = tmp_path / "cut.json"
         assert run(["round", "--in", mcres, "--mode", "cut", "--instance", mc,
                     "--samples", 50, "--out", out]) == 0
@@ -86,7 +86,7 @@ class TestCliRemainingPaths:
         mc, mcres = tmp_path / "mc", tmp_path / "r"
         run(["generate", "--problem", "maxcut", "--n", 8, "--eta", 0.0,
              "--delta", 1.0, "--seed", 0, "--out", mc])
-        run(["solve", "--in", mc, "--solver", "bm", "--out", mcres])
+        run(["solve", "--in", mc, "--out", mcres])
         out = tmp_path / "cut.json"
         assert run(["round", "--in", mcres, "--mode", "cut",
                     "--graph", str(mc) + ".full.coo", "--samples", 20,

@@ -10,6 +10,7 @@ from graphsdp.estimators import (
 from graphsdp.linalg import InvalidInputError
 from graphsdp.metrics import ari, brute_force_maxcut, sync_mse
 from graphsdp.models import SsbmParams, SyncParams, gen_sbm, gen_ssbm, gen_sync
+from graphsdp.solvers import BmConfig, bm_solve, pierra_community, pierra_signed
 
 
 class TestParamsProtocol:
@@ -72,3 +73,36 @@ class TestMaxCutEstimator:
         opt, _ = brute_force_maxcut(A0)
         assert est.cut_value_ >= 0.878 * opt - 1.0
         assert set(np.unique(est.cut_vector_)) <= {-1, 1}
+
+
+class TestSolvesThroughTheProblemTable:
+    """Each estimator's solution is the direct solver call's, bit for bit."""
+
+    def test_signed_and_community(self):
+        signed = gen_ssbm(SsbmParams(n=12, n_clusters=2, p=0.8, q=0.2, delta=0.8), seed=4)
+        est = SdpSignedClustering(alpha=signed.params["alpha"]).fit(signed.observed)
+        Z, report = pierra_signed(signed.observed, signed.params["alpha"])
+        assert np.array_equal(est.denoised_, Z)
+        assert est.report_.objective == report.objective
+        com = gen_sbm(12, 2, 0.8, 0.2, seed=4)
+        est = SdpCommunityClustering(lam=com.params["lam"]).fit(com.observed)
+        Z, report = pierra_community(com.observed, com.params["lam"])
+        assert np.array_equal(est.denoised_, Z)
+        assert est.report_.objective == report.objective
+
+    def test_sync(self):
+        inst = gen_sync(SyncParams(n=12, sigma=0.3), seed=4)
+        est = SdpAngularSynchronization(seed=2).fit(inst.observed)
+        _, Z, report = bm_solve(inst.observed, "max", BmConfig(seed=2))
+        assert np.array_equal(est.gram_, Z)
+        assert est.report_.objective == report.objective
+
+    def test_maxcut_reports_the_maximization_of_minus_a(self):
+        rng = np.random.default_rng(4)
+        A = np.triu((rng.random((12, 12)) < 0.5).astype(float), 1)
+        A = A + A.T
+        est = SdpMaxCut(seed=2).fit(A)
+        _, Z, report = bm_solve(A, "min", BmConfig(seed=2))
+        assert np.array_equal(est.gram_, Z)
+        assert (est.report_.iterations, est.report_.gap) == (report.iterations, report.gap)
+        assert est.report_.objective == -report.objective == float(np.vdot(-A, est.gram_))

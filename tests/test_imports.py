@@ -3,13 +3,6 @@ from pathlib import Path
 
 import graphsdp
 
-# metrics warm-starts the splitting engine for its localized inner solves;
-# ROADMAP item 4 (fixed point through a 1-D dual over BM) removes this.
-ALLOWED_PRIVATE_IMPORTS = {
-    ("metrics", "solvers", "_splitting_engine"),
-    ("metrics", "solvers", "_final_sweep"),
-}
-
 
 def private_imports():
     """(module, imported module, name) for every ``from .mod import _name``."""
@@ -23,4 +16,4 @@ def private_imports():
 
 
 def test_no_private_cross_module_imports():
-    assert private_imports() <= ALLOWED_PRIVATE_IMPORTS
+    assert private_imports() == set()

@@ -23,6 +23,7 @@ from graphsdp.solvers import (
     _bm_restart,
     _certificate,
     _escape,
+    _final_sweep,
     _set_projection,
     _splitting_engine,
     affine_halfspace,
@@ -252,6 +253,12 @@ class TestPierra:
             pierra_community(np.eye(2), 0.0)
         with pytest.raises(InvalidInputError):
             PierraConfig(epsilon=-1.0)
+        # JSON overrides can carry strings, lists or booleans
+        for bad in ({"max_iters": "5"}, {"max_iters": 5.0}, {"max_iters": True},
+                    {"feas_tol": "1e-7"}, {"obj_tol": None}, {"epsilon": [1.0]}):
+            with pytest.raises(InvalidInputError, match=next(iter(bad))):
+                PierraConfig(**bad)
+        assert PierraConfig(max_iters=np.int64(5), feas_tol=1, epsilon=None).max_iters == 5
 
     def test_signed_sweep_guard(self):
         inst = gen_ssbm(SsbmParams(n=100, n_clusters=5, p=0.8, q=0.2, delta=0.4), seed=0)
@@ -348,6 +355,26 @@ class TestPierra:
             cold.append(report.objective - offset)
         for (_, q), c in zip(est.quantile_curve, np.maximum.accumulate(cold)):
             assert abs(q - c) <= 1e-5 * (1 + abs(c))
+
+    def test_warm_started_solve_equals_the_engine(self):
+        # continuation over nested balls: the report's state, passed back as
+        # warm_start, runs the engine from that state, and the solve adds
+        # only the final sweep
+        inst = gen_ssbm(SsbmParams(n=10, n_clusters=2, p=0.9, q=0.1, delta=0.8), seed=1)
+        M = symmetrize(inst.observed - inst.params["alpha"])
+        config = PierraConfig()
+        _, first = pierra_solve(M, signed_atoms() + [l2_ball_around(np.eye(10), 1.0)], config)
+        atoms = signed_atoms() + [l2_ball_around(np.eye(10), 2.0)]
+        Z_hat, report = pierra_solve(M, atoms, config, warm_start=first.state)
+        Z, state, iterations, termination, trace = _splitting_engine(
+            M, atoms, config, X0=first.state)
+        assert np.array_equal(Z_hat, _final_sweep(atoms, Z))
+        assert (report.iterations, report.termination) == (iterations, termination)
+        assert report.converged
+        assert np.array_equal(report.objective_trace, trace)
+        assert report.objective == float(np.vdot(M, Z_hat))
+        assert all(np.array_equal(a, b) for a, b in zip(report.state, state))
+        assert "state" not in report.to_dict()
 
     def test_max_iters_reported(self):
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -570,5 +597,10 @@ class TestBm:
     def test_invalid(self):
         with pytest.raises(InvalidInputError):
             BmConfig(rank=0)
+        for bad in ({"rank": 2.0}, {"max_iters": "20"}, {"restarts": 1.5},
+                    {"seed": "0"}, {"seed": None}, {"grad_tol": "1e-7"}):
+            with pytest.raises(InvalidInputError, match=next(iter(bad))):
+                BmConfig(**bad)
+        assert BmConfig(rank=None, seed=np.int64(3), grad_tol=1).seed == 3
         with pytest.raises(InvalidInputError):
             bm_solve(np.eye(2), "ascend")
