@@ -129,8 +129,8 @@ def _cmd_round(args) -> int:
         write_json({"mode": "cut", "cut_vector": x, "best_cut": cut_value(graph, x),
                     "mean_cut": mean_cut}, out)
     elif args.mode == "communities":
-        assignment = extract_communities(Z, args.k, seed=args.seed)
-        write_json({"mode": "communities", "labels": assignment.labels}, out)
+        labels = extract_communities(Z, args.k, seed=args.seed)
+        write_json({"mode": "communities", "labels": labels}, out)
     else:  # phases
         x = extract_phases(Z)
         write_json({"mode": "phases", "phases": np.angle(x),
@@ -149,11 +149,11 @@ def _cmd_cluster(args) -> int:
     else:
         matrix, _ = PROBLEMS["signed"].solve(observed, meta["params"])
     K = args.k or meta["params"]["K"]
-    assignment = cluster_baseline(matrix, args.algo, K, seed=args.seed)
-    result = {"labels": assignment.labels, "algorithm": args.algo, "input": args.input}
+    labels = cluster_baseline(matrix, args.algo, K, seed=args.seed)
+    result = {"labels": labels, "algorithm": args.algo, "input": args.input}
     truth = meta.get("ground_truth")
     if truth is not None:
-        result.update(PROBLEMS["signed"].score(assignment.labels, truth))
+        result.update(PROBLEMS["signed"].score(labels, truth))
     write_json(result, args.out or "clusters.json")
     return EXIT_OK
 

@@ -72,7 +72,7 @@ class _SdpClustering(_SdpEstimatorBase):
         config = PierraConfig(epsilon=self.epsilon, max_iters=self.max_iters,
                               feas_tol=self.feas_tol, obj_tol=self.obj_tol)
         self.denoised_, self.report_ = PROBLEMS[problem].solve(A, params, config)
-        self.labels_ = extract_communities(self.denoised_, self.n_clusters, seed=self.seed).labels
+        self.labels_ = extract_communities(self.denoised_, self.n_clusters, seed=self.seed)
         return self
 
     def fit_predict(self, A, y=None):

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _rng
 from .fileio import GsetGraph, parse_gset, write_csv, write_json
-from .linalg import InvalidInputError
+from .linalg import InvalidInputError, check_fields
 from .metrics import estimate_fixed_point
 from .models import (
     SsbmParams,
@@ -66,12 +66,13 @@ class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
+        check_fields(self, {"experiment": str, "params": dict, "replicates": int, "seed": int,
+                            "full_scale": bool, "schema_version": int},
+                     positive=("replicates",), nonnegative=("seed",))
         if self.experiment not in EXPERIMENTS:
             raise InvalidInputError(
                 f"unknown experiment '{self.experiment}'; have {sorted(EXPERIMENTS)}"
             )
-        if self.replicates < 1:
-            raise InvalidInputError("replicates must be >= 1")
         if self.schema_version != SCHEMA_VERSION:
             raise InvalidInputError(f"unsupported schema_version {self.schema_version}")
         spec = EXPERIMENTS[self.experiment]
@@ -176,7 +177,7 @@ def _cell_signed_before_after(params, axes, replicate, seed_seq):
     K = params["K"]
 
     def gamma(matrix, algo):
-        labels = cluster_baseline(matrix, algo, K, seed).labels
+        labels = cluster_baseline(matrix, algo, K, seed)
         return signed.score(labels, inst.ground_truth)["gamma"]
 
     rows = []

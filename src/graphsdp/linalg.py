@@ -4,17 +4,19 @@ Everything downstream (solvers, rounding, spectral baselines) goes through
 these few primitives: eigendecomposition, PSD projection and top
 eigenvector extraction.  All matrices are plain numpy
 arrays; the helpers here validate and symmetrize instead of wrapping them
-in dedicated classes.
+in dedicated classes.  As the base every other module imports, it also
+holds the library's input error and the field check its config classes share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
 
 import numpy as np
 
 __all__ = [
-    "EigenDecomposition",
+    "InvalidInputError",
+    "check_fields",
     "check_square",
     "symmetrize",
     "is_hermitian",
@@ -27,6 +29,29 @@ __all__ = [
 
 class InvalidInputError(ValueError):
     """Raised on malformed numerical input (non-finite, wrong shape, ...)."""
+
+
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"),
+          bool: (bool, "true or false"), str: (str, "a string"), dict: (dict, "an object")}
+
+
+def check_fields(config, kinds: dict, positive=(), nonnegative=()) -> None:
+    """Reject a dataclass field whose value is not of its kind in ``kinds``
+    (int, float, bool, str or dict; a bool counts as no number), one in ``positive``
+    that is not > 0, or one in ``nonnegative`` that is < 0.  None passes where
+    it is the field's default.  Config files land here, so the message names
+    the field."""
+    for name, kind in kinds.items():
+        value = getattr(config, name)
+        if value is None and config.__dataclass_fields__[name].default is None:
+            continue
+        cls, noun = _KINDS[kind]
+        if (kind is not bool and isinstance(value, bool)) or not isinstance(value, cls):
+            raise InvalidInputError(f"{name} must be {noun}, got {value!r}")
+        if name in positive and value <= 0:
+            raise InvalidInputError(f"{name} must be > 0, got {value!r}")
+        if name in nonnegative and value < 0:
+            raise InvalidInputError(f"{name} must be >= 0, got {value!r}")
 
 
 def check_square(M: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -54,24 +79,13 @@ def is_hermitian(M: np.ndarray, tol: float = 1e-10) -> bool:
     return float(frobenius_norm(M - M.conj().T)) <= tol * scale
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Full spectrum of a (conjugate-)symmetric matrix, sorted descending.
-
-    ``values`` is real; ``vectors`` holds orthonormal columns so that
-    ``M = vectors @ diag(values) @ vectors.conj().T``.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def eigh_sorted(M: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a (conjugate-)symmetric matrix, eigenvalues descending."""
+def eigh_sorted(M: np.ndarray):
+    """Eigenpairs ``(w, V)`` of a (conjugate-)symmetric matrix, ``w`` real and
+    descending, ``V`` orthonormal columns with ``M = V @ diag(w) @ V*``."""
     M = check_square(M)
     w, V = np.linalg.eigh(symmetrize(M))
     order = np.argsort(w)[::-1]
-    return EigenDecomposition(values=w[order], vectors=V[:, order])
+    return w[order], V[:, order]
 
 
 def project_psd(M: np.ndarray) -> np.ndarray:
@@ -94,8 +108,7 @@ def top_eigenvector(M: np.ndarray, target_norm: float = 1.0) -> np.ndarray:
     real part (first such entry on ties).  For a degenerate top eigenspace
     any unit maximizer may be returned, with the same convention applied.
     """
-    dec = eigh_sorted(M)
-    v = dec.vectors[:, 0]
+    v = eigh_sorted(M)[1][:, 0]
     k = int(np.argmax(np.abs(v)))
     pivot = v[k]
     if abs(pivot) > 0:

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import _rng
 from .linalg import InvalidInputError, check_square, symmetrize
-from .models import CommunityAssignment
 from .solvers import (
     ConstraintAtom,
     PierraConfig,
@@ -48,15 +47,9 @@ __all__ = [
 K_GROTHENDIECK = 1.7822
 
 
-def _labels_of(a) -> np.ndarray:
-    if isinstance(a, CommunityAssignment):
-        return a.labels
-    return np.asarray(a, dtype=int)
-
-
 def ari(a, b) -> float:
     """Adjusted Rand Index between two partitions (permutation-model form)."""
-    la, lb = _labels_of(a), _labels_of(b)
+    la, lb = np.asarray(a, dtype=int), np.asarray(b, dtype=int)
     if la.shape != lb.shape:
         raise InvalidInputError("partition length mismatch")
     n = la.size
@@ -79,7 +72,7 @@ def ari(a, b) -> float:
     return float((sum_ij - expected) / (max_index - expected))
 
 
-def signed_error_rate(assignment, A_com: np.ndarray) -> float:
+def signed_error_rate(labels, A_com: np.ndarray) -> float:
     """Fraction of intra-cluster negative-edge and inter-cluster positive-edge
     violations against the complete +-1 ground-truth matrix, normalized by n^2.
 
@@ -87,11 +80,11 @@ def signed_error_rate(assignment, A_com: np.ndarray) -> float:
     combinatorial Laplacian (cut edges), the negative part directly
     (within-cluster negatives).  Self-loops never count as violations.
     """
-    labels = _labels_of(assignment)
+    labels = np.asarray(labels, dtype=int)
     A_com = check_square(np.asarray(A_com, dtype=float))
     n = A_com.shape[0]
     if labels.size != n:
-        raise InvalidInputError("assignment length mismatch")
+        raise InvalidInputError("labels length mismatch")
     off = A_com.copy()
     np.fill_diagonal(off, 0.0)
     if np.any(np.abs(off[np.abs(off) > 0]) != 1.0):

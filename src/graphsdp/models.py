@@ -19,13 +19,11 @@ from .linalg import InvalidInputError, frobenius_norm, symmetrize
 from .solvers import community_atoms, signed_atoms, unit_diag_atoms
 
 __all__ = [
-    "CommunityAssignment",
     "SsbmParams",
     "SyncParams",
     "ProblemInstance",
     "MaxCutInstance",
     "membership_matrix",
-    "oracle_membership",
     "oracle_sync",
     "default_sizes",
     "gen_sbm",
@@ -40,37 +38,10 @@ __all__ = [
 _FEAS_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class CommunityAssignment:
-    """Per-node community labels in [0, n_clusters)."""
-
-    labels: np.ndarray
-    n_clusters: int
-
-    def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=int)
-        object.__setattr__(self, "labels", labels)
-        if labels.ndim != 1 or labels.size == 0:
-            raise InvalidInputError("labels must be a non-empty 1-d array")
-        present = np.unique(labels)
-        if present.min() < 0 or present.max() >= self.n_clusters:
-            raise InvalidInputError("labels out of range")
-        if present.size != self.n_clusters:
-            raise InvalidInputError("every community must be non-empty")
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.n_clusters)
-
-
 def membership_matrix(labels: np.ndarray) -> np.ndarray:
     """0/1 matrix with a one wherever two nodes share a community."""
     labels = np.asarray(labels)
     return (labels[:, None] == labels[None, :]).astype(float)
-
-
-def oracle_membership(assignment: CommunityAssignment) -> np.ndarray:
-    return membership_matrix(assignment.labels)
 
 
 def oracle_sync(phases: np.ndarray) -> np.ndarray:

@@ -1,8 +1,10 @@
-"""Rounding: from solved SDP matrices back to cuts, clusters and phases."""
+"""Rounding: from solved SDP matrices back to cuts, clusters and phases.
+
+Every step takes the solved matrix as a numpy array and returns plain
+arrays: a +-1 cut vector, an integer label per node, or complex phases.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,11 +17,9 @@ from .linalg import (
     top_eigenvector,
 )
 from .metrics import cut_value
-from .models import CommunityAssignment
 from .signed import kmeans
 
 __all__ = [
-    "GramFactor",
     "factorize_gram",
     "gw_round",
     "expected_cut_closed_form",
@@ -29,39 +29,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GramFactor:
-    """Unit-norm rows X_i with X @ X* approximately the solved matrix."""
-
-    rows: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-    def gram(self) -> np.ndarray:
-        return self.rows @ self.rows.conj().T
-
-
-def factorize_gram(Z: np.ndarray) -> GramFactor:
-    """Eigendecomposition-based factor of a psd, unit-diagonal matrix.
+def factorize_gram(Z: np.ndarray) -> np.ndarray:
+    """Unit-norm rows X_i (an n x n array) with X @ X* approximately Z, for a
+    psd, unit-diagonal Z, from its eigendecomposition.
 
     Negative eigenvalues within tolerance are clamped to zero and the rows
     renormalized to unit length; a minimum eigenvalue below
     -1e-6 * ||Z||_F means the caller must project onto the psd cone first.
     """
     Z = check_square(Z)
-    dec = eigh_sorted(Z)
+    w, V = eigh_sorted(Z)
     floor = -1e-6 * max(frobenius_norm(Z), 1e-300)
-    if dec.values[-1] < floor:
+    if w[-1] < floor:
         raise InvalidInputError(
-            f"matrix is not psd to tolerance (min eigenvalue {dec.values[-1]:.3e})"
+            f"matrix is not psd to tolerance (min eigenvalue {w[-1]:.3e})"
         )
-    w = np.maximum(dec.values, 0.0)
-    X = dec.vectors * np.sqrt(w)
+    X = V * np.sqrt(np.maximum(w, 0.0))
     norms = np.linalg.norm(X, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
-    return GramFactor(rows=X / norms)
+    return X / norms
 
 
 def gw_round(Z: np.ndarray, graph: np.ndarray, n_samples: int, seed: int = 0):
@@ -75,12 +61,12 @@ def gw_round(Z: np.ndarray, graph: np.ndarray, n_samples: int, seed: int = 0):
     """
     if n_samples < 1:
         raise InvalidInputError("n_samples must be >= 1")
-    factor = factorize_gram(Z)
-    if np.iscomplexobj(factor.rows):
+    rows = factorize_gram(Z)
+    if np.iscomplexobj(rows):
         raise InvalidInputError("hyperplane rounding expects a real factor")
     rng = _rng.stream(seed, _rng.STREAM_SOLVER)
-    g = rng.standard_normal((n_samples, factor.rows.shape[1]))
-    x = np.where(g @ factor.rows.T >= 0, 1.0, -1.0)
+    g = rng.standard_normal((n_samples, rows.shape[1]))
+    x = np.where(g @ rows.T >= 0, 1.0, -1.0)
     cuts = cut_value(graph, x)
     return x[int(np.argmax(cuts))].astype(int), float(cuts.mean())
 
@@ -115,9 +101,9 @@ def spectral_sync(A: np.ndarray) -> np.ndarray:
     return np.where(mod > 0, v / safe, 1.0 + 0.0j)
 
 
-def extract_communities(Z: np.ndarray, K: int, seed: int = 0,
-                        restarts: int = 10) -> CommunityAssignment:
-    """Cluster the rows of the top-K spectral embedding of the solved matrix.
+def extract_communities(Z: np.ndarray, K: int, seed: int = 0) -> np.ndarray:
+    """Labels in [0, K) from k-means on the rows of the top-K spectral
+    embedding of the solved matrix.
 
     Eigenvectors are scaled by sqrt(max(eigenvalue, 0)) before k-means.
     """
@@ -125,7 +111,6 @@ def extract_communities(Z: np.ndarray, K: int, seed: int = 0,
     n = Z.shape[0]
     if K > n:
         raise InvalidInputError("K must be <= n")
-    dec = eigh_sorted(Z)
-    scale = np.sqrt(np.maximum(dec.values[:K], 0.0))
-    embedding = np.real(dec.vectors[:, :K]) * scale
-    return kmeans(embedding, K, restarts=restarts, seed=seed)
+    w, V = eigh_sorted(Z)
+    embedding = np.real(V[:, :K]) * np.sqrt(np.maximum(w[:K], 0.0))
+    return kmeans(embedding, K, seed=seed)

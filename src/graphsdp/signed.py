@@ -5,21 +5,18 @@ clustering on the adjacency or one of the signed Laplacians, and the
 balanced-normalized-cut relaxation.  Self-loops are ignored throughout
 (degrees and Laplacians are built from the off-diagonal part), and isolated
 nodes follow the pseudo-inverse convention: their normalized-embedding rows
-are zero.
+are zero.  Every clustering returns its labels as an integer array, numbered
+by first appearance.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _rng
 from .linalg import InvalidInputError, check_square, eigh_sorted, symmetrize
-from .models import CommunityAssignment
 
 __all__ = [
-    "SignedLaplacians",
     "signed_laplacians",
     "kmeans",
     "kmeans_inertia",
@@ -34,15 +31,7 @@ __all__ = [
 SPECTRAL_VARIANTS = ("adjacency", "lbar", "lbar_rw", "lbar_sym")
 BASELINES = SPECTRAL_VARIANTS + ("bnc",)
 
-
-@dataclass(frozen=True)
-class SignedLaplacians:
-    """Signed degree and Laplacian family of a (possibly weighted) signed graph."""
-
-    dbar: np.ndarray        # absolute degrees, self-loops excluded
-    lbar: np.ndarray        # combinatorial: diag(dbar) - A_offdiag
-    lbar_rw: np.ndarray     # random walk: I - Dbar^{-1} A_offdiag
-    lbar_sym: np.ndarray    # symmetric: I - Dbar^{-1/2} A_offdiag Dbar^{-1/2}
+_KMEANS_RESTARTS = 10    # seeded k-means++ starts; the lowest inertia wins
 
 
 def _offdiag(A: np.ndarray) -> np.ndarray:
@@ -58,16 +47,21 @@ def _pinv_vec(d: np.ndarray, power: float) -> np.ndarray:
     return out
 
 
-def signed_laplacians(A: np.ndarray) -> SignedLaplacians:
+def _signed_degrees(A: np.ndarray):
+    """The symmetrized off-diagonal part of ``A`` and its absolute degrees."""
     A = _offdiag(symmetrize(A))
-    dbar = np.abs(A).sum(axis=1)
+    return A, np.abs(A).sum(axis=1)
+
+
+def signed_laplacians(A: np.ndarray):
+    """``(dbar, lbar, lbar_sym)`` of a (possibly weighted) signed graph: the
+    absolute degrees, the combinatorial ``diag(dbar) - A`` and the symmetric
+    ``I - Dbar^{-1/2} A Dbar^{-1/2}``, all on the off-diagonal part of A."""
+    A, dbar = _signed_degrees(A)
     lbar = np.diag(dbar) - A
-    inv = _pinv_vec(dbar, -1.0)
     inv_sqrt = _pinv_vec(dbar, -0.5)
-    n = A.shape[0]
-    lbar_rw = np.eye(n) - inv[:, None] * A
-    lbar_sym = np.eye(n) - (inv_sqrt[:, None] * A) * inv_sqrt[None, :]
-    return SignedLaplacians(dbar=dbar, lbar=lbar, lbar_rw=lbar_rw, lbar_sym=lbar_sym)
+    lbar_sym = np.eye(A.shape[0]) - (inv_sqrt[:, None] * A) * inv_sqrt[None, :]
+    return dbar, lbar, lbar_sym
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +115,9 @@ def _lloyd(points, centers, max_rounds=300):
     return labels, inertia
 
 
-def kmeans(points: np.ndarray, K: int, restarts: int = 10, seed: int = 0) -> CommunityAssignment:
-    """Seeded k-means (k-means++ init, Lloyd rounds, best inertia over restarts)."""
+def kmeans(points: np.ndarray, K: int, seed: int = 0) -> np.ndarray:
+    """Seeded k-means (k-means++ init, Lloyd rounds, best inertia over
+    ``_KMEANS_RESTARTS`` starts); labels in [0, K), numbered by first appearance."""
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
@@ -130,17 +125,16 @@ def kmeans(points: np.ndarray, K: int, restarts: int = 10, seed: int = 0) -> Com
     if K < 1 or K > n:
         raise InvalidInputError("need 1 <= K <= n")
     if K == 1:
-        return CommunityAssignment(labels=np.zeros(n, dtype=int), n_clusters=1)
+        return np.zeros(n, dtype=int)
     root = _rng.seed_sequence(seed, _rng.STREAM_SOLVER)
     best = None
-    for child in root.spawn(restarts):
+    for child in root.spawn(_KMEANS_RESTARTS):
         rng = np.random.default_rng(child)
         centers = _kmeanspp_init(points, K, rng)
         labels, inertia = _lloyd(points, centers.copy())
         if best is None or inertia < best[1]:
             best = (labels, inertia)
-    labels = _canonical_labels(best[0], K)
-    return CommunityAssignment(labels=labels, n_clusters=K)
+    return _canonical_labels(best[0], K)
 
 
 def _canonical_labels(labels: np.ndarray, K: int) -> np.ndarray:
@@ -158,13 +152,14 @@ def _canonical_labels(labels: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
-def kmeans_inertia(points: np.ndarray, assignment: CommunityAssignment) -> float:
+def kmeans_inertia(points: np.ndarray, labels: np.ndarray) -> float:
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
+    labels = np.asarray(labels)
     total = 0.0
-    for k in range(assignment.n_clusters):
-        members = points[assignment.labels == k]
+    for k in np.unique(labels):
+        members = points[labels == k]
         total += float(np.sum((members - members.mean(axis=0)) ** 2))
     return total
 
@@ -175,37 +170,28 @@ def kmeans_inertia(points: np.ndarray, assignment: CommunityAssignment) -> float
 
 def _embedding(A: np.ndarray, variant: str, K: int) -> np.ndarray:
     A = check_square(np.asarray(A, dtype=float))
-    laps = signed_laplacians(A)
     if variant == "adjacency":
-        dec = eigh_sorted(symmetrize(A))
-        return np.real(dec.vectors[:, :K])
+        return np.real(eigh_sorted(symmetrize(A))[1][:, :K])
+    if variant not in SPECTRAL_VARIANTS:
+        raise InvalidInputError(f"unknown spectral variant '{variant}'")
+    dbar, lbar, lbar_sym = signed_laplacians(A)
     if variant == "lbar":
-        dec = eigh_sorted(laps.lbar)
-        return np.real(dec.vectors[:, -K:])
-    if variant == "lbar_sym":
-        dec = eigh_sorted(laps.lbar_sym)
-        emb = np.real(dec.vectors[:, -K:])
-        emb[laps.dbar == 0] = 0.0
-        return emb
+        return np.real(eigh_sorted(lbar)[1][:, -K:])
+    emb = np.real(eigh_sorted(lbar_sym)[1][:, -K:])
     if variant == "lbar_rw":
         # generalized pair (Lbar, Dbar) via the symmetric form; v = Dbar^{-1/2} w
-        dec = eigh_sorted(laps.lbar_sym)
-        w = np.real(dec.vectors[:, -K:])
-        emb = _pinv_vec(laps.dbar, -0.5)[:, None] * w
-        emb[laps.dbar == 0] = 0.0
-        return emb
-    raise InvalidInputError(f"unknown spectral variant '{variant}'")
+        emb = _pinv_vec(dbar, -0.5)[:, None] * emb
+    emb[dbar == 0] = 0.0
+    return emb
 
 
-def spectral_cluster(A: np.ndarray, variant: str, K: int, seed: int = 0,
-                     restarts: int = 10) -> CommunityAssignment:
+def spectral_cluster(A: np.ndarray, variant: str, K: int, seed: int = 0) -> np.ndarray:
     """Cluster rows of a K-dimensional spectral embedding of the signed graph.
 
     ``adjacency`` embeds with the top-K eigenvectors (largest eigenvalues);
     the Laplacian variants use the bottom-K.
     """
-    emb = _embedding(A, variant, K)
-    return kmeans(emb, K, restarts=restarts, seed=seed)
+    return kmeans(_embedding(A, variant, K), K, seed=seed)
 
 
 def _positive_part_laplacian(A: np.ndarray):
@@ -215,40 +201,40 @@ def _positive_part_laplacian(A: np.ndarray):
     return np.diag(d_plus) - off  # D+ - A = L+ + A-
 
 
-def bnc_cluster(A: np.ndarray, K: int, seed: int = 0, restarts: int = 10) -> CommunityAssignment:
+def bnc_cluster(A: np.ndarray, K: int, seed: int = 0) -> np.ndarray:
     """Balanced-normalized-cut relaxation: K smallest generalized eigenvectors
     of (D+ - A, Dbar), rows normalized, then k-means."""
     A = check_square(np.asarray(A, dtype=float))
-    laps = signed_laplacians(A)
+    _, dbar = _signed_degrees(A)
     lhs = _positive_part_laplacian(A)
-    inv_sqrt = _pinv_vec(laps.dbar, -0.5)
+    inv_sqrt = _pinv_vec(dbar, -0.5)
     sym = symmetrize((inv_sqrt[:, None] * lhs) * inv_sqrt[None, :])
-    dec = eigh_sorted(sym)
-    w = np.real(dec.vectors[:, -K:])
+    w = np.real(eigh_sorted(sym)[1][:, -K:])
     emb = inv_sqrt[:, None] * w
-    emb[laps.dbar == 0] = 0.0
+    emb[dbar == 0] = 0.0
     norms = np.linalg.norm(emb, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     emb = emb / norms
-    return kmeans(emb, K, restarts=restarts, seed=seed)
+    return kmeans(emb, K, seed=seed)
 
 
-def cluster_baseline(A: np.ndarray, algo: str, K: int, seed: int = 0) -> CommunityAssignment:
+def cluster_baseline(A: np.ndarray, algo: str, K: int, seed: int = 0) -> np.ndarray:
     """Run one baseline by name: a spectral variant or ``bnc``."""
     if algo == "bnc":
         return bnc_cluster(A, K, seed=seed)
     return spectral_cluster(A, algo, K, seed=seed)
 
 
-def bnc_objective(A: np.ndarray, assignment: CommunityAssignment) -> float:
+def bnc_objective(A: np.ndarray, labels: np.ndarray) -> float:
     """sum_c x_c' (D+ - A) x_c / x_c' Dbar x_c over the cluster indicators."""
     A = check_square(np.asarray(A, dtype=float))
-    laps = signed_laplacians(A)
+    _, dbar = _signed_degrees(A)
     lhs = _positive_part_laplacian(A)
+    labels = np.asarray(labels)
     total = 0.0
-    for k in range(assignment.n_clusters):
-        x = (assignment.labels == k).astype(float)
-        denom = float(x @ (laps.dbar * x))
+    for k in np.unique(labels):
+        x = (labels == k).astype(float)
+        denom = float(x @ (dbar * x))
         num = float(x @ lhs @ x)
         if denom > 0:
             total += num / denom

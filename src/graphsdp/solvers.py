@@ -24,7 +24,6 @@ Two solver families cover every program in the library:
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional, Sequence
@@ -33,6 +32,7 @@ import numpy as np
 
 from .linalg import (
     InvalidInputError,
+    check_fields,
     check_square,
     frobenius_norm,
     project_psd,
@@ -219,21 +219,6 @@ _PROJECTIONS = {
 # configuration and reporting
 
 
-def _check_fields(config, integers, reals, positive):
-    """Reject a field that is not an integer / a real number, or one in ``positive``
-    that is not > 0 (None passes where it is the default); JSON overrides land here."""
-    for name in integers + reals:
-        value = getattr(config, name)
-        if value is None and config.__dataclass_fields__[name].default is None:
-            continue
-        kind, noun = ((numbers.Integral, "an integer") if name in integers
-                      else (numbers.Real, "a real number"))
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise InvalidInputError(f"{name} must be {noun}, got {value!r}")
-        if name in positive and value <= 0:
-            raise InvalidInputError(f"{name} must be > 0, got {value!r}")
-
-
 @dataclass(frozen=True)
 class PierraConfig:
     """ADMM knobs.
@@ -254,8 +239,8 @@ class PierraConfig:
     obj_tol: float = 1e-9
 
     def __post_init__(self):
-        reals = ("epsilon", "feas_tol", "obj_tol")
-        _check_fields(self, ("max_iters",), reals, positive=reals)
+        kinds = {"epsilon": float, "max_iters": int, "feas_tol": float, "obj_tol": float}
+        check_fields(self, kinds, positive=kinds)
 
 
 @dataclass(frozen=True)
@@ -277,8 +262,10 @@ class BmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_fields(self, ("rank", "max_iters", "restarts", "seed"), ("grad_tol",),
-                      positive=("rank", "restarts"))
+        check_fields(self, {"rank": int, "max_iters": int, "grad_tol": float,
+                            "restarts": int, "seed": int},
+                     positive=("rank", "max_iters", "grad_tol", "restarts"),
+                     nonnegative=("seed",))
 
 
 _TRACE_ENTRIES = 1000    # most objective_trace entries a serialized report holds

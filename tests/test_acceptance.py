@@ -144,12 +144,12 @@ def test_03_gw_identity_chain():
         A0 = random_graph(n, 0.5, seed=300)
         Z = sample_feasible("maxcut", n, rng)
         n_samples = 10_000
-        factor = factorize_gram(Z)
+        rows = factorize_gram(Z)
         sampler = _rng.stream(400, _rng.STREAM_SOLVER)
         values = np.empty(n_samples)
         for k in range(n_samples):
-            g = sampler.standard_normal(factor.rows.shape[1])
-            x = np.where(factor.rows @ g >= 0, 1.0, -1.0)
+            g = sampler.standard_normal(rows.shape[1])
+            x = np.where(rows @ g >= 0, 1.0, -1.0)
             values[k] = cut_value(A0, x)
         se = values.std(ddof=1) / np.sqrt(n_samples)
         closed = expected_cut_closed_form(A0, Z)

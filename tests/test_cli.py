@@ -94,6 +94,17 @@ class TestGenerateSolveRoundEvaluate:
         assert "max_iters" in capsys.readouterr().err
         assert not (tmp_path / "r.coo").exists()
 
+    def test_out_of_range_config_value_is_invalid_input(self, tmp_path, capsys):
+        inst = tmp_path / "inst"
+        run(["generate", "--problem", "signed", "--n", 8, "--k", 2, "--seed", 0,
+             "--out", inst])
+        cfg = tmp_path / "cfg.json"
+        for bad in ({"max_iters": -5}, {"max_iters": 0}, {"grad_tol": -1}, {"seed": -1}):
+            cfg.write_text(json.dumps(bad))
+            assert run(["solve", "--in", inst, "--config", cfg, "--out", tmp_path / "r"]) == 2
+            assert next(iter(bad)) in capsys.readouterr().err
+            assert not (tmp_path / "r.coo").exists()
+
     def test_missing_instance_is_invalid_input(self, tmp_path):
         assert run(["solve", "--in", tmp_path / "nope", "--out", tmp_path / "r"]) == 2
 
@@ -193,6 +204,14 @@ class TestExperimentCommand:
                                    "params": {"n": 8, "level_grd": [0.5]}}))
         assert run(["experiment", "--config", cfg, "--out", tmp_path / "x"]) == 2
         assert "level_grd" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_non_integer_replicates_is_invalid_input(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"experiment": "sync_heatmap_gaussian",
+                                   "params": {"n": 8}, "replicates": "2"}))
+        assert run(["experiment", "--config", cfg, "--out", tmp_path / "x"]) == 2
+        assert "replicates must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
 

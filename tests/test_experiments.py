@@ -16,6 +16,14 @@ class TestConfig:
         with pytest.raises(InvalidInputError):
             ExperimentConfig(experiment="sync_heatmap_gaussian", replicates=0)
 
+    def test_field_types(self):
+        # a config file can put any JSON value in any field
+        for bad in ({"replicates": "2"}, {"replicates": 2.0}, {"seed": True}, {"seed": -1},
+                    {"full_scale": 1}, {"params": [["n", 30]]}, {"schema_version": "1"},
+                    {"experiment": ["sync_heatmap_gaussian"]}):
+            with pytest.raises(InvalidInputError, match=next(iter(bad))):
+                ExperimentConfig.from_dict({"experiment": "sync_heatmap_gaussian", **bad})
+
     def test_round_trip(self):
         cfg = ExperimentConfig(experiment="sync_heatmap_gaussian",
                                params={"n": 30}, replicates=2, seed=5)

@@ -29,16 +29,16 @@ class TestEigh:
     def test_sorted_descending_and_reconstructs(self):
         rng = np.random.default_rng(0)
         M = random_symmetric(7, rng)
-        dec = eigh_sorted(M)
-        assert np.all(np.diff(dec.values) <= 1e-12)
-        err = frobenius_norm((dec.vectors * dec.values) @ dec.vectors.conj().T - M)
+        w, V = eigh_sorted(M)
+        assert np.all(np.diff(w) <= 1e-12)
+        err = frobenius_norm((V * w) @ V.conj().T - M)
         assert err <= 1e-8 * (1 + frobenius_norm(M))
 
     def test_columns_orthonormal(self):
         rng = np.random.default_rng(1)
         M = random_symmetric(9, rng, complex_valued=True)
-        dec = eigh_sorted(M)
-        gram = dec.vectors.conj().T @ dec.vectors
+        _, V = eigh_sorted(M)
+        gram = V.conj().T @ V
         assert np.max(np.abs(gram - np.eye(9))) <= 1e-10
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from graphsdp.linalg import InvalidInputError
 from graphsdp.models import (
-    CommunityAssignment,
     SsbmParams,
     SyncParams,
     apply_mask,
@@ -13,17 +12,12 @@ from graphsdp.models import (
     gen_ssbm,
     gen_sync,
     membership_matrix,
-    oracle_membership,
     oracle_sync,
     sample_feasible,
 )
 
 
 class TestTypes:
-    def test_assignment_requires_nonempty_communities(self):
-        with pytest.raises(InvalidInputError):
-            CommunityAssignment(labels=np.array([0, 0, 0]), n_clusters=2)
-
     def test_membership_matrix(self):
         M = membership_matrix(np.array([0, 0, 1]))
         assert np.array_equal(M, np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=float))
@@ -54,11 +48,6 @@ class TestTypes:
 
 
 class TestOracles:
-    def test_membership_oracle(self):
-        a = CommunityAssignment(labels=np.array([0, 0, 1]), n_clusters=2)
-        assert np.array_equal(oracle_membership(a),
-                              np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=float))
-
     def test_equal_phases_give_all_ones(self):
         Z = oracle_sync(np.zeros(4))
         assert np.allclose(Z, np.ones((4, 4)))

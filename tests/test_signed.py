@@ -20,14 +20,14 @@ from graphsdp.signed import (
 class TestSignedLaplacians:
     def test_positive_edge(self):
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
-        laps = signed_laplacians(A)
-        assert np.array_equal(laps.lbar, np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        _, lbar, _ = signed_laplacians(A)
+        assert np.array_equal(lbar, np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
     def test_negative_edge_hand_computation(self):
         A = np.array([[0.0, -1.0], [-1.0, 0.0]])
-        laps = signed_laplacians(A)
-        assert np.array_equal(laps.lbar, np.array([[1.0, 1.0], [1.0, 1.0]]))
-        vals = np.linalg.eigvalsh(laps.lbar)
+        _, lbar, _ = signed_laplacians(A)
+        assert np.array_equal(lbar, np.array([[1.0, 1.0], [1.0, 1.0]]))
+        vals = np.linalg.eigvalsh(lbar)
         assert np.allclose(sorted(vals), [0.0, 2.0], atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -35,29 +35,28 @@ class TestSignedLaplacians:
         rng = np.random.default_rng(seed)
         A = rng.choice([-1.0, 0.0, 1.0], size=(12, 12), p=[0.3, 0.4, 0.3])
         A = np.triu(A, 1) + np.triu(A, 1).T
-        laps = signed_laplacians(A)
-        assert np.linalg.eigvalsh(laps.lbar).min() >= -1e-9
+        _, lbar, _ = signed_laplacians(A)
+        assert np.linalg.eigvalsh(lbar).min() >= -1e-9
 
     def test_self_loops_ignored(self):
         A = np.array([[5.0, 1.0], [1.0, -2.0]])
-        laps = signed_laplacians(A)
-        assert np.array_equal(laps.dbar, np.array([1.0, 1.0]))
+        dbar, _, _ = signed_laplacians(A)
+        assert np.array_equal(dbar, np.array([1.0, 1.0]))
 
     def test_isolated_node_pseudo_inverse(self):
         A = np.zeros((3, 3))
         A[0, 1] = A[1, 0] = 1.0
-        laps = signed_laplacians(A)
-        assert np.all(np.isfinite(laps.lbar_rw))
-        assert np.all(np.isfinite(laps.lbar_sym))
+        _, _, lbar_sym = signed_laplacians(A)
+        assert np.all(np.isfinite(lbar_sym))
 
 
 class TestKmeans:
     def test_two_separated_clouds(self):
         pts = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 10.0], [10.1, 10.0]])
         got = kmeans(pts, 2, seed=0)
-        assert got.labels[0] == got.labels[1]
-        assert got.labels[2] == got.labels[3]
-        assert got.labels[0] != got.labels[2]
+        assert got[0] == got[1]
+        assert got[2] == got[3]
+        assert got[0] != got[2]
 
     def test_single_cluster_inertia_is_total_scatter(self):
         rng = np.random.default_rng(1)
@@ -69,7 +68,7 @@ class TestKmeans:
     def test_matches_exhaustive_partition_search(self):
         pts = np.array([0.0, 1.0, 10.0, 11.0])
         got = kmeans(pts, 2, seed=0)
-        assert got.labels.tolist() == [0, 0, 1, 1]
+        assert got.tolist() == [0, 0, 1, 1]
         assert kmeans_inertia(pts, got) == pytest.approx(1.0)
         # brute-force oracle over all 2-subsets
         best = np.inf
@@ -84,8 +83,8 @@ class TestKmeans:
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         pts = rng.standard_normal((30, 2))
-        a = kmeans(pts, 3, seed=7).labels
-        b = kmeans(pts, 3, seed=7).labels
+        a = kmeans(pts, 3, seed=7)
+        b = kmeans(pts, 3, seed=7)
         assert np.array_equal(a, b)
 
     def test_k_larger_than_n(self):
@@ -114,7 +113,7 @@ class TestSpectralCluster:
         A_perm = A[np.ix_(perm, perm)]
         a = spectral_cluster(A, "adjacency", 3, seed=0)
         b = spectral_cluster(A_perm, "adjacency", 3, seed=0)
-        assert ari(a.labels[perm], b.labels) == pytest.approx(1.0)
+        assert ari(a[perm], b) == pytest.approx(1.0)
 
     def test_unknown_variant(self):
         with pytest.raises(InvalidInputError):
@@ -131,20 +130,18 @@ class TestBnc:
     def test_k1_single_cluster(self):
         inst = gen_ssbm(SsbmParams(n=8, n_clusters=2, p=0.9, q=0.1, delta=0.8), seed=1)
         got = bnc_cluster(inst.observed, 1, seed=0)
-        assert got.n_clusters == 1
+        assert got.tolist() == [0] * 8
 
     def test_beats_random_partitions(self):
         inst = gen_ssbm(SsbmParams(n=12, n_clusters=3, p=0.8, q=0.2, delta=0.9), seed=5)
         got = bnc_cluster(inst.observed, 3, seed=0)
         obj = bnc_objective(inst.observed, got)
         rng = np.random.default_rng(0)
-        from graphsdp.models import CommunityAssignment
         for _ in range(50):
             labels = rng.integers(0, 3, 12)
             if len(np.unique(labels)) < 3:
                 continue
-            rand = CommunityAssignment(labels=labels, n_clusters=3)
-            assert obj <= bnc_objective(inst.observed, rand) + 1e-9
+            assert obj <= bnc_objective(inst.observed, labels) + 1e-9
 
 
 def test_kmeans_inertia_non_increasing_over_lloyd_rounds():

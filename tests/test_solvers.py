@@ -255,7 +255,8 @@ class TestPierra:
             PierraConfig(epsilon=-1.0)
         # JSON overrides can carry strings, lists or booleans
         for bad in ({"max_iters": "5"}, {"max_iters": 5.0}, {"max_iters": True},
-                    {"feas_tol": "1e-7"}, {"obj_tol": None}, {"epsilon": [1.0]}):
+                    {"feas_tol": "1e-7"}, {"obj_tol": None}, {"epsilon": [1.0]},
+                    {"max_iters": -5}, {"max_iters": 0}):
             with pytest.raises(InvalidInputError, match=next(iter(bad))):
                 PierraConfig(**bad)
         assert PierraConfig(max_iters=np.int64(5), feas_tol=1, epsilon=None).max_iters == 5
@@ -598,7 +599,8 @@ class TestBm:
         with pytest.raises(InvalidInputError):
             BmConfig(rank=0)
         for bad in ({"rank": 2.0}, {"max_iters": "20"}, {"restarts": 1.5},
-                    {"seed": "0"}, {"seed": None}, {"grad_tol": "1e-7"}):
+                    {"seed": "0"}, {"seed": None}, {"grad_tol": "1e-7"},
+                    {"max_iters": 0}, {"grad_tol": -1}, {"grad_tol": 0.0}, {"seed": -1}):
             with pytest.raises(InvalidInputError, match=next(iter(bad))):
                 BmConfig(**bad)
         assert BmConfig(rank=None, seed=np.int64(3), grad_tol=1).seed == 3
