@@ -27,10 +27,10 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(seed_sequence(seed, *key))
 
 
-def cell_seed_sequence(master_seed: int, grid_index: int, replicate: int) -> np.random.SeedSequence:
-    """Stable per-cell stream for experiment grids.
+def cell_seed(master_seed: int, grid_index: int, replicate: int) -> int:
+    """Stable integer seed of one experiment cell.
 
     Keyed by (grid index, replicate) so extending a grid or adding
     replicates never perturbs existing cells.
     """
-    return seed_sequence(master_seed, grid_index, replicate)
+    return int(seed_sequence(master_seed, grid_index, replicate).generate_state(1)[0])

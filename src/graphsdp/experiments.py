@@ -8,12 +8,15 @@ generate -> solve -> round -> evaluate pipeline for its problem, and writes
 * ``<out>.json``      the full configuration echo plus summary fields.
 
 Per-cell seeds derive from (master seed, flat grid index, replicate), so
-grids can be extended without perturbing existing cells, and rows are
-emitted sorted by (grid point, replicate) so a worker pool never changes
-the output bytes.  Solver failures are recorded in the row's status column
-and never abort a sweep.  The fixed-point curve is the one experiment whose
-replicates are pooled by its estimator: it writes the quantile curve as
-both tables.
+grids can be extended without perturbing existing cells.  Rows come in task
+order (grid points as written, replicates within each), whatever the number
+of worker threads.  The runner frames every row with its grid point,
+replicate and seed; a cell only generates, solves, rounds and scores.  An
+exception in a cell becomes one row with status ``error:<ExceptionName>``
+and never aborts a sweep.  Config ``params`` are checked by name and by the
+kind of their default before anything runs.  The fixed-point curve is the
+one experiment whose replicates are pooled by its estimator: it writes the
+quantile curve as both tables.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import _rng
 from .fileio import GsetGraph, parse_gset, write_csv, write_json
-from .linalg import InvalidInputError, check_fields
+from .linalg import InvalidInputError, check_fields, check_value
 from .metrics import estimate_fixed_point
 from .models import (
     SsbmParams,
@@ -76,11 +79,15 @@ class ExperimentConfig:
         if self.schema_version != SCHEMA_VERSION:
             raise InvalidInputError(f"unsupported schema_version {self.schema_version}")
         spec = EXPERIMENTS[self.experiment]
-        unknown = set(self.params) - {*spec.desk_defaults, *spec.full_defaults, *spec.optional}
+        defaults = {**spec.full_defaults, **spec.desk_defaults}
+        kinds = {**spec.optional, **{name: type(v) for name, v in defaults.items()}}
+        unknown = set(self.params) - set(kinds)
         if unknown:
             raise InvalidInputError(
                 f"unknown params {sorted(unknown)} for experiment '{self.experiment}'"
             )
+        for name, value in self.params.items():
+            check_value(f"param '{name}'", value, kinds[name])
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -104,13 +111,13 @@ class _ExperimentSpec:
     """A sweep: one cell per (grid point, replicate), aggregated per group."""
 
     header: tuple
-    cell_fn: object           # (params, axes, replicate, seed_seq) -> [rows]
+    cell_fn: object           # (params, grid point, seed) -> [metric columns + status]
     desk_defaults: dict
     full_defaults: dict
     grid_axes: tuple = ()     # parameter names iterated as a cartesian grid
-    group_cols: tuple = ()    # aggregation keys
+    group_cols: tuple = ()    # aggregation keys, the grid point's names first
     value_cols: tuple = ()    # numeric outputs to aggregate
-    optional: tuple = ()      # params the cells read that have no default
+    optional: dict = field(default_factory=dict)   # {name: kind} of params without a default
     setup: object = dict      # params -> params for the cells, run once
 
     def complete(self, params):
@@ -119,28 +126,25 @@ class _ExperimentSpec:
     def run(self, config, params, threads):
         """Every cell of the sweep: (rows, agg header, agg rows, sidecar fields)."""
         params = self.setup(params)
-        grids = [list(params[axis]) for axis in self.grid_axes]
-        for axis, grid in zip(self.grid_axes, grids):
-            if not grid:
-                raise InvalidInputError(f"grid '{axis}' must be non-empty")
-        tasks = [(gi, axes, rep) for gi, axes in enumerate(product(*grids))
+        tasks = [(axes, rep, _rng.cell_seed(config.seed, gi, rep))
+                 for gi, axes in enumerate(product(*(params[a] for a in self.grid_axes)))
                  for rep in range(config.replicates)]
 
         def run_task(task):
-            gi, axes, rep = task
-            seed_seq = _rng.cell_seed_sequence(config.seed, gi, rep)
-            return self.cell_fn(params, axes, rep, seed_seq)
+            axes, rep, seed = task
+            frame = {**dict(zip(self.group_cols, axes)), "replicate": rep, "seed": seed}
+            try:
+                rows = self.cell_fn(params, axes, seed)
+            except Exception as exc:  # one failed cell never aborts the sweep
+                rows = [{"status": f"error:{type(exc).__name__}"}]
+            return [{**frame, **row} for row in rows]
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(run_task, tasks))
+                results = list(pool.map(run_task, tasks))   # in task order
         else:
             results = [run_task(t) for t in tasks]
         rows = [row for chunk in results for row in chunk]
-        sort_cols = list(self.group_cols) + ["replicate"]
-        if self.group_cols == ("algorithm",):
-            sort_cols = ["replicate", "algorithm"]
-        rows.sort(key=lambda row: tuple(row.get(c) for c in sort_cols))
         agg_header, agg_rows = _aggregate(self, rows)
         n_ok = sum(1 for r in rows if r.get("status") == "ok")
         return rows, agg_header, agg_rows, {"rows": len(rows), "rows_ok": n_ok}
@@ -152,7 +156,8 @@ class _FixedPointSpec:
 
     desk_defaults: dict
     full_defaults: dict
-    optional: tuple = ("p", "K", "q", "delta", "avg_degree", "graph_seed")
+    optional = {"p": float, "K": int, "q": float, "delta": float, "avg_degree": float,
+                "graph_seed": int}
     header = ("r", "quantile", "n_effective")
 
     def complete(self, params):
@@ -166,14 +171,21 @@ class _FixedPointSpec:
         return rows, self.header, rows, {"estimate": estimate.to_dict()}
 
 
-def _cell_signed_before_after(params, axes, replicate, seed_seq):
-    seed = int(seed_seq.generate_state(1)[0])
+def _cell_signed_before_after(params, axes, seed):
     ssbm = SsbmParams(
         n=params["n"], n_clusters=params["K"], p=params["p"], q=params["q"],
         delta=params["delta"],
     )
     inst = gen_ssbm(ssbm, seed=seed)
     signed = PROBLEMS["signed"]
+    # denoising needs only a moderately accurate solve
+    Z_hat, report = signed.solve(
+        inst.observed, inst.params,
+        PierraConfig(max_iters=params.get("max_iters", 20000),
+                     feas_tol=params.get("feas_tol", 1e-5),
+                     obj_tol=params.get("obj_tol", 1e-7)),
+    )
+    status = "ok" if report.converged else "solver_max_iters"
     K = params["K"]
 
     def gamma(matrix, algo):
@@ -181,34 +193,14 @@ def _cell_signed_before_after(params, axes, replicate, seed_seq):
         return signed.score(labels, inst.ground_truth)["gamma"]
 
     rows = []
-    before = {algo: gamma(inst.observed, algo) for algo in BASELINES}
-    status = "ok"
-    after = {}
-    try:
-        # denoising needs only a moderately accurate solve
-        Z_hat, report = signed.solve(
-            inst.observed, inst.params,
-            PierraConfig(max_iters=params.get("max_iters", 20000),
-                         feas_tol=params.get("feas_tol", 1e-5),
-                         obj_tol=params.get("obj_tol", 1e-7)),
-        )
-        if not report.converged:
-            status = "solver_max_iters"
-        for algo in BASELINES:
-            after[algo] = gamma(Z_hat, algo)
-    except Exception as exc:  # never abort the sweep
-        status = f"error:{type(exc).__name__}"
-    for algo in BASELINES:
-        row = {"replicate": replicate, "seed": seed, "algorithm": algo,
-               "gamma_before": before[algo], "status": status}
-        if algo in after:
-            row["gamma_after"] = after[algo]
-            row["gamma_delta"] = before[algo] - after[algo]
-        rows.append(row)
+    for algo in sorted(BASELINES):
+        before, after = gamma(inst.observed, algo), gamma(Z_hat, algo)
+        rows.append({"algorithm": algo, "gamma_before": before, "gamma_after": after,
+                     "gamma_delta": before - after, "status": status})
     return rows
 
 
-_BM_PARAMS = ("max_iters", "restarts")
+_BM_PARAMS = {"max_iters": int, "restarts": int}
 
 
 def _bm_config(params, seed):
@@ -226,22 +218,13 @@ def _round_maxcut(inst, params, seed):
     return x, mean_cut, "ok" if report.converged else "solver_max_iters"
 
 
-def _cell_maxcut_bipartite(params, axes, replicate, seed_seq):
+def _cell_maxcut_bipartite(params, axes, seed):
     eta, delta = axes
-    seed = int(seed_seq.generate_state(1)[0])
-    try:
-        inst = gen_bipartite_perturbed(params["n"], eta, delta, seed=seed)
-        x, mean_cut, status = _round_maxcut(inst, params, seed)
-        scores = PROBLEMS["maxcut"].score(x, inst.ground_truth_partition, inst.full_adjacency)
-        row = {
-            "eta": eta, "delta": delta, "replicate": replicate, "seed": seed,
-            "ari": scores["ari"], "best_cut": scores["cut_full"], "mean_cut": mean_cut,
-            "status": status,
-        }
-    except Exception as exc:
-        row = {"eta": eta, "delta": delta, "replicate": replicate, "seed": seed,
-               "status": f"error:{type(exc).__name__}"}
-    return [row]
+    inst = gen_bipartite_perturbed(params["n"], eta, delta, seed=seed)
+    x, mean_cut, status = _round_maxcut(inst, params, seed)
+    scores = PROBLEMS["maxcut"].score(x, inst.ground_truth_partition, inst.full_adjacency)
+    return [{"ari": scores["ari"], "best_cut": scores["cut_full"], "mean_cut": mean_cut,
+             "status": status}]
 
 
 def _synthetic_benchmark_graph(n: int, avg_degree: float, seed: int) -> np.ndarray:
@@ -267,49 +250,31 @@ def _benchmark_graph(params):
     return params
 
 
-def _cell_gset_sweep(params, axes, replicate, seed_seq):
+def _cell_gset_sweep(params, axes, seed):
     (delta,) = axes
-    seed = int(seed_seq.generate_state(1)[0])
     A0 = params["_adjacency"]
-    try:
-        x, _, status = _round_maxcut(apply_mask(A0, delta, seed=seed), params, seed)
-        row = {"delta": delta, "replicate": replicate, "seed": seed,
-               "cut_full": PROBLEMS["maxcut"].score(x, None, A0)["cut_full"],
-               "status": status}
-    except Exception as exc:
-        row = {"delta": delta, "replicate": replicate, "seed": seed,
-               "status": f"error:{type(exc).__name__}"}
-    return [row]
+    x, _, status = _round_maxcut(apply_mask(A0, delta, seed=seed), params, seed)
+    return [{"cut_full": PROBLEMS["maxcut"].score(x, None, A0)["cut_full"], "status": status}]
 
 
 def _cell_sync(noise_model):
-    def cell(params, axes, replicate, seed_seq):
+    def cell(params, axes, seed):
         level, sample_prob = axes
-        seed = int(seed_seq.generate_state(1)[0])
         kwargs = {"sigma": level} if noise_model == "gaussian" else {"sigma": 0.0, "gamma": level}
         sync = PROBLEMS["sync"]
-        try:
-            inst = gen_sync(
-                SyncParams(n=params["n"], noise_model=noise_model,
-                           sample_prob=sample_prob, **kwargs),
-                seed=seed,
-            )
-            Z_hat, report = sync.solve(inst.observed, inst.params,
-                                       bm_config=_bm_config(params, seed))
-            phases_sdp = np.angle(extract_phases(Z_hat))
-            phases_spec = np.angle(spectral_sync(inst.observed))
-            row = {
-                "level": level, "sample_prob": sample_prob,
-                "replicate": replicate, "seed": seed,
-                "mse_sdp": sync.score(phases_sdp, inst.ground_truth)["mse"],
-                "mse_spectral": sync.score(phases_spec, inst.ground_truth)["mse"],
-                "status": "ok" if report.converged else "solver_max_iters",
-            }
-        except Exception as exc:
-            row = {"level": level, "sample_prob": sample_prob,
-                   "replicate": replicate, "seed": seed,
-                   "status": f"error:{type(exc).__name__}"}
-        return [row]
+        inst = gen_sync(
+            SyncParams(n=params["n"], noise_model=noise_model, sample_prob=sample_prob,
+                       **kwargs),
+            seed=seed,
+        )
+        Z_hat, report = sync.solve(inst.observed, inst.params, bm_config=_bm_config(params, seed))
+        phases_sdp = np.angle(extract_phases(Z_hat))
+        phases_spec = np.angle(spectral_sync(inst.observed))
+        return [{
+            "mse_sdp": sync.score(phases_sdp, inst.ground_truth)["mse"],
+            "mse_spectral": sync.score(phases_spec, inst.ground_truth)["mse"],
+            "status": "ok" if report.converged else "solver_max_iters",
+        }]
     return cell
 
 
@@ -321,7 +286,7 @@ EXPERIMENTS = {
         header=("replicate", "seed", "algorithm", "gamma_before", "gamma_after",
                 "gamma_delta", "status"),
         cell_fn=_cell_signed_before_after,
-        optional=("max_iters", "feas_tol", "obj_tol"),
+        optional={"max_iters": int, "feas_tol": float, "obj_tol": float},
         desk_defaults={"n": 200, "K": 5, "p": 0.8, "q": 0.2, "delta": 0.3},
         full_defaults={"n": 200, "K": 5, "p": 0.8, "q": 0.2, "delta": 0.3},
     ),
@@ -345,7 +310,7 @@ EXPERIMENTS = {
         value_cols=("cut_full",),
         header=("delta", "replicate", "seed", "cut_full", "status"),
         cell_fn=_cell_gset_sweep,
-        optional=_BM_PARAMS + ("gset_path", "_adjacency"),
+        optional={**_BM_PARAMS, "gset_path": str, "_adjacency": np.ndarray},
         setup=_benchmark_graph,
         desk_defaults={"n": 150, "avg_degree": 12.0, "graph_seed": 53,
                        "delta_grid": [0.2, 0.5, 0.8, 1.0], "gw_samples": 100},

@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "InvalidInputError",
+    "check_value",
     "check_fields",
     "check_square",
     "symmetrize",
@@ -32,22 +33,33 @@ class InvalidInputError(ValueError):
 
 
 _KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"),
-          bool: (bool, "true or false"), str: (str, "a string"), dict: (dict, "an object")}
+          bool: (bool, "true or false"), str: (str, "a string"), dict: (dict, "an object"),
+          list: ((list, tuple), "a non-empty list of numbers"), np.ndarray: (np.ndarray, "an array")}
+
+
+def _is_kind(value, kind) -> bool:
+    if not isinstance(value, _KINDS[kind][0]) or (kind is not bool and isinstance(value, bool)):
+        return False
+    return kind is not list or (len(value) > 0 and all(_is_kind(v, float) for v in value))
+
+
+def check_value(name: str, value, kind) -> None:
+    """Reject ``value`` unless it is of ``kind``: int, float, bool, str, dict,
+    list (a non-empty one of real numbers) or ndarray.  A bool counts as no
+    number.  Config files land here, so the message names the value."""
+    if not _is_kind(value, kind):
+        raise InvalidInputError(f"{name} must be {_KINDS[kind][1]}, got {value!r}")
 
 
 def check_fields(config, kinds: dict, positive=(), nonnegative=()) -> None:
     """Reject a dataclass field whose value is not of its kind in ``kinds``
-    (int, float, bool, str or dict; a bool counts as no number), one in ``positive``
-    that is not > 0, or one in ``nonnegative`` that is < 0.  None passes where
-    it is the field's default.  Config files land here, so the message names
-    the field."""
+    (see :func:`check_value`), one in ``positive`` that is not > 0, or one in
+    ``nonnegative`` that is < 0.  None passes where it is the field's default."""
     for name, kind in kinds.items():
         value = getattr(config, name)
         if value is None and config.__dataclass_fields__[name].default is None:
             continue
-        cls, noun = _KINDS[kind]
-        if (kind is not bool and isinstance(value, bool)) or not isinstance(value, cls):
-            raise InvalidInputError(f"{name} must be {noun}, got {value!r}")
+        check_value(name, value, kind)
         if name in positive and value <= 0:
             raise InvalidInputError(f"{name} must be > 0, got {value!r}")
         if name in nonnegative and value < 0:

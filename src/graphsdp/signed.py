@@ -58,10 +58,12 @@ def signed_laplacians(A: np.ndarray):
     absolute degrees, the combinatorial ``diag(dbar) - A`` and the symmetric
     ``I - Dbar^{-1/2} A Dbar^{-1/2}``, all on the off-diagonal part of A."""
     A, dbar = _signed_degrees(A)
-    lbar = np.diag(dbar) - A
+    return dbar, np.diag(dbar) - A, _lbar_sym(A, dbar)
+
+
+def _lbar_sym(A: np.ndarray, dbar: np.ndarray) -> np.ndarray:
     inv_sqrt = _pinv_vec(dbar, -0.5)
-    lbar_sym = np.eye(A.shape[0]) - (inv_sqrt[:, None] * A) * inv_sqrt[None, :]
-    return dbar, lbar, lbar_sym
+    return np.eye(A.shape[0]) - (inv_sqrt[:, None] * A) * inv_sqrt[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +176,10 @@ def _embedding(A: np.ndarray, variant: str, K: int) -> np.ndarray:
         return np.real(eigh_sorted(symmetrize(A))[1][:, :K])
     if variant not in SPECTRAL_VARIANTS:
         raise InvalidInputError(f"unknown spectral variant '{variant}'")
-    dbar, lbar, lbar_sym = signed_laplacians(A)
+    A, dbar = _signed_degrees(A)   # build only the Laplacian the variant reads
     if variant == "lbar":
-        return np.real(eigh_sorted(lbar)[1][:, -K:])
-    emb = np.real(eigh_sorted(lbar_sym)[1][:, -K:])
+        return np.real(eigh_sorted(np.diag(dbar) - A)[1][:, -K:])
+    emb = np.real(eigh_sorted(_lbar_sym(A, dbar))[1][:, -K:])
     if variant == "lbar_rw":
         # generalized pair (Lbar, Dbar) via the symmetric form; v = Dbar^{-1/2} w
         emb = _pinv_vec(dbar, -0.5)[:, None] * emb

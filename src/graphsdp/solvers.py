@@ -125,28 +125,25 @@ def l2_ball_around(center: np.ndarray, radius: float) -> ConstraintAtom:
     return ConstraintAtom("l2_ball", matrix=np.asarray(center), bound=float(radius))
 
 
+# per-entry bounds of the entrywise atoms: (off-diagonal lo, hi, diagonal lo, hi)
+_ENTRY_BOUNDS = {
+    "nonneg": (0.0, np.inf, 0.0, np.inf),
+    "box01": (0.0, 1.0, 0.0, 1.0),
+    "diag_leq_one": (-np.inf, np.inf, -np.inf, 1.0),
+    "diag_eq_one": (-np.inf, np.inf, 1.0, 1.0),
+}
+
+
 def _proj_psd(_atom, Z):
     return project_psd(Z)
 
 
-def _proj_nonneg(_atom, Z):
-    return np.maximum(Z, 0.0)
-
-
-def _proj_box01(_atom, Z):
-    return np.clip(Z, 0.0, 1.0)
-
-
-def _proj_diag_leq_one(_atom, Z):
-    out = Z.copy()
-    d = np.diagonal(out).copy()
-    np.fill_diagonal(out, np.minimum(d, 1.0))
-    return out
-
-
-def _proj_diag_eq_one(_atom, Z):
-    out = Z.copy()
-    np.fill_diagonal(out, 1.0)
+def _proj_entrywise(atom, Z):
+    """Clip to the atom's ``_ENTRY_BOUNDS``: every entry to the off-diagonal
+    bounds where one is finite, then the real part of the diagonal to its own."""
+    lo, hi, diag_lo, diag_hi = _ENTRY_BOUNDS[atom.kind]
+    out = np.clip(Z, lo, hi) if np.isfinite([lo, hi]).any() else Z.copy()
+    np.fill_diagonal(out, np.clip(np.diagonal(out).real, diag_lo, diag_hi))
     return out
 
 
@@ -204,10 +201,7 @@ def _proj_l2_ball(atom, Z):
 
 _PROJECTIONS = {
     "psd": _proj_psd,
-    "nonneg": _proj_nonneg,
-    "box01": _proj_box01,
-    "diag_leq_one": _proj_diag_leq_one,
-    "diag_eq_one": _proj_diag_eq_one,
+    **{kind: _proj_entrywise for kind in _ENTRY_BOUNDS},
     "total_sum_leq": _proj_total_sum_leq,
     "affine_halfspace": _proj_affine_halfspace,
     "l1_ball": _proj_l1_ball,
@@ -320,13 +314,6 @@ _RHO_BALANCE = 10.0      # residual ratio that triggers a penalty change
 _DYKSTRA_PASSES = 1000
 _MULTIPLIER_STEPS = 100
 
-# per-entry bounds of the entrywise atoms: (off-diagonal lo, hi, diagonal lo, hi)
-_ENTRY_BOUNDS = {
-    "nonneg": (0.0, np.inf, 0.0, np.inf),
-    "box01": (0.0, 1.0, 0.0, 1.0),
-    "diag_leq_one": (-np.inf, np.inf, -np.inf, 1.0),
-    "diag_eq_one": (-np.inf, np.inf, 1.0, 1.0),
-}
 _HALFSPACES = ("total_sum_leq", "affine_halfspace")
 
 

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from graphsdp.cli import main
 from graphsdp.fileio import read_csv, read_json
 
@@ -213,6 +215,31 @@ class TestExperimentCommand:
         assert run(["experiment", "--config", cfg, "--out", tmp_path / "x"]) == 2
         assert "replicates must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("experiment, params, key", [
+        ("sync_heatmap_gaussian", {"n": "8", "level_grid": [0.1], "prob_grid": [1.0]}, "n"),
+        ("fixed_point_curve", {"n": "8"}, "n"),
+        ("sync_heatmap_gaussian", {"n": 8, "level_grid": 0.1}, "level_grid"),
+        ("maxcut_gset_sweep", {"n": 8, "max_iters": 1.5}, "max_iters"),
+    ])
+    def test_param_of_the_wrong_kind_is_invalid_input(self, tmp_path, capsys, experiment,
+                                                      params, key):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"experiment": experiment, "params": params,
+                                   "replicates": 1}))
+        assert run(["experiment", "--config", cfg, "--out", tmp_path / "x"]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_failing_cell_is_one_error_row(self, tmp_path):
+        # K > n fails in the generator: each cell is one error row, the sweep completes
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"experiment": "signed_before_after",
+                                   "params": {"n": 4, "K": 6}, "replicates": 2}))
+        assert run(["experiment", "--config", cfg, "--out", tmp_path / "x"]) == 0
+        _, rows = read_csv(str(tmp_path / "x.csv"))
+        assert [(r["replicate"], r["algorithm"], r["status"]) for r in rows] == \
+            [("0", "", "error:InvalidInputError"), ("1", "", "error:InvalidInputError")]
 
 
 class TestGsetCommand:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphsdp import _rng, experiments
 from graphsdp.experiments import ExperimentConfig, gset_sweep, run_experiment, run_grid
 from graphsdp.fileio import parse_gset, read_csv
 from graphsdp.linalg import InvalidInputError
@@ -23,6 +24,37 @@ class TestConfig:
                     {"experiment": ["sync_heatmap_gaussian"]}):
             with pytest.raises(InvalidInputError, match=next(iter(bad))):
                 ExperimentConfig.from_dict({"experiment": "sync_heatmap_gaussian", **bad})
+
+    def test_param_values_have_the_kind_of_their_default(self):
+        # desk/full defaults give the kind of a params key; optional keys have their own
+        for experiment, bad in (("sync_heatmap_gaussian", {"n": "8"}),
+                                ("sync_heatmap_gaussian", {"n": 8.0}),
+                                ("sync_heatmap_gaussian", {"n": True}),
+                                ("sync_heatmap_gaussian", {"level_grid": 0.1}),
+                                ("sync_heatmap_gaussian", {"level_grid": []}),
+                                ("sync_heatmap_gaussian", {"prob_grid": [1.0, "0.5"]}),
+                                ("sync_heatmap_gaussian", {"prob_grid": [True]}),
+                                ("sync_heatmap_outlier", {"restarts": "2"}),
+                                ("signed_before_after", {"feas_tol": "1e-5"}),
+                                ("signed_before_after", {"p": None}),
+                                ("maxcut_bipartite_heatmap", {"gw_samples": 10.0}),
+                                ("maxcut_gset_sweep", {"gset_path": 5}),
+                                ("maxcut_gset_sweep", {"_adjacency": [[0.0, 1.0], [1.0, 0.0]]}),
+                                ("fixed_point_curve", {"n": "8"}),
+                                ("fixed_point_curve", {"problem": 1}),
+                                ("fixed_point_curve", {"K": 2.0}),
+                                ("fixed_point_curve", {"graph_seed": False})):
+            with pytest.raises(InvalidInputError, match=f"'{next(iter(bad))}'"):
+                ExperimentConfig(experiment, params=bad)
+
+    def test_param_values_of_their_kind_pass(self):
+        # an integer is a real number; a grid may be a tuple
+        ExperimentConfig("sync_heatmap_gaussian",
+                         params={"n": 8, "level_grid": [0, 0.5], "prob_grid": (1,),
+                                 "max_iters": 100})
+        ExperimentConfig("fixed_point_curve", params={"p": 1, "K": 3, "graph_seed": 3})
+        ExperimentConfig("maxcut_gset_sweep",
+                         params={"_adjacency": np.zeros((3, 3)), "gset_path": "g.txt"})
 
     def test_round_trip(self):
         cfg = ExperimentConfig(experiment="sync_heatmap_gaussian",
@@ -127,6 +159,21 @@ class TestRunExperiment:
             replicates=2, seed=4,
         )
         assert run_grid(gset, threads=1) == run_grid(gset, threads=4)
+        # one task, many rows: the algorithms keep their order within each replicate
+        signed = ExperimentConfig(
+            experiment="signed_before_after",
+            params={"n": 30, "K": 2, "p": 0.9, "q": 0.1, "delta": 0.8},
+            replicates=2, seed=4,
+        )
+        assert run_grid(signed, threads=1) == run_grid(signed, threads=4)
+
+    def test_rows_follow_the_grid_as_written(self):
+        params = {"n": 12, "level_grid": [0.3, 0.0], "prob_grid": [1.0]}
+        rows, _ = run_grid(ExperimentConfig("sync_heatmap_gaussian", params=params,
+                                            replicates=1, seed=2))
+        assert [r["level"] for r in rows] == [0.3, 0.0]
+        # a cell's seed is keyed by its grid index, not by its value
+        assert [r["seed"] for r in rows] == [_rng.cell_seed(2, 0, 0), _rng.cell_seed(2, 1, 0)]
 
     def test_aggregate_matches_independent_reader(self, tmp_path):
         cfg = ExperimentConfig(
@@ -153,6 +200,40 @@ class TestRunExperiment:
         assert header == ["r", "quantile", "n_effective"]
         assert len(rows) == 3
         assert "estimate" in summary
+
+
+_GRID = {"n": 12, "level_grid": [0.0, 0.2], "prob_grid": [1.0]}
+
+
+@pytest.mark.parametrize("experiment, generator, params, fail_at, frame, n_rows", [
+    ("signed_before_after", "gen_ssbm",
+     {"n": 30, "K": 2, "p": 0.9, "q": 0.1, "delta": 0.8}, (0, 1), {}, 6),
+    ("maxcut_bipartite_heatmap", "gen_bipartite_perturbed",
+     {"n": 12, "eta_grid": [0.0, 0.1], "delta_grid": [1.0], "gw_samples": 10}, (1, 0),
+     {"eta": 0.1, "delta": 1.0}, 4),
+    ("maxcut_gset_sweep", "apply_mask",
+     {"n": 12, "avg_degree": 4.0, "delta_grid": [0.5, 1.0], "gw_samples": 10}, (1, 0),
+     {"delta": 1.0}, 4),
+    ("sync_heatmap_gaussian", "gen_sync", _GRID, (1, 0), {"level": 0.2, "sample_prob": 1.0}, 4),
+    ("sync_heatmap_outlier", "gen_sync", _GRID, (0, 1), {"level": 0.0, "sample_prob": 1.0}, 4),
+])
+def test_failed_cell_is_one_error_row(monkeypatch, experiment, generator, params, fail_at,
+                                      frame, n_rows):
+    """An exception in one cell's generator leaves one error row carrying the
+    cell's grid point, replicate and seed; the rest of the sweep runs."""
+    bad_seed = _rng.cell_seed(9, *fail_at)
+    generate = getattr(experiments, generator)
+
+    def failing(*args, **kwargs):
+        if kwargs["seed"] == bad_seed:
+            raise RuntimeError("injected failure")
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, generator, failing)
+    rows, _ = run_grid(ExperimentConfig(experiment, params=params, replicates=2, seed=9))
+    assert len(rows) == n_rows
+    assert [row for row in rows if row["status"] != "ok"] == [
+        {**frame, "replicate": fail_at[1], "seed": bad_seed, "status": "error:RuntimeError"}]
 
 
 class TestGsetSweep:

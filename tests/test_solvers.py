@@ -68,6 +68,10 @@ class TestAtomProjections:
         Z = np.array([[2.0, -1.0], [-1.0, 2.0]])
         assert np.array_equal(box01().project(Z), np.eye(2))
 
+    def test_nonneg_clamps_every_entry(self):
+        Z = np.array([[-2.0, 0.5], [-1.0, 3.0]])
+        assert np.array_equal(nonneg().project(Z), np.array([[0.0, 0.5], [0.0, 3.0]]))
+
     def test_diag_eq_one(self):
         assert np.array_equal(diag_eq_one().project(np.diag([3.0, 5.0])), np.eye(2))
 
