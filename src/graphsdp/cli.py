@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import ExperimentConfig, fixed_point_curve, run_experiment, run_grid
+from .experiments import ExperimentConfig, fixed_point_curve, run_experiment, write_sweep
 from .fileio import (
     dump_matrix,
     load_matrix,
@@ -211,11 +211,7 @@ def _cmd_gset(args) -> int:
                                   seed=args.seed, params={
                                       "gset_path": args.infile, "gw_samples": args.samples,
                                       "delta_grid": _float_list(args.delta_grid)})
-        rows, agg = run_grid(config, threads=args.threads)
-        out = args.out or "gset_sweep"
-        write_csv(out + ".csv", ("delta", "replicate", "seed", "cut_full", "status"), rows)
-        write_csv(out + ".agg.csv",
-                  ("delta", "count", "mean_cut_full", "std_cut_full"), agg)
+        write_sweep(config, args.out or "gset_sweep", threads=args.threads)
         return EXIT_OK
     graph = parse_gset(Path(args.infile).read_text())
     info = {"n": graph.n, "m": graph.m, "average_degree": graph.average_degree}

@@ -49,6 +49,7 @@ __all__ = [
     "ExperimentConfig",
     "EXPERIMENTS",
     "run_experiment",
+    "write_sweep",
     "run_grid",
     "gset_sweep",
     "fixed_point_curve",
@@ -437,21 +438,29 @@ def _fixed_point_problem(params):
     raise InvalidInputError(f"fixed_point_curve does not support problem '{problem}'")
 
 
-def run_experiment(config: ExperimentConfig, out_prefix, threads: int = 1) -> dict:
-    """Run a sweep and persist CSV results plus a JSON sidecar.
-
-    Returns a summary dict (also written into the sidecar).
-    """
+def write_sweep(config: ExperimentConfig, out_prefix, threads: int = 1):
+    """Run a sweep and write its rows to ``<out_prefix>.csv`` and the
+    aggregate to ``<out_prefix>.agg.csv``, under the headers the experiment
+    declares.  Returns (resolved params, sidecar fields)."""
     out_prefix = str(out_prefix)
     spec = EXPERIMENTS[config.experiment]
     params = config.resolved_params()
     rows, agg_header, agg_rows, fields = spec.run(config, params, threads)
     write_csv(out_prefix + ".csv", spec.header, rows)
     write_csv(out_prefix + ".agg.csv", agg_header, agg_rows)
+    return params, fields
+
+
+def run_experiment(config: ExperimentConfig, out_prefix, threads: int = 1) -> dict:
+    """Run a sweep and persist CSV results plus a JSON sidecar.
+
+    Returns a summary dict (also written into the sidecar).
+    """
+    params, fields = write_sweep(config, out_prefix, threads)
     public_params = {k: v for k, v in params.items() if not k.startswith("_")}
     sidecar = {"config": config.to_dict(), "schema_version": SCHEMA_VERSION,
                "resolved_params": public_params, **fields}
-    write_json(sidecar, out_prefix + ".json")
+    write_json(sidecar, str(out_prefix) + ".json")
     return sidecar
 
 

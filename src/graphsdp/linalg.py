@@ -1,8 +1,12 @@
 """Dense symmetric / Hermitian linear algebra kernels.
 
 Everything downstream (solvers, rounding, spectral baselines) goes through
-these few primitives: eigendecomposition, PSD projection and top
-eigenvector extraction.  All matrices are plain numpy
+these few primitives: eigendecomposition, PSD projection, the distance to
+the psd cone and top eigenvector extraction.  Each computes only the
+spectral data its callers read: ``eigh_sorted`` and ``project_psd`` need
+every eigenvector, while ``psd_residual`` reads eigenvalues only and
+``top_eigenvector`` reads the eigenvalues and solves one shifted system per
+inverse-iteration step.  All matrices are plain numpy
 arrays; the helpers here validate and symmetrize instead of wrapping them
 in dedicated classes.  As the base every other module imports, it also
 holds the library's input error and the field check its config classes share.
@@ -23,6 +27,7 @@ __all__ = [
     "is_hermitian",
     "eigh_sorted",
     "project_psd",
+    "psd_residual",
     "top_eigenvector",
     "frobenius_norm",
 ]
@@ -113,14 +118,67 @@ def project_psd(M: np.ndarray) -> np.ndarray:
     return (out + out.conj().T) / 2
 
 
+def psd_residual(M: np.ndarray) -> float:
+    """``||project_psd(M) - M||_F`` from the eigenvalues alone.
+
+    With H = (M + M*)/2 and K = (M - M*)/2 the difference is
+    ``-V diag(min(w, 0)) V* - K`` for the eigenpairs ``(w, V)`` of H.  A
+    Hermitian and an anti-Hermitian matrix are orthogonal in the real
+    Frobenius inner product, so its norm is ``sqrt(||min(w, 0)||^2 + ||K||^2)``,
+    exact for non-Hermitian input too.
+    """
+    M = check_square(M)
+    Mh = M.conj().T
+    w = np.linalg.eigvalsh((M + Mh) / 2)
+    return float(np.hypot(np.linalg.norm(w[w < 0]), frobenius_norm(M - Mh) / 2))
+
+
+# inverse iteration in top_eigenvector: shift above lambda_max in units of
+# n * eps * max|w| (the eigenvalue's roundoff), residual bound relative to
+# 1 + max|w|, and steps before giving up.  A start vector orthogonal to the
+# top eigenvector gains its component from the first solve's roundoff and
+# needs all three steps.
+_SHIFT = 4.0
+_EIGVEC_TOL = 1e-10
+_MAX_STEPS = 3
+
+
+def _start_vector(n: int) -> np.ndarray:
+    """The fixed inverse-iteration start ``(sin 1, ..., sin n)``, unit norm:
+    no entry vanishes and it is no eigenvector of a structured matrix (the
+    all-ones vector is one of every graph Laplacian)."""
+    s = np.sin(np.arange(1.0, n + 1.0))
+    return s / np.linalg.norm(s)
+
+
 def top_eigenvector(M: np.ndarray, target_norm: float = 1.0) -> np.ndarray:
     """Eigenvector of the largest eigenvalue, scaled to ``target_norm``.
+
+    ``lambda_max`` comes from ``eigvalsh`` of the symmetrized input H, the
+    vector from inverse iteration with ``(lambda_max + d) I - H`` from a
+    fixed start, ``d = 4 n eps max|w|`` (``4 n eps`` when H = 0).  A step is
+    accepted once ``||H v - lambda_max v|| <= 1e-10 (1 + max|w|)``; when none
+    of 3 steps is, ``np.linalg.LinAlgError`` is raised.
 
     Sign/phase convention: the entry of largest modulus gets a non-negative
     real part (first such entry on ties).  For a degenerate top eigenspace
     any unit maximizer may be returned, with the same convention applied.
     """
-    v = eigh_sorted(M)[1][:, 0]
+    H = symmetrize(M)
+    n = H.shape[0]
+    w = np.linalg.eigvalsh(H)
+    lam, scale = w[-1], max(abs(w[0]), abs(w[-1]))
+    A = -H
+    A.flat[:: n + 1] += lam + _SHIFT * n * np.finfo(float).eps * (scale if scale > 0 else 1.0)
+    v = _start_vector(n)
+    for _ in range(_MAX_STEPS):
+        v = np.linalg.solve(A, v)
+        v /= np.linalg.norm(v)
+        if np.linalg.norm(H @ v - lam * v) <= _EIGVEC_TOL * (1.0 + scale):
+            break
+    else:
+        raise np.linalg.LinAlgError(
+            f"inverse iteration found no top eigenvector in {_MAX_STEPS} steps")
     k = int(np.argmax(np.abs(v)))
     pivot = v[k]
     if abs(pivot) > 0:

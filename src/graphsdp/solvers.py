@@ -36,6 +36,7 @@ from .linalg import (
     check_square,
     frobenius_norm,
     project_psd,
+    psd_residual,
     symmetrize,
 )
 
@@ -78,6 +79,9 @@ class ConstraintAtom:
         return _PROJECTIONS[self.kind](self, Z)
 
     def residual(self, Z: np.ndarray) -> float:
+        """``||project(Z) - Z||_F``; the cone's from its eigenvalues alone."""
+        if self.kind == "psd":
+            return psd_residual(Z)
         return frobenius_norm(self.project(Z) - Z)
 
 

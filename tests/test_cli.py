@@ -1,9 +1,11 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
 from graphsdp.cli import main
+from graphsdp.experiments import EXPERIMENTS
 from graphsdp.fileio import read_csv, read_json
 
 
@@ -253,6 +255,28 @@ class TestGsetCommand:
                     "--replicates", 2, "--seed", 0, "--out", out]) == 0
         _, agg = read_csv(str(out) + ".agg.csv")
         assert float(agg[0]["mean_cut_full"]) == 4.0  # 4-cycle max cut
+
+    def test_sweep_writes_the_experiment_headers(self, tmp_path, monkeypatch):
+        # a column the experiment gains reaches the CLI's csv and aggregate
+        spec = EXPERIMENTS["maxcut_gset_sweep"]
+
+        def cell(params, axes, seed):
+            return [{**row, "edges": 4.0} for row in spec.cell_fn(params, axes, seed)]
+
+        monkeypatch.setitem(EXPERIMENTS, "maxcut_gset_sweep", dataclasses.replace(
+            spec, header=spec.header[:-1] + ("edges", "status"), cell_fn=cell,
+            value_cols=spec.value_cols + ("edges",)))
+        f = tmp_path / "g.gset"
+        f.write_text("4 4\n1 2 1\n2 3 1\n3 4 1\n4 1 1\n")
+        out = tmp_path / "sweep"
+        assert run(["gset", "--in", f, "--sweep", "--delta-grid", "1.0",
+                    "--replicates", 2, "--out", out]) == 0
+        header, rows = read_csv(str(out) + ".csv")
+        assert header == ["delta", "replicate", "seed", "cut_full", "edges", "status"]
+        assert [r["edges"] for r in rows] == ["4.0", "4.0"]
+        header, agg = read_csv(str(out) + ".agg.csv")
+        assert header[-2:] == ["mean_edges", "std_edges"]
+        assert float(agg[0]["mean_edges"]) == 4.0
 
     def test_malformed_file_exit_code(self, tmp_path):
         f = tmp_path / "bad.gset"

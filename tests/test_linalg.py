@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from graphsdp import linalg
 from graphsdp.linalg import (
     InvalidInputError,
     eigh_sorted,
     frobenius_norm,
     project_psd,
+    psd_residual,
     symmetrize,
     top_eigenvector,
 )
@@ -77,6 +79,69 @@ class TestProjectPsd:
             project_psd(M)
 
 
+def rotate(w, rng, complex_valued=False):
+    """A matrix with spectrum ``w`` and a random unitary eigenbasis."""
+    n = len(w)
+    G = rng.standard_normal((n, n))
+    if complex_valued:
+        G = G + 1j * rng.standard_normal((n, n))
+    Q, _ = np.linalg.qr(G)
+    return (Q * np.asarray(w, dtype=float)) @ Q.conj().T
+
+
+def orthogonal_to_start(n, rng, complex_valued):
+    """Rank one u u* with u orthogonal to the inverse-iteration start."""
+    s = linalg._start_vector(n)
+    u = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_valued else 0)
+    u = u - s * np.vdot(s, u)
+    u /= np.linalg.norm(u)
+    assert abs(np.vdot(s, u)) <= 1e-14
+    return np.outer(u, u.conj())
+
+
+class TestPsdResidual:
+    @pytest.mark.parametrize("case", ["real", "complex", "non_hermitian_real",
+                                      "non_hermitian_complex", "psd", "psd_complex", "zero"])
+    def test_equals_projection_distance(self, case):
+        rng = np.random.default_rng(len(case))
+        n = 12
+        if case in ("real", "complex"):
+            M = random_symmetric(n, rng, complex_valued=case == "complex")
+        elif case.startswith("non_hermitian"):
+            M = rng.standard_normal((n, n))
+            if case.endswith("complex"):
+                M = M + 1j * rng.standard_normal((n, n))
+        elif case.startswith("psd"):
+            X = rng.standard_normal((n, 4))
+            if case.endswith("complex"):
+                X = X + 1j * rng.standard_normal((n, 4))
+            M = X @ X.conj().T
+        else:
+            M = np.zeros((n, n))
+        expected = frobenius_norm(project_psd(M) - M)
+        assert abs(psd_residual(M) - expected) <= 1e-12 * (1.0 + frobenius_norm(M))
+        if case.startswith("non_hermitian"):
+            # the anti-Hermitian part is what a Hermitian projection cannot remove
+            assert psd_residual(M) >= frobenius_norm(M - M.conj().T) / 2
+        if case in ("psd", "psd_complex", "zero"):
+            assert psd_residual(M) <= 1e-12 * (1.0 + frobenius_norm(M))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(InvalidInputError):
+            psd_residual(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+
+def assert_top_eigenvector(M, v, target_norm=1.0):
+    """Unit top eigenvector up to the oracle test's residual bound, with the
+    sign convention on the entry of largest modulus."""
+    lam_oracle = np.linalg.eigvalsh(symmetrize(M)).max()
+    assert abs(np.linalg.norm(v) - target_norm) <= 1e-12 * target_norm
+    u = v / target_norm
+    assert np.linalg.norm(M @ u - lam_oracle * u) <= 1e-8 * (1 + frobenius_norm(M))
+    pivot = u[np.argmax(np.abs(u))]
+    assert pivot.real >= 0 and abs(pivot.imag) <= 1e-12
+
+
 class TestTopEigenvector:
     def test_rank_one(self):
         x = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -104,6 +169,35 @@ class TestTopEigenvector:
         x = np.array([0.8, -0.6])
         v = top_eigenvector(np.outer(x, x))
         assert v[np.argmax(np.abs(v))].real >= 0
+
+    @pytest.mark.parametrize("n", [2, 30, 200])
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_top_eigenvector_orthogonal_to_start(self, n, complex_valued):
+        M = orthogonal_to_start(n, np.random.default_rng(n), complex_valued)
+        assert_top_eigenvector(M, top_eigenvector(M, target_norm=np.sqrt(n)), np.sqrt(n))
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_hard_spectra(self, complex_valued):
+        rng = np.random.default_rng(11)
+        cases = {
+            "multiplicity_two": rotate([2.0, 2.0, 1.0, 0.0, -1.0, -2.0], rng, complex_valued),
+            "near_tie": rotate([1.0, 1.0 - 1e-12, 0.5, 0.0, -0.5, -1.0], rng, complex_valued),
+            "negative_top": rotate([-0.5, -1.0, -2.0, -3.0, -4.0, -5.0], rng, complex_valued),
+            "zero": np.zeros((6, 6), dtype=complex if complex_valued else float),
+            "one_by_one": np.array([[-3.0 + 0j if complex_valued else -3.0]]),
+        }
+        for name, M in cases.items():
+            v = top_eigenvector(M)
+            assert_top_eigenvector(M, v)
+            assert np.iscomplexobj(v) == complex_valued, name
+        assert np.array_equal(top_eigenvector(cases["one_by_one"]), [1.0])
+
+    def test_unverified_steps_raise(self, monkeypatch):
+        # a solve that never moves off the start vector never passes the
+        # residual check: an error, never an unverified vector
+        monkeypatch.setattr(linalg.np.linalg, "solve", lambda A, b: b)
+        with pytest.raises(np.linalg.LinAlgError):
+            top_eigenvector(np.diag([1.0, 2.0, 3.0]))
 
 
 def test_symmetrize_enforces_exact_symmetry():

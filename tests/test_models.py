@@ -3,6 +3,7 @@ import pytest
 
 from graphsdp.linalg import InvalidInputError
 from graphsdp.models import (
+    ProblemInstance,
     SsbmParams,
     SyncParams,
     apply_mask,
@@ -15,9 +16,19 @@ from graphsdp.models import (
     oracle_sync,
     sample_feasible,
 )
+from graphsdp.solvers import signed_atoms
 
 
 class TestTypes:
+    def test_instance_rejects_oracle_outside_psd_cone(self):
+        # in the box with a unit diagonal, but one eigenvalue is 1 - sqrt(2)
+        bad = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+        fields = dict(problem="signed", observed=bad, expected=bad, params={}, seed=0,
+                      ground_truth=np.zeros(3, dtype=int), atoms=tuple(signed_atoms()))
+        with pytest.raises(InvalidInputError, match="psd"):
+            ProblemInstance(oracle=bad, **fields)
+        ProblemInstance(oracle=np.ones((3, 3)), **fields)
+
     def test_membership_matrix(self):
         M = membership_matrix(np.array([0, 0, 1]))
         assert np.array_equal(M, np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=float))
