@@ -15,7 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import ExperimentConfig, fixed_point_curve, run_experiment, write_sweep
+from .experiments import (
+    EXPERIMENTS,
+    ExperimentConfig,
+    fixed_point_curve,
+    run_experiment,
+    write_sweep,
+)
 from .fileio import (
     dump_matrix,
     load_matrix,
@@ -190,7 +196,7 @@ def _cmd_fixed_point(args) -> int:
     params = {k: v for k, v in params.items() if v is not None}
     rows, estimate = fixed_point_curve(params, args.n_mc, args.seed)
     out = args.out or "fixed_point"
-    write_csv(out + ".csv", ("r", "quantile", "n_effective"), rows)
+    write_csv(out + ".csv", EXPERIMENTS["fixed_point_curve"].header, rows)
     write_json(estimate.to_dict(), out + ".json")
     return EXIT_OK
 

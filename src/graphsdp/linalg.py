@@ -4,9 +4,11 @@ Everything downstream (solvers, rounding, spectral baselines) goes through
 these few primitives: eigendecomposition, PSD projection, the distance to
 the psd cone and top eigenvector extraction.  Each computes only the
 spectral data its callers read: ``eigh_sorted`` and ``project_psd`` need
-every eigenvector, while ``psd_residual`` reads eigenvalues only and
+every eigenvector, ``psd_residual`` reads eigenvalues only,
 ``top_eigenvector`` reads the eigenvalues and solves one shifted system per
-inverse-iteration step.  All matrices are plain numpy
+inverse-iteration step, and ``has_cholesky`` answers "is this matrix psd up
+to a shift?" with one Cholesky factorization (n^3/3 flops, no eigensolver).
+All matrices are plain numpy
 arrays; the helpers here validate and symmetrize instead of wrapping them
 in dedicated classes.  As the base every other module imports, it also
 holds the library's input error and the field check its config classes share.
@@ -28,6 +30,7 @@ __all__ = [
     "eigh_sorted",
     "project_psd",
     "psd_residual",
+    "has_cholesky",
     "top_eigenvector",
     "frobenius_norm",
 ]
@@ -131,6 +134,23 @@ def psd_residual(M: np.ndarray) -> float:
     Mh = M.conj().T
     w = np.linalg.eigvalsh((M + Mh) / 2)
     return float(np.hypot(np.linalg.norm(w[w < 0]), frobenius_norm(M - Mh) / 2))
+
+
+def has_cholesky(M: np.ndarray, shift: float) -> bool:
+    """Whether the Hermitian part of M plus ``shift * I`` has a Cholesky factor.
+
+    A factor exists only for a positive definite matrix, up to the
+    factorization's backward error (of order ``n * eps * ||M||_2``), so a
+    True certifies ``lambda_min((M + M*)/2) >= -shift`` to that roundoff;
+    a False settles nothing about matrices near the boundary.
+    """
+    H = symmetrize(M)
+    H.flat[:: H.shape[0] + 1] += shift
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 # inverse iteration in top_eigenvector: shift above lambda_max in units of

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _rng
-from .linalg import InvalidInputError, frobenius_norm, symmetrize
+from .linalg import InvalidInputError, check_square, frobenius_norm, has_cholesky, symmetrize
 from .solvers import community_atoms, signed_atoms, unit_diag_atoms
 
 __all__ = [
@@ -130,6 +130,25 @@ class SyncParams:
         return 1.0 - self.gamma
 
 
+def _psd_certified(M: np.ndarray, bound: float) -> bool:
+    """Whether one Cholesky factor shows ``psd_residual(M) <= bound``.
+
+    With H and K the Hermitian and anti-Hermitian parts of the n x n matrix
+    M, ``psd_residual(M) = hypot(||min(w, 0)||, ||K||_F)`` over the
+    eigenvalues w of H.  A factor of ``H + tau I`` bounds each negative
+    eigenvalue by tau, so the residual is at most
+    ``hypot(sqrt(n) tau, ||K||_F)``.  ``sqrt(n) tau`` takes half of what K
+    leaves of the bound; the other half leaves room for the roundoff of the
+    factorization and of the eigenvalues that decide when there is no
+    factor.  A False settles nothing.
+    """
+    M = check_square(M)
+    anti = frobenius_norm(M - M.conj().T) / 2
+    if anti >= bound:
+        return False
+    return has_cholesky(M, np.sqrt(bound**2 - anti**2) / (2.0 * np.sqrt(M.shape[0])))
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """One generated observation with its exact population quantities."""
@@ -146,6 +165,8 @@ class ProblemInstance:
     def __post_init__(self):
         scale = 1.0 + frobenius_norm(self.oracle)
         for atom in self.atoms:
+            if atom.kind == "psd" and _psd_certified(self.oracle, _FEAS_TOL * scale):
+                continue
             resid = atom.residual(self.oracle) / scale
             if resid > _FEAS_TOL:
                 raise InvalidInputError(

@@ -35,6 +35,7 @@ from .linalg import (
     check_fields,
     check_square,
     frobenius_norm,
+    has_cholesky,
     project_psd,
     psd_residual,
     symmetrize,
@@ -287,7 +288,9 @@ class SolveReport:
     objective: float
     objective_trace: np.ndarray     # complete; ``to_dict`` thins it to 1000 entries
     residuals: dict = field(default_factory=dict)
-    # BM: certified bound on the distance from objective to optimum; None for splitting
+    # BM: certified bound on the distance from objective to optimum, from a
+    # Cholesky factor of the dual slack (2 n^2 eps ||S||_F) when that meets the
+    # stop target, else from its eigenvalues; None for splitting
     gap: Optional[float] = None
     # splitting: the end state (Z, U, rho), for ``pierra_solve(warm_start=...)``; not serialized
     state: Optional[tuple] = field(default=None, repr=False, compare=False)
@@ -684,31 +687,43 @@ def _bm_descend(C, Y, grad_tol, max_iters, step0, trace):
     return Y, CY, value, max_iters
 
 
-def _certificate(C, Y, CY):
+def _certificate(C, Y, CY, target):
     """Dual certificate of ``min <C, Z>`` over {Z psd, diag(Z) = 1} at Z = Y Y*.
 
     With lam = Re diag(C Z), ``S = C - Diag(lam)`` is dual feasible once it
     is psd, so ``n * max(0, -lambda_min(S))`` bounds the gap between
-    ``<C, Z>`` and the optimum.  The eigensolver's backward error (at most
-    ``n * eps * ||S||_2``) is added to ``-lambda_min`` so that roundoff
-    cannot certify.  Returns ``(S, gap)``."""
+    ``<C, Z>`` and the optimum; a roundoff allowance ``slack`` is added to
+    ``-lambda_min`` so that roundoff cannot certify.  First a Cholesky
+    factor: with ``slack = n * eps * ||S||_F`` (never below
+    ``n * eps * ||S||_2``), a factor of ``S + slack I`` shows
+    ``lambda_min(S) >= -slack``, so the gap is at most ``2 n slack``, and
+    that bound is returned when it is at most ``target``.  Otherwise one
+    ``eigh(S)`` gives the exact ``n * max(0, slack - lambda_min(S))`` with
+    ``slack = n * eps * ||S||_2`` (the eigensolver's backward error), and
+    its bottom eigenvector is where ``_escape`` steps.
+
+    Returns ``(gap, v)``: v is None when the Cholesky bound certified."""
     n = C.shape[0]
     lam = np.real(np.sum(CY * Y.conj(), axis=1))
     S = C - np.diag(lam)
-    w = np.linalg.eigvalsh(S)
-    slack = n * np.finfo(float).eps * max(abs(w[0]), abs(w[-1]))
-    return S, n * max(0.0, slack - w[0])
+    eps = np.finfo(float).eps
+    slack = n * eps * frobenius_norm(S)
+    if 2 * n * slack <= target and has_cholesky(S, slack):
+        return 2 * n * slack, None
+    w, V = np.linalg.eigh(S)
+    slack = n * eps * max(abs(w[0]), abs(w[-1]))
+    return n * max(0.0, slack - w[0]), V[:, 0]
 
 
-def _escape(C, Y, S, value):
+def _escape(C, Y, v, value):
     """Step from a point that the certificate rejects along ``v u*``: v the
-    bottom eigenvector of S, u the right singular vector of Y with the
-    least singular value (a null vector of Y when Y is rank deficient,
-    where the objective drops like ``t^2 lambda_min(S)``).  Backtracks from
-    t = 1 to the first strict decrease; returns None when there is none."""
-    _, V = np.linalg.eigh(S)
+    bottom eigenvector of S (see ``_certificate``), u the right singular
+    vector of Y with the least singular value (a null vector of Y when Y is
+    rank deficient, where the objective drops like ``t^2 lambda_min(S)``).
+    Backtracks from t = 1 to the first strict decrease; returns None when
+    there is none."""
     _, U = np.linalg.eigh(Y.conj().T @ Y)
-    D = _tangent(Y, np.outer(V[:, 0], U[:, 0].conj()))
+    D = _tangent(Y, np.outer(v, U[:, 0].conj()))
     t = 1.0
     for _ in range(60):
         Y_new = _retract_rows(Y + t * D)
@@ -730,12 +745,13 @@ def _bm_restart(C, Y, config, grad_tol, step0, trace):
     while True:
         Y, CY, value, its = _bm_descend(C, Y, grad_tol, budget, step0, trace)
         budget -= its
-        S, gap = _certificate(C, Y, CY)
-        if gap <= config.grad_tol * (1.0 + abs(value)):
+        target = config.grad_tol * (1.0 + abs(value))
+        gap, v = _certificate(C, Y, CY, target)
+        if gap <= target:
             return Y, value, gap, config.max_iters - budget, "converged"
         if budget <= 0:
             return Y, value, gap, config.max_iters - budget, "max_iters"
-        Y_escape = _escape(C, Y, S, value)
+        Y_escape = _escape(C, Y, v, value)
         if Y_escape is None:
             return Y, value, gap, config.max_iters - budget, "stalled"
         Y = Y_escape
@@ -751,7 +767,10 @@ def bm_solve(M: np.ndarray, sense: str = "max", config: BmConfig | None = None):
     with ``S = Diag(Re diag(M Z)) - M`` (``M -> -M`` for ``sense="min"``)
     the objective is within ``n * max(0, -lambda_min(S))`` of the optimum,
     and the solve is ``converged`` once that gap is at most
-    ``grad_tol * (1 + |objective|)``.  A restart that is not certified
+    ``grad_tol * (1 + |objective|)``.  A Cholesky factor of S plus a
+    roundoff shift bounds the gap by ``2 n^2 eps ||S||_F`` without an
+    eigensolver; only when that bound misses the target does ``eigh(S)``
+    give the exact gap.  A restart that is not certified
     escapes along the bottom eigenvector of S and descends again; the
     descents and escapes of one restart share its ``max_iters`` budget.
     At most ``config.restarts`` restarts run: the first certified one ends

@@ -186,6 +186,17 @@ class TestFixedPointCommand:
         side = read_json(str(out) + ".json")
         assert side["r_hat"] in (5.0, 20.0, 80.0)
 
+    def test_writes_the_experiment_header(self, tmp_path, monkeypatch):
+        # a column the curve gains reaches the CLI's csv
+        spec = EXPERIMENTS["fixed_point_curve"]
+        monkeypatch.setattr(type(spec), "header", spec.header + ("extra",))
+        out = tmp_path / "fp"
+        assert run(["fixed-point", "--problem", "maxcut", "--n", 8, "--n-mc", 3,
+                    "--delta-prob", 0.2, "--r-grid", "5,20", "--out", out]) == 0
+        header, _ = read_csv(str(out) + ".csv")
+        assert header == list(EXPERIMENTS["fixed_point_curve"].header)
+        assert header[-1] == "extra"
+
     def test_signed_curve_matches_experiment(self, tmp_path):
         # both front ends build the signed instance with the SSBM default p
         out = tmp_path / "fp"

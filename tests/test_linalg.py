@@ -6,6 +6,7 @@ from graphsdp.linalg import (
     InvalidInputError,
     eigh_sorted,
     frobenius_norm,
+    has_cholesky,
     project_psd,
     psd_residual,
     symmetrize,
@@ -129,6 +130,32 @@ class TestPsdResidual:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
             psd_residual(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+
+class TestHasCholesky:
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_decides_the_shifted_hermitian_part(self, complex_valued):
+        rng = np.random.default_rng(5)
+        n = 30
+        w = np.linspace(-1e-3, 10.0, n)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n))
+                            + (1j * rng.standard_normal((n, n)) if complex_valued else 0))
+        H = (Q * w) @ Q.conj().T
+        assert not has_cholesky(H, 0.0)
+        assert not has_cholesky(H, 0.5e-3)
+        assert has_cholesky(H, 2e-3)
+        # only the Hermitian part counts: a large anti-Hermitian part changes nothing
+        K = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_valued else 0)
+        K = K - K.conj().T
+        assert has_cholesky(H + 100.0 * K, 2e-3)
+        assert not has_cholesky(H + 100.0 * K, 0.5e-3)
+        assert has_cholesky(np.eye(n), 0.0) and not has_cholesky(np.zeros((n, n)), 0.0)
+
+    def test_rejects_malformed_input(self):
+        with pytest.raises(InvalidInputError):
+            has_cholesky(np.array([[1.0, np.nan], [0.0, 1.0]]), 0.0)
+        with pytest.raises(InvalidInputError):
+            has_cholesky(np.ones((2, 3)), 0.0)
 
 
 def assert_top_eigenvector(M, v, target_norm=1.0):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from graphsdp.linalg import InvalidInputError
+from graphsdp import models
+from graphsdp.linalg import InvalidInputError, frobenius_norm, has_cholesky, psd_residual
 from graphsdp.models import (
     ProblemInstance,
     SsbmParams,
@@ -16,7 +17,7 @@ from graphsdp.models import (
     oracle_sync,
     sample_feasible,
 )
-from graphsdp.solvers import signed_atoms
+from graphsdp.solvers import psd, signed_atoms
 
 
 class TestTypes:
@@ -25,9 +26,56 @@ class TestTypes:
         bad = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
         fields = dict(problem="signed", observed=bad, expected=bad, params={}, seed=0,
                       ground_truth=np.zeros(3, dtype=int), atoms=tuple(signed_atoms()))
-        with pytest.raises(InvalidInputError, match="psd"):
+        resid = psd_residual(bad) / (1.0 + frobenius_norm(bad))
+        with pytest.raises(InvalidInputError, match=f"psd: residual {resid:.2e}"):
             ProblemInstance(oracle=bad, **fields)
         ProblemInstance(oracle=np.ones((3, 3)), **fields)
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_oracle_check_decides_as_the_psd_residual(self, complex_valued, monkeypatch):
+        # near-psd oracles around the bound: the Cholesky shortcut accepts only
+        # what the exact residual accepts, and the residual decides the rest
+        rng = np.random.default_rng(17)
+        cholesky_calls = []
+
+        def recorded(M, shift):
+            cholesky_calls.append(has_cholesky(M, shift))
+            return cholesky_calls[-1]
+        monkeypatch.setattr(models, "has_cholesky", recorded)
+        n, tol = 20, 1e-8
+        fields = dict(problem="sync", observed=np.eye(n), expected=np.eye(n), params={},
+                      seed=0, ground_truth=np.zeros(n), atoms=(psd(),))
+        outcomes = set()
+        for _ in range(120):
+            X = rng.standard_normal((n, n))
+            if complex_valued:
+                X = X + 1j * rng.standard_normal((n, n))
+            Q, _ = np.linalg.qr(X)
+            w = rng.uniform(0.0, 3.0, n)
+            w[n - rng.integers(0, n // 2):] = 0.0      # most oracles are rank deficient
+            budget = tol * (1.0 + np.linalg.norm(w))     # the bound, about
+            k = rng.integers(1, n // 2)
+            w[:k] = -budget * rng.choice([1e-3, 0.05, 0.2, 0.5, 0.9, 0.99, 1.01, 2.0]) / np.sqrt(k)
+            M = (Q * w) @ Q.conj().T
+            if rng.random() < 0.3:                      # non-Hermitian input
+                K = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n))
+                                                   if complex_valued else 0)
+                K = K - K.conj().T
+                M = M + K * budget * rng.choice([0.1, 0.5, 2.0]) / frobenius_norm(K)
+            accept = psd_residual(M) / (1.0 + frobenius_norm(M)) <= tol
+            cholesky_calls.clear()
+            try:
+                ProblemInstance(oracle=M, **fields)
+                accepted = True
+            except InvalidInputError as err:
+                assert "residual" in str(err)
+                accepted = False
+            assert accepted == accept
+            outcomes.add((accept, tuple(cholesky_calls)))
+        # every branch ran: certified, failed factor then accepted (the
+        # borderline), failed factor then rejected, and no factor tried
+        # (the anti-Hermitian part alone breaks the bound)
+        assert {(True, (True,)), (True, (False,)), (False, (False,)), (False, ())} <= outcomes
 
     def test_membership_matrix(self):
         M = membership_matrix(np.array([0, 0, 1]))

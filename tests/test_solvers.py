@@ -534,14 +534,47 @@ class TestBm:
         _, _, spent = bm_solve(M, "max", BmConfig(max_iters=3, restarts=1))
         assert spent.termination == "max_iters" and not spent.converged
 
-    def test_certified_at_the_roundoff_floor(self):
+    def test_certified_at_the_roundoff_floor(self, monkeypatch):
         # the descent ends on a failed line search; the certificate still
-        # proves the point optimal (lambda_min(S) is about 1e-13)
-        M = gen_sync(SyncParams(n=200, sigma=0.1), seed=4).observed
+        # proves the point optimal (lambda_min(S) is about 1e-13), and a
+        # Cholesky factor does so without an n x n eigensolver, in the
+        # generator's oracle check too
+        n = 200
+        for name in ("eigvalsh", "eigh"):
+            def refuse(A, *args, _solver=getattr(np.linalg, name), **kwargs):
+                if np.shape(A) == (n, n):
+                    raise AssertionError("n x n eigensolver called")
+                return _solver(A, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, refuse)
+        M = gen_sync(SyncParams(n=n, sigma=0.1), seed=4).observed
         _, _, report = bm_solve(M, "max", BmConfig(seed=4, restarts=2))
         assert report.termination == "converged"
         assert 0.0 < report.gap <= 1e-7 * (1.0 + abs(report.objective))
         assert report.to_dict()["gap"] == report.gap
+
+    def test_uncertified_round_pays_one_eigh(self, monkeypatch):
+        # rank 1 is never certified: each descent's certificate falls back to
+        # one eigh(S), whose bottom eigenvector the escape reuses
+        rng = np.random.default_rng(21)
+        n = 30
+        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        M = (M + M.conj().T) / 2
+        calls = {"eigh": 0, "eigvalsh": 0, "rounds": 0, "escapes": 0}
+        for name in ("eigvalsh", "eigh"):
+            def count(A, *args, _solver=getattr(np.linalg, name), _name=name, **kwargs):
+                calls[_name] += np.shape(A) == (n, n)
+                return _solver(A, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, count)
+        for name, key in (("_certificate", "rounds"), ("_escape", "escapes")):
+            def tally(*args, _fn=getattr(solvers, name), _key=key):
+                calls[_key] += 1
+                return _fn(*args)
+            monkeypatch.setattr(solvers, name, tally)
+        _, _, report = bm_solve(M, "max", BmConfig(rank=1, max_iters=200, restarts=3, seed=1))
+        # every restart stalls: each of its rounds tries an escape, the last in vain
+        assert report.termination == "stalled"
+        assert calls["eigvalsh"] == 0
+        assert calls["eigh"] == calls["rounds"] == calls["escapes"] > 3
 
     def test_certified_restart_ends_the_solve(self):
         M = gen_bipartite_perturbed(40, 0.1, 0.6, seed=3).rescaled
@@ -572,9 +605,9 @@ class TestBm:
         C = A.astype(float)
         Y, CY, value, its = _bm_descend(C, saddle, 1e-6, 100, 1e-2, [])
         assert its == 1
-        S, gap = _certificate(C, Y, CY)
+        gap, v = _certificate(C, Y, CY, 1e-6)
         assert gap > 1.0
-        Y_escape = _escape(C, Y, S, value)
+        Y_escape = _escape(C, Y, v, value)
         assert _bm_objective(Y_escape, C @ Y_escape) < value
         config = BmConfig()
         _, best, gap, _, termination = _bm_restart(C, saddle, config, 1e-6, 1e-2, [])
@@ -585,6 +618,46 @@ class TestBm:
         _, _, _, its, termination = _bm_restart(C, saddle, BmConfig(max_iters=5), 1e-6, 1e-2, [])
         assert (its, termination) == (5, "max_iters")
 
+    def test_decisions_match_the_eigenvalue_certificate(self, monkeypatch):
+        # the Cholesky bound only replaces eigenvalues where it settles the
+        # stop: on the benchmark's BM bundle (sync n=200 at three noise levels
+        # and masked MAX-CUT n=100, instance seeds 0-63) every termination,
+        # iteration count, objective and Z equals the one the eigenvalue
+        # certificate gives, and only the certified gap grows
+        def eigenvalue_certificate(C, Y, CY, target):
+            n = C.shape[0]
+            S = C - np.diag(np.real(np.sum(CY * Y.conj(), axis=1)))
+            w = np.linalg.eigvalsh(S)
+            slack = n * np.finfo(float).eps * max(abs(w[0]), abs(w[-1]))
+            return n * max(0.0, slack - w[0]), np.linalg.eigh(S)[1][:, 0]
+
+        def solves(seed):
+            sigmas = (0.1, 0.3, 0.5)
+            M = (gen_sync(SyncParams(n=200, sigma=sigmas[seed % 4]), seed=seed).observed
+                 if seed % 4 < 3 else gen_bipartite_perturbed(100, 0.1, 0.6, seed=seed).rescaled)
+            return bm_solve(M, "max", BmConfig(seed=seed, restarts=2, max_iters=20_000))
+
+        fast = [solves(seed) for seed in range(64)]
+        monkeypatch.setattr(solvers, "_certificate", eigenvalue_certificate)
+        for seed, (_, Z, report) in enumerate(fast):
+            _, Z_ref, ref = solves(seed)
+            assert report.termination == ref.termination == "converged"
+            assert (report.iterations, report.objective) == (ref.iterations, ref.objective)
+            assert np.array_equal(Z, Z_ref)
+            assert ref.gap <= report.gap <= 1e-7 * (1.0 + abs(report.objective))
+
+    def test_certificate_below_the_cholesky_bound_reads_eigenvalues(self):
+        # Z = J minimizes <-J, Z>: S = n I - J is psd with a null vector, so a
+        # Cholesky factor certifies; a target below its bound takes the exact
+        # gap and the bottom eigenvector from eigh(S)
+        n = 20
+        C, Y = -np.ones((n, n)), np.ones((n, 3)) / np.sqrt(3)
+        bound, v = _certificate(C, Y, C @ Y, np.inf)
+        assert v is None and 0.0 < bound <= 1e-10
+        gap, v = _certificate(C, Y, C @ Y, 0.0)
+        assert 0.0 <= gap <= bound
+        assert np.allclose(np.abs(v), 1.0 / np.sqrt(n))
+
     def test_certificate_bounds_the_gap(self):
         rng = np.random.default_rng(9)
         M = rng.standard_normal((20, 20))
@@ -594,7 +667,7 @@ class TestBm:
         for _ in range(5):
             Y = rng.standard_normal((20, 5))
             Y /= np.linalg.norm(Y, axis=1, keepdims=True)
-            _, gap = _certificate(M, Y, M @ Y)
+            gap, _ = _certificate(M, Y, M @ Y, np.inf)
             value = float(np.vdot(Y, M @ Y))
             assert optimum.objective - optimum.gap <= value
             assert value - optimum.objective <= gap
