@@ -4,11 +4,12 @@ Everything downstream (solvers, rounding, spectral baselines) goes through
 these few primitives: eigendecomposition, PSD projection, the distance to
 the psd cone and top eigenvector extraction.  Each computes only the
 spectral data its callers read: ``eigh_sorted`` and ``project_psd`` need
-every eigenvector, ``psd_residual`` reads eigenvalues only,
-``top_eigenvector`` reads the eigenvalues and solves one shifted system per
-inverse-iteration step, and ``has_cholesky`` answers "is this matrix psd up
-to a shift?" with one Cholesky factorization (n^3/3 flops, no eigensolver).
-All matrices are plain numpy
+every eigenvector, ``psd_residual`` reads eigenvalues only, and
+``has_cholesky`` answers "is this matrix psd up to a shift?" with one
+Cholesky factorization (n^3/3 flops, no eigensolver).  ``top_eigenvector``
+first tries a short Lanczos run from a fixed start, certified by an
+explicit residual and one such factorization; only when that fails does it
+pay for ``eigvalsh`` and inverse iteration.  All matrices are plain numpy
 arrays; the helpers here validate and symmetrize instead of wrapping them
 in dedicated classes.  As the base every other module imports, it also
 holds the library's input error and the field check its config classes share.
@@ -88,7 +89,15 @@ def check_square(M: np.ndarray, name: str = "matrix") -> np.ndarray:
 def symmetrize(M: np.ndarray) -> np.ndarray:
     """Return (M + M*)/2, the nearest (conjugate-)symmetric matrix."""
     M = check_square(M)
-    return (M + M.conj().T) / 2
+    if M.dtype.kind in "biu":
+        M = M.astype(float)      # an in-place halving would keep an integer dtype
+    if M.dtype.kind == "c":
+        H = np.conjugate(M.T, order="C")    # one contiguous pass, then in place
+        H += M
+    else:
+        H = M.T + M
+    H *= 0.5
+    return H
 
 
 def is_hermitian(M: np.ndarray, tol: float = 1e-10) -> bool:
@@ -146,61 +155,168 @@ def has_cholesky(M: np.ndarray, shift: float) -> bool:
     """
     H = symmetrize(M)
     H.flat[:: H.shape[0] + 1] += shift
+    return _factors(H)
+
+
+def _factors(A: np.ndarray) -> bool:
+    """Whether the Hermitian matrix A has a Cholesky factor."""
     try:
-        np.linalg.cholesky(H)
+        np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         return False
     return True
 
 
-# inverse iteration in top_eigenvector: shift above lambda_max in units of
-# n * eps * max|w| (the eigenvalue's roundoff), residual bound relative to
-# 1 + max|w|, and steps before giving up.  A start vector orthogonal to the
+# top_eigenvector: residual bound relative to 1 + max|w|, the shift above
+# lambda in units of n * eps * max|w| (the eigenvalue's roundoff), the
+# inverse-iteration steps before giving up (a start vector orthogonal to the
 # top eigenvector gains its component from the first solve's roundoff and
-# needs all three steps.
+# needs all three), and the relative margin within which entries of equal
+# modulus tie for the phase pivot.
 _SHIFT = 4.0
 _EIGVEC_TOL = 1e-10
 _MAX_STEPS = 3
+_PIVOT_TIE = 1e-8
 
 
 def _start_vector(n: int) -> np.ndarray:
-    """The fixed inverse-iteration start ``(sin 1, ..., sin n)``, unit norm:
-    no entry vanishes and it is no eigenvector of a structured matrix (the
-    all-ones vector is one of every graph Laplacian)."""
+    """The fixed Lanczos and inverse-iteration start ``(sin 1, ..., sin n)``,
+    unit norm: no entry vanishes and it is no eigenvector of a structured
+    matrix (the all-ones vector is one of every graph Laplacian)."""
     s = np.sin(np.arange(1.0, n + 1.0))
     return s / np.linalg.norm(s)
 
 
-def top_eigenvector(M: np.ndarray, target_norm: float = 1.0) -> np.ndarray:
-    """Eigenvector of the largest eigenvalue, scaled to ``target_norm``.
+def _roundoff_shift(n: int, scale: float) -> float:
+    """``4 n eps scale`` (``4 n eps`` when scale = 0): the margin above an
+    eigenvalue estimate that absorbs its roundoff."""
+    return _SHIFT * n * np.finfo(float).eps * (scale if scale > 0 else 1.0)
 
-    ``lambda_max`` comes from ``eigvalsh`` of the symmetrized input H, the
-    vector from inverse iteration with ``(lambda_max + d) I - H`` from a
-    fixed start, ``d = 4 n eps max|w|`` (``4 n eps`` when H = 0).  A step is
-    accepted once ``||H v - lambda_max v|| <= 1e-10 (1 + max|w|)``; when none
-    of 3 steps is, ``np.linalg.LinAlgError`` is raised.
 
-    Sign/phase convention: the entry of largest modulus gets a non-negative
-    real part (first such entry on ties).  For a degenerate top eigenspace
-    any unit maximizer may be returned, with the same convention applied.
+def _lanczos_cap(n: int) -> int:
+    """Most Lanczos steps before the exact path takes over.  Step k costs
+    one product ``H @ q`` and one reorthogonalization pass against k basis
+    rows, ``2 n^2 + 4 k n`` flops, so n/4 steps cost at most ``5 n^3 / 8``,
+    against about ``2 n^3`` for the exact path's ``eigvalsh`` and first
+    solve; the early stop in ``_lanczos_top`` ends a hopeless run long before
+    that.  Below n = 32, where call overhead dominates both paths, the cap is
+    8 steps, or n, where the Krylov space is the whole space."""
+    return min(n, max(8, n // 4))
+
+
+def _lanczos_top(H: np.ndarray):
+    """Top Ritz vector of a short Lanczos run on H from the fixed start,
+    returned only when it is certified; None hands over to the exact path.
+
+    The basis is kept as rows, and each new vector is orthogonalized against
+    all of them (full reorthogonalization by one classical Gram-Schmidt
+    pass; it leaves components of order ``eps ||H q_k|| / beta_k`` along the
+    basis, and that ratio stays near 1.4 on noisy spectra, so a second pass
+    would buy nothing before the Krylov space is exhausted).  The
+    Ritz residual ``beta_k |y_k|`` is read at k = 4, 8, 16, ..., at the cap
+    and where the Krylov space is exhausted (``beta_k`` below the residual
+    bound; the solved rank-one sync matrix gets there at k = 2).  A top Ritz
+    pair (theta, v) whose estimate passes is
+    accepted when the explicit ``r = ||H v - theta v||`` passes the same
+    bound ``1e-10 (1 + scale)`` (scale: the largest Ritz modulus, never above
+    ``max|w|``) and ``(theta + r + d) I - H`` has a Cholesky factor,
+    ``d = _roundoff_shift(n, scale)``: no eigenvalue lies above
+    ``theta + r + d``.  The run gives up when that factor does not
+    exist (the start misses the top eigenspace), when the Krylov space is
+    exhausted or the cap reached, or when the estimate's decay since the
+    read before, even at twice its rate, would not reach the bound within
+    the cap.  The first read is at k = 4 because the first steps still turn
+    the Ritz vector toward the top eigenvector, and their decay says little
+    about the rest.
     """
-    H = symmetrize(M)
+    n = H.shape[0]
+    cap = _lanczos_cap(n)
+    Q = np.empty((cap, n), dtype=np.result_type(H.dtype, float))
+    Qh = np.empty_like(Q)         # the conjugated rows, so that Q* w is one product
+    Q[0] = Qh[0] = _start_vector(n)
+    T = np.zeros((cap, cap))      # Q* H Q: its diagonal and subdiagonal
+    check, last = 4, None
+    for j in range(cap):
+        w = H @ Q[j]
+        c = Qh[: j + 1] @ w
+        w -= c @ Q[: j + 1]
+        T[j, j] = a = c[j].real
+        b = np.sqrt(np.vdot(w, w).real)
+        k = j + 1
+        exhausted = k == cap or b <= _EIGVEC_TOL * (1.0 + abs(a))
+        if k == check or exhausted:
+            theta, S = np.linalg.eigh(T[:k, :k])
+            scale = max(abs(theta[0]), abs(theta[-1]))
+            bound = _EIGVEC_TOL * (1.0 + scale)
+            ratio = b * abs(S[-1, -1]) / bound
+            if ratio <= 1.0:
+                v = S[:, -1] @ Q[:k]
+                v /= np.linalg.norm(v)
+                r = np.linalg.norm(H @ v - theta[-1] * v)
+                if r <= bound:
+                    A = -H
+                    A.flat[:: n + 1] += theta[-1] + r + _roundoff_shift(n, scale)
+                    return v if _factors(A) else None
+            if exhausted:
+                return None
+            if last is not None:
+                rate = (ratio / last[1]) ** (1.0 / (k - last[0]))
+                if rate >= 1.0 or k + 0.5 * np.log(ratio) / -np.log(rate) > cap:
+                    return None
+            last, check = (k, ratio), min(2 * k, cap)
+        T[k, j] = b
+        w /= b
+        Q[k] = w
+        np.conjugate(w, out=Qh[k])
+    return None
+
+
+def _inverse_iteration_top(H: np.ndarray) -> np.ndarray:
+    """Top eigenvector from ``lambda_max = eigvalsh(H)[-1]`` and at most
+    three inverse-iteration solves with ``(lambda_max + d) I - H`` from the
+    fixed start, ``d = _roundoff_shift(n, max|w|)``; a step is
+    accepted once ``||H v - lambda_max v|| <= 1e-10 (1 + max|w|)``, and
+    ``np.linalg.LinAlgError`` is raised when none is."""
     n = H.shape[0]
     w = np.linalg.eigvalsh(H)
     lam, scale = w[-1], max(abs(w[0]), abs(w[-1]))
     A = -H
-    A.flat[:: n + 1] += lam + _SHIFT * n * np.finfo(float).eps * (scale if scale > 0 else 1.0)
+    A.flat[:: n + 1] += lam + _roundoff_shift(n, scale)
     v = _start_vector(n)
     for _ in range(_MAX_STEPS):
         v = np.linalg.solve(A, v)
         v /= np.linalg.norm(v)
         if np.linalg.norm(H @ v - lam * v) <= _EIGVEC_TOL * (1.0 + scale):
-            break
-    else:
-        raise np.linalg.LinAlgError(
-            f"inverse iteration found no top eigenvector in {_MAX_STEPS} steps")
-    k = int(np.argmax(np.abs(v)))
-    pivot = v[k]
+            return v
+    raise np.linalg.LinAlgError(
+        f"inverse iteration found no top eigenvector in {_MAX_STEPS} steps")
+
+
+def top_eigenvector(M: np.ndarray, target_norm: float = 1.0) -> np.ndarray:
+    """Eigenvector of the largest eigenvalue, scaled to ``target_norm``.
+
+    A short Lanczos run from a fixed start goes first (see
+    ``_lanczos_top``): its top Ritz vector is returned once its explicit
+    residual passes ``||H v - theta v|| <= 1e-10 (1 + scale)`` and a Cholesky
+    factor certifies that no eigenvalue of the symmetrized input H lies
+    above ``theta`` plus that residual and a roundoff shift.  Otherwise the
+    exact path runs: ``lambda_max`` from ``eigvalsh`` and at most 3
+    inverse-iteration solves checked against the same residual bound, with
+    ``np.linalg.LinAlgError`` when none passes.
+
+    Sign/phase convention: the first entry whose modulus is within a
+    relative 1e-8 of the largest gets a non-negative real part, so that
+    entries of equal modulus up to roundoff (every entry of the top
+    eigenvector of a rank-one phase matrix) cannot move the pivot.  For a
+    degenerate top eigenspace any unit maximizer may be returned, with the
+    same convention applied.
+    """
+    H = symmetrize(M)
+    v = _lanczos_top(H)
+    if v is None:
+        v = _inverse_iteration_top(H)
+    mod = np.abs(v)
+    pivot = v[int(np.argmax(mod >= (1.0 - _PIVOT_TIE) * mod.max()))]
     if abs(pivot) > 0:
         if np.iscomplexobj(v):
             v = v * (pivot.conjugate() / abs(pivot))

@@ -289,7 +289,8 @@ class SolveReport:
     objective_trace: np.ndarray     # complete; ``to_dict`` thins it to 1000 entries
     residuals: dict = field(default_factory=dict)
     # BM: certified bound on the distance from objective to optimum, from a
-    # Cholesky factor of the dual slack (2 n^2 eps ||S||_F) when that meets the
+    # Cholesky factor of the dual slack (2 n^2 eps ||S||_F, or at most the stop
+    # target from a factor at the shift target / (2n)) when that meets the
     # stop target, else from its eigenvalues; None for splitting
     gap: Optional[float] = None
     # splitting: the end state (Z, U, rho), for ``pierra_solve(warm_start=...)``; not serialized
@@ -693,23 +694,30 @@ def _certificate(C, Y, CY, target):
     With lam = Re diag(C Z), ``S = C - Diag(lam)`` is dual feasible once it
     is psd, so ``n * max(0, -lambda_min(S))`` bounds the gap between
     ``<C, Z>`` and the optimum; a roundoff allowance ``slack`` is added to
-    ``-lambda_min`` so that roundoff cannot certify.  First a Cholesky
-    factor: with ``slack = n * eps * ||S||_F`` (never below
-    ``n * eps * ||S||_2``), a factor of ``S + slack I`` shows
-    ``lambda_min(S) >= -slack``, so the gap is at most ``2 n slack``, and
-    that bound is returned when it is at most ``target``.  Otherwise one
+    ``-lambda_min`` so that roundoff cannot certify.  First Cholesky factors,
+    with ``slack = n * eps * ||S||_F`` (never below ``n * eps * ||S||_2``)
+    and only when ``2 n slack <= target``: a factor of ``S + slack I``
+    shows ``lambda_min(S) >= -slack``, so the gap is at most ``2 n slack``;
+    failing that, a factor of ``S + tau I`` with ``tau = target / (2 n)``
+    (finite targets only) bounds it by ``n (tau + slack) <= target``.  This
+    second factor settles the descents that stop with ``lambda_min(S)`` a
+    little below ``-slack``, as on real Gaussian objectives.  Otherwise one
     ``eigh(S)`` gives the exact ``n * max(0, slack - lambda_min(S))`` with
     ``slack = n * eps * ||S||_2`` (the eigensolver's backward error), and
     its bottom eigenvector is where ``_escape`` steps.
 
-    Returns ``(gap, v)``: v is None when the Cholesky bound certified."""
+    Returns ``(gap, v)``: v is None when a Cholesky bound certified."""
     n = C.shape[0]
     lam = np.real(np.sum(CY * Y.conj(), axis=1))
     S = C - np.diag(lam)
     eps = np.finfo(float).eps
     slack = n * eps * frobenius_norm(S)
-    if 2 * n * slack <= target and has_cholesky(S, slack):
-        return 2 * n * slack, None
+    if 2 * n * slack <= target:
+        if has_cholesky(S, slack):
+            return 2 * n * slack, None
+        tau = target / (2 * n)
+        if np.isfinite(tau) and has_cholesky(S, tau):
+            return n * (tau + slack), None
     w, V = np.linalg.eigh(S)
     slack = n * eps * max(abs(w[0]), abs(w[-1]))
     return n * max(0.0, slack - w[0]), V[:, 0]
@@ -769,8 +777,10 @@ def bm_solve(M: np.ndarray, sense: str = "max", config: BmConfig | None = None):
     and the solve is ``converged`` once that gap is at most
     ``grad_tol * (1 + |objective|)``.  A Cholesky factor of S plus a
     roundoff shift bounds the gap by ``2 n^2 eps ||S||_F`` without an
-    eigensolver; only when that bound misses the target does ``eigh(S)``
-    give the exact gap.  A restart that is not certified
+    eigensolver; where that factor does not exist, a factor of
+    ``S + target / (2 n) I`` bounds it by at most the target.  Only when
+    neither settles the stop does ``eigh(S)`` give the exact gap.  A
+    restart that is not certified
     escapes along the bottom eigenvector of S and descends again; the
     descents and escapes of one restart share its ``max_iters`` budget.
     At most ``config.restarts`` restarts run: the first certified one ends

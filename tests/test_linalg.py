@@ -12,6 +12,8 @@ from graphsdp.linalg import (
     symmetrize,
     top_eigenvector,
 )
+from graphsdp.models import SyncParams, gen_sync
+from graphsdp.solvers import BmConfig, bm_solve
 
 
 def random_symmetric(n, rng, complex_valued=False):
@@ -158,15 +160,42 @@ class TestHasCholesky:
             has_cholesky(np.ones((2, 3)), 0.0)
 
 
+def phase_pivot(v):
+    """The convention's pivot: the first entry within a relative 1e-8 of the
+    largest modulus."""
+    mod = np.abs(v)
+    return int(np.argmax(mod >= (1 - 1e-8) * mod.max()))
+
+
 def assert_top_eigenvector(M, v, target_norm=1.0):
     """Unit top eigenvector up to the oracle test's residual bound, with the
-    sign convention on the entry of largest modulus."""
+    sign convention on the first entry of (up to 1e-8) largest modulus."""
     lam_oracle = np.linalg.eigvalsh(symmetrize(M)).max()
     assert abs(np.linalg.norm(v) - target_norm) <= 1e-12 * target_norm
     u = v / target_norm
     assert np.linalg.norm(M @ u - lam_oracle * u) <= 1e-8 * (1 + frobenius_norm(M))
-    pivot = u[np.argmax(np.abs(u))]
+    pivot = u[phase_pivot(u)]
     assert pivot.real >= 0 and abs(pivot.imag) <= 1e-12
+
+
+def count_exact_path(monkeypatch):
+    """Count the calls that reach the eigvalsh-plus-inverse-iteration path."""
+    calls = []
+    exact = linalg._inverse_iteration_top
+    monkeypatch.setattr(linalg, "_inverse_iteration_top", lambda H: calls.append(1) or exact(H))
+    return calls
+
+
+def exact_path(M, target_norm=1.0):
+    """top_eigenvector with the Lanczos attempt switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_lanczos_top", lambda H: None)
+        return top_eigenvector(M, target_norm)
+
+
+def planted_gap(n, gap, rng, complex_valued):
+    """Hermitian, spectrum in [-1, 1] plus one eigenvalue ``1 + gap``."""
+    return rotate(np.r_[1.0 + gap, rng.uniform(-1.0, 1.0, n - 1)], rng, complex_valued)
 
 
 class TestTopEigenvector:
@@ -199,9 +228,13 @@ class TestTopEigenvector:
 
     @pytest.mark.parametrize("n", [2, 30, 200])
     @pytest.mark.parametrize("complex_valued", [False, True])
-    def test_top_eigenvector_orthogonal_to_start(self, n, complex_valued):
+    def test_top_eigenvector_orthogonal_to_start(self, n, complex_valued, monkeypatch):
+        # the Krylov space of the start misses u: its Ritz pair (0, s) fails
+        # the Cholesky certificate, and the exact path finds u
+        calls = count_exact_path(monkeypatch)
         M = orthogonal_to_start(n, np.random.default_rng(n), complex_valued)
         assert_top_eigenvector(M, top_eigenvector(M, target_norm=np.sqrt(n)), np.sqrt(n))
+        assert calls == [1]
 
     @pytest.mark.parametrize("complex_valued", [False, True])
     def test_hard_spectra(self, complex_valued):
@@ -220,11 +253,69 @@ class TestTopEigenvector:
         assert np.array_equal(top_eigenvector(cases["one_by_one"]), [1.0])
 
     def test_unverified_steps_raise(self, monkeypatch):
+        # without a Cholesky certificate the Lanczos pair is not returned, and
         # a solve that never moves off the start vector never passes the
         # residual check: an error, never an unverified vector
+        def no_factor(A):
+            raise np.linalg.LinAlgError("refused")
+        monkeypatch.setattr(linalg.np.linalg, "cholesky", no_factor)
         monkeypatch.setattr(linalg.np.linalg, "solve", lambda A, b: b)
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(np.linalg.LinAlgError, match="inverse iteration"):
             top_eigenvector(np.diag([1.0, 2.0, 3.0]))
+
+    def test_krylov_path_needs_no_eigensolver(self):
+        # the solved sync matrix (rank one) and its observation are settled by
+        # Lanczos alone: no eigvalsh, no inverse iteration
+        n = 120
+        inst = gen_sync(SyncParams(n=n, sigma=0.3), seed=2)
+        _, Z, _ = bm_solve(inst.observed, "max", BmConfig(seed=2))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact path called")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg.np.linalg, "eigvalsh", refuse)
+            mp.setattr(linalg, "_inverse_iteration_top", refuse)
+            fast = {name: top_eigenvector(M, np.sqrt(n)) for name, M in (("Z", Z), ("A", inst.observed))}
+        for name, M in (("Z", Z), ("A", inst.observed)):
+            assert_top_eigenvector(M, fast[name], np.sqrt(n))
+            # the convention picks the same pivot, so the two paths agree entrywise
+            assert np.max(np.abs(fast[name] - exact_path(M, np.sqrt(n)))) <= 1e-9, name
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    @pytest.mark.parametrize("n", [40, 150])
+    def test_planted_gaps_match_the_oracle(self, n, complex_valued, monkeypatch):
+        # at n=150 a gap of half the spectrum's width or more is settled by
+        # Lanczos; narrower gaps, and n=40 with its 10-step cap, may fall
+        # back.  Either way the vector is the oracle's top eigenvector and
+        # agrees entrywise with the exact path
+        calls = count_exact_path(monkeypatch)
+        rng = np.random.default_rng(n + complex_valued)
+        for gap in (3.0, 1.0, 0.1, 1e-3):
+            M = planted_gap(n, gap, rng, complex_valued)
+            before = len(calls)
+            v = top_eigenvector(M)
+            if n == 150 and gap >= 1.0:
+                assert len(calls) == before, gap
+            assert_top_eigenvector(M, v)
+            assert np.iscomplexobj(v) == complex_valued
+            w, U = np.linalg.eigh(M)
+            assert abs(np.vdot(v, M @ v).real - w[-1]) <= 1e-9 * (1 + w[-1])
+            assert 1 - abs(np.vdot(U[:, -1], v)) <= 1e-9
+            assert np.max(np.abs(v - exact_path(M))) <= 1e-9
+
+    def test_phase_pivot_ignores_roundoff_in_equal_moduli(self):
+        # every entry of the top eigenvector of a rank-one phase matrix has
+        # modulus 1: the pivot is the first entry, whatever the last bits say
+        rng = np.random.default_rng(4)
+        x = np.exp(1j * rng.uniform(0, 2 * np.pi, 50))
+        Z = np.outer(x, x.conj())
+        for M in (Z, Z * (1 + 1e-13 * rng.standard_normal((50, 50)))):
+            v = top_eigenvector(M, np.sqrt(50))
+            assert abs(v[0] - 1.0) <= 1e-10
+        # beyond the margin, modulus still decides
+        x = np.array([1.0, -(1 + 1e-6)])
+        v = top_eigenvector(np.outer(x, x))
+        assert v[1] > 0 > v[0]
 
 
 def test_symmetrize_enforces_exact_symmetry():
@@ -232,3 +323,16 @@ def test_symmetrize_enforces_exact_symmetry():
     M = rng.standard_normal((5, 5))
     S = symmetrize(M)
     assert np.array_equal(S, S.T)
+    C = M + 1j * rng.standard_normal((5, 5))
+    # bit for bit the textbook (M + M*) / 2, and a new array
+    assert np.array_equal(symmetrize(C), (C + C.conj().T) / 2)
+    assert not np.shares_memory(symmetrize(S), S)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int8, bool])
+def test_symmetrize_promotes_integers_and_bools_to_float(dtype):
+    M = np.array([[1, 1, 0], [0, 1, 3], [2, 0, 0]]).astype(dtype)
+    S = symmetrize(M)
+    assert S.dtype == np.float64
+    F = M.astype(float)
+    assert np.array_equal(S, (F + F.T) / 2)

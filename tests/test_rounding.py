@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphsdp import _rng
+from graphsdp import _rng, linalg
 from graphsdp.linalg import InvalidInputError, frobenius_norm
 from graphsdp.metrics import cut_value, phase_aligned_l2, sync_mse
 from graphsdp.models import SsbmParams, SyncParams, gen_ssbm, gen_sync, membership_matrix, oracle_sync, sample_feasible
@@ -188,6 +188,23 @@ class TestSpectralSync:
             mse_sdp = sync_mse(np.angle(extract_phases(Z)), inst.ground_truth)
             ratios.append(mse_sdp / max(mse_spec, 1e-15))
         assert np.median(ratios) <= 2.0
+
+
+class TestKrylovPhases:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_match_the_exact_path_on_the_bm_bundle(self, seed, monkeypatch):
+        # the benchmark's sync instances (n=200, sigma 0.1 / 0.3 / 0.5): both
+        # rounding steps are settled by Lanczos, and under the phase
+        # convention they equal the eigvalsh path entrywise
+        inst = gen_sync(SyncParams(n=200, sigma=(0.1, 0.3, 0.5)[seed]), seed=seed)
+        _, Z, _ = bm_solve(inst.observed, "max", BmConfig(seed=seed, restarts=2, max_iters=20_000))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_inverse_iteration_top", None)
+            fast = extract_phases(Z), spectral_sync(inst.observed)
+        monkeypatch.setattr(linalg, "_lanczos_top", lambda H: None)
+        exact = extract_phases(Z), spectral_sync(inst.observed)
+        for f, e in zip(fast, exact):
+            assert np.max(np.abs(f - e)) <= 1e-9
 
 
 class TestExtractCommunities:

@@ -658,6 +658,70 @@ class TestBm:
         assert 0.0 <= gap <= bound
         assert np.allclose(np.abs(v), 1.0 / np.sqrt(n))
 
+    def test_second_factor_certifies_just_below_the_roundoff_shift(self, monkeypatch):
+        # S has a null vector (Y = ones) and lambda_min(S) = -delta.  With
+        # delta = 1e-10, far below -slack but inside the target's half
+        # budget, the factor at tau = target / (2n) certifies without eigh;
+        # with delta = 1e-3 neither factor exists and eigh gives the exact gap
+        n, target = 30, 1e-6
+        rng = np.random.default_rng(12)
+        B, _ = np.linalg.qr(np.column_stack([np.ones(n), rng.standard_normal((n, n - 1))]))
+        Y = np.ones((n, 1))
+        shifts = []
+        has_cholesky = solvers.has_cholesky
+        monkeypatch.setattr(solvers, "has_cholesky",
+                            lambda S, shift: shifts.append(shift) or has_cholesky(S, shift))
+        for delta in (1e-10, 1e-3):
+            w = np.r_[-delta, rng.uniform(1.0, 2.0, n - 2)]
+            C = (B[:, 1:] * w) @ B[:, 1:].T + np.diag(rng.standard_normal(n))
+            S = C - np.diag(np.sum(C, axis=1))
+            slack = n * np.finfo(float).eps * frobenius_norm(S)
+            shifts.clear()
+            if delta == 1e-10:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(np.linalg, "eigh", None)
+                    gap, v = _certificate(C, Y, C @ Y, target)
+                assert v is None and gap == n * (target / (2 * n) + slack) <= target
+            else:
+                gap, v = _certificate(C, Y, C @ Y, target)
+                assert abs(gap - n * delta) <= 1e-9 and gap > target
+                assert abs(np.vdot(v, S @ v) + delta) <= 1e-12
+            assert shifts == [slack, target / (2 * n)]
+
+    def test_gaussian_decisions_match_the_eigenvalue_certificate(self, monkeypatch):
+        # real Gaussian objectives stop with lambda_min(S) a little below the
+        # roundoff shift: the second factor settles their certificates, and
+        # every termination, iteration count, objective and Z equals the
+        # one the eigenvalue certificate gives
+        def eigenvalue_certificate(C, Y, CY, target):
+            n = C.shape[0]
+            S = C - np.diag(np.real(np.sum(CY * Y.conj(), axis=1)))
+            w, V = np.linalg.eigh(S)
+            slack = n * np.finfo(float).eps * max(abs(w[0]), abs(w[-1]))
+            return n * max(0.0, slack - w[0]), V[:, 0]
+
+        objectives = []
+        for seed in range(3):
+            G = np.random.default_rng(seed).standard_normal((60, 60))
+            objectives.append((G + G.T) / 2)
+        factors, fast = [], []
+        has_cholesky = solvers.has_cholesky
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "has_cholesky",
+                       lambda S, shift: (lambda ok: factors[-1].append(ok) or ok)(has_cholesky(S, shift)))
+            for M in objectives:
+                factors.append([])
+                fast.append(bm_solve(M, "max"))
+        # one certificate per solve: no factor at the roundoff shift, one at tau
+        assert factors == [[False, True]] * len(objectives)
+        monkeypatch.setattr(solvers, "_certificate", eigenvalue_certificate)
+        for M, (_, Z, report) in zip(objectives, fast):
+            _, Z_ref, ref = bm_solve(M, "max")
+            assert report.termination == ref.termination == "converged"
+            assert (report.iterations, report.objective) == (ref.iterations, ref.objective)
+            assert np.array_equal(Z, Z_ref)
+            assert report.gap <= 1e-7 * (1.0 + abs(report.objective))
+
     def test_certificate_bounds_the_gap(self):
         rng = np.random.default_rng(9)
         M = rng.standard_normal((20, 20))
