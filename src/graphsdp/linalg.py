@@ -11,8 +11,11 @@ first tries a short Lanczos run from a fixed start, certified by an
 explicit residual and one such factorization; only when that fails does it
 pay for ``eigvalsh`` and inverse iteration.  All matrices are plain numpy
 arrays; the helpers here validate and symmetrize instead of wrapping them
-in dedicated classes.  As the base every other module imports, it also
-holds the library's input error and the field check its config classes share.
+in dedicated classes.  ``symmetrize`` and ``project_psd`` check their input
+once; their kernels ``hermitian_part`` and ``project_psd_hermitian`` check
+nothing, for a solver loop whose matrices are finite by construction.  As
+the base every other module imports, it also holds the library's input
+error and the field check its config classes share.
 """
 
 from __future__ import annotations
@@ -27,9 +30,11 @@ __all__ = [
     "check_fields",
     "check_square",
     "symmetrize",
+    "hermitian_part",
     "is_hermitian",
     "eigh_sorted",
     "project_psd",
+    "project_psd_hermitian",
     "psd_residual",
     "has_cholesky",
     "top_eigenvector",
@@ -86,18 +91,29 @@ def check_square(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     return M
 
 
-def symmetrize(M: np.ndarray) -> np.ndarray:
-    """Return (M + M*)/2, the nearest (conjugate-)symmetric matrix."""
-    M = check_square(M)
+def symmetrize(M: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Return (M + M*)/2, the nearest (conjugate-)symmetric matrix, after
+    checking M as ``check_square(M, name)`` does."""
+    M = check_square(M, name)
     if M.dtype.kind in "biu":
         M = M.astype(float)      # an in-place halving would keep an integer dtype
+    return hermitian_part(M, np.empty(M.shape, M.dtype))
+
+
+def hermitian_part(M: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``(M + M*)/2`` written into ``out``, unchecked: the kernel of
+    :func:`symmetrize` for a caller whose M is a float or complex square
+    array it built itself, and ``out`` a C-ordered array of M's shape and
+    dtype other than M.  The operations are symmetrize's, so the
+    result is the same to the bit, and equal to M, bit for bit, when M is
+    exactly Hermitian."""
     if M.dtype.kind == "c":
-        H = np.conjugate(M.T, order="C")    # one contiguous pass, then in place
-        H += M
+        np.conjugate(M.T, out=out)          # one contiguous pass, then in place
+        out += M
     else:
-        H = M.T + M
-    H *= 0.5
-    return H
+        np.add(M.T, M, out=out)
+    out *= 0.5
+    return out
 
 
 def is_hermitian(M: np.ndarray, tol: float = 1e-10) -> bool:
@@ -111,7 +127,6 @@ def is_hermitian(M: np.ndarray, tol: float = 1e-10) -> bool:
 def eigh_sorted(M: np.ndarray):
     """Eigenpairs ``(w, V)`` of a (conjugate-)symmetric matrix, ``w`` real and
     descending, ``V`` orthonormal columns with ``M = V @ diag(w) @ V*``."""
-    M = check_square(M)
     w, V = np.linalg.eigh(symmetrize(M))
     order = np.argsort(w)[::-1]
     return w[order], V[:, order]
@@ -120,10 +135,25 @@ def eigh_sorted(M: np.ndarray):
 def project_psd(M: np.ndarray) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix: clamp negative eigenvalues.
 
-    Only the eigenpairs with positive eigenvalues enter the product, so the
-    cost beyond ``eigh`` scales with the rank of the result.
+    M is checked (square, finite) and replaced by its Hermitian part; the
+    projection itself is :func:`project_psd_hermitian`.
     """
-    w, V = np.linalg.eigh(symmetrize(M))
+    return project_psd_hermitian(symmetrize(M))
+
+
+def project_psd_hermitian(H: np.ndarray) -> np.ndarray:
+    """The kernel of :func:`project_psd` for an H that is already exactly
+    Hermitian and finite; nothing is checked.
+
+    ``eigh`` reads one triangle of H only, so a non-Hermitian H would be
+    projected as if its other triangle mirrored that one: callers pass the
+    output of :func:`symmetrize` or :func:`hermitian_part`.  A non-finite H
+    makes ``eigh`` fail or return NaN.  Only the eigenpairs with positive
+    eigenvalues enter the product, so the cost beyond ``eigh`` scales with
+    the rank of the result, and the product is symmetrized, so the result
+    is exactly Hermitian.
+    """
+    w, V = np.linalg.eigh(H)
     first = int(np.searchsorted(w, 0.0, side="right"))    # w is ascending
     Vp = V[:, first:]
     out = (Vp * w[first:]) @ Vp.conj().T

@@ -11,7 +11,6 @@ import numpy as np
 from . import _rng
 from .linalg import (
     InvalidInputError,
-    check_square,
     eigh_sorted,
     frobenius_norm,
     top_eigenvector,
@@ -37,7 +36,6 @@ def factorize_gram(Z: np.ndarray) -> np.ndarray:
     renormalized to unit length; a minimum eigenvalue below
     -1e-6 * ||Z||_F means the caller must project onto the psd cone first.
     """
-    Z = check_square(Z)
     w, V = eigh_sorted(Z)
     floor = -1e-6 * max(frobenius_norm(Z), 1e-300)
     if w[-1] < floor:
@@ -87,8 +85,8 @@ def extract_phases(Z: np.ndarray) -> np.ndarray:
 
     No entrywise normalization: the estimator is the raw scaled eigenvector.
     """
-    Z = check_square(Z)
-    n = Z.shape[0]
+    Z = np.asarray(Z)
+    n = len(Z) if Z.ndim else 0     # top_eigenvector checks Z
     return top_eigenvector(Z, target_norm=float(np.sqrt(n)))
 
 
@@ -107,10 +105,8 @@ def extract_communities(Z: np.ndarray, K: int, seed: int = 0) -> np.ndarray:
 
     Eigenvectors are scaled by sqrt(max(eigenvalue, 0)) before k-means.
     """
-    Z = check_square(Z)
-    n = Z.shape[0]
-    if K > n:
-        raise InvalidInputError("K must be <= n")
     w, V = eigh_sorted(Z)
+    if K > w.size:
+        raise InvalidInputError("K must be <= n")
     embedding = np.real(V[:, :K]) * np.sqrt(np.maximum(w[:K], 0.0))
     return kmeans(embedding, K, seed=seed)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _rng
-from .linalg import InvalidInputError, check_square, eigh_sorted, symmetrize
+from .linalg import InvalidInputError, eigh_sorted, symmetrize
 
 __all__ = [
     "signed_laplacians",
@@ -171,9 +171,9 @@ def kmeans_inertia(points: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _embedding(A: np.ndarray, variant: str, K: int) -> np.ndarray:
-    A = check_square(np.asarray(A, dtype=float))
+    A = np.asarray(A, dtype=float)     # eigh_sorted or _signed_degrees checks it
     if variant == "adjacency":
-        return np.real(eigh_sorted(symmetrize(A))[1][:, :K])
+        return np.real(eigh_sorted(A)[1][:, :K])
     if variant not in SPECTRAL_VARIANTS:
         raise InvalidInputError(f"unknown spectral variant '{variant}'")
     A, dbar = _signed_degrees(A)   # build only the Laplacian the variant reads
@@ -206,12 +206,11 @@ def _positive_part_laplacian(A: np.ndarray):
 def bnc_cluster(A: np.ndarray, K: int, seed: int = 0) -> np.ndarray:
     """Balanced-normalized-cut relaxation: K smallest generalized eigenvectors
     of (D+ - A, Dbar), rows normalized, then k-means."""
-    A = check_square(np.asarray(A, dtype=float))
-    _, dbar = _signed_degrees(A)
+    A = np.asarray(A, dtype=float)
+    _, dbar = _signed_degrees(A)       # checks A
     lhs = _positive_part_laplacian(A)
     inv_sqrt = _pinv_vec(dbar, -0.5)
-    sym = symmetrize((inv_sqrt[:, None] * lhs) * inv_sqrt[None, :])
-    w = np.real(eigh_sorted(sym)[1][:, -K:])
+    w = np.real(eigh_sorted((inv_sqrt[:, None] * lhs) * inv_sqrt[None, :])[1][:, -K:])
     emb = inv_sqrt[:, None] * w
     emb[dbar == 0] = 0.0
     norms = np.linalg.norm(emb, axis=1, keepdims=True)
@@ -229,8 +228,8 @@ def cluster_baseline(A: np.ndarray, algo: str, K: int, seed: int = 0) -> np.ndar
 
 def bnc_objective(A: np.ndarray, labels: np.ndarray) -> float:
     """sum_c x_c' (D+ - A) x_c / x_c' Dbar x_c over the cluster indicators."""
-    A = check_square(np.asarray(A, dtype=float))
-    _, dbar = _signed_degrees(A)
+    A = np.asarray(A, dtype=float)
+    _, dbar = _signed_degrees(A)       # checks A
     lhs = _positive_part_laplacian(A)
     labels = np.asarray(labels)
     total = 0.0

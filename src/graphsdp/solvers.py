@@ -24,6 +24,7 @@ Two solver families cover every program in the library:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional, Sequence
@@ -33,10 +34,11 @@ import numpy as np
 from .linalg import (
     InvalidInputError,
     check_fields,
-    check_square,
     frobenius_norm,
     has_cholesky,
+    hermitian_part,
     project_psd,
+    project_psd_hermitian,
     psd_residual,
     symmetrize,
 )
@@ -295,6 +297,9 @@ class SolveReport:
     gap: Optional[float] = None
     # splitting: the end state (Z, U, rho), for ``pierra_solve(warm_start=...)``; not serialized
     state: Optional[tuple] = field(default=None, repr=False, compare=False)
+    # splitting: extrapolations accepted and rejected by the safeguard,
+    # penalty changes and the final penalty rho; empty for BM
+    counters: dict = field(default_factory=dict)
 
     @property
     def converged(self) -> bool:
@@ -308,6 +313,7 @@ class SolveReport:
             "objective": float(self.objective),
             "residuals": {k: float(v) for k, v in sorted(self.residuals.items())},
             "gap": None if self.gap is None else float(self.gap),
+            "counters": dict(sorted(self.counters.items())),
             "objective_trace": [float(v) for v in _thin(self.objective_trace)],
         }
 
@@ -344,24 +350,35 @@ def _final_sweep(atoms: Sequence[ConstraintAtom], Z: np.ndarray) -> np.ndarray:
     return Z
 
 
-def _halfspace_multiplier(V, C, lo, hi, bound, tau):
-    """tau >= 0 with <C, clip(V - tau*C, lo, hi)> = bound, from a first guess.
+def _clip(V, lo, hi):
+    """``np.clip(V, lo, hi)``, the same to the bit (NaN and signed zeros
+    included), without the wrapper that costs more than the clip at n=20."""
+    Z = np.maximum(V, lo)
+    return np.minimum(Z, hi, out=Z)
+
+
+def _halfspace_multiplier(V, C, sq, lo, hi, bound, tau):
+    """tau >= 0 with <C, clip(V - tau*C, lo, hi)> = bound, from a first guess;
+    ``sq`` is ``C * C``.
 
     The left side falls piecewise linearly in tau: an entry contributes
     slope -c^2 while V - tau*C is inside its bounds.  Newton steps on the
     current piece, kept inside a bracket of the root by bisection, end
     once a step lands on the piece it was computed on, where it is exact.
+    Returns ``(tau, Z)`` with ``Z = clip(V - tau*C, lo, hi)`` at that tau;
+    Z is None when the ``_MULTIPLIER_STEPS`` cap ends the search, since the
+    last step has then moved tau past the last clipped point.
     """
-    sq = C * C
     left, right = 0.0, np.inf
     stepped_from = None
     for _ in range(_MULTIPLIER_STEPS):
         Y = V - tau * C
-        Z = np.clip(Y, lo, hi)
+        Z = _clip(Y, lo, hi)
         gap = float(np.vdot(C, Z)) - bound
-        piece = np.sign(Z - Y)          # -1 / +1 clamped at hi / lo, 0 inside
-        if gap == 0 or np.array_equal(piece, stepped_from):
-            break
+        piece = np.subtract(Z, Y, out=Y)
+        np.sign(piece, out=piece)       # -1 / +1 clamped at hi / lo, 0 inside
+        if gap == 0 or (stepped_from is not None and (piece == stepped_from).all()):
+            return tau, Z
         if gap > 0:
             left = tau
         else:
@@ -372,7 +389,7 @@ def _halfspace_multiplier(V, C, lo, hi, bound, tau):
             tau, stepped_from = step, piece
         else:
             tau, stepped_from = (0.5 * (left + right) if right < np.inf else 2.0 * tau + 1.0), None
-    return tau
+    return tau, None
 
 
 def _dykstra(projections, V):
@@ -404,20 +421,21 @@ def _box_halfspace_projection(entrywise, halfspace, shape):
         np.fill_diagonal(lo, bounds[:, 2].max())
         np.fill_diagonal(hi, bounds[:, 3].min())
     if halfspace is None:
-        return lambda V: np.clip(V, lo, hi)
+        return partial(_clip, lo=lo, hi=hi)
     if halfspace.kind == "total_sum_leq":
         C, bound = np.ones(shape), halfspace.lam
     else:
         C, bound = np.asarray(halfspace.matrix, dtype=float), halfspace.bound
+    sq = C * C
 
     last = [0.0]    # the multiplier moves little from one sweep to the next
 
     def project(V):
-        Z = np.clip(V, lo, hi)
+        Z = _clip(V, lo, hi)
         if float(np.vdot(C, Z)) <= bound:
             return Z
-        last[0] = _halfspace_multiplier(V, C, lo, hi, bound, last[0])
-        return np.clip(V - last[0] * C, lo, hi)
+        last[0], Z = _halfspace_multiplier(V, C, sq, lo, hi, bound, last[0])
+        return Z if Z is not None else _clip(V - last[0] * C, lo, hi)
 
     return project
 
@@ -439,7 +457,8 @@ def _set_projection(atoms, M):
     rest = [a.project for a in others if a.kind not in _ENTRY_BOUNDS and a is not halfspace]
     if np.iscomplexobj(M) or len(rest) == len(others):
         return partial(_dykstra, [a.project for a in others])
-    return partial(_dykstra, [_box_halfspace_projection(entrywise, halfspace, M.shape)] + rest)
+    box = _box_halfspace_projection(entrywise, halfspace, M.shape)
+    return partial(_dykstra, [box] + rest) if rest else box
 
 
 class _Anderson:
@@ -463,6 +482,7 @@ class _Anderson:
         self._dF = self.dF.reshape(_ANDERSON_MEMORY, -1).view(self._real)
         self._dG = self.dG.reshape(_ANDERSON_MEMORY, -1).view(self._real)
         self.gram = np.empty((_ANDERSON_MEMORY, _ANDERSON_MEMORY))
+        self._eye = np.eye(_ANDERSON_MEMORY)
         self.clear()
 
     def clear(self):
@@ -485,10 +505,10 @@ class _Anderson:
         self.F, self.g = F, g                # held, not copied: callers make new arrays
         k = self.pairs
         gram = self.gram[:k, :k]
-        reg = _ANDERSON_REG * np.trace(gram)
+        reg = _ANDERSON_REG * gram.trace()
         if reg == 0.0:          # no pair, or g has not changed
             return F, False
-        gamma = np.linalg.solve(gram + reg * np.eye(k),
+        gamma = np.linalg.solve(gram + reg * self._eye[:k, :k],
                                 self._dG[:k] @ g.reshape(-1).view(self._real))
         correction = (gamma @ self._dF[:k]).view(F.dtype).reshape(F.shape)
         return np.subtract(F, correction, out=correction), True
@@ -496,7 +516,7 @@ class _Anderson:
 
 def _splitting_engine(M, atoms, config, X0=None):
     """Two-block ADMM with Anderson acceleration; returns
-    (Z, state, iterations, termination, trace).
+    (Z, state, iterations, termination, trace, counters).
 
     The sweep is the Douglas-Rachford map on ``y = Z + U``:
     ``Z = P_P(y)``, ``X = P_psd(2Z - y + M/rho)``, ``T(y) = y + X - Z``.
@@ -512,6 +532,18 @@ def _splitting_engine(M, atoms, config, X0=None):
     ``(Z, U, rho)``: the iterate, the scaled dual and the penalty; passed
     back as ``X0`` it warm-starts a solve over a related constraint set
     (continuation).  Callers outside this module use :func:`pierra_solve`.
+    ``counters`` counts the extrapolated points accepted and rejected, the
+    penalty changes, and holds the final penalty ``rho``.
+
+    No sweep checks its matrices.  V is built in one buffer and handed to
+    the unchecked psd kernel after ``hermitian_part``.  On every set the
+    library builds V is exactly Hermitian (M is symmetrized, and both
+    projections and the acceleration keep Hermitian matrices Hermitian), so
+    that step returns V itself; it stays for the points that are not, such
+    as those a non-symmetric half-space normal produces.  M is finite, so
+    only a broken iterate is not: the scalar test of ``||X - Z||`` (and
+    ``eigh`` failing on a non-finite V) raises the InvalidInputError that
+    :func:`project_psd` raises on non-finite input.
     """
     project_set = _set_projection(atoms, M)
     has_cone = any(a.kind == "psd" for a in atoms)
@@ -522,20 +554,39 @@ def _splitting_engine(M, atoms, config, X0=None):
         Z, U, rho = np.zeros_like(M), np.zeros_like(M), 1.0 / eps
     y = Z + U
     accel = _Anderson(y)
+    V = np.empty(M.shape, np.result_type(y, M))    # 2Z - y + M/rho
+    H = np.empty_like(V)                           # its Hermitian part
+    M_rho = M / rho
+    counters = dict.fromkeys(("extrapolations_accepted", "extrapolations_rejected",
+                              "penalty_changes"), 0)
     extrapolated = False       # whether y came from the acceleration
     accepted_norm = np.inf     # ||g|| at the last accepted point
     trace = []
     termination = "max_iters"
     iterations = config.max_iters
     for it in range(1, config.max_iters + 1):
-        V = 2.0 * Z - y + M / rho
-        X = project_psd(V) if has_cone else V
+        np.multiply(Z, 2.0, out=V)
+        V -= y
+        V += M_rho
+        if has_cone:
+            try:
+                X = project_psd_hermitian(hermitian_part(V, H))
+            except np.linalg.LinAlgError:
+                if np.isfinite(H).all():
+                    raise
+                X = H          # eigh fails on some non-finite input: the test below raises
+        else:
+            X = V
         g = X - Z
         g_norm = frobenius_norm(g)
+        if not math.isfinite(g_norm):
+            raise InvalidInputError("matrix has non-finite entries")
         if extrapolated and g_norm > accepted_norm:
+            counters["extrapolations_rejected"] += 1
             y, extrapolated = accel.F, False
             accel.clear()
         else:
+            counters["extrapolations_accepted"] += extrapolated
             accepted_norm = g_norm
             y, extrapolated = accel.step(y + g, g)
             if it % _CHECK_EVERY == 0:
@@ -563,8 +614,10 @@ def _splitting_engine(M, atoms, config, X0=None):
             continue
         # the scaled dual U = y - Z follows the penalty; T changes with it
         rho, y = scale * rho, Z + (y - Z) / scale
+        M_rho = M / rho
+        counters["penalty_changes"] += 1
         accel.clear()
-    return Z, (Z, y - Z, rho), iterations, termination, trace
+    return Z, (Z, y - Z, rho), iterations, termination, trace, {**counters, "rho": rho}
 
 
 def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraConfig | None = None,
@@ -579,11 +632,11 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
     resumes the sweeps where that solve ended (continuation over a related set).
     """
     config = config or PierraConfig()
-    M = check_square(np.asarray(M), "objective")
+    M = symmetrize(M, "objective")
     if not atoms:
         raise InvalidInputError("need at least one constraint atom")
-    M = symmetrize(M)
-    Z, state, iterations, termination, trace = _splitting_engine(M, atoms, config, warm_start)
+    Z, state, iterations, termination, trace, counters = _splitting_engine(
+        M, atoms, config, warm_start)
     Z_hat = _final_sweep(atoms, Z)
     report = SolveReport(
         solver="pierra",
@@ -593,6 +646,7 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
         objective_trace=np.asarray(trace),
         residuals=_residuals(atoms, Z_hat),
         state=state,
+        counters=counters,
     )
     return Z_hat, report
 
@@ -620,8 +674,8 @@ def pierra_community(A: np.ndarray, lam: float, config: PierraConfig | None = No
 def pierra_signed(A: np.ndarray, alpha: float, config: PierraConfig | None = None):
     """Signed clustering program: maximize <A - alpha*J, Z> over
     {Z psd, Z in [0,1], diag(Z) = 1}."""
-    A = check_square(np.asarray(A, dtype=float))
-    M = A - alpha * np.ones_like(A)
+    A = np.asarray(A, dtype=float)
+    M = A - alpha * np.ones_like(A)     # pierra_solve checks it
     return pierra_solve(M, signed_atoms(), config)
 
 
@@ -792,8 +846,7 @@ def bm_solve(M: np.ndarray, sense: str = "max", config: BmConfig | None = None):
     if sense not in ("max", "min"):
         raise InvalidInputError("sense must be 'max' or 'min'")
     config = config or BmConfig()
-    M = check_square(np.asarray(M), "objective")
-    M = symmetrize(M)
+    M = symmetrize(M, "objective")
     n = M.shape[0]
     p = config.rank if config.rank is not None else bm_rank(n)
     sgn = 1.0 if sense == "min" else -1.0

@@ -20,6 +20,33 @@ def random_unit_diag_psd(n, rng):
     return sample_feasible("maxcut", n, rng)
 
 
+MALFORMED = {
+    "non_square": (np.ones((3, 4)), "must be square"),
+    "vector": (np.ones(3), "must be square"),
+    "scalar": (np.array(1.0), "must be square"),
+    "empty": (np.ones((0, 0)), "dimension >= 1"),
+    "nan": (np.full((3, 3), np.nan), "non-finite"),
+    "inf": (np.diag([1.0, np.inf, 1.0]), "non-finite"),
+    "complex_nan": (np.full((3, 3), np.nan + 0j), "non-finite"),
+}
+ROUNDING_STEPS = {
+    "factorize_gram": factorize_gram,
+    "gw_round": lambda Z: gw_round(Z, np.ones((3, 3)), 5),
+    "extract_phases": extract_phases,
+    "spectral_sync": spectral_sync,
+    "extract_communities": lambda Z: extract_communities(Z, 1),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+@pytest.mark.parametrize("step", ROUNDING_STEPS)
+def test_rejects_malformed_input(step, case):
+    # each step checks its input once, inside the linalg call it makes
+    Z, message = MALFORMED[case]
+    with pytest.raises(InvalidInputError, match=message):
+        ROUNDING_STEPS[step](Z)
+
+
 class TestFactorizeGram:
     def test_identity(self):
         X = factorize_gram(np.eye(3))

@@ -21,9 +21,11 @@ from graphsdp.solvers import (
     _bm_descend,
     _bm_objective,
     _bm_restart,
+    _box_halfspace_projection,
     _certificate,
     _escape,
     _final_sweep,
+    _halfspace_multiplier,
     _set_projection,
     _splitting_engine,
     affine_halfspace,
@@ -154,6 +156,33 @@ def library_set(name, n, rng):
     }[name]
 
 
+HERMITIAN_CASES = ("signed", "community", "excess_risk", "l1", "l2", "complex_unit_diag")
+
+
+def hermitian_case(name):
+    """(objective, atoms) of one small solve per kind of constraint set the
+    library builds: the two problem sets, the three localizations of the
+    fixed-point estimator and a complex unit-diagonal program."""
+    if name == "community":
+        inst = gen_sbm(16, 2, 0.8, 0.1, seed=0)
+        return inst.observed, community_atoms(float(np.sum(inst.oracle)))
+    if name == "complex_unit_diag":
+        return gen_sync(SyncParams(n=12, sigma=0.5), seed=1).observed, unit_diag_atoms()
+    if name == "excess_risk":
+        rng = np.random.default_rng(21)
+        A0 = np.triu((rng.random((8, 8)) < 0.5).astype(float), 1)
+        A0 = A0 + A0.T
+        _, Z_star, _ = bm_solve(-A0, "max", BmConfig(seed=0))
+        mask = np.triu(rng.random((8, 8)) < 0.8, 1)
+        W = A0 - A0 * (mask + mask.T) / 0.8
+        return W, unit_diag_atoms() + [affine_halfspace(A0, 3.0 + np.vdot(A0, Z_star))]
+    inst = gen_ssbm(SsbmParams(n=12, n_clusters=2, p=0.8, q=0.2, delta=0.8), seed=1)
+    M = inst.observed - inst.params["alpha"]
+    ball = {"signed": [], "l1": [l1_ball_around(np.eye(12), 20.0)],
+            "l2": [l2_ball_around(np.eye(12), 4.0)]}[name]
+    return M, signed_atoms() + ball
+
+
 class TestSetProjection:
     @pytest.mark.parametrize("name", LIBRARY_SETS)
     def test_matches_dykstra_idempotent_nonexpansive(self, name):
@@ -177,6 +206,43 @@ class TestSetProjection:
         out = _set_projection(community_atoms(2.0), V)(V)
         assert np.allclose(out, [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
         assert frobenius_norm(out - dykstra_oracle(community_atoms(2.0), V)) <= 1e-10
+
+    def test_clip_matches_np_clip_to_the_bit(self):
+        # signed zeros, infinities and NaN, against bounds that are zero of
+        # either sign, finite, infinite or equal
+        values = np.array([-0.0, 0.0, 1.0, -1.0, 0.5, 2.0, np.inf, -np.inf, np.nan])
+        V = np.random.default_rng(0).choice(values, size=(12, 12))
+        for lo, hi in ((0.0, 1.0), (-0.0, 0.0), (-np.inf, np.inf), (1.0, 1.0), (-np.inf, -0.0)):
+            lo, hi = np.full(V.shape, lo), np.full(V.shape, hi)
+            assert solvers._clip(V, lo, hi).tobytes() == np.clip(V, lo, hi).tobytes()
+
+    @staticmethod
+    def box_halfspace_case(seed):
+        """A point outside box01 intersected with a half-space it violates."""
+        rng = np.random.default_rng(seed)
+        V = 2.0 * rng.standard_normal((12, 12))
+        C = rng.random((12, 12))
+        lo, hi = np.zeros((12, 12)), np.ones((12, 12))
+        return V, C, lo, hi, 0.3 * float(np.vdot(C, np.clip(V, lo, hi)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_multiplier_returns_the_clipped_point(self, seed):
+        V, C, lo, hi, bound = self.box_halfspace_case(seed)
+        tau, Z = _halfspace_multiplier(V, C, C * C, lo, hi, bound, 0.0)
+        assert Z.tobytes() == np.clip(V - tau * C, lo, hi).tobytes()
+        assert abs(float(np.vdot(C, Z)) - bound) <= 1e-12 * bound
+        project = _box_halfspace_projection([box01()], affine_halfspace(C, bound), V.shape)
+        assert project(V).tobytes() == Z.tobytes()
+
+    def test_multiplier_cap_leaves_the_clip_to_the_projection(self, monkeypatch):
+        # a search cut by the step cap has moved tau past its last clipped
+        # point: it returns none, and the projection clips at the final tau
+        monkeypatch.setattr(solvers, "_MULTIPLIER_STEPS", 1)
+        V, C, lo, hi, bound = self.box_halfspace_case(0)
+        tau, Z = _halfspace_multiplier(V, C, C * C, lo, hi, bound, 0.0)
+        assert Z is None and tau > 0
+        project = _box_halfspace_projection([box01()], affine_halfspace(C, bound), V.shape)
+        assert project(V).tobytes() == np.clip(V - tau * C, lo, hi).tobytes()
 
 
 class TestPierra:
@@ -296,6 +362,24 @@ class TestPierra:
                                   PierraConfig(max_iters=10_000))
         assert report.converged
         assert abs(report.objective - default.objective) <= 1e-6 * (1 + abs(default.objective))
+        assert default.counters["extrapolations_accepted"] > 0
+        assert report.counters["extrapolations_accepted"] == 0
+        assert report.counters["extrapolations_rejected"] >= report.iterations // 3
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_iterate_raises(self, monkeypatch, value):
+        # no sweep scans its matrices: a broken iterate shows in ||X - Z||,
+        # or in eigh failing on it, and raises the input error
+        inst = gen_ssbm(SsbmParams(n=12, n_clusters=2, p=0.8, q=0.2, delta=0.8), seed=2)
+        step = _Anderson.step
+
+        def broken(self, F, g):
+            step(self, F, g)
+            return np.full_like(F, value), True
+
+        monkeypatch.setattr(_Anderson, "step", broken)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            pierra_signed(inst.observed, inst.params["alpha"])
 
     @pytest.mark.parametrize("n, delta, seed, factor, budget", [
         (12, 0.8, 0, 1e-2, 1000),
@@ -323,10 +407,10 @@ class TestPierra:
         M = symmetrize(inst.observed - inst.params["alpha"])
         epsilon = factor * np.sqrt(30) / frobenius_norm(M)
         config = lambda k: PierraConfig(epsilon=epsilon, max_iters=k)
-        _, state, _, _, _ = _splitting_engine(M, signed_atoms(), config(10))
+        _, state, _, _, _, _ = _splitting_engine(M, signed_atoms(), config(10))
         assert state[2] != 1.0 / epsilon
-        _, _, _, _, full = _splitting_engine(M, signed_atoms(), config(40))
-        _, _, _, _, resumed = _splitting_engine(M, signed_atoms(), config(30), X0=state)
+        _, _, _, _, full, _ = _splitting_engine(M, signed_atoms(), config(40))
+        _, _, _, _, resumed, _ = _splitting_engine(M, signed_atoms(), config(30), X0=state)
         assert np.allclose(full[10:], resumed, rtol=1e-12, atol=0)
 
     def test_adaptive_penalty_corrects_a_poor_initial_step(self):
@@ -338,6 +422,9 @@ class TestPierra:
         _, report = pierra_signed(inst.observed, inst.params["alpha"],
                                   PierraConfig(epsilon=epsilon, max_iters=10_000))
         assert report.converged
+        assert report.counters["penalty_changes"] > 0
+        assert report.counters["rho"] != 1.0 / epsilon
+        assert report.to_dict()["counters"] == report.counters
 
     def test_warm_started_curve_equals_cold_solves(self):
         rng = np.random.default_rng(21)
@@ -371,7 +458,7 @@ class TestPierra:
         _, first = pierra_solve(M, signed_atoms() + [l2_ball_around(np.eye(10), 1.0)], config)
         atoms = signed_atoms() + [l2_ball_around(np.eye(10), 2.0)]
         Z_hat, report = pierra_solve(M, atoms, config, warm_start=first.state)
-        Z, state, iterations, termination, trace = _splitting_engine(
+        Z, state, iterations, termination, trace, counters = _splitting_engine(
             M, atoms, config, X0=first.state)
         assert np.array_equal(Z_hat, _final_sweep(atoms, Z))
         assert (report.iterations, report.termination) == (iterations, termination)
@@ -379,7 +466,54 @@ class TestPierra:
         assert np.array_equal(report.objective_trace, trace)
         assert report.objective == float(np.vdot(M, Z_hat))
         assert all(np.array_equal(a, b) for a, b in zip(report.state, state))
+        assert report.counters == counters
         assert "state" not in report.to_dict()
+
+    @pytest.mark.parametrize("case", HERMITIAN_CASES)
+    def test_sweep_point_is_exactly_hermitian(self, monkeypatch, case):
+        # the engine hands V = 2Z - y + M/rho to the unchecked psd kernel
+        # through hermitian_part; on every set the library builds V is
+        # exactly Hermitian at every sweep, so the kernel sees V itself
+        M, atoms = hermitian_case(case)
+        points, hermitian, kernel_saw_v = [], [], []
+        part, kernel = solvers.hermitian_part, solvers.project_psd_hermitian
+
+        def spy_part(V, out):
+            points.append(V.copy())
+            hermitian.append(np.array_equal(V, V.conj().T))
+            return part(V, out)
+
+        def spy_kernel(H):
+            kernel_saw_v.append(np.array_equal(H, points[-1]))
+            return kernel(H)
+
+        monkeypatch.setattr(solvers, "hermitian_part", spy_part)
+        monkeypatch.setattr(solvers, "project_psd_hermitian", spy_kernel)
+        _, report = pierra_solve(M, atoms)
+        assert report.converged
+        assert len(hermitian) == len(kernel_saw_v) == report.iterations
+        assert all(hermitian) and all(kernel_saw_v)
+
+    def test_non_symmetric_halfspace_normal(self, monkeypatch):
+        # <C, Z> = <(C + C^T)/2, Z> for symmetric Z, so a normal with an
+        # antisymmetric part cuts the same symmetric matrices; its iterates
+        # are not Hermitian, and the engine's symmetrization of V handles them
+        M, atoms = hermitian_case("excess_risk")
+        C, bound = atoms[-1].matrix, atoms[-1].bound
+        K = np.triu(np.random.default_rng(5).standard_normal(C.shape), 1)
+        hermitian = []
+        part = solvers.hermitian_part
+
+        def spy_part(V, out):
+            hermitian.append(np.array_equal(V, V.conj().T))
+            return part(V, out)
+
+        monkeypatch.setattr(solvers, "hermitian_part", spy_part)
+        Z, report = pierra_solve(M, atoms[:-1] + [affine_halfspace(C + K - K.T, bound)])
+        _, symmetric = pierra_solve(M, atoms)
+        assert report.converged and not all(hermitian)
+        assert np.array_equal(Z, Z.T)
+        assert abs(report.objective - symmetric.objective) <= 1e-5 * (1 + abs(symmetric.objective))
 
     def test_max_iters_reported(self):
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
