@@ -12,7 +12,7 @@ import inspect
 
 import numpy as np
 
-from .linalg import InvalidInputError, check_square, is_hermitian, symmetrize
+from .linalg import InvalidInputError, check_square, hermitian_part, is_hermitian
 from .metrics import cut_value
 from .problems import PROBLEMS
 from .rounding import expected_cut_closed_form, extract_communities, extract_phases, gw_round
@@ -52,13 +52,17 @@ class _SdpEstimatorBase:
         return f"{type(self).__name__}({args})"
 
     def _check_input(self, A, complex_ok=False):
+        """``(A + A*) / 2`` after one finiteness scan of A (``check_square``);
+        the solver scans the objective it is handed once more."""
         A = check_square(np.asarray(A), "input matrix")
         if np.iscomplexobj(A):
             if not complex_ok:
                 raise InvalidInputError("this estimator expects a real symmetric matrix")
             if not is_hermitian(A, tol=1e-8):
                 raise InvalidInputError("input must be Hermitian")
-        return symmetrize(A)
+        elif A.dtype.kind in "biu":
+            A = A.astype(float)      # as symmetrize does
+        return hermitian_part(A, np.empty(A.shape, A.dtype))
 
     def _bm_config(self):
         return BmConfig(rank=self.rank, max_iters=self.max_iters, grad_tol=self.grad_tol,

@@ -298,7 +298,9 @@ def gen_sync(params: SyncParams, seed=0) -> ProblemInstance:
         u = noise_rng.uniform(0.0, 2.0 * np.pi, (n, n))
         is_outlier = noise_rng.random((n, n)) < params.gamma
         noisy = np.where(is_outlier, u, offsets)
-    upper = np.triu(np.exp(1j * noisy), 1)
+    upper = np.zeros((n, n), complex)
+    strict = np.triu_indices(n, 1)
+    upper[strict] = np.exp(1j * noisy[strict])
     if params.sample_prob < 1.0:
         keep = _rng.stream(seed, _rng.STREAM_MASK).random((n, n)) < params.sample_prob
         upper = upper * np.triu(keep, 1)

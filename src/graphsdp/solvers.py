@@ -17,9 +17,12 @@ Two solver families cover every program in the library:
   step instead.  The memory is cleared on a rejection and on a penalty
   change.
 * :func:`bm_solve` optimizes ``<M, Y Y*>`` over unit-norm rows of a low-rank
-  factor Y (Barzilai-Borwein gradient descent on a product of
-  spheres/circles), for the special constraint set {Z psd, diag(Z) = 1},
-  and stops on a dual certificate that bounds the gap to the optimum.
+  factor Y (Barzilai-Borwein gradient descent with a nonmonotone line
+  search on a product of spheres/circles), for the special constraint set
+  {Z psd, diag(Z) = 1}, and stops on a dual certificate that bounds the gap
+  to the optimum.  The factor starts at rank 4 and gains columns only when
+  the certificate rejects a full-rank factor, up to the cap
+  :func:`bm_rank`.
 """
 
 from __future__ import annotations
@@ -246,14 +249,17 @@ class PierraConfig:
 
 @dataclass(frozen=True)
 class BmConfig:
-    """Low-rank factorization knobs; ``rank=None`` uses :func:`bm_rank`.
+    """Low-rank factorization knobs.
 
-    ``restarts`` is the most seeded starts that run: the first one whose
-    dual certificate proves it optimal to ``grad_tol * (1 + |objective|)``
-    ends the solve.  ``max_iters`` is one restart's budget, shared by its
-    first descent and its escapes along the certificate's bottom
-    eigenvector.  ``grad_tol`` also stops each descent once the gradient
-    norm is at most ``grad_tol * (1 + ||M||_F)``.
+    ``rank=None`` adapts the factor's rank: each restart starts with
+    ``min(4, bm_rank(n))`` columns and grows only when the certificate
+    rejects a full-rank factor, never beyond the cap :func:`bm_rank`; an
+    integer ``rank`` is fixed.  ``restarts`` is the most seeded starts that
+    run: the first one whose dual certificate proves it optimal to
+    ``grad_tol * (1 + |objective|)`` ends the solve.  ``max_iters`` is one
+    restart's budget, shared by its first descent and the descents after
+    its escapes and rank increases.  ``grad_tol`` also stops each descent
+    once the gradient norm is at most ``grad_tol * (1 + ||M||_F)``.
     """
 
     rank: Optional[int] = None
@@ -298,7 +304,9 @@ class SolveReport:
     # splitting: the end state (Z, U, rho), for ``pierra_solve(warm_start=...)``; not serialized
     state: Optional[tuple] = field(default=None, repr=False, compare=False)
     # splitting: extrapolations accepted and rejected by the safeguard,
-    # penalty changes and the final penalty rho; empty for BM
+    # penalty changes and the final penalty rho; BM: restarts run, escapes
+    # and rank increases taken, objective evaluations, certificates settled
+    # by a Cholesky factor and by eigh, and the final rank
     counters: dict = field(default_factory=dict)
 
     @property
@@ -682,10 +690,24 @@ def pierra_signed(A: np.ndarray, alpha: float, config: PierraConfig | None = Non
 # ---------------------------------------------------------------------------
 # low-rank factorization on the product of spheres / circles
 
+_BM_START_RANK = 4            # columns an adaptive restart starts with
+_BM_REFERENCE_WEIGHT = 0.85   # eta of the descent's Zhang-Hager reference value
+# a factor has full column rank when the least eigenvalue of Y* Y exceeds
+# this share of the largest
+_FULL_RANK = 1e-8
+# a descent tries a Cholesky certificate every _BM_CHECK_EVERY * n / p
+# iterations, where a factor costs about as much as n / (6p) objective
+# evaluations, and at most every _BM_CHECK_MIN: the checks are there to cut
+# long tails, and a descent that ends on its gradient test leaves a far more
+# accurate objective than one a certificate at the target stops
+_BM_CHECK_EVERY = 4
+_BM_CHECK_MIN = 100
+
 
 def bm_rank(n: int) -> int:
     """Factorization rank ceil(sqrt(2n)), above the barrier where every local
-    optimum of the factorized program is global for almost all objectives."""
+    optimum of the factorized program is global for almost all objectives;
+    the most columns an adaptive :func:`bm_solve` grows to."""
     if n < 1:
         raise InvalidInputError("n must be >= 1")
     return int(np.ceil(np.sqrt(2.0 * n)))
@@ -707,39 +729,93 @@ def _bm_objective(Y: np.ndarray, CY: np.ndarray) -> float:
     return float(np.real(np.vdot(Y, CY)))
 
 
-def _bm_descend(C, Y, grad_tol, max_iters, step0, trace):
+def _bm_descend(C, Y, grad_tol, max_iters, step0, trace, counters, gap_tol):
     """Minimize ``<C, Y Y*>`` by Riemannian gradient descent with
-    Barzilai-Borwein trial steps, each backtracked until it passes the
-    Armijo test with a strict decrease (so the descent stalls at the
-    roundoff floor instead of accepting equal values).  Stops once the
-    gradient norm is at most grad_tol, no step decreases the objective or
-    max_iters iterations have run; returns ``(Y, CY, value, iterations)``.
-    Appends the objective at the start and at every accepted step to trace."""
+    Barzilai-Borwein trial steps and the nonmonotone line search of Zhang &
+    Hager (2004): each trial is backtracked until it passes the Armijo test,
+    with a strict decrease, against a reference value, the mean of the
+    accepted values with weights that fall by ``_BM_REFERENCE_WEIGHT`` per
+    step.  A trial whose first-order decrease ``t ||G||^2`` is below
+    ``n eps (1 + |value|)``, a bound on the objective's roundoff, must
+    instead decrease the value itself, and if it does not, no smaller step
+    is tried: at that floor the values differ by noise.
+
+    Stops once the gradient norm is at most grad_tol, or, checked every
+    ``max(_BM_CHECK_MIN, _BM_CHECK_EVERY * n / p)`` iterations, once a
+    Cholesky factor of ``S + tau I`` (see ``_cholesky_gap``) proves the
+    point within ``gap_tol * (1 + |value|)`` of the optimum (returning that
+    point), or
+    when no step passes or max_iters iterations have run (returning the best
+    point seen).  Returns ``(Y, CY, value, iterations, gap)``, gap the
+    bound of a check that certified the point, else None.  Appends the
+    objective at the start and at every accepted step to trace, and counts
+    every evaluation of the objective in ``counters["evaluations"]``."""
+    n, p = Y.shape
     CY = C @ Y
     value = _bm_objective(Y, CY)
+    counters["evaluations"] += 1
     trace.append(value)
     G = _tangent(Y, 2.0 * CY)
+    best = (Y, CY, value)
+    reference, weight = value, 1.0
+    roundoff = n * np.finfo(float).eps
+    check_every = max(_BM_CHECK_MIN, _BM_CHECK_EVERY * n // p)
     t = step0
     for it in range(1, max_iters + 1):
         sq = float(np.real(np.vdot(G, G)))
         if np.sqrt(sq) <= grad_tol:
-            return Y, CY, value, it
+            return Y, CY, value, it, None
+        if it % check_every == 0:
+            gap = _cholesky_gap(*_dual_slack(C, Y, CY), gap_tol * (1.0 + abs(value)))
+            if gap is not None:
+                return Y, CY, value, it, gap
+        floor = roundoff * (1.0 + abs(value))
+        passed = False
         for _ in range(60):
             Y_new = _retract_rows(Y - t * G)
             CY_new = C @ Y_new
             v_new = _bm_objective(Y_new, CY_new)
-            if v_new < value and v_new <= value - 1e-4 * t * sq:
+            counters["evaluations"] += 1
+            if t * sq <= floor:
+                passed = v_new < value
+                break
+            if v_new < reference and v_new <= reference - 1e-4 * t * sq:
+                passed = True
                 break
             t *= 0.5
-        else:
-            return Y, CY, value, it
+        if not passed:
+            break
         G_new = _tangent(Y_new, 2.0 * CY_new)
         s, d = Y_new - Y, G_new - G
         sd = abs(float(np.real(np.vdot(s, d))))
         t = float(np.real(np.vdot(s, s))) / sd if sd > 0 else 2.0 * t
         Y, CY, value, G = Y_new, CY_new, v_new, G_new
         trace.append(value)
-    return Y, CY, value, max_iters
+        kept = _BM_REFERENCE_WEIGHT * weight
+        weight = kept + 1.0
+        reference = (kept * reference + value) / weight
+        if value < best[2]:
+            best = (Y, CY, value)
+    return (*best, it, None)
+
+
+def _dual_slack(C, Y, CY):
+    """``(S, slack)``: the dual slack ``S = C - Diag(Re diag(C Y Y*))`` and
+    its roundoff allowance ``n * eps * ||S||_F``."""
+    lam = np.real(np.sum(CY * Y.conj(), axis=1))
+    S = C - np.diag(lam)
+    return S, C.shape[0] * np.finfo(float).eps * frobenius_norm(S)
+
+
+def _cholesky_gap(S, slack, target):
+    """The gap bound a Cholesky factor of ``S + tau I``, ``tau = target / (2n)``,
+    proves (``n (tau + slack) <= target``), or None when the factor does not
+    exist or the target is infinite or below ``2 n slack``."""
+    n = S.shape[0]
+    tau = target / (2 * n)
+    if 2 * n * slack <= target and np.isfinite(tau) and has_cholesky(S, tau):
+        return n * (tau + slack)
+    return None
 
 
 def _certificate(C, Y, CY, target):
@@ -758,74 +834,94 @@ def _certificate(C, Y, CY, target):
     little below ``-slack``, as on real Gaussian objectives.  Otherwise one
     ``eigh(S)`` gives the exact ``n * max(0, slack - lambda_min(S))`` with
     ``slack = n * eps * ||S||_2`` (the eigensolver's backward error), and
-    its bottom eigenvector is where ``_escape`` steps.
+    its eigenvectors with eigenvalues below ``-slack`` (the bottom one at
+    least), in ascending order, are where ``_escape`` steps.
 
-    Returns ``(gap, v)``: v is None when a Cholesky bound certified."""
+    Returns ``(gap, V)``: V is None when a Cholesky bound certified."""
     n = C.shape[0]
-    lam = np.real(np.sum(CY * Y.conj(), axis=1))
-    S = C - np.diag(lam)
-    eps = np.finfo(float).eps
-    slack = n * eps * frobenius_norm(S)
-    if 2 * n * slack <= target:
-        if has_cholesky(S, slack):
-            return 2 * n * slack, None
-        tau = target / (2 * n)
-        if np.isfinite(tau) and has_cholesky(S, tau):
-            return n * (tau + slack), None
+    S, slack = _dual_slack(C, Y, CY)
+    if 2 * n * slack <= target and has_cholesky(S, slack):
+        return 2 * n * slack, None
+    gap = _cholesky_gap(S, slack, target)
+    if gap is not None:
+        return gap, None
     w, V = np.linalg.eigh(S)
-    slack = n * eps * max(abs(w[0]), abs(w[-1]))
-    return n * max(0.0, slack - w[0]), V[:, 0]
+    slack = n * np.finfo(float).eps * max(abs(w[0]), abs(w[-1]))
+    return n * max(0.0, slack - w[0]), V[:, :max(1, int(np.sum(w < -slack)))]
 
 
-def _escape(C, Y, v, value):
-    """Step from a point that the certificate rejects along ``v u*``: v the
-    bottom eigenvector of S (see ``_certificate``), u the right singular
-    vector of Y with the least singular value (a null vector of Y when Y is
-    rank deficient, where the objective drops like ``t^2 lambda_min(S)``).
-    Backtracks from t = 1 to the first strict decrease; returns None when
-    there is none."""
-    _, U = np.linalg.eigh(Y.conj().T @ Y)
-    D = _tangent(Y, np.outer(v, U[:, 0].conj()))
+def _escape(C, Y, V, value, cap, counters):
+    """Step from a point that the certificate rejects, along the bottom
+    eigenvectors V of S (see ``_certificate``); returns the new factor, or
+    None when no step decreases the objective.
+
+    A factor with full column rank and fewer than ``cap`` columns grows: it
+    gains up to ``min(p, cap - p)`` columns along the leading columns of V,
+    the block form of the rank increment of Journee, Bach, Absil &
+    Sepulchre (2010), and the objective drops like ``t^2`` times the sum of
+    their eigenvalues.  Any other factor steps along ``v u*``: v the bottom
+    eigenvector, u the right singular vector of Y with the least singular
+    value (a null vector of Y when Y is rank deficient, where the objective
+    drops like ``t^2 lambda_min(S)``).  Backtracks from t = 1 to the first
+    strict decrease, counting every trial in ``counters["evaluations"]``."""
+    n, p = Y.shape
+    w, U = np.linalg.eigh(Y.conj().T @ Y)
+    if p < cap and w[0] > _FULL_RANK * w[-1]:
+        k = min(p, cap - p, V.shape[1])
+        Y = np.hstack([Y, np.zeros((n, k), Y.dtype)])
+        D = np.zeros_like(Y)
+        D[:, p:] = V[:, :k]
+    else:
+        D = _tangent(Y, np.outer(V[:, 0], U[:, 0].conj()))
     t = 1.0
     for _ in range(60):
         Y_new = _retract_rows(Y + t * D)
+        counters["evaluations"] += 1
         if _bm_objective(Y_new, C @ Y_new) < value:
             return Y_new
         t *= 0.5
     return None
 
 
-def _bm_restart(C, Y, config, grad_tol, step0, trace):
-    """Descend from Y, then certify or escape and descend again; every
-    descent takes at least one iteration of the ``config.max_iters`` budget.
+def _bm_restart(C, Y, cap, config, grad_tol, step0, trace, counters):
+    """Descend from Y, then certify, or escape or grow up to ``cap`` columns
+    and descend again; every descent takes at least one iteration of the
+    ``config.max_iters`` budget.
 
     Returns ``(Y, value, gap, iterations, termination)``: "converged" once
     the gap bound is at most ``config.grad_tol * (1 + |value|)``,
-    "max_iters" when the budget is spent, "stalled" when the escape finds
-    no decrease."""
+    "max_iters" when the budget is spent, "stalled" when no escape
+    decreases the objective.  Tallies certificates, escapes, rank increases
+    and evaluations in ``counters``."""
     budget = config.max_iters
     while True:
-        Y, CY, value, its = _bm_descend(C, Y, grad_tol, budget, step0, trace)
+        Y, CY, value, its, gap = _bm_descend(C, Y, grad_tol, budget, step0, trace, counters,
+                                             config.grad_tol)
         budget -= its
         target = config.grad_tol * (1.0 + abs(value))
-        gap, v = _certificate(C, Y, CY, target)
+        V = None
+        if gap is None:
+            gap, V = _certificate(C, Y, CY, target)
+        counters["certificates_cholesky" if V is None else "certificates_eigh"] += 1
         if gap <= target:
             return Y, value, gap, config.max_iters - budget, "converged"
         if budget <= 0:
             return Y, value, gap, config.max_iters - budget, "max_iters"
-        Y_escape = _escape(C, Y, v, value)
-        if Y_escape is None:
+        Y_next = _escape(C, Y, V, value, cap, counters)
+        if Y_next is None:
             return Y, value, gap, config.max_iters - budget, "stalled"
-        Y = Y_escape
+        counters["rank_increases" if Y_next.shape[1] > Y.shape[1] else "escapes"] += 1
+        Y = Y_next
 
 
 def bm_solve(M: np.ndarray, sense: str = "max", config: BmConfig | None = None):
-    """Optimize ``Re <M, Y Y*>`` over unit-norm rows of Y (rank p factor).
+    """Optimize ``Re <M, Y Y*>`` over unit-norm rows of an n x p factor Y.
 
     The feasible Gram matrices are exactly {Z psd, diag(Z) = 1}; complex
     objectives run on the product of unit circles, real ones on unit
     spheres.  Each restart starts from a seeded random Y and runs
-    Barzilai-Borwein gradient descent.  The stop is a dual certificate:
+    Barzilai-Borwein gradient descent with a nonmonotone line search.  The
+    stop is a dual certificate:
     with ``S = Diag(Re diag(M Z)) - M`` (``M -> -M`` for ``sense="min"``)
     the objective is within ``n * max(0, -lambda_min(S))`` of the optimum,
     and the solve is ``converged`` once that gap is at most
@@ -837,18 +933,31 @@ def bm_solve(M: np.ndarray, sense: str = "max", config: BmConfig | None = None):
     restart that is not certified
     escapes along the bottom eigenvector of S and descends again; the
     descents and escapes of one restart share its ``max_iters`` budget.
+    A long descent also tries one factor of ``S + target / (2 n) I`` every
+    ``max(100, 4 n / p)`` iterations and stops once it certifies.
+
+    ``config.rank=None`` adapts the rank: each restart starts with
+    ``min(4, bm_rank(n))`` columns, and a factor that the certificate
+    rejects while it has full column rank (a rank-deficient one escapes
+    instead) gains columns along the bottom eigenvectors of S, up to twice
+    its rank and never beyond the cap ``bm_rank(n)``, where the guarantee
+    that every local optimum is global holds.  An integer rank is fixed.
     At most ``config.restarts`` restarts run: the first certified one ends
     the solve, otherwise the best one wins, ties to the lowest index.
 
     Returns ``(Y, Z_hat, SolveReport)`` with ``Z_hat = Y @ Y*``; the
-    report's ``gap`` is the bound of the returned point.
+    report's ``gap`` is the bound of the returned point, and its
+    ``counters`` hold the restarts run, the escapes and rank increases
+    taken, the certificates settled by a Cholesky factor and by ``eigh``,
+    the objective evaluations and the final ``rank`` (Y's columns).
     """
     if sense not in ("max", "min"):
         raise InvalidInputError("sense must be 'max' or 'min'")
     config = config or BmConfig()
     M = symmetrize(M, "objective")
     n = M.shape[0]
-    p = config.rank if config.rank is not None else bm_rank(n)
+    cap = config.rank if config.rank is not None else bm_rank(n)
+    p = config.rank if config.rank is not None else min(_BM_START_RANK, cap)
     sgn = 1.0 if sense == "min" else -1.0
     C = sgn * M
     scale = frobenius_norm(M)
@@ -857,6 +966,8 @@ def bm_solve(M: np.ndarray, sense: str = "max", config: BmConfig | None = None):
     complex_valued = np.iscomplexobj(M)
 
     root = np.random.SeedSequence(config.seed, spawn_key=(0,))
+    counters = dict.fromkeys(("restarts", "escapes", "rank_increases", "evaluations",
+                              "certificates_cholesky", "certificates_eigh"), 0)
     best = None
     total_iters = 0
     for child in root.spawn(config.restarts):
@@ -866,8 +977,9 @@ def bm_solve(M: np.ndarray, sense: str = "max", config: BmConfig | None = None):
         else:
             Y = rng.standard_normal((n, p))
         trace = []
+        counters["restarts"] += 1
         Y, value, gap, its, termination = _bm_restart(
-            C, _retract_rows(Y), config, grad_tol, step0, trace)
+            C, _retract_rows(Y), cap, config, grad_tol, step0, trace, counters)
         total_iters += its
         if best is None or value < best[1]:
             best = (Y, value, gap, termination, trace)
@@ -885,5 +997,6 @@ def bm_solve(M: np.ndarray, sense: str = "max", config: BmConfig | None = None):
         objective_trace=np.asarray([sgn * v for v in trace]),
         residuals={"0:psd": 0.0, "1:diag_eq_one": diag_err},
         gap=gap,
+        counters={**counters, "rank": Y.shape[1]},
     )
     return Y, Z, report

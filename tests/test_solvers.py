@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -657,6 +659,8 @@ class TestBm:
         _, Z2, r2 = bm_solve(M, "max", BmConfig(seed=4))
         assert np.array_equal(Z1, Z2)
         assert r1.iterations == r2.iterations
+        assert r1.counters == r2.counters
+        assert np.array_equal(r1.objective_trace, r2.objective_trace)
 
     def test_stop_reasons(self):
         rng = np.random.default_rng(3)
@@ -665,6 +669,8 @@ class TestBm:
         # a gradient tolerance below roundoff: the line search fails first
         _, _, stalled = bm_solve(M, "max", BmConfig(grad_tol=1e-30, restarts=1))
         assert stalled.termination == "stalled" and not stalled.converged
+        # the nonmonotone descent still ends at the roundoff floor
+        assert stalled.iterations <= 1000
         _, _, spent = bm_solve(M, "max", BmConfig(max_iters=3, restarts=1))
         assert spent.termination == "max_iters" and not spent.converged
 
@@ -685,6 +691,10 @@ class TestBm:
         assert report.termination == "converged"
         assert 0.0 < report.gap <= 1e-7 * (1.0 + abs(report.objective))
         assert report.to_dict()["gap"] == report.gap
+        assert report.counters == {"restarts": 1, "escapes": 0, "rank_increases": 0,
+                                   "evaluations": report.counters["evaluations"],
+                                   "certificates_cholesky": 1, "certificates_eigh": 0, "rank": 4}
+        assert report.to_dict()["counters"] == report.counters
 
     def test_uncertified_round_pays_one_eigh(self, monkeypatch):
         # rank 1 is never certified: each descent's certificate falls back to
@@ -709,6 +719,11 @@ class TestBm:
         assert report.termination == "stalled"
         assert calls["eigvalsh"] == 0
         assert calls["eigh"] == calls["rounds"] == calls["escapes"] > 3
+        counters = report.counters
+        assert (counters["restarts"], counters["rank"], counters["rank_increases"]) == (3, 1, 0)
+        assert counters["certificates_eigh"] == calls["eigh"]
+        assert counters["certificates_cholesky"] == 0
+        assert counters["escapes"] == calls["escapes"] - 3
 
     def test_certified_restart_ends_the_solve(self):
         M = gen_bipartite_perturbed(40, 0.1, 0.6, seed=3).rescaled
@@ -737,19 +752,26 @@ class TestBm:
         saddle = np.zeros((30, bm_rank(30)))
         saddle[:, 0] = 1.0
         C = A.astype(float)
-        Y, CY, value, its = _bm_descend(C, saddle, 1e-6, 100, 1e-2, [])
-        assert its == 1
+        cap = saddle.shape[1]
+        Y, CY, value, its, gap = _bm_descend(C, saddle, 1e-6, 100, 1e-2, [], Counter(), 1e-6)
+        assert its == 1 and gap is None
         gap, v = _certificate(C, Y, CY, 1e-6)
         assert gap > 1.0
-        Y_escape = _escape(C, Y, v, value)
+        Y_escape = _escape(C, Y, v, value, cap, Counter())
+        assert Y_escape.shape == Y.shape
+        assert _bm_objective(Y_escape, C @ Y_escape) < value
+        # below the cap a rank-deficient factor still escapes instead of growing
+        Y_escape = _escape(C, Y, v, value, 2 * cap, Counter())
+        assert Y_escape.shape == Y.shape
         assert _bm_objective(Y_escape, C @ Y_escape) < value
         config = BmConfig()
-        _, best, gap, _, termination = _bm_restart(C, saddle, config, 1e-6, 1e-2, [])
+        _, best, gap, _, termination = _bm_restart(C, saddle, cap, config, 1e-6, 1e-2, [], Counter())
         _, _, reference = bm_solve(-A, "max", config)
         assert termination == "converged"
         assert abs(best + reference.objective) <= gap + reference.gap
         # the descent after the escape draws on the same budget
-        _, _, _, its, termination = _bm_restart(C, saddle, BmConfig(max_iters=5), 1e-6, 1e-2, [])
+        _, _, _, its, termination = _bm_restart(C, saddle, cap, BmConfig(max_iters=5), 1e-6,
+                                                1e-2, [], Counter())
         assert (its, termination) == (5, "max_iters")
 
     def test_decisions_match_the_eigenvalue_certificate(self, monkeypatch):
@@ -761,9 +783,9 @@ class TestBm:
         def eigenvalue_certificate(C, Y, CY, target):
             n = C.shape[0]
             S = C - np.diag(np.real(np.sum(CY * Y.conj(), axis=1)))
-            w = np.linalg.eigvalsh(S)
+            w, V = np.linalg.eigh(S)
             slack = n * np.finfo(float).eps * max(abs(w[0]), abs(w[-1]))
-            return n * max(0.0, slack - w[0]), np.linalg.eigh(S)[1][:, 0]
+            return n * max(0.0, slack - w[0]), V[:, :max(1, int(np.sum(w < -slack)))]
 
         def solves(seed):
             sigmas = (0.1, 0.3, 0.5)
@@ -832,22 +854,29 @@ class TestBm:
             S = C - np.diag(np.real(np.sum(CY * Y.conj(), axis=1)))
             w, V = np.linalg.eigh(S)
             slack = n * np.finfo(float).eps * max(abs(w[0]), abs(w[-1]))
-            return n * max(0.0, slack - w[0]), V[:, 0]
+            return n * max(0.0, slack - w[0]), V[:, :max(1, int(np.sum(w < -slack)))]
 
         objectives = []
         for seed in range(3):
             G = np.random.default_rng(seed).standard_normal((60, 60))
             objectives.append((G + G.T) / 2)
         factors, fast = [], []
-        has_cholesky = solvers.has_cholesky
+        has_cholesky, certificate = solvers.has_cholesky, solvers._certificate
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solvers, "has_cholesky",
                        lambda S, shift: (lambda ok: factors[-1].append(ok) or ok)(has_cholesky(S, shift)))
+            mp.setattr(solvers, "_certificate",
+                       lambda *args: factors[-1].append("certificate") or certificate(*args))
             for M in objectives:
                 factors.append([])
                 fast.append(bm_solve(M, "max"))
-        # one certificate per solve: no factor at the roundoff shift, one at tau
-        assert factors == [[False, True]] * len(objectives)
+        # one certificate per solve: no factor at the roundoff shift, one at
+        # tau; the descent's periodic checks before it (one factor at tau
+        # each) did not certify
+        for taken, (_, _, report) in zip(factors, fast):
+            assert taken[-3:] == ["certificate", False, True]
+            assert taken.count("certificate") == 1 and True not in taken[:-1]
+            assert (report.counters["certificates_cholesky"], report.counters["certificates_eigh"]) == (1, 0)
         monkeypatch.setattr(solvers, "_certificate", eigenvalue_certificate)
         for M, (_, Z, report) in zip(objectives, fast):
             _, Z_ref, ref = bm_solve(M, "max")
@@ -855,6 +884,88 @@ class TestBm:
             assert (report.iterations, report.objective) == (ref.iterations, ref.objective)
             assert np.array_equal(Z, Z_ref)
             assert report.gap <= 1e-7 * (1.0 + abs(report.objective))
+
+    @staticmethod
+    def _gaussian(n, seed):
+        G = np.random.default_rng(seed).standard_normal((n, n))
+        return (G + G.T) / 2
+
+    def test_rank_grows_past_a_full_rank_stall(self, monkeypatch):
+        # the certified optimum of this objective has rank 5: a fixed rank 4
+        # stalls at a full-rank point with a large gap, while the adaptive
+        # solve starts at rank 4, grows and matches the solve at the cap
+        n = 80
+        M = self._gaussian(n, 80)
+        Y4, _, fixed = bm_solve(M, "max", BmConfig(rank=4))
+        assert fixed.termination == "stalled" and fixed.gap > 20.0
+        assert Y4.shape[1] == fixed.counters["rank"] == 4
+        assert fixed.counters["rank_increases"] == 0 and fixed.counters["escapes"] > 0
+        _, _, at_cap = bm_solve(M, "max", BmConfig(rank=bm_rank(n)))
+        assert at_cap.counters["rank"] == bm_rank(n) and at_cap.counters["rank_increases"] == 0
+        Y, Z, adaptive = bm_solve(M, "max")
+        assert adaptive.converged and at_cap.converged
+        assert abs(adaptive.objective - at_cap.objective) <= adaptive.gap + at_cap.gap
+        assert np.linalg.matrix_rank(Z, 1e-6) >= 5
+        assert adaptive.counters["rank_increases"] >= 1
+        assert Y.shape[1] == adaptive.counters["rank"] and 4 < Y.shape[1] <= bm_rank(n)
+        # the rounds that grew read their eigenvectors off eigh(S)
+        assert adaptive.counters["certificates_eigh"] >= adaptive.counters["rank_increases"]
+        # re-runs are deterministic, and every evaluation is counted
+        evaluations = []
+        objective = solvers._bm_objective
+        monkeypatch.setattr(solvers, "_bm_objective",
+                            lambda Y, CY: evaluations.append(1) or objective(Y, CY))
+        Y2, Z2, again = bm_solve(M, "max")
+        assert np.array_equal(Y, Y2) and np.array_equal(Z, Z2)
+        assert again.counters == adaptive.counters and again.iterations == adaptive.iterations
+        assert np.array_equal(again.objective_trace, adaptive.objective_trace)
+        assert adaptive.counters["evaluations"] == len(evaluations) > adaptive.iterations
+
+    def test_descent_accepts_steps_against_the_reference_value(self):
+        # the line search compares a trial with the Zhang-Hager reference,
+        # a weighted mean of the accepted values, not with the last value:
+        # some accepted steps raise the minimized value, none reaches the
+        # reference (one descent: no escape, no growth)
+        n = 40
+        _, _, report = bm_solve(self._gaussian(n, 80), "max", BmConfig(rank=bm_rank(n)))
+        assert report.converged
+        assert report.counters["escapes"] == report.counters["rank_increases"] == 0
+        values = -report.objective_trace
+        assert np.sum(np.diff(values) > 0) >= 5
+        reference, weight = values[0], 1.0
+        for value in values[1:]:
+            assert value < reference
+            kept = 0.85 * weight
+            weight = kept + 1.0
+            reference = (kept * reference + value) / weight
+
+    def test_rank_never_exceeds_the_cap(self, monkeypatch):
+        for n, seed in ((12, 0), (30, 1), (60, 80), (80, 81)):
+            Y, _, report = bm_solve(self._gaussian(n, seed), "max")
+            assert report.converged
+            assert Y.shape[1] == report.counters["rank"] <= bm_rank(n)
+        # growth doubles the rank but stops at the cap: with the cap lowered
+        # to 5 the solve above grows 4 -> 5 once and is certified there
+        monkeypatch.setattr(solvers, "bm_rank", lambda n: 5)
+        Y, _, report = bm_solve(self._gaussian(80, 80), "max")
+        assert report.converged
+        assert Y.shape[1] == report.counters["rank"] == 5
+        assert report.counters["rank_increases"] == 1
+
+    def test_descent_stops_once_a_periodic_factor_certifies(self, monkeypatch):
+        # every max(100, 4n/p) iterations a descent tries one Cholesky factor
+        # of S + tau I; at the cap this one certifies before the gradient test
+        # ends the descent, so the end-of-descent certificate never runs
+        n = 80
+        M = self._gaussian(n, 80)
+        _, _, adaptive = bm_solve(M, "max")
+        monkeypatch.setattr(solvers, "_certificate", None)
+        _, _, report = bm_solve(M, "max", BmConfig(rank=bm_rank(n)))
+        assert report.converged
+        assert report.iterations % max(100, 4 * n // bm_rank(n)) == 0
+        assert (report.counters["certificates_cholesky"], report.counters["certificates_eigh"]) == (1, 0)
+        assert 0.0 < report.gap <= 1e-7 * (1.0 + abs(report.objective))
+        assert abs(report.objective - adaptive.objective) <= report.gap + adaptive.gap
 
     def test_certificate_bounds_the_gap(self):
         rng = np.random.default_rng(9)
