@@ -12,7 +12,7 @@ import inspect
 
 import numpy as np
 
-from .linalg import InvalidInputError, check_square, hermitian_part, is_hermitian
+from .linalg import InvalidInputError, check_square, is_hermitian, symmetrize_unchecked
 from .metrics import cut_value
 from .problems import PROBLEMS
 from .rounding import expected_cut_closed_form, extract_communities, extract_phases, gw_round
@@ -60,9 +60,7 @@ class _SdpEstimatorBase:
                 raise InvalidInputError("this estimator expects a real symmetric matrix")
             if not is_hermitian(A, tol=1e-8):
                 raise InvalidInputError("input must be Hermitian")
-        elif A.dtype.kind in "biu":
-            A = A.astype(float)      # as symmetrize does
-        return hermitian_part(A, np.empty(A.shape, A.dtype))
+        return symmetrize_unchecked(A)
 
     def _bm_config(self):
         return BmConfig(rank=self.rank, max_iters=self.max_iters, grad_tol=self.grad_tol,

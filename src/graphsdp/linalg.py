@@ -30,6 +30,7 @@ __all__ = [
     "check_fields",
     "check_square",
     "symmetrize",
+    "symmetrize_unchecked",
     "hermitian_part",
     "is_hermitian",
     "eigh_sorted",
@@ -94,7 +95,12 @@ def check_square(M: np.ndarray, name: str = "matrix") -> np.ndarray:
 def symmetrize(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Return (M + M*)/2, the nearest (conjugate-)symmetric matrix, after
     checking M as ``check_square(M, name)`` does."""
-    M = check_square(M, name)
+    return symmetrize_unchecked(check_square(M, name))
+
+
+def symmetrize_unchecked(M: np.ndarray) -> np.ndarray:
+    """:func:`symmetrize` without the check, for a caller that has already
+    run ``check_square`` on M: integer and bool M is cast to float first."""
     if M.dtype.kind in "biu":
         M = M.astype(float)      # an in-place halving would keep an integer dtype
     return hermitian_part(M, np.empty(M.shape, M.dtype))

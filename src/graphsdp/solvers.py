@@ -695,13 +695,6 @@ _BM_REFERENCE_WEIGHT = 0.85   # eta of the descent's Zhang-Hager reference value
 # a factor has full column rank when the least eigenvalue of Y* Y exceeds
 # this share of the largest
 _FULL_RANK = 1e-8
-# a descent tries a Cholesky certificate every _BM_CHECK_EVERY * n / p
-# iterations, where a factor costs about as much as n / (6p) objective
-# evaluations, and at most every _BM_CHECK_MIN: the checks are there to cut
-# long tails, and a descent that ends on its gradient test leaves a far more
-# accurate objective than one a certificate at the target stops
-_BM_CHECK_EVERY = 4
-_BM_CHECK_MIN = 100
 
 
 def bm_rank(n: int) -> int:
@@ -729,7 +722,7 @@ def _bm_objective(Y: np.ndarray, CY: np.ndarray) -> float:
     return float(np.real(np.vdot(Y, CY)))
 
 
-def _bm_descend(C, Y, grad_tol, max_iters, step0, trace, counters, gap_tol):
+def _bm_descend(C, Y, grad_tol, max_iters, step0, trace, counters):
     """Minimize ``<C, Y Y*>`` by Riemannian gradient descent with
     Barzilai-Borwein trial steps and the nonmonotone line search of Zhang &
     Hager (2004): each trial is backtracked until it passes the Armijo test,
@@ -740,17 +733,12 @@ def _bm_descend(C, Y, grad_tol, max_iters, step0, trace, counters, gap_tol):
     instead decrease the value itself, and if it does not, no smaller step
     is tried: at that floor the values differ by noise.
 
-    Stops once the gradient norm is at most grad_tol, or, checked every
-    ``max(_BM_CHECK_MIN, _BM_CHECK_EVERY * n / p)`` iterations, once a
-    Cholesky factor of ``S + tau I`` (see ``_cholesky_gap``) proves the
-    point within ``gap_tol * (1 + |value|)`` of the optimum (returning that
-    point), or
-    when no step passes or max_iters iterations have run (returning the best
-    point seen).  Returns ``(Y, CY, value, iterations, gap)``, gap the
-    bound of a check that certified the point, else None.  Appends the
-    objective at the start and at every accepted step to trace, and counts
-    every evaluation of the objective in ``counters["evaluations"]``."""
-    n, p = Y.shape
+    Stops once the gradient norm is at most grad_tol, or when no step
+    passes or max_iters iterations have run (returning the best point
+    seen); returns ``(Y, CY, value, iterations)``.  Appends the objective at
+    the start and at every accepted step to trace, and counts every
+    evaluation of the objective in ``counters["evaluations"]``."""
+    n = Y.shape[0]
     CY = C @ Y
     value = _bm_objective(Y, CY)
     counters["evaluations"] += 1
@@ -759,16 +747,11 @@ def _bm_descend(C, Y, grad_tol, max_iters, step0, trace, counters, gap_tol):
     best = (Y, CY, value)
     reference, weight = value, 1.0
     roundoff = n * np.finfo(float).eps
-    check_every = max(_BM_CHECK_MIN, _BM_CHECK_EVERY * n // p)
     t = step0
     for it in range(1, max_iters + 1):
         sq = float(np.real(np.vdot(G, G)))
         if np.sqrt(sq) <= grad_tol:
-            return Y, CY, value, it, None
-        if it % check_every == 0:
-            gap = _cholesky_gap(*_dual_slack(C, Y, CY), gap_tol * (1.0 + abs(value)))
-            if gap is not None:
-                return Y, CY, value, it, gap
+            return Y, CY, value, it
         floor = roundoff * (1.0 + abs(value))
         passed = False
         for _ in range(60):
@@ -796,26 +779,7 @@ def _bm_descend(C, Y, grad_tol, max_iters, step0, trace, counters, gap_tol):
         reference = (kept * reference + value) / weight
         if value < best[2]:
             best = (Y, CY, value)
-    return (*best, it, None)
-
-
-def _dual_slack(C, Y, CY):
-    """``(S, slack)``: the dual slack ``S = C - Diag(Re diag(C Y Y*))`` and
-    its roundoff allowance ``n * eps * ||S||_F``."""
-    lam = np.real(np.sum(CY * Y.conj(), axis=1))
-    S = C - np.diag(lam)
-    return S, C.shape[0] * np.finfo(float).eps * frobenius_norm(S)
-
-
-def _cholesky_gap(S, slack, target):
-    """The gap bound a Cholesky factor of ``S + tau I``, ``tau = target / (2n)``,
-    proves (``n (tau + slack) <= target``), or None when the factor does not
-    exist or the target is infinite or below ``2 n slack``."""
-    n = S.shape[0]
-    tau = target / (2 * n)
-    if 2 * n * slack <= target and np.isfinite(tau) and has_cholesky(S, tau):
-        return n * (tau + slack)
-    return None
+    return (*best, it)
 
 
 def _certificate(C, Y, CY, target):
@@ -839,14 +803,18 @@ def _certificate(C, Y, CY, target):
 
     Returns ``(gap, V)``: V is None when a Cholesky bound certified."""
     n = C.shape[0]
-    S, slack = _dual_slack(C, Y, CY)
-    if 2 * n * slack <= target and has_cholesky(S, slack):
-        return 2 * n * slack, None
-    gap = _cholesky_gap(S, slack, target)
-    if gap is not None:
-        return gap, None
+    lam = np.real(np.sum(CY * Y.conj(), axis=1))
+    S = C - np.diag(lam)
+    eps = np.finfo(float).eps
+    slack = n * eps * frobenius_norm(S)
+    if 2 * n * slack <= target:
+        if has_cholesky(S, slack):
+            return 2 * n * slack, None
+        tau = target / (2 * n)
+        if np.isfinite(tau) and has_cholesky(S, tau):
+            return n * (tau + slack), None
     w, V = np.linalg.eigh(S)
-    slack = n * np.finfo(float).eps * max(abs(w[0]), abs(w[-1]))
+    slack = n * eps * max(abs(w[0]), abs(w[-1]))
     return n * max(0.0, slack - w[0]), V[:, :max(1, int(np.sum(w < -slack)))]
 
 
@@ -895,13 +863,10 @@ def _bm_restart(C, Y, cap, config, grad_tol, step0, trace, counters):
     and evaluations in ``counters``."""
     budget = config.max_iters
     while True:
-        Y, CY, value, its, gap = _bm_descend(C, Y, grad_tol, budget, step0, trace, counters,
-                                             config.grad_tol)
+        Y, CY, value, its = _bm_descend(C, Y, grad_tol, budget, step0, trace, counters)
         budget -= its
         target = config.grad_tol * (1.0 + abs(value))
-        V = None
-        if gap is None:
-            gap, V = _certificate(C, Y, CY, target)
+        gap, V = _certificate(C, Y, CY, target)
         counters["certificates_cholesky" if V is None else "certificates_eigh"] += 1
         if gap <= target:
             return Y, value, gap, config.max_iters - budget, "converged"
@@ -933,8 +898,6 @@ def bm_solve(M: np.ndarray, sense: str = "max", config: BmConfig | None = None):
     restart that is not certified
     escapes along the bottom eigenvector of S and descends again; the
     descents and escapes of one restart share its ``max_iters`` budget.
-    A long descent also tries one factor of ``S + target / (2 n) I`` every
-    ``max(100, 4 n / p)`` iterations and stops once it certifies.
 
     ``config.rank=None`` adapts the rank: each restart starts with
     ``min(4, bm_rank(n))`` columns, and a factor that the certificate

@@ -753,8 +753,8 @@ class TestBm:
         saddle[:, 0] = 1.0
         C = A.astype(float)
         cap = saddle.shape[1]
-        Y, CY, value, its, gap = _bm_descend(C, saddle, 1e-6, 100, 1e-2, [], Counter(), 1e-6)
-        assert its == 1 and gap is None
+        Y, CY, value, its = _bm_descend(C, saddle, 1e-6, 100, 1e-2, [], Counter())
+        assert its == 1
         gap, v = _certificate(C, Y, CY, 1e-6)
         assert gap > 1.0
         Y_escape = _escape(C, Y, v, value, cap, Counter())
@@ -861,21 +861,16 @@ class TestBm:
             G = np.random.default_rng(seed).standard_normal((60, 60))
             objectives.append((G + G.T) / 2)
         factors, fast = [], []
-        has_cholesky, certificate = solvers.has_cholesky, solvers._certificate
+        has_cholesky = solvers.has_cholesky
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solvers, "has_cholesky",
                        lambda S, shift: (lambda ok: factors[-1].append(ok) or ok)(has_cholesky(S, shift)))
-            mp.setattr(solvers, "_certificate",
-                       lambda *args: factors[-1].append("certificate") or certificate(*args))
             for M in objectives:
                 factors.append([])
                 fast.append(bm_solve(M, "max"))
-        # one certificate per solve: no factor at the roundoff shift, one at
-        # tau; the descent's periodic checks before it (one factor at tau
-        # each) did not certify
-        for taken, (_, _, report) in zip(factors, fast):
-            assert taken[-3:] == ["certificate", False, True]
-            assert taken.count("certificate") == 1 and True not in taken[:-1]
+        # one certificate per solve: no factor at the roundoff shift, one at tau
+        assert factors == [[False, True]] * len(objectives)
+        for _, _, report in fast:
             assert (report.counters["certificates_cholesky"], report.counters["certificates_eigh"]) == (1, 0)
         monkeypatch.setattr(solvers, "_certificate", eigenvalue_certificate)
         for M, (_, Z, report) in zip(objectives, fast):
@@ -951,21 +946,6 @@ class TestBm:
         assert report.converged
         assert Y.shape[1] == report.counters["rank"] == 5
         assert report.counters["rank_increases"] == 1
-
-    def test_descent_stops_once_a_periodic_factor_certifies(self, monkeypatch):
-        # every max(100, 4n/p) iterations a descent tries one Cholesky factor
-        # of S + tau I; at the cap this one certifies before the gradient test
-        # ends the descent, so the end-of-descent certificate never runs
-        n = 80
-        M = self._gaussian(n, 80)
-        _, _, adaptive = bm_solve(M, "max")
-        monkeypatch.setattr(solvers, "_certificate", None)
-        _, _, report = bm_solve(M, "max", BmConfig(rank=bm_rank(n)))
-        assert report.converged
-        assert report.iterations % max(100, 4 * n // bm_rank(n)) == 0
-        assert (report.counters["certificates_cholesky"], report.counters["certificates_eigh"]) == (1, 0)
-        assert 0.0 < report.gap <= 1e-7 * (1.0 + abs(report.objective))
-        assert abs(report.objective - adaptive.objective) <= report.gap + adaptive.gap
 
     def test_certificate_bounds_the_gap(self):
         rng = np.random.default_rng(9)
