@@ -4,18 +4,22 @@ Everything downstream (solvers, rounding, spectral baselines) goes through
 these few primitives: eigendecomposition, PSD projection, the distance to
 the psd cone and top eigenvector extraction.  Each computes only the
 spectral data its callers read: ``eigh_sorted`` and ``project_psd`` need
-every eigenvector, ``psd_residual`` reads eigenvalues only, and
-``has_cholesky`` answers "is this matrix psd up to a shift?" with one
-Cholesky factorization (n^3/3 flops, no eigensolver).  ``top_eigenvector``
-first tries a short Lanczos run from a fixed start, certified by an
-explicit residual and one such factorization; only when that fails does it
-pay for ``eigvalsh`` and inverse iteration.  All matrices are plain numpy
-arrays; the helpers here validate and symmetrize instead of wrapping them
-in dedicated classes.  ``symmetrize`` and ``project_psd`` check their input
-once; their kernels ``hermitian_part`` and ``project_psd_hermitian`` check
-nothing, for a solver loop whose matrices are finite by construction.  As
-the base every other module imports, it also holds the library's input
-error and the field check its config classes share.
+every eigenvector, ``psd_residual`` reads eigenvalues only,
+``psd_residual_bound`` bounds it from above in O(n^2) (exactly for a
+rank-one psd matrix), and ``has_cholesky`` answers "is this matrix psd up
+to a shift?" with one Cholesky factorization (n^3/3 flops, no
+eigensolver).  ``top_eigenvector`` first tries a short Lanczos run from a
+fixed start, certified by an explicit residual and then by the Frobenius
+mass (no other eigenvalue can exceed a Ritz value that holds half of
+``||H||_F^2``) or, failing that, by one such factorization; only when both
+fail does it pay for ``eigvalsh`` and inverse iteration.  All matrices
+are plain numpy arrays; the helpers here validate and symmetrize instead
+of wrapping them in dedicated classes.  ``symmetrize`` and
+``project_psd`` check their input once; their kernels ``hermitian_part``
+and ``project_psd_hermitian`` check nothing, for a solver loop whose
+matrices are finite by construction.  As the base every other module
+imports, it also holds the library's input error and the field check its
+config classes share.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "project_psd",
     "project_psd_hermitian",
     "psd_residual",
+    "psd_residual_bound",
     "has_cholesky",
     "top_eigenvector",
     "frobenius_norm",
@@ -181,6 +186,30 @@ def psd_residual(M: np.ndarray) -> float:
     return float(np.hypot(np.linalg.norm(w[w < 0]), frobenius_norm(M - Mh) / 2))
 
 
+def psd_residual_bound(M: np.ndarray) -> float:
+    """An upper bound on :func:`psd_residual` from one product with M.
+
+    For any psd P, ``||M - P||_F^2 = ||H - P||_F^2 + ||K||_F^2`` (H and K as
+    in ``psd_residual``, orthogonal), and ``||H - P||_F`` is at least H's
+    distance to the psd cone, so ``||M - P||_F >= psd_residual(M)``.  Here
+    P is the rank-one ``w w* / (s* w)`` with ``w = M s`` from the fixed start
+    s, psd when ``Re(s* w) > 0`` (inf is returned otherwise), and the norm is
+    taken of the explicit difference: written as ``sqrt(||M||^2 - ...)`` it
+    would lose about ``sqrt(eps) ||M||_F`` to cancellation.  For ``M = x x*``
+    with x not orthogonal to s, P is M and the bound is roundoff; one
+    product, one outer product and one norm, with no factorization.
+    """
+    M = check_square(M)
+    s = _start_vector(M.shape[0])
+    w = M @ s
+    c = np.vdot(s, w).real
+    if c <= 0:
+        return np.inf
+    D = np.outer(w / c, w.conj())
+    D -= M
+    return frobenius_norm(D)
+
+
 def has_cholesky(M: np.ndarray, shift: float) -> bool:
     """Whether the Hermitian part of M plus ``shift * I`` has a Cholesky factor.
 
@@ -255,9 +284,16 @@ def _lanczos_top(H: np.ndarray):
     pair (theta, v) whose estimate passes is
     accepted when the explicit ``r = ||H v - theta v||`` passes the same
     bound ``1e-10 (1 + scale)`` (scale: the largest Ritz modulus, never above
-    ``max|w|``) and ``(theta + r + d) I - H`` has a Cholesky factor,
-    ``d = _roundoff_shift(n, scale)``: no eigenvalue lies above
-    ``theta + r + d``.  The run gives up when that factor does not
+    ``max|w|``) and a certificate shows that no eigenvalue lies above
+    ``theta + r + d``, ``d = _roundoff_shift(n, scale)``.  The first costs
+    one pass over H: ``theta > 0`` and ``F^2 (1 + 4 n eps) <= 2 theta^2``
+    with ``F = ||H||_F``.  Then ``H' = H - (s v* + v s*)``, s the residual
+    vector, has v as an exact eigenvector, ``||H - H'||_2 = r``, and every
+    other eigenvalue of H' is at most ``sqrt(F^2 - theta^2 - 2 r^2) <= theta``
+    in modulus, so Weyl's inequality gives ``lambda_max(H) <= theta + r``;
+    d absorbs the roundoff of F and of theta as a Rayleigh quotient.  When
+    that test declines, ``(theta + r + d) I - H`` must have a Cholesky
+    factor.  The run gives up when that factor does not
     exist (the start misses the top eigenspace), when the Krylov space is
     exhausted or the cap reached, or when the estimate's decay since the
     read before, even at twice its rate, would not reach the bound within
@@ -290,8 +326,12 @@ def _lanczos_top(H: np.ndarray):
                 v /= np.linalg.norm(v)
                 r = np.linalg.norm(H @ v - theta[-1] * v)
                 if r <= bound:
+                    top = theta[-1]
+                    slack = 1.0 + _SHIFT * n * np.finfo(float).eps
+                    if top > 0 and np.vdot(H, H).real * slack <= 2.0 * top**2:
+                        return v
                     A = -H
-                    A.flat[:: n + 1] += theta[-1] + r + _roundoff_shift(n, scale)
+                    A.flat[:: n + 1] += top + r + _roundoff_shift(n, scale)
                     return v if _factors(A) else None
             if exhausted:
                 return None
@@ -333,9 +373,12 @@ def top_eigenvector(M: np.ndarray, target_norm: float = 1.0) -> np.ndarray:
 
     A short Lanczos run from a fixed start goes first (see
     ``_lanczos_top``): its top Ritz vector is returned once its explicit
-    residual passes ``||H v - theta v|| <= 1e-10 (1 + scale)`` and a Cholesky
-    factor certifies that no eigenvalue of the symmetrized input H lies
-    above ``theta`` plus that residual and a roundoff shift.  Otherwise the
+    residual passes ``||H v - theta v|| <= 1e-10 (1 + scale)`` and no
+    eigenvalue of the symmetrized input H is shown to lie above ``theta``
+    plus that residual and a roundoff shift: without a factorization when
+    ``theta > 0`` holds half of ``||H||_F^2`` (then every other eigenvalue
+    of H, after a rank-two change of norm r, is at most theta in modulus),
+    by a Cholesky factor otherwise.  Otherwise the
     exact path runs: ``lambda_max`` from ``eigvalsh`` and at most 3
     inverse-iteration solves checked against the same residual bound, with
     ``np.linalg.LinAlgError`` when none passes.

@@ -15,7 +15,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _rng
-from .linalg import InvalidInputError, check_square, frobenius_norm, has_cholesky, symmetrize
+from .linalg import (
+    InvalidInputError,
+    frobenius_norm,
+    has_cholesky,
+    psd_residual_bound,
+    symmetrize,
+)
 from .solvers import community_atoms, signed_atoms, unit_diag_atoms
 
 __all__ = [
@@ -131,10 +137,15 @@ class SyncParams:
 
 
 def _psd_certified(M: np.ndarray, bound: float) -> bool:
-    """Whether one Cholesky factor shows ``psd_residual(M) <= bound``.
+    """Whether an O(n^2) bound or one Cholesky factor shows
+    ``psd_residual(M) <= bound``.
 
-    With H and K the Hermitian and anti-Hermitian parts of the n x n matrix
-    M, ``psd_residual(M) = hypot(||min(w, 0)||, ||K||_F)`` over the
+    ``psd_residual_bound`` goes first: the distance from M to one psd
+    rank-one matrix built from one product with M.  It settles a rank-one
+    oracle (every sync oracle) to roundoff and costs no factorization.
+    When it does not, the factor decides: with H and K the Hermitian and
+    anti-Hermitian parts of the n x n matrix M,
+    ``psd_residual(M) = hypot(||min(w, 0)||, ||K||_F)`` over the
     eigenvalues w of H.  A factor of ``H + tau I`` bounds each negative
     eigenvalue by tau, so the residual is at most
     ``hypot(sqrt(n) tau, ||K||_F)``.  ``sqrt(n) tau`` takes half of what K
@@ -142,8 +153,16 @@ def _psd_certified(M: np.ndarray, bound: float) -> bool:
     factorization and of the eigenvalues that decide when there is no
     factor.  A False settles nothing.
     """
-    M = check_square(M)
-    anti = frobenius_norm(M - M.conj().T) / 2
+    if psd_residual_bound(M) <= bound:       # checks M
+        return True
+    M = np.asarray(M)
+    skew = np.empty(M.shape, M.dtype)
+    if M.dtype.kind == "c":
+        np.conjugate(M.T, out=skew)             # one contiguous pass, as hermitian_part
+        np.subtract(M, skew, out=skew)
+    else:
+        np.subtract(M, M.T, out=skew)
+    anti = frobenius_norm(skew) / 2
     if anti >= bound:
         return False
     return has_cholesky(M, np.sqrt(bound**2 - anti**2) / (2.0 * np.sqrt(M.shape[0])))
@@ -304,7 +323,8 @@ def gen_sync(params: SyncParams, seed=0) -> ProblemInstance:
     if params.sample_prob < 1.0:
         keep = _rng.stream(seed, _rng.STREAM_MASK).random((n, n)) < params.sample_prob
         upper = upper * np.triu(keep, 1)
-    A = upper + upper.conj().T
+    A = np.conjugate(upper.T, out=np.empty_like(upper))     # one contiguous pass
+    A += upper
     np.fill_diagonal(A, 1.0)
     expected = params.signal_factor * params.sample_prob * np.outer(x, x.conj())
     np.fill_diagonal(expected, 1.0)

@@ -37,6 +37,7 @@ import numpy as np
 from .linalg import (
     InvalidInputError,
     check_fields,
+    check_square,
     frobenius_norm,
     has_cholesky,
     hermitian_part,
@@ -44,6 +45,7 @@ from .linalg import (
     project_psd_hermitian,
     psd_residual,
     symmetrize,
+    symmetrize_unchecked,
 )
 
 __all__ = [
@@ -640,7 +642,9 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
     resumes the sweeps where that solve ended (continuation over a related set).
     """
     config = config or PierraConfig()
-    M = symmetrize(M, "objective")
+    M = check_square(M, "objective")
+    # the sweeps run in double precision: the Anderson buffers take M's dtype
+    M = symmetrize_unchecked(M.astype(np.result_type(M.dtype, float), copy=False))
     if not atoms:
         raise InvalidInputError("need at least one constraint atom")
     Z, state, iterations, termination, trace, counters = _splitting_engine(

@@ -90,6 +90,18 @@ class TestSolvesThroughTheProblemTable:
         assert np.array_equal(est.denoised_, Z)
         assert est.report_.objective == report.objective
 
+    def test_single_precision_input_solves_in_double(self):
+        # float32 data give the float64 data's solve, labels and objective
+        signed = gen_ssbm(SsbmParams(n=12, n_clusters=2, p=0.8, q=0.2, delta=0.8), seed=5)
+        com = gen_sbm(12, 2, 0.8, 0.2, seed=5)
+        for make, A in ((lambda: SdpSignedClustering(alpha=signed.params["alpha"]), signed.observed),
+                        (lambda: SdpCommunityClustering(lam=com.params["lam"]), com.observed)):
+            single, double = make().fit(A.astype(np.float32)), make().fit(A)
+            assert single.denoised_.dtype == np.float64
+            assert np.array_equal(single.denoised_, double.denoised_)
+            assert np.array_equal(single.labels_, double.labels_)
+            assert single.report_.objective == double.report_.objective
+
     def test_sync(self):
         inst = gen_sync(SyncParams(n=12, sigma=0.3), seed=4)
         est = SdpAngularSynchronization(seed=2).fit(inst.observed)

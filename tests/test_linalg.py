@@ -9,10 +9,11 @@ from graphsdp.linalg import (
     has_cholesky,
     project_psd,
     psd_residual,
+    psd_residual_bound,
     symmetrize,
     top_eigenvector,
 )
-from graphsdp.models import SyncParams, gen_sync
+from graphsdp.models import SyncParams, gen_sync, membership_matrix
 from graphsdp.solvers import BmConfig, bm_solve
 
 
@@ -130,8 +131,24 @@ class TestPsdResidual:
             assert psd_residual(M) <= 1e-12 * (1.0 + frobenius_norm(M))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(InvalidInputError):
-            psd_residual(np.array([[1.0, np.inf], [0.0, 1.0]]))
+        for f in (psd_residual, psd_residual_bound):
+            with pytest.raises(InvalidInputError):
+                f(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_rank_one_bound(self, complex_valued):
+        # an upper bound on the residual for any input, roundoff for a rank-one
+        # psd matrix, and inf where the start's Rayleigh quotient is not positive
+        rng = np.random.default_rng(9 + complex_valued)
+        n = 30
+        x = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_valued else 0)
+        xx = np.outer(x, x.conj())
+        K = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_valued else 0)
+        for M in (xx, xx - 1e-6 * np.eye(n), xx + 1e-3 * (K - K.conj().T),
+                  random_symmetric(n, rng, complex_valued), K, xx - 2 * np.eye(n)):
+            assert psd_residual_bound(M) >= psd_residual(M) * (1 - 1e-12)
+        assert psd_residual_bound(xx) <= 1e-14 * frobenius_norm(xx)
+        assert psd_residual_bound(-np.eye(n)) == np.inf
 
 
 class TestHasCholesky:
@@ -176,6 +193,18 @@ def assert_top_eigenvector(M, v, target_norm=1.0):
     assert np.linalg.norm(M @ u - lam_oracle * u) <= 1e-8 * (1 + frobenius_norm(M))
     pivot = u[phase_pivot(u)]
     assert pivot.real >= 0 and abs(pivot.imag) <= 1e-12
+
+
+def refuse_factor(A):
+    raise np.linalg.LinAlgError("refused")
+
+
+def record_factors(monkeypatch):
+    """Record the outcome of each Cholesky certificate that Lanczos tries."""
+    factors = []
+    real = linalg._factors
+    monkeypatch.setattr(linalg, "_factors", lambda A: factors.append(real(A)) or factors[-1])
+    return factors
 
 
 def count_exact_path(monkeypatch):
@@ -253,19 +282,83 @@ class TestTopEigenvector:
         assert np.array_equal(top_eigenvector(cases["one_by_one"]), [1.0])
 
     def test_unverified_steps_raise(self, monkeypatch):
-        # without a Cholesky certificate the Lanczos pair is not returned, and
-        # a solve that never moves off the start vector never passes the
-        # residual check: an error, never an unverified vector
-        def no_factor(A):
-            raise np.linalg.LinAlgError("refused")
-        monkeypatch.setattr(linalg.np.linalg, "cholesky", no_factor)
+        # diag(-3, 1, 2, 3) holds too little of its Frobenius mass in its top
+        # eigenvalue (2 * 9 < 23), so only a Cholesky factor could certify the
+        # Lanczos pair; without one it is not returned, and a solve that never
+        # moves off the start vector never passes the residual check: an
+        # error, never an unverified vector
+        monkeypatch.setattr(linalg.np.linalg, "cholesky", refuse_factor)
         monkeypatch.setattr(linalg.np.linalg, "solve", lambda A, b: b)
         with pytest.raises(np.linalg.LinAlgError, match="inverse iteration"):
-            top_eigenvector(np.diag([1.0, 2.0, 3.0]))
+            top_eigenvector(np.diag([-3.0, 1.0, 2.0, 3.0]))
+
+    def test_frobenius_mass_certifies_without_a_factor(self, monkeypatch):
+        # diag(1, 2, 3): the top eigenvalue holds 9 of the mass 14, more than
+        # half, so no other eigenvalue can exceed it and no factor is needed
+        monkeypatch.setattr(linalg.np.linalg, "cholesky", refuse_factor)
+        v = top_eigenvector(np.diag([1.0, 2.0, 3.0]))
+        assert np.allclose(v, [0.0, 0.0, 1.0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_factor_decides_where_the_mass_test_declines(self, complex_valued, monkeypatch):
+        # a zero Ritz value (start orthogonal to the top eigenvector), K > 2
+        # equal blocks (top eigenvalue n/K of multiplicity K, mass n^2/K) and
+        # a negative Ritz value that holds most of the mass all fail the mass
+        # test: the factor refuses the first and the last, whose exact path
+        # finds u, and certifies the second
+        factors = record_factors(monkeypatch)
+        calls = count_exact_path(monkeypatch)
+        n = 60
+        M = orthogonal_to_start(n, np.random.default_rng(3), complex_valued)
+        assert_top_eigenvector(M, top_eigenvector(M))
+        assert (factors, calls) == ([False], [1])
+        factors.clear()
+        B = membership_matrix(np.repeat(np.arange(4), n // 4)).astype(M.dtype)
+        assert_top_eigenvector(B, top_eigenvector(B))
+        assert (factors, calls) == ([True], [1])
+        factors.clear()
+        s = linalg._start_vector(n)
+        N = M / 2 - 3.0 * np.outer(s, s)
+        assert_top_eigenvector(N, top_eigenvector(N))
+        assert (factors, calls) == ([False], [1, 1])
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_mass_certificate_bounds_the_top_eigenvalue(self, complex_valued, monkeypatch):
+        # spectra 1, mu, +-c whose top eigenvalue holds half the Frobenius
+        # mass up to 0.5%, with mu of either sign up to 0.99 in modulus, and
+        # every other time a top eigenvector orthogonal to the start, so that
+        # the Krylov space holds mu and +-c only: every vector the mass test
+        # accepts (no factor tried) satisfies lambda_max <= theta + r + d,
+        # and a Ritz pair below the top is never accepted by it
+        factors = record_factors(monkeypatch)
+        rng = np.random.default_rng(8 + complex_valued)
+        n, s = 40, linalg._start_vector(40)
+        accepted = declined = 0
+        for trial in range(60):
+            mu = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 0.99)
+            mass = 2.0 * (1.0 + rng.uniform(-0.005, 0.005))
+            c = np.sqrt((mass - 1.0 - mu**2) / (n - 2))
+            w = np.r_[1.0, mu, c * rng.choice([-1.0, 1.0], n - 2)]
+            G = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_valued else 0)
+            if trial % 2:
+                G[:, 0] -= s * np.vdot(s, G[:, 0])
+            Q, _ = np.linalg.qr(G)
+            H = symmetrize((Q * w) @ Q.conj().T)
+            factors.clear()
+            v = linalg._lanczos_top(H)
+            if v is not None and not factors:
+                accepted += 1
+                Hv = H @ v
+                theta = np.vdot(v, Hv).real
+                r = np.linalg.norm(Hv - theta * v)
+                assert np.linalg.eigvalsh(H)[-1] <= theta + r + linalg._roundoff_shift(n, theta)
+            declined += bool(factors)
+        assert accepted >= 10 and declined >= 10
 
     def test_krylov_path_needs_no_eigensolver(self):
         # the solved sync matrix (rank one) and its observation are settled by
-        # Lanczos alone: no eigvalsh, no inverse iteration
+        # Lanczos and the mass test alone: no eigvalsh, no inverse iteration,
+        # no Cholesky factor
         n = 120
         inst = gen_sync(SyncParams(n=n, sigma=0.3), seed=2)
         _, Z, _ = bm_solve(inst.observed, "max", BmConfig(seed=2))
@@ -274,6 +367,7 @@ class TestTopEigenvector:
             raise AssertionError("exact path called")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg.np.linalg, "eigvalsh", refuse)
+            mp.setattr(linalg.np.linalg, "cholesky", refuse)
             mp.setattr(linalg, "_inverse_iteration_top", refuse)
             fast = {name: top_eigenvector(M, np.sqrt(n)) for name, M in (("Z", Z), ("A", inst.observed))}
         for name, M in (("Z", Z), ("A", inst.observed)):

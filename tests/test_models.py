@@ -33,8 +33,10 @@ class TestTypes:
 
     @pytest.mark.parametrize("complex_valued", [False, True])
     def test_oracle_check_decides_as_the_psd_residual(self, complex_valued, monkeypatch):
-        # near-psd oracles around the bound: the Cholesky shortcut accepts only
-        # what the exact residual accepts, and the residual decides the rest
+        # near-psd oracles around the bound, every third one rank one before
+        # its negative part: the rank-one bound and the Cholesky shortcut
+        # accept only what the exact residual accepts, and the residual
+        # decides the rest
         rng = np.random.default_rng(17)
         cholesky_calls = []
 
@@ -46,7 +48,7 @@ class TestTypes:
         fields = dict(problem="sync", observed=np.eye(n), expected=np.eye(n), params={},
                       seed=0, ground_truth=np.zeros(n), atoms=(psd(),))
         outcomes = set()
-        for _ in range(120):
+        for trial in range(120):
             X = rng.standard_normal((n, n))
             if complex_valued:
                 X = X + 1j * rng.standard_normal((n, n))
@@ -56,6 +58,8 @@ class TestTypes:
             budget = tol * (1.0 + np.linalg.norm(w))     # the bound, about
             k = rng.integers(1, n // 2)
             w[:k] = -budget * rng.choice([1e-3, 0.05, 0.2, 0.5, 0.9, 0.99, 1.01, 2.0]) / np.sqrt(k)
+            if trial % 3 == 0:
+                w[k + 1:] = 0.0
             M = (Q * w) @ Q.conj().T
             if rng.random() < 0.3:                      # non-Hermitian input
                 K = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n))
@@ -72,10 +76,12 @@ class TestTypes:
                 accepted = False
             assert accepted == accept
             outcomes.add((accept, tuple(cholesky_calls)))
-        # every branch ran: certified, failed factor then accepted (the
+        # every branch ran: certified by the rank-one bound (no factor tried),
+        # certified by the factor, failed factor then accepted (the
         # borderline), failed factor then rejected, and no factor tried
         # (the anti-Hermitian part alone breaks the bound)
-        assert {(True, (True,)), (True, (False,)), (False, (False,)), (False, ())} <= outcomes
+        assert {(True, ()), (True, (True,)), (True, (False,)), (False, (False,)),
+                (False, ())} <= outcomes
 
     def test_membership_matrix(self):
         M = membership_matrix(np.array([0, 0, 1]))

@@ -316,6 +316,21 @@ class TestPierra:
         assert r1.iterations == r2.iterations
         assert np.array_equal(r1.objective_trace, r2.objective_trace)
 
+    @pytest.mark.parametrize("single, double", [(np.float32, np.float64),
+                                                (np.complex64, np.complex128)])
+    def test_single_precision_objective_solves_in_double(self, single, double):
+        # the sweeps run in double precision: a single-precision objective is
+        # solved as its exact double-precision copy
+        rng = np.random.default_rng(6)
+        M = rng.standard_normal((8, 8)).astype(single)
+        if single is np.complex64:
+            M = M + 1j * rng.standard_normal((8, 8)).astype(np.float32)
+        atoms = unit_diag_atoms()
+        Z, report = pierra_solve(M, atoms)
+        Z64, report64 = pierra_solve(M.astype(double), atoms)
+        assert Z.dtype == double and np.array_equal(Z, Z64)
+        assert report.objective == report64.objective and report.converged
+
     def test_invalid_inputs(self):
         with pytest.raises(InvalidInputError):
             pierra_solve(np.ones((2, 2)), [])
