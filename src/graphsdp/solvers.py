@@ -4,9 +4,9 @@ Two solver families cover every program in the library:
 
 * :func:`pierra_solve` maximizes ``<M, Z>`` over an intersection of convex
   constraint atoms.  The psd cone is one block; every other atom together
-  forms a set P with a cheap projection (entrywise bounds plus at most one
-  half-space, projected exactly by a clip and a 1-D multiplier search;
-  any other list by Dykstra's algorithm).  Each sweep is one
+  forms a set P, which must be entrywise bounds plus at most one
+  half-space, l1 ball or l2 ball, projected exactly by a clip and a 1-D
+  multiplier search; a set of any other shape raises.  Each sweep is one
   Douglas-Rachford / ADMM step ``X = P_psd(Z - U + eps*M)``,
   ``Z = P_P(X + U)``, ``U += X - Z``, and the penalty ``1/eps`` is
   rebalanced every 10 sweeps so that the primal and dual residuals stay
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -84,7 +83,13 @@ class ConstraintAtom:
     bound: float = 0.0                    # halfspace offset or ball radius
 
     def project(self, Z: np.ndarray) -> np.ndarray:
-        return _PROJECTIONS[self.kind](self, Z)
+        """:func:`project_psd` for the cone, else the one-atom case of the
+        set projection (see ``_set_projection``)."""
+        if self.kind == "psd":
+            return project_psd(Z)
+        Z = np.asarray(Z)
+        Z = np.ascontiguousarray(Z, dtype=np.result_type(Z.dtype, float))
+        return _set_projection([self], Z)(Z)
 
     def residual(self, Z: np.ndarray) -> float:
         """``||project(Z) - Z||_F``; the cone's from its eigenvalues alone."""
@@ -113,28 +118,41 @@ def diag_eq_one() -> ConstraintAtom:
     return ConstraintAtom("diag_eq_one")
 
 
+def _finite(value: float, name: str) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise InvalidInputError(f"{name} must be finite, got {value}")
+    return value
+
+
 def total_sum_leq(lam: float) -> ConstraintAtom:
-    return ConstraintAtom("total_sum_leq", lam=float(lam))
+    return ConstraintAtom("total_sum_leq", lam=_finite(lam, "total-sum cap"))
 
 
 def affine_halfspace(C: np.ndarray, bound: float) -> ConstraintAtom:
     """Half-space {Z : Re <C, Z> <= bound}."""
-    C = np.asarray(C)
+    C = check_square(C, "half-space normal")
     if frobenius_norm(C) == 0.0:
         raise InvalidInputError("half-space normal must be nonzero")
-    return ConstraintAtom("affine_halfspace", matrix=C, bound=float(bound))
+    return ConstraintAtom("affine_halfspace", matrix=C, bound=_finite(bound, "half-space offset"))
+
+
+def _ball(kind: str, center: np.ndarray, radius: float) -> ConstraintAtom:
+    name = kind.replace("_", " ") + " radius"
+    radius = _finite(radius, name)
+    if radius < 0:
+        raise InvalidInputError(f"{name} must be >= 0")
+    return ConstraintAtom(kind, matrix=check_square(center, "ball center"), bound=radius)
 
 
 def l1_ball_around(center: np.ndarray, radius: float) -> ConstraintAtom:
-    if radius < 0:
-        raise InvalidInputError("l1 ball radius must be >= 0")
-    return ConstraintAtom("l1_ball", matrix=np.asarray(center), bound=float(radius))
+    """Ball {Z : the entries' moduli |Z - center| sum to at most radius}."""
+    return _ball("l1_ball", center, radius)
 
 
 def l2_ball_around(center: np.ndarray, radius: float) -> ConstraintAtom:
-    if radius < 0:
-        raise InvalidInputError("l2 ball radius must be >= 0")
-    return ConstraintAtom("l2_ball", matrix=np.asarray(center), bound=float(radius))
+    """Frobenius ball {Z : ||Z - center||_F <= radius}."""
+    return _ball("l2_ball", center, radius)
 
 
 # per-entry bounds of the entrywise atoms: (off-diagonal lo, hi, diagonal lo, hi)
@@ -143,81 +161,6 @@ _ENTRY_BOUNDS = {
     "box01": (0.0, 1.0, 0.0, 1.0),
     "diag_leq_one": (-np.inf, np.inf, -np.inf, 1.0),
     "diag_eq_one": (-np.inf, np.inf, 1.0, 1.0),
-}
-
-
-def _proj_psd(_atom, Z):
-    return project_psd(Z)
-
-
-def _proj_entrywise(atom, Z):
-    """Clip to the atom's ``_ENTRY_BOUNDS``: every entry to the off-diagonal
-    bounds where one is finite, then the real part of the diagonal to its own."""
-    lo, hi, diag_lo, diag_hi = _ENTRY_BOUNDS[atom.kind]
-    out = np.clip(Z, lo, hi) if np.isfinite([lo, hi]).any() else Z.copy()
-    np.fill_diagonal(out, np.clip(np.diagonal(out).real, diag_lo, diag_hi))
-    return out
-
-
-def _proj_total_sum_leq(atom, Z):
-    s = float(np.real(Z.sum()))
-    if s <= atom.lam:
-        return Z
-    return Z - (s - atom.lam) / Z.size
-
-
-def _proj_affine_halfspace(atom, Z):
-    C = atom.matrix
-    v = float(np.real(np.vdot(C, Z)))
-    excess = v - atom.bound
-    if excess <= 0:
-        return Z
-    return Z - excess * C / (frobenius_norm(C) ** 2)
-
-
-def _shrink_moduli(D: np.ndarray, tau: float) -> np.ndarray:
-    mag = np.abs(D)
-    keep = mag > tau
-    out = np.zeros_like(D)
-    out[keep] = D[keep] * (1.0 - tau / mag[keep])
-    return out
-
-
-def _proj_l1_ball(atom, Z):
-    D = Z - atom.matrix
-    mag = np.abs(D).ravel()
-    total = float(mag.sum())
-    if total <= atom.bound:
-        return Z
-    if atom.bound == 0.0:
-        return atom.matrix.copy()
-    # sort-and-threshold soft shrink of the entry moduli
-    u = np.sort(mag)[::-1]
-    css = np.cumsum(u)
-    k = np.arange(1, u.size + 1)
-    valid = u > (css - atom.bound) / k
-    k_star = int(np.nonzero(valid)[0][-1]) + 1
-    # a point on the sphere can give tau = -roundoff: zero moduli would then
-    # pass the shrink and divide by zero
-    tau = max((css[k_star - 1] - atom.bound) / k_star, 0.0)
-    return atom.matrix + _shrink_moduli(D, tau)
-
-
-def _proj_l2_ball(atom, Z):
-    D = Z - atom.matrix
-    nd = frobenius_norm(D)
-    if nd <= atom.bound:
-        return Z
-    return atom.matrix + D * (atom.bound / nd)
-
-
-_PROJECTIONS = {
-    "psd": _proj_psd,
-    **{kind: _proj_entrywise for kind in _ENTRY_BOUNDS},
-    "total_sum_leq": _proj_total_sum_leq,
-    "affine_halfspace": _proj_affine_halfspace,
-    "l1_ball": _proj_l1_ball,
-    "l2_ball": _proj_l2_ball,
 }
 
 
@@ -335,10 +278,7 @@ _CHECK_EVERY = 10
 _ANDERSON_MEMORY = 5     # (delta T(y), delta g) pairs kept by the acceleration
 _ANDERSON_REG = 1e-10    # Tikhonov weight, relative to the trace of the Gram matrix
 _RHO_BALANCE = 10.0      # residual ratio that triggers a penalty change
-_DYKSTRA_PASSES = 1000
 _MULTIPLIER_STEPS = 100
-
-_HALFSPACES = ("total_sum_leq", "affine_halfspace")
 
 
 def _auto_epsilon(M: np.ndarray) -> float:
@@ -367,34 +307,47 @@ def _clip(V, lo, hi):
     return np.minimum(Z, hi, out=Z)
 
 
-def _halfspace_multiplier(V, C, sq, lo, hi, bound, tau):
-    """tau >= 0 with <C, clip(V - tau*C, lo, hi)> = bound, from a first guess;
-    ``sq`` is ``C * C``.
+def _multiplier(V, N, sq, L, H, value, l2, tau):
+    """The multiplier tau >= 0 where ``value(clip(V - s*N, L, H))`` is 0,
+    from a first guess; s = tau, or ``tau / (1 + tau)`` for the l2 ball.
 
-    The left side falls piecewise linearly in tau: an entry contributes
-    slope -c^2 while V - tau*C is inside its bounds.  Newton steps on the
-    current piece, kept inside a bracket of the root by bisection, end
-    once a step lands on the piece it was computed on, where it is exact.
-    Returns ``(tau, Z)`` with ``Z = clip(V - tau*C, lo, hi)`` at that tau;
-    Z is None when the ``_MULTIPLIER_STEPS`` cap ends the search, since the
-    last step has then moved tau past the last clipped point.
+    ``value`` does not increase with tau.  On one piece, the pattern of
+    entries held at L or H, it has a closed form: linear in tau with slope
+    ``-sum(sq)`` over the free entries, or for the l2 ball that sum over
+    ``(1 + tau)^2`` plus a constant.  Steps to its zero there, kept inside
+    a bracket of the root by bisection, end once a step lands on the piece
+    it was computed on, where it is exact, or does not move tau.  Returns
+    ``(tau, Z)``; Z is None when the ``_MULTIPLIER_STEPS`` cap ends the
+    search, since the last step has then moved tau past the last clipped
+    point.
     """
     left, right = 0.0, np.inf
     stepped_from = None
     for _ in range(_MULTIPLIER_STEPS):
-        Y = V - tau * C
-        Z = _clip(Y, lo, hi)
-        gap = float(np.vdot(C, Z)) - bound
+        Y = V - (tau / (1.0 + tau) if l2 else tau) * N
+        Z = _clip(Y, L, H)
+        gap = value(Z)
         piece = np.subtract(Z, Y, out=Y)
-        np.sign(piece, out=piece)       # -1 / +1 clamped at hi / lo, 0 inside
+        np.sign(piece, out=piece)       # -1 / +1 clamped at H / L, 0 inside
         if gap == 0 or (stepped_from is not None and (piece == stepped_from).all()):
             return tau, Z
         if gap > 0:
             left = tau
         else:
             right = tau
-        slope = float(sq[piece == 0].sum())
-        step = tau + gap / slope if slope > 0 else np.inf
+        free = float(sq[piece == 0].sum())
+        if not l2:
+            step = tau + gap / free if free > 0 else np.inf
+        else:
+            # on the piece the gap at t is free / (1 + t)^2 less rest, b^2
+            # less the clamped entries' share; its zero as an increment on
+            # tau, which a tiny gap still moves
+            u = free / (1.0 + tau) ** 2
+            rest = u - gap
+            step = (tau + (1.0 + tau) * gap / (math.sqrt(rest) * (math.sqrt(u) + math.sqrt(rest)))
+                    if rest > 0 else np.inf)
+        if step == tau:     # the piece's zero is tau to working precision
+            return tau, Z
         if left < step < right:
             tau, stepped_from = step, piece
         else:
@@ -402,73 +355,108 @@ def _halfspace_multiplier(V, C, sq, lo, hi, bound, tau):
     return tau, None
 
 
-def _dykstra(projections, V):
-    """Projection onto an intersection by Dykstra's algorithm, given the
-    projection onto each set."""
-    if len(projections) == 1:
-        return projections[0](V)
-    Z = V
-    increments = [np.zeros_like(V) for _ in projections]
-    for _ in range(_DYKSTRA_PASSES):
-        Z_start = Z
-        for j, project in enumerate(projections):
-            Y = Z + increments[j]
-            Z = project(Y)
-            increments[j] = Y - Z
-        if frobenius_norm(Z - Z_start) <= 1e-13 * (1.0 + frobenius_norm(Z)):
-            break
-    return Z
+def _entry_bounds(entrywise, M):
+    """(lo, hi) of the entrywise atoms, shaped and typed like M.
 
-
-def _box_halfspace_projection(entrywise, halfspace, shape):
-    """Exact projection onto entrywise bounds intersected with at most one
-    half-space: clip, and if the half-space is violated, clip ``V - tau*C``
-    at the multiplier tau found by :func:`_halfspace_multiplier`."""
-    lo, hi = np.full(shape, -np.inf), np.full(shape, np.inf)
+    A complex M takes no bound off the diagonal; on it the diagonal rules
+    bound the real part and hold the imaginary part at 0."""
+    unbounded = complex(np.inf, np.inf) if np.iscomplexobj(M) else np.inf
+    lo, hi = np.full(M.shape, -unbounded), np.full(M.shape, unbounded)
     if entrywise:
         bounds = np.array([_ENTRY_BOUNDS[a.kind] for a in entrywise])
-        lo[:], hi[:] = bounds[:, 0].max(), bounds[:, 1].min()
+        off = bounds[:, 0].max(), bounds[:, 1].min()
+        if np.isfinite(off).any():
+            if np.iscomplexobj(M):
+                raise InvalidInputError("bounds off the diagonal need a real objective, got "
+                                        + ", ".join(a.kind for a in entrywise))
+            lo[:], hi[:] = off
         np.fill_diagonal(lo, bounds[:, 2].max())
         np.fill_diagonal(hi, bounds[:, 3].min())
-    if halfspace is None:
-        return partial(_clip, lo=lo, hi=hi)
-    if halfspace.kind == "total_sum_leq":
-        C, bound = np.ones(shape), halfspace.lam
+    return lo, hi
+
+
+def _set_projection(atoms, M):
+    """Exact projection onto the intersection of the non-psd atoms, for
+    C-contiguous iterates shaped and typed like ``M``.
+
+    The atoms must be entrywise bounds plus at most one half-space, l1 ball
+    or l2 ball; every set the library builds has that shape.  The
+    projection clips V to the bounds.  When that point violates the other
+    atom, it clips instead ``V - tau*N`` at a multiplier tau found by
+    :func:`_multiplier`: N = C for the half-space {<C, Z> <= b}; for the l1
+    ball around c, N = (V - c) / |V - c| entrywise and each entry stops at
+    c (clipped to the bounds), which is ``clip(c + soft(V - c, tau))``;
+    for the l2 ball, N = V - c and tau enters as ``tau / (1 + tau)``, which
+    is ``clip(c + (V - c) / (1 + tau))``.  Complex iterates are clipped as
+    pairs of reals (see ``_entry_bounds``), and the l1 ball sums their
+    moduli.
+    """
+    others = [a for a in atoms if a.kind != "psd"]
+    entrywise = [a for a in others if a.kind in _ENTRY_BOUNDS]
+    extra = [a for a in others if a.kind not in _ENTRY_BOUNDS]
+    if len(extra) > 1:
+        raise InvalidInputError("a constraint set takes at most one half-space or ball "
+                                "besides entrywise bounds, got " + ", ".join(a.kind for a in extra))
+    real = np.finfo(M.dtype).dtype
+    lo, hi = (bounds.view(real) for bounds in _entry_bounds(entrywise, M))
+    if not extra:
+        return lambda V: _clip(V.view(real), lo, hi).view(M.dtype)
+    (atom,) = extra
+    A = np.ones(M.shape) if atom.kind == "total_sum_leq" else atom.matrix
+    if A.shape != M.shape:
+        raise InvalidInputError(f"{atom.kind} matrix has shape {A.shape}, the objective {M.shape}")
+    A = np.ascontiguousarray(A, dtype=M.dtype)
+    Ar = A.view(real)
+    b = atom.lam if atom.kind == "total_sum_leq" else atom.bound
+    l2 = atom.kind == "l2_ball"
+    if atom.kind == "l1_ball":
+        pinned = np.iscomplexobj(M) and bool(entrywise)     # the diagonal is real
+        if pinned and A.diagonal().imag.any():
+            raise InvalidInputError("the l1 ball's center needs a real diagonal here")
+        stop = _clip(Ar, lo, hi)
+
+        def value(Z):
+            return float(np.abs(Z.view(M.dtype) - A).sum()) - b
+
+        def direction(V):
+            D = V.view(M.dtype) - A
+            if pinned:
+                np.fill_diagonal(D.imag, 0.0)
+            mag = np.abs(D)
+            N = np.divide(D, mag, out=np.zeros_like(D), where=mag > 0).view(real)
+            return (N, N * N, np.maximum(lo, np.where(N > 0, stop, -np.inf)),
+                    np.minimum(hi, np.where(N < 0, stop, np.inf)))
+    elif l2:
+        def value(Z):
+            E = Z - Ar
+            return float(np.vdot(E, E)) - b * b
+
+        def direction(V):
+            D = V - Ar
+            return D, D * D, lo, hi
     else:
-        C, bound = np.asarray(halfspace.matrix, dtype=float), halfspace.bound
-    sq = C * C
+        def value(Z):
+            return float(np.vdot(Ar, Z)) - b
+
+        fixed = Ar, Ar * Ar, lo, hi
+
+        def direction(V):
+            return fixed
 
     last = [0.0]    # the multiplier moves little from one sweep to the next
 
     def project(V):
+        V = V.view(real)
         Z = _clip(V, lo, hi)
-        if float(np.vdot(C, Z)) <= bound:
-            return Z
-        last[0], Z = _halfspace_multiplier(V, C, sq, lo, hi, bound, last[0])
-        return Z if Z is not None else _clip(V - last[0] * C, lo, hi)
+        if value(Z) <= 0:
+            return Z.view(M.dtype)
+        N, sq, L, H = direction(V)
+        last[0], Z = _multiplier(V, N, sq, L, H, value, l2, last[0])
+        if Z is None:
+            Z = _clip(V - (last[0] / (1.0 + last[0]) if l2 else last[0]) * N, L, H)
+        return Z.view(M.dtype)
 
     return project
-
-
-def _set_projection(atoms, M):
-    """Projection onto the intersection of the non-psd atoms, for iterates
-    shaped like ``M``.
-
-    For a real ``M`` the entrywise atoms and the first half-space form one
-    exactly projected block; that covers every set the library builds.
-    Atoms left over (balls, further half-spaces) and complex objectives go
-    through Dykstra's algorithm.
-    """
-    others = [a for a in atoms if a.kind != "psd"]
-    if not others:
-        return lambda V: V
-    entrywise = [a for a in others if a.kind in _ENTRY_BOUNDS]
-    halfspace = next((a for a in others if a.kind in _HALFSPACES), None)
-    rest = [a.project for a in others if a.kind not in _ENTRY_BOUNDS and a is not halfspace]
-    if np.iscomplexobj(M) or len(rest) == len(others):
-        return partial(_dykstra, [a.project for a in others])
-    box = _box_halfspace_projection(entrywise, halfspace, M.shape)
-    return partial(_dykstra, [box] + rest) if rest else box
 
 
 class _Anderson:
@@ -632,7 +620,10 @@ def _splitting_engine(M, atoms, config, X0=None):
 
 def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraConfig | None = None,
                  warm_start=None):
-    """Maximize ``Re <M, Z>`` over the intersection of ``atoms``.
+    """Maximize ``Re <M, Z>`` over the intersection of ``atoms``: the psd
+    cone, entrywise bounds (only the diagonal rules for a complex ``M``) and
+    at most one half-space, l1 ball or l2 ball; any other set raises
+    InvalidInputError.
 
     Returns ``(Z_hat, SolveReport)``.  Terminates once the scaled feasibility
     residual of the iterate drops below ``feas_tol`` and the objective has

@@ -23,11 +23,9 @@ from graphsdp.solvers import (
     _bm_descend,
     _bm_objective,
     _bm_restart,
-    _box_halfspace_projection,
     _certificate,
     _escape,
     _final_sweep,
-    _halfspace_multiplier,
     _set_projection,
     _splitting_engine,
     affine_halfspace,
@@ -128,26 +126,30 @@ class TestAtomProjections:
 
 
 def dykstra_oracle(atoms, V, passes=20_000):
-    """Projection onto the intersection of the non-psd atoms, one atom at a time."""
+    """Projection onto the intersection of the non-psd atoms, one atom at a
+    time.  Stops once a pass moves neither the point nor any increment: the
+    point alone can stand still for a pass while the increments still move."""
     atoms = [a for a in atoms if a.kind != "psd"]
     Z, increments = V, [np.zeros_like(V) for _ in atoms]
     for _ in range(passes):
-        Z_start = Z
+        start = [Z] + increments
         for j, atom in enumerate(atoms):
             Y = Z + increments[j]
             Z = atom.project(Y)
             increments[j] = Y - Z
-        if frobenius_norm(Z - Z_start) <= 1e-15:
+        if all(frobenius_norm(a - b) <= 1e-15 for a, b in zip([Z] + increments, start)):
             break
     return Z
 
 
-LIBRARY_SETS = ("signed", "unit_diag", "excess_risk", "community")
+LIBRARY_SETS = ("signed", "unit_diag", "excess_risk", "community", "l1", "l2", "complex_l1",
+                "complex_l2")
 
 
 def library_set(name, n, rng):
-    """One of the four constraint sets the library builds; the half-spaces
-    are tight enough that random inputs often violate them."""
+    """One of the constraint sets the library builds, with ``complex`` for
+    the set of a complex objective; the half-spaces and balls are tight
+    enough that random inputs violate them."""
     EA = rng.standard_normal((n, n))
     EA = (EA + EA.T) / 2
     return {
@@ -155,7 +157,12 @@ def library_set(name, n, rng):
         "unit_diag": unit_diag_atoms(),
         "excess_risk": unit_diag_atoms() + [affine_halfspace(-EA, -1.0)],
         "community": community_atoms(2.0),
-    }[name]
+        # the fixed-point estimator's ball localizations around a feasible point
+        "l1": signed_atoms() + [l1_ball_around(sample_feasible("signed", n, rng), 2.0)],
+        "l2": signed_atoms() + [l2_ball_around(sample_feasible("signed", n, rng), 1.0)],
+        "complex_l1": unit_diag_atoms() + [l1_ball_around(sample_feasible("sync", n, rng), 4.0)],
+        "complex_l2": unit_diag_atoms() + [l2_ball_around(sample_feasible("sync", n, rng), 2.0)],
+    }[name], name.startswith("complex")
 
 
 HERMITIAN_CASES = ("signed", "community", "excess_risk", "l1", "l2", "complex_unit_diag")
@@ -190,16 +197,19 @@ class TestSetProjection:
     def test_matches_dykstra_idempotent_nonexpansive(self, name):
         rng = np.random.default_rng(LIBRARY_SETS.index(name))
         n = 5
-        atoms = library_set(name, n, rng)
-        project = _set_projection(atoms, np.zeros((n, n)))
+        atoms, complex_valued = library_set(name, n, rng)
+        project = _set_projection(atoms, np.zeros((n, n), complex if complex_valued else float))
+        cut = 0     # points where the ball cuts the rest of the set
         for _ in range(5):
-            V = 2.0 * rng.standard_normal((n, n))
-            W = 2.0 * rng.standard_normal((n, n))
-            V, W = (V + V.T) / 2, (W + W.T) / 2
+            V, W = (2.0 * rng.standard_normal((n, n))
+                    + (2j * rng.standard_normal((n, n)) if complex_valued else 0) for _ in "VW")
+            V, W = (V + V.conj().T) / 2, (W + W.conj().T) / 2
             PV, PW = project(V), project(W)
+            cut += not np.allclose(PV, dykstra_oracle(atoms[:-1], V))
             assert frobenius_norm(PV - dykstra_oracle(atoms, V)) <= 1e-10
             assert frobenius_norm(project(PV) - PV) <= 1e-12 * (1 + frobenius_norm(PV))
             assert frobenius_norm(PV - PW) <= frobenius_norm(V - W) + 1e-12
+        assert cut >= 3 or not name.endswith(("l1", "l2"))
 
     def test_newton_step_across_an_entry_range(self):
         # the first step from tau = 0 carries the diagonal from above its
@@ -227,24 +237,77 @@ class TestSetProjection:
         lo, hi = np.zeros((12, 12)), np.ones((12, 12))
         return V, C, lo, hi, 0.3 * float(np.vdot(C, np.clip(V, lo, hi)))
 
+    @staticmethod
+    def spy_multiplier(monkeypatch):
+        """The (tau, Z) of every multiplier search, as the searches return them."""
+        found, search = [], solvers._multiplier
+
+        def spy(*args):
+            found.append(search(*args))
+            return found[-1]
+
+        monkeypatch.setattr(solvers, "_multiplier", spy)
+        return found
+
     @pytest.mark.parametrize("seed", range(4))
-    def test_multiplier_returns_the_clipped_point(self, seed):
+    def test_multiplier_returns_the_clipped_point(self, monkeypatch, seed):
         V, C, lo, hi, bound = self.box_halfspace_case(seed)
-        tau, Z = _halfspace_multiplier(V, C, C * C, lo, hi, bound, 0.0)
+        found = self.spy_multiplier(monkeypatch)
+        out = _set_projection([box01(), affine_halfspace(C, bound)], V)(V)
+        [(tau, Z)] = found
         assert Z.tobytes() == np.clip(V - tau * C, lo, hi).tobytes()
         assert abs(float(np.vdot(C, Z)) - bound) <= 1e-12 * bound
-        project = _box_halfspace_projection([box01()], affine_halfspace(C, bound), V.shape)
-        assert project(V).tobytes() == Z.tobytes()
+        assert out.tobytes() == Z.tobytes()
 
     def test_multiplier_cap_leaves_the_clip_to_the_projection(self, monkeypatch):
         # a search cut by the step cap has moved tau past its last clipped
         # point: it returns none, and the projection clips at the final tau
         monkeypatch.setattr(solvers, "_MULTIPLIER_STEPS", 1)
         V, C, lo, hi, bound = self.box_halfspace_case(0)
-        tau, Z = _halfspace_multiplier(V, C, C * C, lo, hi, bound, 0.0)
+        found = self.spy_multiplier(monkeypatch)
+        out = _set_projection([box01(), affine_halfspace(C, bound)], V)(V)
+        [(tau, Z)] = found
         assert Z is None and tau > 0
-        project = _box_halfspace_projection([box01()], affine_halfspace(C, bound), V.shape)
-        assert project(V).tobytes() == np.clip(V - tau * C, lo, hi).tobytes()
+        assert out.tobytes() == np.clip(V - tau * C, lo, hi).tobytes()
+
+    def test_search_ends_at_a_root_within_roundoff(self, monkeypatch):
+        # a root that the closed form puts at tau itself ends the search: a
+        # point one ulp outside the l2 ball (the root is at tau = 1e-16), and
+        # an l1-localized signed solve whose search once bisected to the
+        # step cap toward a root it had already reached
+        evaluations, search = [], solvers._multiplier
+
+        def spy(V, N, sq, L, H, value, l2, tau):
+            calls = []
+
+            def counted(Z):
+                calls.append(Z)
+                return value(Z)
+
+            out = search(V, N, sq, L, H, counted, l2, tau)
+            evaluations.append(len(calls))
+            return out
+
+        monkeypatch.setattr(solvers, "_multiplier", spy)
+        V = np.diag([2.0, 3e-8])
+        assert float(np.vdot(V, V)) - 4.0 > 0
+        assert np.allclose(l2_ball_around(np.zeros((2, 2)), 2.0).project(V), V, rtol=0, atol=1e-15)
+        assert evaluations == [2]
+        inst = gen_ssbm(SsbmParams(n=12, n_clusters=2, p=0.8, q=0.2, delta=0.8), seed=4)
+        _, report = pierra_solve(inst.observed - inst.params["alpha"],
+                                 signed_atoms() + [l1_ball_around(inst.oracle, 2.0)])
+        assert report.converged and max(evaluations) <= 10
+
+    def test_two_atoms_besides_entrywise_bounds_raise(self):
+        # no library caller builds such a set: it has no exact projection here
+        M = np.zeros((4, 4))
+        for extra in ([affine_halfspace(np.eye(4), 1.0), l2_ball_around(np.eye(4), 1.0)],
+                      [total_sum_leq(2.0), affine_halfspace(np.eye(4), 1.0)],
+                      [l1_ball_around(np.eye(4), 1.0), l2_ball_around(np.eye(4), 1.0)]):
+            with pytest.raises(InvalidInputError, match="at most one"):
+                _set_projection(signed_atoms() + extra, M)
+            with pytest.raises(InvalidInputError, match="at most one"):
+                pierra_solve(M, signed_atoms() + extra)
 
 
 class TestPierra:
@@ -347,6 +410,38 @@ class TestPierra:
             with pytest.raises(InvalidInputError, match=next(iter(bad))):
                 PierraConfig(**bad)
         assert PierraConfig(max_iters=np.int64(5), feas_tol=1, epsilon=None).max_iters == 5
+
+    MALFORMED_ATOMS = {
+        "l1_radius_nan": lambda: l1_ball_around(np.eye(4), np.nan),
+        "l2_radius_inf": lambda: l2_ball_around(np.eye(4), np.inf),
+        "l2_radius_negative": lambda: l2_ball_around(np.eye(4), -1.0),
+        "cap_nan": lambda: total_sum_leq(np.nan),
+        "offset_inf": lambda: affine_halfspace(np.eye(4), np.inf),
+        "normal_nan": lambda: affine_halfspace(np.full((4, 4), np.nan), 1.0),
+        "normal_3x3": lambda: affine_halfspace(np.eye(3), 1.0),
+        "l1_center_3x3": lambda: l1_ball_around(np.eye(3), 1.0),
+        "l2_center_3x3": lambda: l2_ball_around(np.eye(3), 1.0),
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED_ATOMS)
+    def test_malformed_atoms_raise(self, case):
+        # a non-finite bound or a matrix of another shape than the objective
+        with pytest.raises(InvalidInputError):
+            pierra_solve(np.eye(4), [psd(), self.MALFORMED_ATOMS[case]()])
+
+    @pytest.mark.parametrize("atom", [nonneg, box01])
+    def test_complex_objective_takes_no_off_diagonal_bounds(self, atom):
+        # np.clip orders complex numbers lexicographically: such a "bound"
+        # would clip the real part and drop the imaginary one
+        M = gen_sync(SyncParams(n=8, sigma=0.3), seed=0).observed
+        with pytest.raises(InvalidInputError, match="real objective"):
+            pierra_solve(M, [psd(), atom()])
+        # the diagonal rules and one ball around a real-diagonal center still solve
+        for ball in (l1_ball_around(np.eye(8), 4.0), l2_ball_around(np.eye(8), 2.0)):
+            _, report = pierra_solve(M, unit_diag_atoms() + [ball])
+            assert report.converged
+        with pytest.raises(InvalidInputError, match="real diagonal"):
+            pierra_solve(M, unit_diag_atoms() + [l1_ball_around(1j * np.eye(8), 4.0)])
 
     def test_signed_sweep_guard(self):
         inst = gen_ssbm(SsbmParams(n=100, n_clusters=5, p=0.8, q=0.2, delta=0.4), seed=0)
@@ -539,8 +634,8 @@ class TestPierra:
 
     @pytest.mark.parametrize("kind", ["sync", "gaussian"])
     def test_unit_diagonal_matches_certified_bm(self, kind):
-        # the complex objective takes the generic atom-by-atom projection,
-        # the real one the exact clip; BM's optimum is certified
+        # the complex objective is clipped as pairs of reals, the real one
+        # entry by entry; BM's optimum is certified
         if kind == "sync":
             M = gen_sync(SyncParams(n=30, sigma=0.5), seed=0).observed
         else:
