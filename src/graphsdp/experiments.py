@@ -13,10 +13,11 @@ order (grid points as written, replicates within each), whatever the number
 of worker threads.  The runner frames every row with its grid point,
 replicate and seed; a cell only generates, solves, rounds and scores.  An
 exception in a cell becomes one row with status ``error:<ExceptionName>``
-and never aborts a sweep.  Config ``params`` are checked by name and by the
-kind of their default before anything runs.  The fixed-point curve is the
-one experiment whose replicates are pooled by its estimator: it writes the
-quantile curve as both tables.
+and never aborts a sweep; a cell whose solve did not converge reads
+``solver_<termination>``, the solve's stop reason.  Config ``params`` are
+checked by name and by the kind of their default before anything runs.  The
+fixed-point curve is the one experiment whose replicates are pooled by its
+estimator: it writes the quantile curve as both tables.
 """
 
 from __future__ import annotations
@@ -172,6 +173,11 @@ class _FixedPointSpec:
         return rows, self.header, rows, {"estimate": estimate.to_dict()}
 
 
+def _status(report):
+    """A cell's status: "ok" for a converged solve, else the solve's stop reason."""
+    return "ok" if report.converged else f"solver_{report.termination}"
+
+
 def _cell_signed_before_after(params, axes, seed):
     ssbm = SsbmParams(
         n=params["n"], n_clusters=params["K"], p=params["p"], q=params["q"],
@@ -186,7 +192,7 @@ def _cell_signed_before_after(params, axes, seed):
                      feas_tol=params.get("feas_tol", 1e-5),
                      obj_tol=params.get("obj_tol", 1e-7)),
     )
-    status = "ok" if report.converged else "solver_max_iters"
+    status = _status(report)
     K = params["K"]
 
     def gamma(matrix, algo):
@@ -216,7 +222,7 @@ def _round_maxcut(inst, params, seed):
         inst.observed, {"mask_prob": inst.mask_prob}, bm_config=_bm_config(params, seed)
     )
     x, mean_cut = gw_round(Z_hat, inst.full_adjacency, params.get("gw_samples", 100), seed=seed)
-    return x, mean_cut, "ok" if report.converged else "solver_max_iters"
+    return x, mean_cut, _status(report)
 
 
 def _cell_maxcut_bipartite(params, axes, seed):
@@ -274,7 +280,7 @@ def _cell_sync(noise_model):
         return [{
             "mse_sdp": sync.score(phases_sdp, inst.ground_truth)["mse"],
             "mse_spectral": sync.score(phases_spec, inst.ground_truth)["mse"],
-            "status": "ok" if report.converged else "solver_max_iters",
+            "status": _status(report),
         }]
     return cell
 

@@ -15,7 +15,8 @@ Two solver families cover every program in the library:
   extrapolates it.  A safeguard rejects an extrapolated point whose
   fixed-point residual exceeds the last accepted one and takes the plain
   step instead.  The memory is cleared on a rejection and on a penalty
-  change.
+  change.  The returned matrix is the psd projection of the last iterate,
+  which lies in P, and the reported residuals are measured on it.
 * :func:`bm_solve` optimizes ``<M, Y Y*>`` over unit-norm rows of a low-rank
   factor Y (Barzilai-Borwein gradient descent with a nonmonotone line
   search on a product of spheres/circles), for the special constraint set
@@ -288,18 +289,6 @@ def _auto_epsilon(M: np.ndarray) -> float:
     return float(np.sqrt(M.shape[0])) / nm
 
 
-def _residuals(atoms: Sequence[ConstraintAtom], Z: np.ndarray) -> dict:
-    scale = 1.0 + frobenius_norm(Z)
-    return {f"{i}:{a.kind}": a.residual(Z) / scale for i, a in enumerate(atoms)}
-
-
-def _final_sweep(atoms: Sequence[ConstraintAtom], Z: np.ndarray) -> np.ndarray:
-    ordered = [a for a in atoms if a.kind != "psd"] + [a for a in atoms if a.kind == "psd"]
-    for atom in ordered:
-        Z = atom.project(Z)
-    return Z
-
-
 def _clip(V, lo, hi):
     """``np.clip(V, lo, hi)``, the same to the bit (NaN and signed zeros
     included), without the wrapper that costs more than the clip at n=20."""
@@ -512,9 +501,22 @@ class _Anderson:
         return np.subtract(F, correction, out=correction), True
 
 
-def _splitting_engine(M, atoms, config, X0=None):
-    """Two-block ADMM with Anderson acceleration; returns
-    (Z, state, iterations, termination, trace, counters).
+def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraConfig | None = None,
+                 warm_start=None):
+    """Maximize ``Re <M, Z>`` over the intersection of ``atoms``: the psd
+    cone, entrywise bounds (only the diagonal rules for a complex ``M``) and
+    at most one half-space, l1 ball or l2 ball; any other set raises
+    InvalidInputError.
+
+    Returns ``(Z_hat, SolveReport)``.  Runs two-block ADMM with Anderson
+    acceleration and terminates once the scaled feasibility residual of the
+    iterate drops below ``feas_tol`` and the objective has moved by at most
+    ``obj_tol`` (relative) over 10 iterations.  ``Z_hat`` is the psd
+    projection of the last iterate, which lies in the other atoms' set
+    (the iterate itself when there is no psd atom), and the report's
+    objective and residuals are measured on it.  ``warm_start``, an earlier
+    report's ``state``, resumes the sweeps where that solve ended
+    (continuation over a related set).
 
     The sweep is the Douglas-Rachford map on ``y = Z + U``:
     ``Z = P_P(y)``, ``X = P_psd(2Z - y + M/rho)``, ``T(y) = y + X - Z``.
@@ -524,14 +526,14 @@ def _splitting_engine(M, atoms, config, X0=None):
     solve falls back to the plain step ``T(y)`` from the last accepted
     point and the memory is cleared, as it is whenever the penalty changes.
     Every 10th sweep takes the plain step, so the stop rule and the penalty
-    test only ever judge points reached from an accepted one.
+    test only ever judge points reached from an accepted one.  The set
+    projection, and one projection per non-psd atom for the residuals, are
+    built once per solve.
 
-    ``Z`` is the last iterate in the non-psd atoms' set.  ``state`` is
-    ``(Z, U, rho)``: the iterate, the scaled dual and the penalty; passed
-    back as ``X0`` it warm-starts a solve over a related constraint set
-    (continuation).  Callers outside this module use :func:`pierra_solve`.
-    ``counters`` counts the extrapolated points accepted and rejected, the
-    penalty changes, and holds the final penalty ``rho``.
+    The report's ``state`` is ``(Z, U, rho)``: the last iterate in the
+    other atoms' set, the scaled dual and the penalty.  Its ``counters``
+    count the extrapolated points accepted and rejected, the penalty
+    changes, and hold the final penalty ``rho``.
 
     No sweep checks its matrices.  V is built in one buffer and handed to
     the unchecked psd kernel after ``hermitian_part``.  On every set the
@@ -543,10 +545,26 @@ def _splitting_engine(M, atoms, config, X0=None):
     ``eigh`` failing on a non-finite V) raises the InvalidInputError that
     :func:`project_psd` raises on non-finite input.
     """
+    config = config or PierraConfig()
+    M = check_square(M, "objective")
+    # the sweeps run in double precision: the Anderson buffers take M's dtype
+    M = symmetrize_unchecked(M.astype(np.result_type(M.dtype, float), copy=False))
+    if not atoms:
+        raise InvalidInputError("need at least one constraint atom")
     project_set = _set_projection(atoms, M)
     has_cone = any(a.kind == "psd" for a in atoms)
-    if X0 is not None:
-        Z, U, rho = X0
+    # one projection per non-psd atom, for its residual ||P(Z) - Z||_F; the
+    # cone's residual comes from its eigenvalues alone
+    projections = {f"{i}:{a.kind}": None if a.kind == "psd" else _set_projection([a], M)
+                   for i, a in enumerate(atoms)}
+
+    def residuals(Z):
+        scale = 1.0 + frobenius_norm(Z)
+        return {key: (psd_residual(Z) if project is None else frobenius_norm(project(Z) - Z)) / scale
+                for key, project in projections.items()}
+
+    if warm_start is not None:
+        Z, U, rho = warm_start
     else:
         eps = config.epsilon if config.epsilon is not None else _auto_epsilon(M)
         Z, U, rho = np.zeros_like(M), np.zeros_like(M), 1.0 / eps
@@ -598,7 +616,7 @@ def _splitting_engine(M, atoms, config, X0=None):
         if len(trace) > _CHECK_EVERY:
             prev = trace[-1 - _CHECK_EVERY]
             if (abs(trace[-1] - prev) <= config.obj_tol * (1.0 + abs(trace[-1]))
-                    and max(_residuals(atoms, Z).values()) <= config.feas_tol):
+                    and max(residuals(Z).values()) <= config.feas_tol):
                 termination = "converged"
                 iterations = it
                 break
@@ -615,41 +633,16 @@ def _splitting_engine(M, atoms, config, X0=None):
         M_rho = M / rho
         counters["penalty_changes"] += 1
         accel.clear()
-    return Z, (Z, y - Z, rho), iterations, termination, trace, {**counters, "rho": rho}
-
-
-def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraConfig | None = None,
-                 warm_start=None):
-    """Maximize ``Re <M, Z>`` over the intersection of ``atoms``: the psd
-    cone, entrywise bounds (only the diagonal rules for a complex ``M``) and
-    at most one half-space, l1 ball or l2 ball; any other set raises
-    InvalidInputError.
-
-    Returns ``(Z_hat, SolveReport)``.  Terminates once the scaled feasibility
-    residual of the iterate drops below ``feas_tol`` and the objective has
-    moved by at most ``obj_tol`` (relative) over 10 iterations; the returned
-    matrix is the iterate after one last sweep through all projections with
-    the psd cone applied last.  ``warm_start``, an earlier report's ``state``,
-    resumes the sweeps where that solve ended (continuation over a related set).
-    """
-    config = config or PierraConfig()
-    M = check_square(M, "objective")
-    # the sweeps run in double precision: the Anderson buffers take M's dtype
-    M = symmetrize_unchecked(M.astype(np.result_type(M.dtype, float), copy=False))
-    if not atoms:
-        raise InvalidInputError("need at least one constraint atom")
-    Z, state, iterations, termination, trace, counters = _splitting_engine(
-        M, atoms, config, warm_start)
-    Z_hat = _final_sweep(atoms, Z)
+    Z_hat = project_psd(Z) if has_cone else Z
     report = SolveReport(
         solver="pierra",
         iterations=iterations,
         termination=termination,
         objective=float(np.real(np.vdot(M, Z_hat))),
         objective_trace=np.asarray(trace),
-        residuals=_residuals(atoms, Z_hat),
-        state=state,
-        counters=counters,
+        residuals=residuals(Z_hat),
+        state=(Z, y - Z, rho),
+        counters={**counters, "rho": rho},
     )
     return Z_hat, report
 

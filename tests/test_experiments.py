@@ -6,6 +6,7 @@ from graphsdp.experiments import ExperimentConfig, gset_sweep, run_experiment, r
 from graphsdp.fileio import parse_gset, read_csv
 from graphsdp.linalg import InvalidInputError
 from graphsdp.problems import signed_ground_truth_matrix
+from graphsdp.solvers import BmConfig
 
 
 class TestConfig:
@@ -234,6 +235,16 @@ def test_failed_cell_is_one_error_row(monkeypatch, experiment, generator, params
     assert len(rows) == n_rows
     assert [row for row in rows if row["status"] != "ok"] == [
         {**frame, "replicate": fail_at[1], "seed": bad_seed, "status": "error:RuntimeError"}]
+
+
+def test_unconverged_cell_reads_its_stop_reason(monkeypatch):
+    # a gradient tolerance below roundoff stalls BM (as in test_stop_reasons);
+    # the row names that stop, not an exhausted budget
+    monkeypatch.setattr(experiments, "_bm_config",
+                        lambda params, seed: BmConfig(grad_tol=1e-30, restarts=1))
+    rows, _ = run_grid(ExperimentConfig("sync_heatmap_gaussian", params={
+        "n": 12, "level_grid": [0.3], "prob_grid": [1.0]}, replicates=2, seed=0))
+    assert [row["status"] for row in rows] == ["solver_stalled"] * 2
 
 
 class TestGsetSweep:

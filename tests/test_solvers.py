@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphsdp import solvers
-from graphsdp.linalg import InvalidInputError, frobenius_norm, symmetrize
+from graphsdp.linalg import InvalidInputError, frobenius_norm, project_psd, symmetrize
 from graphsdp.metrics import estimate_fixed_point
 from graphsdp.models import (
     SsbmParams,
@@ -25,9 +25,7 @@ from graphsdp.solvers import (
     _bm_restart,
     _certificate,
     _escape,
-    _final_sweep,
     _set_projection,
-    _splitting_engine,
     affine_halfspace,
     bm_rank,
     bm_solve,
@@ -210,6 +208,13 @@ class TestSetProjection:
             assert frobenius_norm(project(PV) - PV) <= 1e-12 * (1 + frobenius_norm(PV))
             assert frobenius_norm(PV - PW) <= frobenius_norm(V - W) + 1e-12
         assert cut >= 3 or not name.endswith(("l1", "l2"))
+        # a solve over the set measures each atom's residual on the returned
+        # matrix, as the atom itself does, with projections it built once
+        Z, report = pierra_solve(V, atoms, PierraConfig(max_iters=2000))
+        scale = 1.0 + frobenius_norm(Z)
+        assert list(report.residuals) == [f"{i}:{a.kind}" for i, a in enumerate(atoms)]
+        for (key, value), atom in zip(report.residuals.items(), atoms):
+            assert abs(value - atom.residual(Z) / scale) <= 1e-12, key
 
     def test_newton_step_across_an_entry_range(self):
         # the first step from tau = 0 carries the diagonal from above its
@@ -519,10 +524,10 @@ class TestPierra:
         M = symmetrize(inst.observed - inst.params["alpha"])
         epsilon = factor * np.sqrt(30) / frobenius_norm(M)
         config = lambda k: PierraConfig(epsilon=epsilon, max_iters=k)
-        _, state, _, _, _, _ = _splitting_engine(M, signed_atoms(), config(10))
+        state = pierra_solve(M, signed_atoms(), config(10))[1].state
         assert state[2] != 1.0 / epsilon
-        _, _, _, _, full, _ = _splitting_engine(M, signed_atoms(), config(40))
-        _, _, _, _, resumed, _ = _splitting_engine(M, signed_atoms(), config(30), X0=state)
+        full = pierra_solve(M, signed_atoms(), config(40))[1].objective_trace
+        resumed = pierra_solve(M, signed_atoms(), config(30), warm_start=state)[1].objective_trace
         assert np.allclose(full[10:], resumed, rtol=1e-12, atol=0)
 
     def test_adaptive_penalty_corrects_a_poor_initial_step(self):
@@ -560,30 +565,43 @@ class TestPierra:
         for (_, q), c in zip(est.quantile_curve, np.maximum.accumulate(cold)):
             assert abs(q - c) <= 1e-5 * (1 + abs(c))
 
-    def test_warm_started_solve_equals_the_engine(self):
+    def test_warm_started_solve_ends_in_one_psd_projection(self):
         # continuation over nested balls: the report's state, passed back as
-        # warm_start, runs the engine from that state, and the solve adds
-        # only the final sweep
+        # warm_start, resumes the sweeps, and the returned matrix is the psd
+        # projection of the last iterate in the other atoms' set
         inst = gen_ssbm(SsbmParams(n=10, n_clusters=2, p=0.9, q=0.1, delta=0.8), seed=1)
         M = symmetrize(inst.observed - inst.params["alpha"])
         config = PierraConfig()
         _, first = pierra_solve(M, signed_atoms() + [l2_ball_around(np.eye(10), 1.0)], config)
         atoms = signed_atoms() + [l2_ball_around(np.eye(10), 2.0)]
         Z_hat, report = pierra_solve(M, atoms, config, warm_start=first.state)
-        Z, state, iterations, termination, trace, counters = _splitting_engine(
-            M, atoms, config, X0=first.state)
-        assert np.array_equal(Z_hat, _final_sweep(atoms, Z))
-        assert (report.iterations, report.termination) == (iterations, termination)
         assert report.converged
-        assert np.array_equal(report.objective_trace, trace)
+        assert len(report.objective_trace) == report.iterations
         assert report.objective == float(np.vdot(M, Z_hat))
-        assert all(np.array_equal(a, b) for a, b in zip(report.state, state))
-        assert report.counters == counters
+        assert Z_hat.tobytes() == project_psd(report.state[0]).tobytes()
+        assert report.counters["rho"] == report.state[2]
         assert "state" not in report.to_dict()
+
+    @pytest.mark.parametrize("name", LIBRARY_SETS)
+    def test_projections_are_built_once_per_solve(self, monkeypatch, name):
+        # the set projection and one projection per non-psd atom serve
+        # every stop check and the final residuals
+        rng = np.random.default_rng(7)
+        atoms, complex_valued = library_set(name, 5, rng)
+        M = rng.standard_normal((5, 5)) + (1j * rng.standard_normal((5, 5)) if complex_valued else 0)
+        builds, checks = [], []
+        build, residual = solvers._set_projection, solvers.psd_residual
+        monkeypatch.setattr(solvers, "_set_projection", lambda *args: builds.append(1) or build(*args))
+        monkeypatch.setattr(solvers, "psd_residual", lambda Z: checks.append(1) or 1.0 + residual(Z))
+        # every objective test passes and the cone's residual never does: a
+        # stop check at every 10th sweep from the 20th, then the final residuals
+        _, report = pierra_solve(M, atoms, PierraConfig(max_iters=60, obj_tol=1e10))
+        assert report.termination == "max_iters" and len(checks) == 6
+        assert len(builds) == 1 + sum(a.kind != "psd" for a in atoms)
 
     @pytest.mark.parametrize("case", HERMITIAN_CASES)
     def test_sweep_point_is_exactly_hermitian(self, monkeypatch, case):
-        # the engine hands V = 2Z - y + M/rho to the unchecked psd kernel
+        # each sweep hands V = 2Z - y + M/rho to the unchecked psd kernel
         # through hermitian_part; on every set the library builds V is
         # exactly Hermitian at every sweep, so the kernel sees V itself
         M, atoms = hermitian_case(case)
@@ -609,7 +627,7 @@ class TestPierra:
     def test_non_symmetric_halfspace_normal(self, monkeypatch):
         # <C, Z> = <(C + C^T)/2, Z> for symmetric Z, so a normal with an
         # antisymmetric part cuts the same symmetric matrices; its iterates
-        # are not Hermitian, and the engine's symmetrization of V handles them
+        # are not Hermitian, and the sweep's symmetrization of V handles them
         M, atoms = hermitian_case("excess_risk")
         C, bound = atoms[-1].matrix, atoms[-1].bound
         K = np.triu(np.random.default_rng(5).standard_normal(C.shape), 1)
