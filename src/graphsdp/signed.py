@@ -7,6 +7,10 @@ balanced-normalized-cut relaxation.  Self-loops are ignored throughout
 nodes follow the pseudo-inverse convention: their normalized-embedding rows
 are zero.  Every clustering returns its labels as an integer array, numbered
 by first appearance.
+
+Every clustering ends in ``kmeans``: ten seeded k-means++ starts run their
+Lloyd rounds as one batch, and the lowest inertia wins, the first start on
+ties.
 """
 
 from __future__ import annotations
@@ -71,72 +75,108 @@ def _lbar_sym(A: np.ndarray, dbar: np.ndarray) -> np.ndarray:
 
 
 def _pairwise_sq(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    cross = points @ centers.T
+    """Squared distances ``(R, n, K)`` from the n points to the K centers of
+    each of the R stacked starts in ``centers`` ``(R, K, d)``."""
+    cross = points @ centers.transpose(0, 2, 1)
     return (
         np.sum(points**2, axis=1)[:, None]
         - 2.0 * cross
-        + np.sum(centers**2, axis=1)[None, :]
+        + np.sum(centers**2, axis=2)[:, None, :]
     )
 
 
-def _kmeanspp_init(points, K, rng):
+def _kmeanspp_init(points, K, rngs):
+    """k-means++ centers ``(R, K, d)``, one start per generator in ``rngs``.
+    Each start draws from its own generator, in the same order as alone;
+    the distances of all starts are updated at once."""
     n = points.shape[0]
-    centers = np.empty((K, points.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = points[first]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    centers = np.empty((len(rngs), K, points.shape[1]))
+    centers[:, 0] = points[[int(rng.integers(n)) for rng in rngs]]
+    d2 = np.sum((points - centers[:, :1]) ** 2, axis=2)
     for k in range(1, K):
-        total = d2.sum()
-        if total <= 0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
-        centers[k] = points[idx]
-        d2 = np.minimum(d2, np.sum((points - centers[k]) ** 2, axis=1))
+        idx = [
+            int(rng.choice(n, p=row / total)) if total > 0 else int(rng.integers(n))
+            for rng, row, total in zip(rngs, d2, d2.sum(axis=1))
+        ]
+        centers[:, k] = points[idx]
+        d2 = np.minimum(d2, np.sum((points - centers[:, k : k + 1]) ** 2, axis=2))
     return centers
 
 
+def _reseed_empty(points, d2, labels, centers):
+    """One start's centroid step when one of its clusters is empty: clusters
+    in order, each empty one re-seeded with the point farthest from its
+    nearest center, which it takes over before the later clusters' means."""
+    for k in range(centers.shape[0]):
+        members = labels == k
+        if members.any():
+            centers[k] = points[members].mean(axis=0)
+        else:
+            far = int(np.argmax(np.min(d2, axis=1)))
+            centers[k] = points[far]
+            labels[far] = k
+
+
 def _lloyd(points, centers, max_rounds=300):
-    labels = None
+    """Lloyd rounds of R starts at once on ``centers`` ``(R, K, d)``, which
+    are updated in place.  A start leaves the batch in the round its labels
+    stop changing.  Returns the labels ``(R, n)`` and the inertias ``(R,)``."""
+    R, K, d = centers.shape
+    n = points.shape[0]
+    # one weight per (start, point, coordinate).  bincount adds each bin's
+    # rows in index order, as points[members].mean(axis=0) does on two or
+    # more columns (one column it sums pairwise, which rounds differently)
+    weights = np.tile(points, (R, 1)).ravel()
+    labels = np.full((R, n), -1, dtype=np.intp)    # so round 0 moves every start
+    active = np.arange(R)
     for _ in range(max_rounds):
-        d2 = _pairwise_sq(points, centers)
-        new_labels = np.argmin(d2, axis=1)
-        for k in range(centers.shape[0]):
-            members = new_labels == k
-            if members.any():
-                centers[k] = points[members].mean(axis=0)
-            else:
-                # re-seed an empty cluster with the farthest point
-                far = int(np.argmax(np.min(d2, axis=1)))
-                centers[k] = points[far]
-                new_labels[far] = k
-        if labels is not None and np.array_equal(labels, new_labels):
+        d2 = _pairwise_sq(points, centers[active])
+        new_labels = np.argmin(d2, axis=2)
+        bins = (new_labels + K * np.arange(active.size)[:, None]).ravel()
+        counts = np.bincount(bins, minlength=active.size * K).reshape(-1, K)
+        sums = np.bincount(
+            (bins[:, None] * d + np.arange(d)).ravel(),
+            weights=weights[: bins.size * d],
+            minlength=counts.size * d,
+        ).reshape(-1, K, d)
+        step = sums / np.maximum(counts, 1)[:, :, None]
+        for i in np.flatnonzero(np.any(counts == 0, axis=1)):
+            _reseed_empty(points, d2[i], new_labels[i], step[i])
+        moved = np.any(new_labels != labels[active], axis=1)
+        labels[active] = new_labels
+        centers[active] = step
+        active = active[moved]
+        if active.size == 0:
             break
-        labels = new_labels
-    inertia = float(np.sum(np.min(_pairwise_sq(points, centers), axis=1)))
+    inertia = np.sum(np.min(_pairwise_sq(points, centers), axis=2), axis=1)
     return labels, inertia
 
 
 def kmeans(points: np.ndarray, K: int, seed: int = 0) -> np.ndarray:
-    """Seeded k-means (k-means++ init, Lloyd rounds, best inertia over
-    ``_KMEANS_RESTARTS`` starts); labels in [0, K), numbered by first appearance."""
+    """Seeded k-means; labels in [0, K), numbered by first appearance.
+
+    Ten (``_KMEANS_RESTARTS``) k-means++ starts, each from its own seeded
+    generator, run their Lloyd rounds as one batch.  The start with the
+    lowest inertia wins, the first one on ties.  ``points`` is a finite 1-D
+    array (one coordinate per point) or 2-D array (one row per point);
+    anything else raises ``InvalidInputError``.
+    """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
+    if points.ndim != 2:
+        raise InvalidInputError(f"k-means points must be 1-D or 2-D, got shape {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise InvalidInputError("k-means points have non-finite entries")
     n = points.shape[0]
     if K < 1 or K > n:
         raise InvalidInputError("need 1 <= K <= n")
     if K == 1:
         return np.zeros(n, dtype=int)
     root = _rng.seed_sequence(seed, _rng.STREAM_SOLVER)
-    best = None
-    for child in root.spawn(_KMEANS_RESTARTS):
-        rng = np.random.default_rng(child)
-        centers = _kmeanspp_init(points, K, rng)
-        labels, inertia = _lloyd(points, centers.copy())
-        if best is None or inertia < best[1]:
-            best = (labels, inertia)
-    return _canonical_labels(best[0], K)
+    rngs = [np.random.default_rng(child) for child in root.spawn(_KMEANS_RESTARTS)]
+    labels, inertia = _lloyd(points, _kmeanspp_init(points, K, rngs))
+    return _canonical_labels(labels[np.argmin(inertia)], K)
 
 
 def _canonical_labels(labels: np.ndarray, K: int) -> np.ndarray:

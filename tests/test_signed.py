@@ -8,6 +8,8 @@ from graphsdp.metrics import ari
 from graphsdp.models import SsbmParams, gen_ssbm
 from graphsdp.signed import (
     SPECTRAL_VARIANTS,
+    _kmeanspp_init,
+    _lloyd,
     bnc_cluster,
     bnc_objective,
     kmeans,
@@ -91,6 +93,17 @@ class TestKmeans:
         with pytest.raises(InvalidInputError):
             kmeans(np.zeros((2, 1)), 3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points(self, bad):
+        pts = np.zeros((6, 2))
+        pts[3, 1] = bad
+        with pytest.raises(InvalidInputError):
+            kmeans(pts, 2)
+
+    def test_three_dimensional_points(self):
+        with pytest.raises(InvalidInputError):
+            kmeans(np.zeros((6, 2, 2)), 2)
+
 
 class TestSpectralCluster:
     @pytest.mark.parametrize("variant", SPECTRAL_VARIANTS)
@@ -144,18 +157,64 @@ class TestBnc:
             assert obj <= bnc_objective(inst.observed, labels) + 1e-9
 
 
+def _kmeanspp_starts(points, K, seeds):
+    return _kmeanspp_init(points, K, [np.random.default_rng(s) for s in seeds])
+
+
+def _lloyd_reference(points, centers, max_rounds=300):
+    """One start's Lloyd rounds, cluster by cluster: the loop the batched
+    kernel replaced."""
+    labels = None
+    for _ in range(max_rounds):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
+        new_labels = np.argmin(d2, axis=1)
+        for k in range(centers.shape[0]):
+            members = new_labels == k
+            if members.any():
+                centers[k] = points[members].mean(axis=0)
+            else:
+                far = int(np.argmax(np.min(d2, axis=1)))
+                centers[k] = points[far]
+                new_labels[far] = k
+        if labels is not None and np.array_equal(labels, new_labels):
+            break
+        labels = new_labels
+    return labels
+
+
 def test_kmeans_inertia_non_increasing_over_lloyd_rounds():
-    # run Lloyd manually and track the objective
     rng = np.random.default_rng(9)
     pts = rng.standard_normal((40, 2))
-    centers = pts[rng.choice(40, 4, replace=False)].copy()
-    prev = np.inf
-    for _ in range(10):
-        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
-        labels = d2.argmin(1)
-        inertia = float(d2.min(1).sum())
-        assert inertia <= prev + 1e-9
+    starts = _kmeanspp_starts(pts, 4, range(10))
+    prev = np.full(10, np.inf)
+    for rounds in range(1, 12):
+        _, inertia = _lloyd(pts, starts.copy(), max_rounds=rounds)
+        assert np.all(inertia <= prev + 1e-12 * np.abs(inertia))
         prev = inertia
-        for k in range(4):
-            if (labels == k).any():
-                centers[k] = pts[labels == k].mean(0)
+
+
+def test_batched_restarts_equal_each_restart_alone():
+    rng = np.random.default_rng(4)
+    pts = np.concatenate([rng.standard_normal((30, 3)) + c for c in (0.0, 2.0, 4.0)])
+    starts = _kmeanspp_starts(pts, 5, range(10))
+    labels, inertia = _lloyd(pts, starts.copy())
+    for r in range(10):
+        alone_labels, alone_inertia = _lloyd(pts, starts[r : r + 1].copy())
+        assert np.array_equal(labels[r], alone_labels[0])
+        assert inertia[r] == alone_inertia[0]
+        assert np.array_equal(labels[r], _lloyd_reference(pts, starts[r].copy()))
+
+
+def test_empty_cluster_reseeded_inside_a_batch():
+    pts = np.linspace(-1.0, 1.0, 21)[:, None]
+    # start 0's third center is nearest to no point, so it must be re-seeded
+    starts = np.array([[[-0.5], [0.5], [100.0]], [[-0.6], [0.0], [0.6]]])
+    centers = starts.copy()
+    labels, inertia = _lloyd(pts, centers)
+    assert np.any(labels[0] == 2)
+    assert np.abs(centers[0, 2, 0]) <= 1.0
+    for r in range(2):
+        alone_labels, alone_inertia = _lloyd(pts, starts[r : r + 1].copy())
+        assert np.array_equal(labels[r], alone_labels[0])
+        assert inertia[r] == alone_inertia[0]
+        assert np.array_equal(labels[r], _lloyd_reference(pts, starts[r].copy()))
