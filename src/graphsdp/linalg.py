@@ -4,12 +4,11 @@ Everything downstream (solvers, rounding, spectral baselines) goes through
 these few primitives: eigendecomposition, PSD projection, the distance to
 the psd cone and top eigenvector extraction.  Each computes only the
 spectral data its callers read: ``eigh_sorted`` and ``project_psd`` need
-every eigenvector, ``psd_residual`` reads eigenvalues only,
-``psd_residual_bound`` bounds it from above in O(n^2) (exactly for a
-rank-one psd matrix), and ``has_cholesky`` answers "is this matrix psd up
-to a shift?" with one Cholesky factorization (n^3/3 flops, no
-eigensolver).  ``top_eigenvector`` first tries a short Lanczos run from a
-fixed start, certified by an explicit residual and then by the Frobenius
+every eigenvector, ``psd_residual`` reads eigenvalues only, and
+``has_cholesky`` answers "is this matrix psd up to a shift?" with one
+Cholesky factorization (n^3/3 flops, no eigensolver).
+``top_eigenvector`` first tries a short Lanczos run from a fixed start,
+certified by an explicit residual and then by the Frobenius
 mass (no other eigenvalue can exceed a Ritz value that holds half of
 ``||H||_F^2``) or, failing that, by one such factorization; only when both
 fail does it pay for ``eigvalsh`` and inverse iteration.  All matrices
@@ -41,7 +40,6 @@ __all__ = [
     "project_psd",
     "project_psd_hermitian",
     "psd_residual",
-    "psd_residual_bound",
     "has_cholesky",
     "top_eigenvector",
     "frobenius_norm",
@@ -184,30 +182,6 @@ def psd_residual(M: np.ndarray) -> float:
     Mh = M.conj().T
     w = np.linalg.eigvalsh((M + Mh) / 2)
     return float(np.hypot(np.linalg.norm(w[w < 0]), frobenius_norm(M - Mh) / 2))
-
-
-def psd_residual_bound(M: np.ndarray) -> float:
-    """An upper bound on :func:`psd_residual` from one product with M.
-
-    For any psd P, ``||M - P||_F^2 = ||H - P||_F^2 + ||K||_F^2`` (H and K as
-    in ``psd_residual``, orthogonal), and ``||H - P||_F`` is at least H's
-    distance to the psd cone, so ``||M - P||_F >= psd_residual(M)``.  Here
-    P is the rank-one ``w w* / (s* w)`` with ``w = M s`` from the fixed start
-    s, psd when ``Re(s* w) > 0`` (inf is returned otherwise), and the norm is
-    taken of the explicit difference: written as ``sqrt(||M||^2 - ...)`` it
-    would lose about ``sqrt(eps) ||M||_F`` to cancellation.  For ``M = x x*``
-    with x not orthogonal to s, P is M and the bound is roundoff; one
-    product, one outer product and one norm, with no factorization.
-    """
-    M = check_square(M)
-    s = _start_vector(M.shape[0])
-    w = M @ s
-    c = np.vdot(s, w).real
-    if c <= 0:
-        return np.inf
-    D = np.outer(w / c, w.conj())
-    D -= M
-    return frobenius_norm(D)
 
 
 def has_cholesky(M: np.ndarray, shift: float) -> bool:

@@ -9,20 +9,13 @@ and independent substreams drive edge indicators, sampling masks and noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _rng
-from .linalg import (
-    InvalidInputError,
-    frobenius_norm,
-    has_cholesky,
-    psd_residual_bound,
-    symmetrize,
-)
-from .solvers import community_atoms, signed_atoms, unit_diag_atoms
+from .linalg import InvalidInputError, symmetrize
 
 __all__ = [
     "SsbmParams",
@@ -40,8 +33,6 @@ __all__ = [
     "rescale_masked",
     "sample_feasible",
 ]
-
-_FEAS_TOL = 1e-8
 
 
 def membership_matrix(labels: np.ndarray) -> np.ndarray:
@@ -114,6 +105,8 @@ class SyncParams:
     true_phases: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise InvalidInputError("n must be >= 1")
         if self.sigma < 0:
             raise InvalidInputError("sigma must be >= 0")
         if self.noise_model not in ("gaussian", "outlier"):
@@ -124,8 +117,8 @@ class SyncParams:
             raise InvalidInputError("sample_prob must be in (0, 1]")
         if self.true_phases is not None:
             phases = np.asarray(self.true_phases, dtype=float)
-            if phases.shape != (self.n,):
-                raise InvalidInputError("true_phases must have length n")
+            if phases.shape != (self.n,) or not np.isfinite(phases).all():
+                raise InvalidInputError("true_phases must be n finite numbers")
             object.__setattr__(self, "true_phases", phases)
 
     @property
@@ -136,41 +129,10 @@ class SyncParams:
         return 1.0 - self.gamma
 
 
-def _psd_certified(M: np.ndarray, bound: float) -> bool:
-    """Whether an O(n^2) bound or one Cholesky factor shows
-    ``psd_residual(M) <= bound``.
-
-    ``psd_residual_bound`` goes first: the distance from M to one psd
-    rank-one matrix built from one product with M.  It settles a rank-one
-    oracle (every sync oracle) to roundoff and costs no factorization.
-    When it does not, the factor decides: with H and K the Hermitian and
-    anti-Hermitian parts of the n x n matrix M,
-    ``psd_residual(M) = hypot(||min(w, 0)||, ||K||_F)`` over the
-    eigenvalues w of H.  A factor of ``H + tau I`` bounds each negative
-    eigenvalue by tau, so the residual is at most
-    ``hypot(sqrt(n) tau, ||K||_F)``.  ``sqrt(n) tau`` takes half of what K
-    leaves of the bound; the other half leaves room for the roundoff of the
-    factorization and of the eigenvalues that decide when there is no
-    factor.  A False settles nothing.
-    """
-    if psd_residual_bound(M) <= bound:       # checks M
-        return True
-    M = np.asarray(M)
-    skew = np.empty(M.shape, M.dtype)
-    if M.dtype.kind == "c":
-        np.conjugate(M.T, out=skew)             # one contiguous pass, as hermitian_part
-        np.subtract(M, skew, out=skew)
-    else:
-        np.subtract(M, M.T, out=skew)
-    anti = frobenius_norm(skew) / 2
-    if anti >= bound:
-        return False
-    return has_cholesky(M, np.sqrt(bound**2 - anti**2) / (2.0 * np.sqrt(M.shape[0])))
-
-
 @dataclass(frozen=True)
 class ProblemInstance:
-    """One generated observation with its exact population quantities."""
+    """One generated observation with its exact population quantities, data
+    only: ``problems.PROBLEMS[problem].atoms(params)`` is its constraint set."""
 
     problem: str                 # "community" | "signed" | "sync"
     observed: np.ndarray
@@ -179,18 +141,6 @@ class ProblemInstance:
     ground_truth: np.ndarray
     params: dict
     seed: int
-    atoms: tuple = field(default=())
-
-    def __post_init__(self):
-        scale = 1.0 + frobenius_norm(self.oracle)
-        for atom in self.atoms:
-            if atom.kind == "psd" and _psd_certified(self.oracle, _FEAS_TOL * scale):
-                continue
-            resid = atom.residual(self.oracle) / scale
-            if resid > _FEAS_TOL:
-                raise InvalidInputError(
-                    f"oracle infeasible for atom {atom.kind}: residual {resid:.2e}"
-                )
 
 
 @dataclass(frozen=True)
@@ -254,7 +204,6 @@ def gen_sbm(n, K, p, q, sizes=None, seed=0) -> ProblemInstance:
         ground_truth=labels,
         params={"n": n, "K": K, "p": p, "q": q, "sizes": list(sizes), "lam": lam},
         seed=seed,
-        atoms=tuple(community_atoms(lam)),
     )
 
 
@@ -292,7 +241,6 @@ def gen_ssbm(params: SsbmParams, seed=0) -> ProblemInstance:
             "theta": params.theta,
         },
         seed=seed,
-        atoms=tuple(signed_atoms()),
     )
 
 
@@ -342,7 +290,6 @@ def gen_sync(params: SyncParams, seed=0) -> ProblemInstance:
             "sample_prob": params.sample_prob,
         },
         seed=seed,
-        atoms=tuple(unit_diag_atoms()),
     )
 
 

@@ -11,6 +11,7 @@ import numpy as np
 from . import _rng
 from .linalg import (
     InvalidInputError,
+    check_square,
     eigh_sorted,
     frobenius_norm,
     top_eigenvector,
@@ -71,9 +72,12 @@ def gw_round(Z: np.ndarray, graph: np.ndarray, n_samples: int, seed: int = 0):
 
 def expected_cut_closed_form(A0: np.ndarray, Z: np.ndarray) -> float:
     """Exact conditional expectation of the rounded cut given the solved matrix:
-    (1/2pi) * sum_ij A0_ij * arccos(Z_ij), entries clamped into [-1, 1]."""
-    A0 = np.asarray(A0, dtype=float)
-    Z = np.asarray(Z, dtype=float)
+    (1/2pi) * sum_ij A0_ij * arccos(Z_ij), entries clamped into [-1, 1].
+    Both are finite square matrices of one shape, and Z is real."""
+    A0 = np.asarray(check_square(A0, "graph"), dtype=float)
+    Z = check_square(Z, "solution")
+    if np.iscomplexobj(Z):
+        raise InvalidInputError("the closed form takes a real solution")
     if A0.shape != Z.shape:
         raise InvalidInputError("shape mismatch between graph and solution")
     clamped = np.clip(Z, -1.0, 1.0)

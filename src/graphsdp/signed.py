@@ -152,6 +152,18 @@ def _lloyd(points, centers, max_rounds=300):
     return labels, inertia
 
 
+def _kmeans_points(points: np.ndarray) -> np.ndarray:
+    """``points`` as a 2-D float array, one row per point, checked as :func:`kmeans` says."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points[:, None]
+    if points.ndim != 2:
+        raise InvalidInputError(f"k-means points must be 1-D or 2-D, got shape {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise InvalidInputError("k-means points have non-finite entries")
+    return points
+
+
 def kmeans(points: np.ndarray, K: int, seed: int = 0) -> np.ndarray:
     """Seeded k-means; labels in [0, K), numbered by first appearance.
 
@@ -161,13 +173,7 @@ def kmeans(points: np.ndarray, K: int, seed: int = 0) -> np.ndarray:
     array (one coordinate per point) or 2-D array (one row per point);
     anything else raises ``InvalidInputError``.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
-    if points.ndim != 2:
-        raise InvalidInputError(f"k-means points must be 1-D or 2-D, got shape {points.shape}")
-    if not np.all(np.isfinite(points)):
-        raise InvalidInputError("k-means points have non-finite entries")
+    points = _kmeans_points(points)
     n = points.shape[0]
     if K < 1 or K > n:
         raise InvalidInputError("need 1 <= K <= n")
@@ -195,10 +201,12 @@ def _canonical_labels(labels: np.ndarray, K: int) -> np.ndarray:
 
 
 def kmeans_inertia(points: np.ndarray, labels: np.ndarray) -> float:
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
+    """Sum of squared distances from each point to its cluster's mean, with
+    ``points`` checked as by :func:`kmeans` and one label per point."""
+    points = _kmeans_points(points)
     labels = np.asarray(labels)
+    if labels.shape != points.shape[:1]:
+        raise InvalidInputError(f"need one label per point, got {labels.shape} for {len(points)}")
     total = 0.0
     for k in np.unique(labels):
         members = points[labels == k]

@@ -76,27 +76,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConstraintAtom:
-    """One convex constraint with an exact Euclidean projection."""
+    """One convex constraint, a plain record: :func:`pierra_solve` builds
+    the projections onto the atoms it is given (see ``_set_projection``)."""
 
     kind: str
     lam: float = 0.0
     matrix: Optional[np.ndarray] = None   # halfspace normal or ball center
     bound: float = 0.0                    # halfspace offset or ball radius
-
-    def project(self, Z: np.ndarray) -> np.ndarray:
-        """:func:`project_psd` for the cone, else the one-atom case of the
-        set projection (see ``_set_projection``)."""
-        if self.kind == "psd":
-            return project_psd(Z)
-        Z = np.asarray(Z)
-        Z = np.ascontiguousarray(Z, dtype=np.result_type(Z.dtype, float))
-        return _set_projection([self], Z)(Z)
-
-    def residual(self, Z: np.ndarray) -> float:
-        """``||project(Z) - Z||_F``; the cone's from its eigenvalues alone."""
-        if self.kind == "psd":
-            return psd_residual(Z)
-        return frobenius_norm(self.project(Z) - Z)
 
 
 def psd() -> ConstraintAtom:

@@ -36,3 +36,5 @@ def test_layering():
     assert imported_modules("linalg") == set()
     for stem in ("signed", "rounding", "metrics"):
         assert "models" not in imported_modules(stem), stem
+    # instances carry data only: the problem table holds each constraint set
+    assert not imported_modules("models") & {"solvers", "problems"}

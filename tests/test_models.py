@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from graphsdp import models
-from graphsdp.linalg import InvalidInputError, frobenius_norm, has_cholesky, psd_residual
+from graphsdp.linalg import InvalidInputError, frobenius_norm, psd_residual
 from graphsdp.models import (
-    ProblemInstance,
     SsbmParams,
     SyncParams,
     apply_mask,
@@ -17,72 +15,11 @@ from graphsdp.models import (
     oracle_sync,
     sample_feasible,
 )
-from graphsdp.solvers import psd, signed_atoms
+from graphsdp.problems import PROBLEMS
+from graphsdp.solvers import _set_projection
 
 
 class TestTypes:
-    def test_instance_rejects_oracle_outside_psd_cone(self):
-        # in the box with a unit diagonal, but one eigenvalue is 1 - sqrt(2)
-        bad = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
-        fields = dict(problem="signed", observed=bad, expected=bad, params={}, seed=0,
-                      ground_truth=np.zeros(3, dtype=int), atoms=tuple(signed_atoms()))
-        resid = psd_residual(bad) / (1.0 + frobenius_norm(bad))
-        with pytest.raises(InvalidInputError, match=f"psd: residual {resid:.2e}"):
-            ProblemInstance(oracle=bad, **fields)
-        ProblemInstance(oracle=np.ones((3, 3)), **fields)
-
-    @pytest.mark.parametrize("complex_valued", [False, True])
-    def test_oracle_check_decides_as_the_psd_residual(self, complex_valued, monkeypatch):
-        # near-psd oracles around the bound, every third one rank one before
-        # its negative part: the rank-one bound and the Cholesky shortcut
-        # accept only what the exact residual accepts, and the residual
-        # decides the rest
-        rng = np.random.default_rng(17)
-        cholesky_calls = []
-
-        def recorded(M, shift):
-            cholesky_calls.append(has_cholesky(M, shift))
-            return cholesky_calls[-1]
-        monkeypatch.setattr(models, "has_cholesky", recorded)
-        n, tol = 20, 1e-8
-        fields = dict(problem="sync", observed=np.eye(n), expected=np.eye(n), params={},
-                      seed=0, ground_truth=np.zeros(n), atoms=(psd(),))
-        outcomes = set()
-        for trial in range(120):
-            X = rng.standard_normal((n, n))
-            if complex_valued:
-                X = X + 1j * rng.standard_normal((n, n))
-            Q, _ = np.linalg.qr(X)
-            w = rng.uniform(0.0, 3.0, n)
-            w[n - rng.integers(0, n // 2):] = 0.0      # most oracles are rank deficient
-            budget = tol * (1.0 + np.linalg.norm(w))     # the bound, about
-            k = rng.integers(1, n // 2)
-            w[:k] = -budget * rng.choice([1e-3, 0.05, 0.2, 0.5, 0.9, 0.99, 1.01, 2.0]) / np.sqrt(k)
-            if trial % 3 == 0:
-                w[k + 1:] = 0.0
-            M = (Q * w) @ Q.conj().T
-            if rng.random() < 0.3:                      # non-Hermitian input
-                K = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n))
-                                                   if complex_valued else 0)
-                K = K - K.conj().T
-                M = M + K * budget * rng.choice([0.1, 0.5, 2.0]) / frobenius_norm(K)
-            accept = psd_residual(M) / (1.0 + frobenius_norm(M)) <= tol
-            cholesky_calls.clear()
-            try:
-                ProblemInstance(oracle=M, **fields)
-                accepted = True
-            except InvalidInputError as err:
-                assert "residual" in str(err)
-                accepted = False
-            assert accepted == accept
-            outcomes.add((accept, tuple(cholesky_calls)))
-        # every branch ran: certified by the rank-one bound (no factor tried),
-        # certified by the factor, failed factor then accepted (the
-        # borderline), failed factor then rejected, and no factor tried
-        # (the anti-Hermitian part alone breaks the bound)
-        assert {(True, ()), (True, (True,)), (True, (False,)), (False, (False,)),
-                (False, ())} <= outcomes
-
     def test_membership_matrix(self):
         M = membership_matrix(np.array([0, 0, 1]))
         assert np.array_equal(M, np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=float))
@@ -106,6 +43,13 @@ class TestTypes:
             SyncParams(n=4, sigma=-0.1)
         with pytest.raises(InvalidInputError):
             SyncParams(n=4, noise_model="outlier", gamma=1.5)
+        with pytest.raises(InvalidInputError, match="n must be >= 1"):
+            SyncParams(n=0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidInputError, match="true_phases"):
+                SyncParams(n=3, true_phases=np.array([0.0, bad, 1.0]))
+        with pytest.raises(InvalidInputError, match="true_phases"):
+            SyncParams(n=3, true_phases=np.zeros(2))
 
     def test_default_sizes(self):
         assert default_sizes(7, 3) == (3, 2, 2)
@@ -312,6 +256,31 @@ class TestInstanceInvariants:
         for _ in range(100):
             Z = sample_feasible(problem, 12, rng, lam=lam)
             assert oracle_val >= np.vdot(M, Z).real - 1e-9
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_oracle_lies_in_the_problem_set(self, seed):
+        # every generated oracle is feasible for its problem's constraint
+        # set: the exact psd residual for the cone, one projection onto
+        # each other atom alone for the rest
+        phases = np.random.default_rng(seed).uniform(-np.pi, np.pi, 14)
+        instances = [
+            gen_sbm(14, 3, 0.8, 0.2, seed=seed),
+            gen_sbm(14, 2, 0.8, 0.2, sizes=(9, 5), seed=seed),
+            gen_ssbm(SsbmParams(n=14, n_clusters=3, p=0.8, q=0.2, delta=0.6), seed=seed),
+            gen_ssbm(SsbmParams(n=14, n_clusters=2, p=0.8, q=0.2, delta=0.6, sizes=(4, 10)),
+                     seed=seed),
+            gen_sync(SyncParams(n=14, sigma=0.5), seed=seed),
+            gen_sync(SyncParams(n=14, noise_model="outlier", gamma=0.3, sample_prob=0.6),
+                     seed=seed),
+            gen_sync(SyncParams(n=14, sigma=0.2, true_phases=phases), seed=seed),
+        ]
+        for inst in instances:
+            Z = inst.oracle
+            scale = 1.0 + frobenius_norm(Z)
+            for atom in PROBLEMS[inst.problem].atoms(inst.params):
+                residual = (psd_residual(Z) if atom.kind == "psd"
+                            else frobenius_norm(_set_projection([atom], Z)(Z) - Z))
+                assert residual / scale <= 1e-8, (inst.problem, atom.kind)
 
     def test_determinism_bit_identical(self):
         params = SsbmParams(n=15, n_clusters=3, p=0.8, q=0.2, delta=0.5)

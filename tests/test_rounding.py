@@ -157,6 +157,19 @@ class TestExpectedCutClosedForm:
         rhs = 0.878 * 0.25 * np.vdot(A0, np.ones((n, n)) - Z).real
         assert lhs >= rhs - 1e-9
 
+    def test_rejects_a_non_square_graph(self):
+        with pytest.raises(InvalidInputError, match="graph must be square"):
+            expected_cut_closed_form(np.ones((2, 3)), np.ones((2, 3)))
+
+    def test_rejects_a_complex_solution(self):
+        A0 = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(InvalidInputError, match="real solution"):
+            expected_cut_closed_form(A0, 1j * np.ones((2, 2)))
+
+    def test_rejects_a_shape_mismatch(self):
+        with pytest.raises(InvalidInputError, match="shape mismatch"):
+            expected_cut_closed_form(np.ones((2, 2)) - np.eye(2), np.eye(3))
+
 
 class TestExtractPhases:
     def test_exact_rank_one(self):

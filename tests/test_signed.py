@@ -104,6 +104,21 @@ class TestKmeans:
         with pytest.raises(InvalidInputError):
             kmeans(np.zeros((6, 2, 2)), 2)
 
+    def test_inertia_checks_points_as_kmeans_does(self):
+        labels = np.array([0, 0, 1, 1, 1, 0])
+        with pytest.raises(InvalidInputError, match="1-D or 2-D"):
+            kmeans_inertia(np.zeros((6, 2, 2)), labels)
+        pts = np.zeros((6, 2))
+        pts[3, 1] = np.nan
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            kmeans_inertia(pts, labels)
+
+    def test_inertia_needs_one_label_per_point(self):
+        pts = np.arange(6.0)
+        for labels in (np.zeros(5, dtype=int), np.zeros(7, dtype=int), np.zeros((6, 1), dtype=int)):
+            with pytest.raises(InvalidInputError, match="one label per point"):
+                kmeans_inertia(pts, labels)
+
 
 class TestSpectralCluster:
     @pytest.mark.parametrize("variant", SPECTRAL_VARIANTS)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphsdp import solvers
-from graphsdp.linalg import InvalidInputError, frobenius_norm, project_psd, symmetrize
+from graphsdp.linalg import InvalidInputError, frobenius_norm, project_psd, psd_residual, symmetrize
 from graphsdp.metrics import estimate_fixed_point
 from graphsdp.models import (
     SsbmParams,
@@ -63,30 +63,38 @@ def all_atoms_for_tests(n, rng):
     ]
 
 
+def project_atom(atom, Z):
+    """The exact projection onto one atom: :func:`project_psd` for the cone,
+    else the one-atom case of the set projection."""
+    if atom.kind == "psd":
+        return project_psd(Z)
+    return _set_projection([atom], Z)(Z)
+
+
 class TestAtomProjections:
     def test_box01_clamps(self):
         Z = np.array([[2.0, -1.0], [-1.0, 2.0]])
-        assert np.array_equal(box01().project(Z), np.eye(2))
+        assert np.array_equal(project_atom(box01(), Z), np.eye(2))
 
     def test_nonneg_clamps_every_entry(self):
         Z = np.array([[-2.0, 0.5], [-1.0, 3.0]])
-        assert np.array_equal(nonneg().project(Z), np.array([[0.0, 0.5], [0.0, 3.0]]))
+        assert np.array_equal(project_atom(nonneg(), Z), np.array([[0.0, 0.5], [0.0, 3.0]]))
 
     def test_diag_eq_one(self):
-        assert np.array_equal(diag_eq_one().project(np.diag([3.0, 5.0])), np.eye(2))
+        assert np.array_equal(project_atom(diag_eq_one(), np.diag([3.0, 5.0])), np.eye(2))
 
     def test_diag_leq_one_leaves_offdiag(self):
         Z = np.array([[3.0, 0.4], [0.4, 0.2]])
-        out = diag_leq_one().project(Z)
+        out = project_atom(diag_leq_one(), Z)
         assert out[0, 0] == 1.0 and out[1, 1] == 0.2 and out[0, 1] == 0.4
 
     def test_total_sum_projection_matches_halfspace_oracle(self):
         # sum(J2) = 4 > 2: the half-space {<J, Z> <= lam} has projection
         # Z - (sum - lam)/n^2 * J; verify optimality via the KKT form.
         Z = np.ones((2, 2))
-        out = total_sum_leq(2.0).project(Z)
+        out = project_atom(total_sum_leq(2.0), Z)
         assert np.allclose(out, np.full((2, 2), 0.5))
-        oracle = affine_halfspace(np.ones((2, 2)), 2.0).project(Z)
+        oracle = project_atom(affine_halfspace(np.ones((2, 2)), 2.0), Z)
         assert np.allclose(out, oracle, atol=1e-12)
 
     def test_l1_ball_projection_against_dense_oracle(self):
@@ -94,7 +102,7 @@ class TestAtomProjections:
         center = np.zeros((3, 3))
         atom = l1_ball_around(center, 1.0)
         Z = rng.standard_normal((3, 3))
-        out = atom.project(Z)
+        out = project_atom(atom, Z)
         assert abs(np.abs(out).sum() - 1.0) <= 1e-9
         # oracle: projection minimizes distance among a dense sample of the ball
         best = None
@@ -108,7 +116,7 @@ class TestAtomProjections:
     def test_l2_ball_radius(self):
         atom = l2_ball_around(np.zeros((2, 2)), 1.0)
         Z = np.full((2, 2), 2.0)
-        out = atom.project(Z)
+        out = project_atom(atom, Z)
         assert abs(frobenius_norm(out) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("idx", range(9))
@@ -118,8 +126,8 @@ class TestAtomProjections:
         for trial in range(5):
             Z = rng.standard_normal((4, 4))
             W = rng.standard_normal((4, 4))
-            PZ, PW = atom.project(Z), atom.project(W)
-            assert frobenius_norm(atom.project(PZ) - PZ) <= 1e-12 * (1 + frobenius_norm(PZ))
+            PZ, PW = project_atom(atom, Z), project_atom(atom, W)
+            assert frobenius_norm(project_atom(atom, PZ) - PZ) <= 1e-12 * (1 + frobenius_norm(PZ))
             assert frobenius_norm(PZ - PW) <= frobenius_norm(Z - W) + 1e-12
 
 
@@ -133,7 +141,7 @@ def dykstra_oracle(atoms, V, passes=20_000):
         start = [Z] + increments
         for j, atom in enumerate(atoms):
             Y = Z + increments[j]
-            Z = atom.project(Y)
+            Z = project_atom(atom, Y)
             increments[j] = Y - Z
         if all(frobenius_norm(a - b) <= 1e-15 for a, b in zip([Z] + increments, start)):
             break
@@ -209,12 +217,15 @@ class TestSetProjection:
             assert frobenius_norm(PV - PW) <= frobenius_norm(V - W) + 1e-12
         assert cut >= 3 or not name.endswith(("l1", "l2"))
         # a solve over the set measures each atom's residual on the returned
-        # matrix, as the atom itself does, with projections it built once
+        # matrix, as one projection onto that atom alone does, with
+        # projections it built once; the cone's from its eigenvalues
         Z, report = pierra_solve(V, atoms, PierraConfig(max_iters=2000))
         scale = 1.0 + frobenius_norm(Z)
         assert list(report.residuals) == [f"{i}:{a.kind}" for i, a in enumerate(atoms)]
         for (key, value), atom in zip(report.residuals.items(), atoms):
-            assert abs(value - atom.residual(Z) / scale) <= 1e-12, key
+            residual = (psd_residual(Z) if atom.kind == "psd"
+                        else frobenius_norm(project_atom(atom, Z) - Z))
+            assert abs(value - residual / scale) <= 1e-12, key
 
     def test_newton_step_across_an_entry_range(self):
         # the first step from tau = 0 carries the diagonal from above its
@@ -296,7 +307,7 @@ class TestSetProjection:
         monkeypatch.setattr(solvers, "_multiplier", spy)
         V = np.diag([2.0, 3e-8])
         assert float(np.vdot(V, V)) - 4.0 > 0
-        assert np.allclose(l2_ball_around(np.zeros((2, 2)), 2.0).project(V), V, rtol=0, atol=1e-15)
+        assert np.allclose(project_atom(l2_ball_around(np.zeros((2, 2)), 2.0), V), V, rtol=0, atol=1e-15)
         assert evaluations == [2]
         inst = gen_ssbm(SsbmParams(n=12, n_clusters=2, p=0.8, q=0.2, delta=0.8), seed=4)
         _, report = pierra_solve(inst.observed - inst.params["alpha"],
@@ -370,7 +381,7 @@ class TestPierra:
         rng = np.random.default_rng(11)
         inst = gen_ssbm(SsbmParams(n=12, n_clusters=3, p=0.8, q=0.2, delta=0.8), seed=5)
         M = inst.observed - inst.params["alpha"] * np.ones((12, 12))
-        Z, report = pierra_solve(M, list(inst.atoms))
+        Z, report = pierra_solve(M, signed_atoms())
         slack = 10 * 1e-7 * frobenius_norm(M)
         for _ in range(50):
             Zf = sample_feasible("signed", 12, rng)
