@@ -24,7 +24,6 @@ from .solvers import (
     PierraConfig,
     bm_rank,
     bm_solve,
-    pierra_community,
     pierra_signed,
     pierra_solve,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "PierraConfig",
     "bm_rank",
     "bm_solve",
-    "pierra_community",
     "pierra_signed",
     "pierra_solve",
     "__version__",

@@ -31,7 +31,7 @@ from .fileio import (
     write_json,
 )
 from .linalg import InvalidInputError
-from .metrics import bound_report, cut_value
+from .metrics import BOUNDS, LOCALIZATIONS, bound_report, cut_value
 from .models import (
     MaxCutInstance,
     SsbmParams,
@@ -154,7 +154,7 @@ def _cmd_cluster(args) -> int:
         matrix = load_matrix(args.solution + ".coo")
     else:
         matrix, _ = PROBLEMS["signed"].solve(observed, meta["params"])
-    K = args.k or meta["params"]["K"]
+    K = args.k if args.k is not None else meta["params"]["K"]
     labels = cluster_baseline(matrix, args.algo, K, seed=args.seed)
     result = {"labels": labels, "algorithm": args.algo, "input": args.input}
     truth = meta.get("ground_truth")
@@ -167,14 +167,8 @@ def _cmd_cluster(args) -> int:
 def _cmd_evaluate(args) -> int:
     out = args.out or "evaluation.json"
     if args.bound:
-        inputs = dict(n=args.n, p=args.p, delta_prob=args.delta_prob,
-                      sigma=args.sigma, eps=args.eps)
-        needed = {"maxcut_rstar": ("n", "p"), "gv_rstar": ("n", "delta_prob"),
-                  "sync_excess": ("n", "sigma", "eps")}[args.bound]
-        missing = [k for k in needed if inputs.get(k) is None]
-        if missing:
-            raise InvalidInputError(f"bound {args.bound} needs {missing}")
-        report = bound_report(args.bound, **{k: inputs[k] for k in needed})
+        report = bound_report(args.bound, n=args.n, p=args.p, delta_prob=args.delta_prob,
+                              sigma=args.sigma, eps=args.eps)
         write_json(report.to_dict(), out)
         return EXIT_OK
     if args.infile is None or args.instance is None:
@@ -193,8 +187,9 @@ def _cmd_fixed_point(args) -> int:
               "q": args.q, "delta": args.delta_param, "graph_seed": args.graph_seed,
               "localization": args.localization, "delta_prob": args.delta_prob,
               "r_grid": _float_list(args.r_grid)}
-    params = {k: v for k, v in params.items() if v is not None}
-    rows, estimate = fixed_point_curve(params, args.n_mc, args.seed)
+    config = ExperimentConfig("fixed_point_curve", replicates=args.n_mc, seed=args.seed,
+                              params={k: v for k, v in params.items() if v is not None})
+    rows, estimate = fixed_point_curve(config.resolved_params(), args.n_mc, args.seed)
     out = args.out or "fixed_point"
     write_csv(out + ".csv", EXPERIMENTS["fixed_point_curve"].header, rows)
     write_json(estimate.to_dict(), out + ".json")
@@ -283,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = add_parser("evaluate", help="metrics for rounded outputs or bounds")
     e.add_argument("--in", dest="infile", help="rounded output JSON")
     e.add_argument("--instance", help="instance prefix")
-    e.add_argument("--bound", choices=["maxcut_rstar", "gv_rstar", "sync_excess"])
+    e.add_argument("--bound", choices=list(BOUNDS))
     e.add_argument("--n", type=int)
     e.add_argument("--p", type=float)
     e.add_argument("--delta-prob", type=float)
@@ -292,15 +287,15 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(func=_cmd_evaluate)
 
     f = add_parser("fixed-point", help="empirical fixed-point radius")
-    f.add_argument("--problem", default="maxcut", choices=["maxcut", "signed"])
-    f.add_argument("--n", type=int, default=20)
+    # --problem, --n and --localization default as the experiment's desk params
+    f.add_argument("--problem", choices=["maxcut", "signed"])
+    f.add_argument("--n", type=int)
     f.add_argument("--p", type=float)
     f.add_argument("--q", type=float)
     f.add_argument("--k", type=int)
     f.add_argument("--delta-param", type=float)
     f.add_argument("--graph-seed", type=int)
-    f.add_argument("--localization", default="excess_risk",
-                   choices=["excess_risk", "l1", "l2"])
+    f.add_argument("--localization", choices=LOCALIZATIONS)
     f.add_argument("--delta-prob", type=float, default=0.05)
     f.add_argument("--n-mc", type=int, default=50)
     f.add_argument("--r-grid", required=True, help="comma-separated radii")

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _rng
-from .fileio import GsetGraph, parse_gset, write_csv, write_json
+from .fileio import parse_gset, write_csv, write_json
 from .linalg import InvalidInputError, check_fields, check_value
 from .metrics import estimate_fixed_point
 from .models import (
@@ -52,7 +52,6 @@ __all__ = [
     "run_experiment",
     "write_sweep",
     "run_grid",
-    "gset_sweep",
     "fixed_point_curve",
 ]
 
@@ -221,7 +220,7 @@ def _round_maxcut(inst, params, seed):
     Z_hat, report = PROBLEMS["maxcut"].solve(
         inst.observed, {"mask_prob": inst.mask_prob}, bm_config=_bm_config(params, seed)
     )
-    x, mean_cut = gw_round(Z_hat, inst.full_adjacency, params.get("gw_samples", 100), seed=seed)
+    x, mean_cut = gw_round(Z_hat, inst.full_adjacency, params["gw_samples"], seed=seed)
     return x, mean_cut, _status(report)
 
 
@@ -244,16 +243,15 @@ def _synthetic_benchmark_graph(n: int, avg_degree: float, seed: int) -> np.ndarr
 
 
 def _benchmark_graph(params):
-    """Params plus ``_adjacency``: the given graph, a Gset file or a synthetic one."""
+    """Params plus ``_adjacency``: the graph of the Gset file, or a synthetic one."""
     params = dict(params)
-    if "_adjacency" not in params:
-        if params.get("gset_path"):
-            graph = parse_gset(Path(params["gset_path"]).read_text())
-            params["_adjacency"] = graph.adjacency()
-        else:
-            params["_adjacency"] = _synthetic_benchmark_graph(
-                params["n"], params["avg_degree"], params["graph_seed"]
-            )
+    if params.get("gset_path"):
+        graph = parse_gset(Path(params["gset_path"]).read_text())
+        params["_adjacency"] = graph.adjacency()
+    else:
+        params["_adjacency"] = _synthetic_benchmark_graph(
+            params["n"], params["avg_degree"], params["graph_seed"]
+        )
     return params
 
 
@@ -317,7 +315,7 @@ EXPERIMENTS = {
         value_cols=("cut_full",),
         header=("delta", "replicate", "seed", "cut_full", "status"),
         cell_fn=_cell_gset_sweep,
-        optional={**_BM_PARAMS, "gset_path": str, "_adjacency": np.ndarray},
+        optional={**_BM_PARAMS, "gset_path": str},
         setup=_benchmark_graph,
         desk_defaults={"n": 150, "avg_degree": 12.0, "graph_seed": 53,
                        "delta_grid": [0.2, 0.5, 0.8, 1.0], "gw_samples": 100},
@@ -414,9 +412,7 @@ _FIXED_POINT_P = {"maxcut": 0.8, "signed": 0.9}
 
 def _fixed_point_problem(params):
     """Build (generator, atoms) for the fixed-point curve."""
-    problem = params.get("problem", "maxcut")
-    n = params.get("n", 20)
-    p = params.get("p", _FIXED_POINT_P.get(problem))
+    problem, n = params["problem"], params["n"]
     if problem == "maxcut":
         A0 = _synthetic_benchmark_graph(n, params.get("avg_degree", 0.5 * (n - 1)),
                                         params.get("graph_seed", 7))
@@ -425,12 +421,12 @@ def _fixed_point_problem(params):
 
         def generator(rng):
             seed = int(rng.integers(0, 2**32))
-            inst = apply_mask(A0, p, seed=seed)
+            inst = apply_mask(A0, params["p"], seed=seed)
             return inst.rescaled, -A0, Z_star
 
         return generator, PROBLEMS["maxcut"].atoms(params)
     if problem == "signed":
-        ssbm = SsbmParams(n=n, n_clusters=params.get("K", 2), p=p,
+        ssbm = SsbmParams(n=n, n_clusters=params.get("K", 2), p=params["p"],
                           q=params.get("q", 0.1), delta=params.get("delta", 1.0))
         signed = PROBLEMS["signed"]
 
@@ -463,26 +459,8 @@ def run_experiment(config: ExperimentConfig, out_prefix, threads: int = 1) -> di
     Returns a summary dict (also written into the sidecar).
     """
     params, fields = write_sweep(config, out_prefix, threads)
-    public_params = {k: v for k, v in params.items() if not k.startswith("_")}
     sidecar = {"config": config.to_dict(), "schema_version": SCHEMA_VERSION,
-               "resolved_params": public_params, **fields}
+               "resolved_params": params, **fields}
     write_json(sidecar, str(out_prefix) + ".json")
     return sidecar
 
-
-def gset_sweep(adjacency, delta_grid, replicates: int, seed: int = 0,
-               gw_samples: int = 100, max_iters: int = 20000, restarts: int = 2):
-    """Mask / solve / round / evaluate sweep on one benchmark graph.
-
-    For each sparsity delta the graph is masked, the cut program is solved on
-    the masked observation (low-rank solver), rounded by Gaussian hyperplanes,
-    and the resulting partition scored by its cut value on the FULL graph.
-    Returns (per-row results, aggregated results).
-    """
-    if isinstance(adjacency, GsetGraph):
-        adjacency = adjacency.adjacency()
-    params = {"_adjacency": np.asarray(adjacency, dtype=float),
-              "delta_grid": [float(d) for d in delta_grid], "gw_samples": gw_samples,
-              "max_iters": max_iters, "restarts": restarts}
-    return run_grid(ExperimentConfig("maxcut_gset_sweep", params=params,
-                                     replicates=replicates, seed=seed))

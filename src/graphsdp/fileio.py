@@ -133,7 +133,8 @@ def parse_gset(text: str) -> GsetGraph:
 
     Header ``n m`` then exactly m lines ``i j [w]`` (weight defaults to 1,
     1-indexed).  Rejects self-loops, duplicate edges, out-of-range indices
-    and header/edge-count mismatches, each with the offending line number.
+    and non-finite weights, each with its line number, and an edge count
+    that differs from the header.
     """
     lines = [ln for ln in text.strip().splitlines()]
     if not lines or not lines[0].strip():
@@ -161,6 +162,8 @@ def parse_gset(text: str) -> GsetGraph:
             w = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError as exc:
             raise InvalidInputError(f"line {lineno}: malformed edge") from exc
+        if not np.isfinite(w):
+            raise InvalidInputError(f"line {lineno}: non-finite weight")
         if not (1 <= i <= n and 1 <= j <= n):
             raise InvalidInputError(f"line {lineno}: index out of range")
         if i == j:

@@ -52,7 +52,7 @@ class InvalidInputError(ValueError):
 
 _KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"),
           bool: (bool, "true or false"), str: (str, "a string"), dict: (dict, "an object"),
-          list: ((list, tuple), "a non-empty list of numbers"), np.ndarray: (np.ndarray, "an array")}
+          list: ((list, tuple), "a non-empty list of numbers")}
 
 
 def _is_kind(value, kind) -> bool:
@@ -62,8 +62,8 @@ def _is_kind(value, kind) -> bool:
 
 
 def check_value(name: str, value, kind) -> None:
-    """Reject ``value`` unless it is of ``kind``: int, float, bool, str, dict,
-    list (a non-empty one of real numbers) or ndarray.  A bool counts as no
+    """Reject ``value`` unless it is of ``kind``: int, float, bool, str, dict
+    or list (a non-empty one of real numbers).  A bool counts as no
     number.  Config files land here, so the message names the value."""
     if not _is_kind(value, kind):
         raise InvalidInputError(f"{name} must be {_KINDS[kind][1]}, got {value!r}")

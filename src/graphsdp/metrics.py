@@ -37,6 +37,7 @@ __all__ = [
     "maxcut_rstar_bound",
     "gv_rstar_bound",
     "sync_excess_bound",
+    "BOUNDS",
     "BoundReport",
     "FixedPointEstimate",
     "estimate_fixed_point",
@@ -76,27 +77,22 @@ def signed_error_rate(labels, A_com: np.ndarray) -> float:
     """Fraction of intra-cluster negative-edge and inter-cluster positive-edge
     violations against the complete +-1 ground-truth matrix, normalized by n^2.
 
-    ``A_com`` splits as A+ - A-; the positive part contributes through its
-    combinatorial Laplacian (cut edges), the negative part directly
-    (within-cluster negatives).  Self-loops never count as violations.
+    Both counts run over ordered pairs i != j: a same-cluster pair violates
+    on a negative entry, a cross-cluster pair on a positive one.  Self-loops
+    never count as violations.
     """
     labels = np.asarray(labels, dtype=int)
     A_com = check_square(np.asarray(A_com, dtype=float))
     n = A_com.shape[0]
-    if labels.size != n:
+    if labels.shape != (n,):
         raise InvalidInputError("labels length mismatch")
     off = A_com.copy()
     np.fill_diagonal(off, 0.0)
     if np.any(np.abs(off[np.abs(off) > 0]) != 1.0):
         raise InvalidInputError("ground-truth matrix must be +-1 off the diagonal")
-    a_plus = np.maximum(off, 0.0)
-    a_minus = np.maximum(-off, 0.0)
-    l_plus = np.diag(a_plus.sum(axis=1)) - a_plus
-    total = 0.0
-    for k in np.unique(labels):
-        x = (labels == k).astype(float)
-        total += float(x @ a_minus @ x) + float(x @ l_plus @ x)
-    return total / n**2
+    same = labels[:, None] == labels[None, :]
+    violations = np.count_nonzero(off[same] < 0) + np.count_nonzero(off[~same] > 0)
+    return float(violations) / n**2
 
 
 def _rotation(theta: np.ndarray) -> np.ndarray:
@@ -213,6 +209,8 @@ def curvature_check_sync(EA: np.ndarray, Z_star: np.ndarray, Z: np.ndarray):
 def maxcut_rstar_bound(n: int, p: float) -> float:
     """High-probability localization radius for the masked max-cut program:
     2n sqrt((2 log 4)(1-p)(n-1)/p) + 8n log(4)/3."""
+    if n < 1:
+        raise InvalidInputError("n must be >= 1")
     if not (0.0 < p <= 1.0):
         raise InvalidInputError("p must be in (0, 1]")
     log4 = np.log(4.0)
@@ -222,6 +220,8 @@ def maxcut_rstar_bound(n: int, p: float) -> float:
 def gv_rstar_bound(n: int, delta_prob: float) -> float:
     """Global (cut-norm) localization radius for community detection:
     (8/3) K_G (2n log 2 + log(1/Delta))."""
+    if n < 1:
+        raise InvalidInputError("n must be >= 1")
     if not (0.0 < delta_prob < 1.0):
         raise InvalidInputError("delta_prob must be in (0, 1)")
     return float((8.0 / 3.0) * K_GROTHENDIECK * (2.0 * n * np.log(2.0) + np.log(1.0 / delta_prob)))
@@ -230,14 +230,15 @@ def gv_rstar_bound(n: int, delta_prob: float) -> float:
 def sync_excess_bound(n: int, sigma: float, eps: float):
     """Synchronization excess-risk bound (128/3) sqrt(eps) sigma^4 n(n-1)/2,
     with a validity flag for the regime sigma^2 <= log(eps * n^4)."""
+    if n < 1:
+        raise InvalidInputError("n must be >= 1")
     if not (0.0 < eps < 1.0):
         raise InvalidInputError("eps must be in (0, 1)")
     if sigma < 0:
         raise InvalidInputError("sigma must be >= 0")
     N = n * (n - 1) / 2.0
     bound = float((128.0 / 3.0) * np.sqrt(eps) * sigma**4 * N)
-    log_arg = eps * float(n) ** 4
-    valid = np.log(log_arg) >= sigma**2 if log_arg > 0 else False
+    valid = np.log(eps * float(n) ** 4) >= sigma**2
     return bound, bool(valid)
 
 
@@ -256,15 +257,27 @@ class BoundReport:
         return out
 
 
+# each formula's evaluator and the inputs it takes, in argument order
+BOUNDS = {
+    "maxcut_rstar": (maxcut_rstar_bound, ("n", "p")),
+    "gv_rstar": (gv_rstar_bound, ("n", "delta_prob")),
+    "sync_excess": (sync_excess_bound, ("n", "sigma", "eps")),
+}
+
+
 def bound_report(formula: str, **inputs) -> BoundReport:
-    if formula == "maxcut_rstar":
-        return BoundReport(formula, maxcut_rstar_bound(int(inputs["n"]), inputs["p"]), inputs)
-    if formula == "gv_rstar":
-        return BoundReport(formula, gv_rstar_bound(int(inputs["n"]), inputs["delta_prob"]), inputs)
-    if formula == "sync_excess":
-        value, valid = sync_excess_bound(int(inputs["n"]), inputs["sigma"], inputs["eps"])
-        return BoundReport(formula, value, inputs, valid=valid)
-    raise InvalidInputError(f"unknown bound formula '{formula}'")
+    """``formula`` on the inputs ``BOUNDS`` names for it; the others are ignored."""
+    if formula not in BOUNDS:
+        raise InvalidInputError(f"unknown bound formula '{formula}'")
+    evaluate, names = BOUNDS[formula]
+    missing = [k for k in names if inputs.get(k) is None]
+    if missing:
+        raise InvalidInputError(f"bound {formula} needs {missing}")
+    inputs = {k: inputs[k] for k in names}
+    value = evaluate(int(inputs["n"]), *(inputs[k] for k in names[1:]))
+    # sync_excess also returns its validity flag
+    value, valid = value if isinstance(value, tuple) else (value, None)
+    return BoundReport(formula, value, inputs, valid=valid)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Two solver families cover every program in the library:
 
-* :func:`pierra_solve` maximizes ``<M, Z>`` over an intersection of convex
-  constraint atoms.  The psd cone is one block; every other atom together
-  forms a set P, which must be entrywise bounds plus at most one
+* :func:`pierra_solve` maximizes ``<M, Z>`` over the psd cone intersected
+  with other convex constraint atoms.  The cone is one block; the others
+  together form a set P, which must be entrywise bounds plus at most one
   half-space, l1 ball or l2 ball, projected exactly by a clip and a 1-D
   multiplier search; a set of any other shape raises.  Each sweep is one
   Douglas-Rachford / ADMM step ``X = P_psd(Z - U + eps*M)``,
@@ -63,7 +63,6 @@ __all__ = [
     "BmConfig",
     "SolveReport",
     "pierra_solve",
-    "pierra_community",
     "pierra_signed",
     "bm_solve",
     "bm_rank",
@@ -498,10 +497,9 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
     acceleration and terminates once the scaled feasibility residual of the
     iterate drops below ``feas_tol`` and the objective has moved by at most
     ``obj_tol`` (relative) over 10 iterations.  ``Z_hat`` is the psd
-    projection of the last iterate, which lies in the other atoms' set
-    (the iterate itself when there is no psd atom), and the report's
-    objective and residuals are measured on it.  ``warm_start``, an earlier
-    report's ``state``, resumes the sweeps where that solve ended
+    projection of the last iterate, which lies in the other atoms' set, and
+    the report's objective and residuals are measured on it.  ``warm_start``,
+    an earlier report's ``state``, resumes the sweeps where that solve ended
     (continuation over a related set).
 
     The sweep is the Douglas-Rachford map on ``y = Z + U``:
@@ -535,10 +533,9 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
     M = check_square(M, "objective")
     # the sweeps run in double precision: the Anderson buffers take M's dtype
     M = symmetrize_unchecked(M.astype(np.result_type(M.dtype, float), copy=False))
-    if not atoms:
-        raise InvalidInputError("need at least one constraint atom")
+    if not any(a.kind == "psd" for a in atoms):
+        raise InvalidInputError("the constraint set must include the psd cone")
     project_set = _set_projection(atoms, M)
-    has_cone = any(a.kind == "psd" for a in atoms)
     # one projection per non-psd atom, for its residual ||P(Z) - Z||_F; the
     # cone's residual comes from its eigenvalues alone
     projections = {f"{i}:{a.kind}": None if a.kind == "psd" else _set_projection([a], M)
@@ -570,15 +567,12 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
         np.multiply(Z, 2.0, out=V)
         V -= y
         V += M_rho
-        if has_cone:
-            try:
-                X = project_psd_hermitian(hermitian_part(V, H))
-            except np.linalg.LinAlgError:
-                if np.isfinite(H).all():
-                    raise
-                X = H          # eigh fails on some non-finite input: the test below raises
-        else:
-            X = V
+        try:
+            X = project_psd_hermitian(hermitian_part(V, H))
+        except np.linalg.LinAlgError:
+            if np.isfinite(H).all():
+                raise
+            X = H          # eigh fails on some non-finite input: the test below raises
         g = X - Z
         g_norm = frobenius_norm(g)
         if not math.isfinite(g_norm):
@@ -619,7 +613,7 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
         M_rho = M / rho
         counters["penalty_changes"] += 1
         accel.clear()
-    Z_hat = project_psd(Z) if has_cone else Z
+    Z_hat = project_psd(Z)
     report = SolveReport(
         solver="pierra",
         iterations=iterations,
@@ -645,12 +639,6 @@ def signed_atoms() -> list[ConstraintAtom]:
 
 def unit_diag_atoms() -> list[ConstraintAtom]:
     return [psd(), diag_eq_one()]
-
-
-def pierra_community(A: np.ndarray, lam: float, config: PierraConfig | None = None):
-    """Community detection program: maximize <A, Z> over
-    {Z psd, Z >= 0, diag(Z) <= 1, sum(Z) <= lam}."""
-    return pierra_solve(A, community_atoms(lam), config)
 
 
 def pierra_signed(A: np.ndarray, alpha: float, config: PierraConfig | None = None):

@@ -7,6 +7,7 @@ import pytest
 from graphsdp.cli import main
 from graphsdp.experiments import EXPERIMENTS
 from graphsdp.fileio import read_csv, read_json
+from graphsdp.metrics import BOUNDS, bound_report
 
 
 def run(args):
@@ -153,6 +154,17 @@ class TestClusterCommand:
                     "--algo", "adjacency", "--out", sdp_out]) == 0
         assert read_json(sdp_out)["ari"] == 1.0
 
+    def test_k_zero_is_invalid_input(self, tmp_path, capsys):
+        # --k 0 reaches k-means, which needs 1 <= K <= n, instead of giving
+        # way to the instance's K
+        inst = tmp_path / "inst"
+        run(["generate", "--problem", "signed", "--n", 12, "--k", 3, "--seed", 1,
+             "--out", inst])
+        out = tmp_path / "c.json"
+        assert run(["cluster", "--in", inst, "--k", 0, "--out", out]) == 2
+        assert "1 <= K <= n" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvaluateBounds:
     def test_bound_mode(self, tmp_path):
@@ -166,6 +178,23 @@ class TestEvaluateBounds:
     def test_bound_missing_inputs(self, tmp_path):
         assert run(["evaluate", "--bound", "sync_excess", "--n", 10,
                     "--out", tmp_path / "b.json"]) == 2
+
+    @pytest.mark.parametrize("formula", list(BOUNDS))
+    def test_every_formula_writes_its_report(self, tmp_path, formula):
+        inputs = {"n": 50, "p": 0.5, "delta_prob": 0.1, "sigma": 0.5, "eps": 0.1}
+        out = tmp_path / "b.json"
+        args = ["evaluate", "--bound", formula, "--out", out]
+        for name in BOUNDS[formula][1]:
+            args += ["--" + name.replace("_", "-"), inputs[name]]
+        assert run(args) == 0
+        assert read_json(out) == bound_report(formula, **inputs).to_dict()
+
+    def test_n_below_one_is_invalid_input(self, tmp_path, capsys):
+        out = tmp_path / "b.json"
+        assert run(["evaluate", "--bound", "maxcut_rstar", "--n", 0, "--p", 0.5,
+                    "--out", out]) == 2
+        assert "n must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_bound_and_no_inputs(self, tmp_path, capsys):
         assert run(["evaluate", "--out", tmp_path / "e.json"]) == 2
@@ -185,6 +214,14 @@ class TestFixedPointCommand:
         assert len(rows) == 3
         side = read_json(str(out) + ".json")
         assert side["r_hat"] in (5.0, 20.0, 80.0)
+
+    def test_negative_seed_is_invalid_input(self, tmp_path, capsys):
+        # the command checks its params as `graphsdp experiment` does
+        out = tmp_path / "fp"
+        assert run(["fixed-point", "--n", 8, "--n-mc", 2, "--r-grid", "5,20",
+                    "--seed", -1, "--out", out]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not Path(str(out) + ".csv").exists()
 
     def test_writes_the_experiment_header(self, tmp_path, monkeypatch):
         # a column the curve gains reaches the CLI's csv
@@ -288,6 +325,15 @@ class TestGsetCommand:
         header, agg = read_csv(str(out) + ".agg.csv")
         assert header[-2:] == ["mean_edges", "std_edges"]
         assert float(agg[0]["mean_edges"]) == 4.0
+
+    def test_sweep_over_a_non_finite_weight_is_invalid_input(self, tmp_path, capsys):
+        f = tmp_path / "g.gset"
+        f.write_text("3 2\n1 2 nan\n2 3 1\n")
+        out = tmp_path / "sweep"
+        assert run(["gset", "--in", f, "--sweep", "--delta-grid", "1.0",
+                    "--replicates", 1, "--out", out]) == 2
+        assert "line 2: non-finite weight" in capsys.readouterr().err
+        assert not Path(str(out) + ".csv").exists()
 
     def test_malformed_file_exit_code(self, tmp_path):
         f = tmp_path / "bad.gset"

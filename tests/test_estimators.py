@@ -10,7 +10,7 @@ from graphsdp.estimators import (
 from graphsdp.linalg import InvalidInputError
 from graphsdp.metrics import ari, brute_force_maxcut, sync_mse
 from graphsdp.models import SsbmParams, SyncParams, gen_sbm, gen_ssbm, gen_sync
-from graphsdp.solvers import BmConfig, bm_solve, pierra_community, pierra_signed
+from graphsdp.solvers import BmConfig, bm_solve, community_atoms, pierra_signed, pierra_solve
 
 
 class TestParamsProtocol:
@@ -86,7 +86,7 @@ class TestSolvesThroughTheProblemTable:
         assert est.report_.objective == report.objective
         com = gen_sbm(12, 2, 0.8, 0.2, seed=4)
         est = SdpCommunityClustering(lam=com.params["lam"]).fit(com.observed)
-        Z, report = pierra_community(com.observed, com.params["lam"])
+        Z, report = pierra_solve(com.observed, community_atoms(com.params["lam"]))
         assert np.array_equal(est.denoised_, Z)
         assert est.report_.objective == report.objective
 

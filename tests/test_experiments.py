@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from graphsdp import _rng, experiments
-from graphsdp.experiments import ExperimentConfig, gset_sweep, run_experiment, run_grid
-from graphsdp.fileio import parse_gset, read_csv
+from graphsdp.experiments import ExperimentConfig, run_experiment, run_grid
+from graphsdp.fileio import GsetGraph, parse_gset, read_csv, render_gset
 from graphsdp.linalg import InvalidInputError
 from graphsdp.problems import signed_ground_truth_matrix
 from graphsdp.solvers import BmConfig
@@ -54,8 +54,7 @@ class TestConfig:
                          params={"n": 8, "level_grid": [0, 0.5], "prob_grid": (1,),
                                  "max_iters": 100})
         ExperimentConfig("fixed_point_curve", params={"p": 1, "K": 3, "graph_seed": 3})
-        ExperimentConfig("maxcut_gset_sweep",
-                         params={"_adjacency": np.zeros((3, 3)), "gset_path": "g.txt"})
+        ExperimentConfig("maxcut_gset_sweep", params={"gset_path": "g.txt"})
 
     def test_round_trip(self):
         cfg = ExperimentConfig(experiment="sync_heatmap_gaussian",
@@ -247,31 +246,44 @@ def test_unconverged_cell_reads_its_stop_reason(monkeypatch):
     assert [row["status"] for row in rows] == ["solver_stalled"] * 2
 
 
+def sweep_gset_file(tmp_path, graph, delta_grid, replicates, seed, gw_samples):
+    """The sweep over ``graph`` (a GsetGraph or an unweighted adjacency),
+    read from an edge-list file as ``graphsdp gset --sweep`` reads it."""
+    if not isinstance(graph, GsetGraph):
+        graph = GsetGraph(n=len(graph), edges=tuple(
+            (i, j, 1.0) for i, j in zip(*np.nonzero(np.triu(graph, 1)))))
+    path = tmp_path / "g.gset"
+    path.write_text(render_gset(graph))
+    return run_grid(ExperimentConfig("maxcut_gset_sweep", replicates=replicates, seed=seed,
+                                     params={"gset_path": str(path), "delta_grid": delta_grid,
+                                             "gw_samples": gw_samples}))
+
+
 class TestGsetSweep:
-    def test_full_observation_reproduces_full_solve(self):
+    def test_full_observation_reproduces_full_solve(self, tmp_path):
         g = parse_gset("6 6\n1 2 1\n2 3 1\n3 4 1\n4 5 1\n5 6 1\n6 1 1\n")
-        rows, agg = gset_sweep(g, [1.0], replicates=2, seed=0, gw_samples=50)
+        rows, agg = sweep_gset_file(tmp_path, g, [1.0], replicates=2, seed=0, gw_samples=50)
         # even cycle: max cut = 6
         for row in rows:
             assert row["status"] == "ok"
             assert row["cut_full"] == pytest.approx(6.0)
 
-    def test_cut_beats_random_partition_baseline(self):
+    def test_cut_beats_random_partition_baseline(self, tmp_path):
         rng = np.random.default_rng(7)
         n = 24
         A0 = (rng.random((n, n)) < 0.25).astype(float)
         A0 = np.triu(A0, 1) + np.triu(A0, 1).T
-        rows, _ = gset_sweep(A0, [0.6], replicates=5, seed=1, gw_samples=100)
+        rows, _ = sweep_gset_file(tmp_path, A0, [0.6], replicates=5, seed=1, gw_samples=100)
         cuts = [row["cut_full"] for row in rows]
         random_baseline = A0.sum() / 2 / 2  # expected cut of a uniform partition
         assert np.mean(cuts) > random_baseline
 
-    def test_trend_more_observation_helps(self):
+    def test_trend_more_observation_helps(self, tmp_path):
         rng = np.random.default_rng(8)
         n = 36
         A0 = (rng.random((n, n)) < 0.3).astype(float)
         A0 = np.triu(A0, 1) + np.triu(A0, 1).T
-        rows, agg = gset_sweep(A0, [0.2, 0.9], replicates=8, seed=2, gw_samples=100)
+        rows, agg = sweep_gset_file(tmp_path, A0, [0.2, 0.9], replicates=8, seed=2, gw_samples=100)
         mean_low = [r["mean_cut_full"] for r in agg if r["delta"] == 0.2][0]
         mean_high = [r["mean_cut_full"] for r in agg if r["delta"] == 0.9][0]
         assert mean_high >= mean_low

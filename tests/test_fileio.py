@@ -76,6 +76,11 @@ class TestGset:
         with pytest.raises(InvalidInputError, match="duplicate"):
             parse_gset("3 2\n1 2 1\n2 1 1\n")
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_rejected_with_line_number(self, weight):
+        with pytest.raises(InvalidInputError, match="line 3: non-finite weight"):
+            parse_gset(f"3 2\n1 2 1\n2 3 {weight}\n")
+
     def test_count_mismatch(self):
         with pytest.raises(InvalidInputError, match="advertises"):
             parse_gset("3 3\n1 2 1\n2 3 1\n")

@@ -3,6 +3,7 @@ import pytest
 
 from graphsdp.linalg import InvalidInputError
 from graphsdp.metrics import (
+    BOUNDS,
     K_GROTHENDIECK,
     ari,
     bound_report,
@@ -75,6 +76,26 @@ class TestSignedErrorRate:
     def test_rejects_non_sign_matrix(self):
         with pytest.raises(InvalidInputError):
             signed_error_rate([0, 1], np.array([[1.0, 0.5], [0.5, 1.0]]))
+
+    @pytest.mark.parametrize("labels", [[0, 1, 1], [[0, 0, 1, 1]], [[0, 0], [1, 1]]])
+    def test_needs_one_label_per_node(self, labels):
+        with pytest.raises(InvalidInputError, match="labels length mismatch"):
+            signed_error_rate(labels, self.make_complete([0, 0, 1, 1]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_pair_by_pair_count(self, seed):
+        # random labelings against a random matrix of -1, 0 and +1 with an
+        # arbitrary diagonal: count each ordered pair i != j that violates
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            n = int(rng.integers(2, 40))
+            labels = rng.integers(-3, 7, n)
+            A = rng.integers(-1, 2, (n, n)).astype(float)
+            A = np.triu(A, 1) + np.triu(A, 1).T + np.diag(rng.standard_normal(n))
+            violations = sum(
+                1 for i in range(n) for j in range(n) if i != j
+                and (A[i, j] < 0 if labels[i] == labels[j] else A[i, j] > 0))
+            assert signed_error_rate(labels, A) == violations / n**2
 
 
 class TestSyncMse:
@@ -264,6 +285,29 @@ class TestBounds:
         assert rep.value == pytest.approx(maxcut_rstar_bound(20, 0.8))
         with pytest.raises(InvalidInputError):
             bound_report("nope", n=1)
+
+    def test_bound_report_takes_the_inputs_of_its_formula(self):
+        assert list(BOUNDS) == ["maxcut_rstar", "gv_rstar", "sync_excess"]
+        rep = bound_report("sync_excess", n=200, p=0.3, sigma=0.5, eps=0.01)
+        assert rep.inputs == {"n": 200, "sigma": 0.5, "eps": 0.01}
+        assert (rep.value, rep.valid) == sync_excess_bound(200, 0.5, 0.01)
+        assert bound_report("gv_rstar", n=10, delta_prob=0.1).valid is None
+        with pytest.raises(InvalidInputError, match=r"needs \['sigma', 'eps'\]"):
+            bound_report("sync_excess", n=200, sigma=None)
+
+    @pytest.mark.parametrize("formula, evaluate, args", [
+        ("maxcut_rstar", maxcut_rstar_bound, (0, 0.5)),
+        ("gv_rstar", gv_rstar_bound, (-5, 0.1)),
+        ("sync_excess", sync_excess_bound, (-2, 0.5, 0.1)),
+    ])
+    def test_rejects_n_below_one(self, formula, evaluate, args):
+        with pytest.raises(InvalidInputError, match="n must be >= 1"):
+            evaluate(*args)
+        inputs = dict(zip(BOUNDS[formula][1], args))
+        with pytest.raises(InvalidInputError, match="n must be >= 1"):
+            bound_report(formula, **inputs)
+        # n = 1 is the smallest graph
+        assert np.isfinite(bound_report(formula, **{**inputs, "n": 1}).value)
 
 
 class TestFixedPoint:

@@ -36,7 +36,6 @@ from graphsdp.solvers import (
     l1_ball_around,
     l2_ball_around,
     nonneg,
-    pierra_community,
     pierra_signed,
     pierra_solve,
     psd,
@@ -363,17 +362,17 @@ class TestPierra:
 
     def test_noiseless_community_recovers_membership(self):
         inst = gen_sbm(8, 2, 1.0 - 1e-12, 1e-12, seed=0)
-        Z, report = pierra_community(inst.observed, inst.params["lam"])
+        Z, report = pierra_solve(inst.observed, community_atoms(inst.params["lam"]))
         assert np.max(np.abs(Z - inst.oracle)) <= 1e-3
 
     def test_community_vacuous_cap_diagonal_objective(self):
         n = 6
-        Z, report = pierra_community(np.eye(n), float(n * n))
+        Z, report = pierra_solve(np.eye(n), community_atoms(float(n * n)))
         assert abs(report.objective - n) <= 1e-4
 
     def test_community_feasibility_residuals(self):
         inst = gen_sbm(10, 2, 0.9, 0.1, seed=2)
-        Z, report = pierra_community(inst.observed, inst.params["lam"])
+        Z, report = pierra_solve(inst.observed, community_atoms(inst.params["lam"]))
         assert report.converged
         assert max(report.residuals.values()) <= 1e-6
 
@@ -410,13 +409,17 @@ class TestPierra:
         assert Z.dtype == double and np.array_equal(Z, Z64)
         assert report.objective == report64.objective and report.converged
 
+    def test_set_without_the_cone_is_rejected(self):
+        # every set the library builds includes the psd cone
+        for atoms in ([], [box01(), diag_eq_one()]):
+            with pytest.raises(InvalidInputError, match="psd cone"):
+                pierra_solve(np.eye(4), atoms)
+
     def test_invalid_inputs(self):
-        with pytest.raises(InvalidInputError):
-            pierra_solve(np.ones((2, 2)), [])
         with pytest.raises(InvalidInputError):
             pierra_solve(np.full((2, 2), np.nan), unit_diag_atoms())
         with pytest.raises(InvalidInputError):
-            pierra_community(np.eye(2), 0.0)
+            pierra_solve(np.eye(2), community_atoms(0.0))
         with pytest.raises(InvalidInputError):
             PierraConfig(epsilon=-1.0)
         # JSON overrides can carry strings, lists or booleans
