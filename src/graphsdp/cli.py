@@ -183,6 +183,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_fixed_point(args) -> int:
+    if args.n_mc < 1:
+        raise InvalidInputError(f"--n-mc must be > 0, got {args.n_mc}")
     params = {"problem": args.problem, "n": args.n, "p": args.p, "K": args.k,
               "q": args.q, "delta": args.delta_param, "graph_seed": args.graph_seed,
               "localization": args.localization, "delta_prob": args.delta_prob,

@@ -111,7 +111,6 @@ class ExperimentConfig:
 class _ExperimentSpec:
     """A sweep: one cell per (grid point, replicate), aggregated per group."""
 
-    header: tuple
     cell_fn: object           # (params, grid point, seed) -> [metric columns + status]
     desk_defaults: dict
     full_defaults: dict
@@ -120,6 +119,14 @@ class _ExperimentSpec:
     value_cols: tuple = ()    # numeric outputs to aggregate
     optional: dict = field(default_factory=dict)   # {name: kind} of params without a default
     setup: object = dict      # params -> params for the cells, run once
+
+    @property
+    def header(self) -> tuple:
+        """The csv columns: the grid point, the cell's seed, the other
+        aggregation keys, the outputs and the status."""
+        k = len(self.grid_axes)
+        return (self.group_cols[:k] + ("replicate", "seed") + self.group_cols[k:]
+                + self.value_cols + ("status",))
 
     def complete(self, params):
         return params
@@ -288,8 +295,6 @@ EXPERIMENTS = {
         grid_axes=(),
         group_cols=("algorithm",),
         value_cols=("gamma_before", "gamma_after", "gamma_delta"),
-        header=("replicate", "seed", "algorithm", "gamma_before", "gamma_after",
-                "gamma_delta", "status"),
         cell_fn=_cell_signed_before_after,
         optional={"max_iters": int, "feas_tol": float, "obj_tol": float},
         desk_defaults={"n": 200, "K": 5, "p": 0.8, "q": 0.2, "delta": 0.3},
@@ -299,8 +304,6 @@ EXPERIMENTS = {
         grid_axes=("eta_grid", "delta_grid"),
         group_cols=("eta", "delta"),
         value_cols=("ari", "best_cut", "mean_cut"),
-        header=("eta", "delta", "replicate", "seed", "ari", "best_cut",
-                "mean_cut", "status"),
         cell_fn=_cell_maxcut_bipartite,
         optional=_BM_PARAMS,
         desk_defaults={"n": 100, "eta_grid": [0.0, 0.05, 0.1],
@@ -313,7 +316,6 @@ EXPERIMENTS = {
         grid_axes=("delta_grid",),
         group_cols=("delta",),
         value_cols=("cut_full",),
-        header=("delta", "replicate", "seed", "cut_full", "status"),
         cell_fn=_cell_gset_sweep,
         optional={**_BM_PARAMS, "gset_path": str},
         setup=_benchmark_graph,
@@ -327,8 +329,6 @@ EXPERIMENTS = {
         grid_axes=("level_grid", "prob_grid"),
         group_cols=("level", "sample_prob"),
         value_cols=("mse_sdp", "mse_spectral"),
-        header=("level", "sample_prob", "replicate", "seed", "mse_sdp",
-                "mse_spectral", "status"),
         cell_fn=_cell_sync("gaussian"),
         optional=_BM_PARAMS,
         desk_defaults={"n": 100, "level_grid": [0.0, 0.25, 0.5, 1.0],
@@ -340,8 +340,6 @@ EXPERIMENTS = {
         grid_axes=("level_grid", "prob_grid"),
         group_cols=("level", "sample_prob"),
         value_cols=("mse_sdp", "mse_spectral"),
-        header=("level", "sample_prob", "replicate", "seed", "mse_sdp",
-                "mse_spectral", "status"),
         cell_fn=_cell_sync("outlier"),
         optional=_BM_PARAMS,
         desk_defaults={"n": 100, "level_grid": [0.0, 0.2, 0.4, 0.6],

@@ -14,11 +14,11 @@ mass (no other eigenvalue can exceed a Ritz value that holds half of
 fail does it pay for ``eigvalsh`` and inverse iteration.  All matrices
 are plain numpy arrays; the helpers here validate and symmetrize instead
 of wrapping them in dedicated classes.  ``symmetrize`` and
-``project_psd`` check their input once; their kernels ``hermitian_part``
-and ``project_psd_hermitian`` check nothing, for a solver loop whose
-matrices are finite by construction.  As the base every other module
-imports, it also holds the library's input error and the field check its
-config classes share.
+``project_psd`` check their input once; ``symmetrize_unchecked`` and the
+kernel ``project_psd_hermitian`` check nothing, for a caller whose
+matrices are checked already or finite by construction.  As the base
+every other module imports, it also holds the library's input error and
+the field check its config classes share.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "check_square",
     "symmetrize",
     "symmetrize_unchecked",
-    "hermitian_part",
     "is_hermitian",
     "eigh_sorted",
     "project_psd",
@@ -103,19 +102,12 @@ def symmetrize(M: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 def symmetrize_unchecked(M: np.ndarray) -> np.ndarray:
     """:func:`symmetrize` without the check, for a caller that has already
-    run ``check_square`` on M: integer and bool M is cast to float first."""
+    run ``check_square`` on M: integer and bool M is cast to float first.
+    The result is a new C-ordered array, equal to M, bit for bit, when M is
+    exactly Hermitian."""
     if M.dtype.kind in "biu":
         M = M.astype(float)      # an in-place halving would keep an integer dtype
-    return hermitian_part(M, np.empty(M.shape, M.dtype))
-
-
-def hermitian_part(M: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``(M + M*)/2`` written into ``out``, unchecked: the kernel of
-    :func:`symmetrize` for a caller whose M is a float or complex square
-    array it built itself, and ``out`` a C-ordered array of M's shape and
-    dtype other than M.  The operations are symmetrize's, so the
-    result is the same to the bit, and equal to M, bit for bit, when M is
-    exactly Hermitian."""
+    out = np.empty(M.shape, M.dtype)
     if M.dtype.kind == "c":
         np.conjugate(M.T, out=out)          # one contiguous pass, then in place
         out += M
@@ -156,11 +148,11 @@ def project_psd_hermitian(H: np.ndarray) -> np.ndarray:
 
     ``eigh`` reads one triangle of H only, so a non-Hermitian H would be
     projected as if its other triangle mirrored that one: callers pass the
-    output of :func:`symmetrize` or :func:`hermitian_part`.  A non-finite H
-    makes ``eigh`` fail or return NaN.  Only the eigenpairs with positive
-    eigenvalues enter the product, so the cost beyond ``eigh`` scales with
-    the rank of the result, and the product is symmetrized, so the result
-    is exactly Hermitian.
+    output of :func:`symmetrize` or a matrix they keep exactly Hermitian.
+    A non-finite H makes ``eigh`` fail or return NaN.  Only the eigenpairs
+    with positive eigenvalues enter the product, so the cost beyond
+    ``eigh`` scales with the rank of the result, and the product is
+    symmetrized, so the result is exactly Hermitian.
     """
     w, V = np.linalg.eigh(H)
     first = int(np.searchsorted(w, 0.0, side="right"))    # w is ascending

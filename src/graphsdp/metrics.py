@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _rng
-from .linalg import InvalidInputError, check_square, symmetrize
+from .linalg import InvalidInputError, check_square, check_value, symmetrize
 from .solvers import (
     ConstraintAtom,
     PierraConfig,
@@ -273,8 +273,9 @@ def bound_report(formula: str, **inputs) -> BoundReport:
     missing = [k for k in names if inputs.get(k) is None]
     if missing:
         raise InvalidInputError(f"bound {formula} needs {missing}")
+    check_value("n", inputs["n"], int)
     inputs = {k: inputs[k] for k in names}
-    value = evaluate(int(inputs["n"]), *(inputs[k] for k in names[1:]))
+    value = evaluate(*inputs.values())
     # sync_excess also returns its validity flag
     value, valid = value if isinstance(value, tuple) else (value, None)
     return BoundReport(formula, value, inputs, valid=valid)

@@ -40,7 +40,6 @@ from .linalg import (
     check_square,
     frobenius_norm,
     has_cholesky,
-    hermitian_part,
     project_psd,
     project_psd_hermitian,
     psd_residual,
@@ -116,7 +115,7 @@ def total_sum_leq(lam: float) -> ConstraintAtom:
 
 
 def affine_halfspace(C: np.ndarray, bound: float) -> ConstraintAtom:
-    """Half-space {Z : Re <C, Z> <= bound}."""
+    """Half-space {Z : <C, Z> <= bound}."""
     C = check_square(C, "half-space normal")
     if frobenius_norm(C) == 0.0:
         raise InvalidInputError("half-space normal must be nonzero")
@@ -132,7 +131,7 @@ def _ball(kind: str, center: np.ndarray, radius: float) -> ConstraintAtom:
 
 
 def l1_ball_around(center: np.ndarray, radius: float) -> ConstraintAtom:
-    """Ball {Z : the entries' moduli |Z - center| sum to at most radius}."""
+    """Ball {Z : the entries |Z - center| sum to at most radius}."""
     return _ball("l1_ball", center, radius)
 
 
@@ -329,41 +328,22 @@ def _multiplier(V, N, sq, L, H, value, l2, tau):
     return tau, None
 
 
-def _entry_bounds(entrywise, M):
-    """(lo, hi) of the entrywise atoms, shaped and typed like M.
-
-    A complex M takes no bound off the diagonal; on it the diagonal rules
-    bound the real part and hold the imaginary part at 0."""
-    unbounded = complex(np.inf, np.inf) if np.iscomplexobj(M) else np.inf
-    lo, hi = np.full(M.shape, -unbounded), np.full(M.shape, unbounded)
-    if entrywise:
-        bounds = np.array([_ENTRY_BOUNDS[a.kind] for a in entrywise])
-        off = bounds[:, 0].max(), bounds[:, 1].min()
-        if np.isfinite(off).any():
-            if np.iscomplexobj(M):
-                raise InvalidInputError("bounds off the diagonal need a real objective, got "
-                                        + ", ".join(a.kind for a in entrywise))
-            lo[:], hi[:] = off
-        np.fill_diagonal(lo, bounds[:, 2].max())
-        np.fill_diagonal(hi, bounds[:, 3].min())
-    return lo, hi
-
-
 def _set_projection(atoms, M):
     """Exact projection onto the intersection of the non-psd atoms, for
-    C-contiguous iterates shaped and typed like ``M``.
+    real C-contiguous iterates shaped like ``M``.
 
     The atoms must be entrywise bounds plus at most one half-space, l1 ball
-    or l2 ball; every set the library builds has that shape.  The
+    or l2 ball, whose matrix is real and exactly symmetric; every set the
+    library builds has that shape, and any other raises.  The
     projection clips V to the bounds.  When that point violates the other
     atom, it clips instead ``V - tau*N`` at a multiplier tau found by
     :func:`_multiplier`: N = C for the half-space {<C, Z> <= b}; for the l1
-    ball around c, N = (V - c) / |V - c| entrywise and each entry stops at
+    ball around c, N = sign(V - c) entrywise and each entry stops at
     c (clipped to the bounds), which is ``clip(c + soft(V - c, tau))``;
     for the l2 ball, N = V - c and tau enters as ``tau / (1 + tau)``, which
-    is ``clip(c + (V - c) / (1 + tau))``.  Complex iterates are clipped as
-    pairs of reals (see ``_entry_bounds``), and the l1 ball sums their
-    moduli.
+    is ``clip(c + (V - c) / (1 + tau))``.  Each step is entrywise or
+    applies one scalar to every entry, so a symmetric V projects to a
+    symmetric point.
     """
     others = [a for a in atoms if a.kind != "psd"]
     entrywise = [a for a in others if a.kind in _ENTRY_BOUNDS]
@@ -371,48 +351,46 @@ def _set_projection(atoms, M):
     if len(extra) > 1:
         raise InvalidInputError("a constraint set takes at most one half-space or ball "
                                 "besides entrywise bounds, got " + ", ".join(a.kind for a in extra))
-    real = np.finfo(M.dtype).dtype
-    lo, hi = (bounds.view(real) for bounds in _entry_bounds(entrywise, M))
+    lo, hi = np.full(M.shape, -np.inf), np.full(M.shape, np.inf)
+    if entrywise:
+        bounds = np.array([_ENTRY_BOUNDS[a.kind] for a in entrywise])
+        lo[:], hi[:] = bounds[:, 0].max(), bounds[:, 1].min()
+        np.fill_diagonal(lo, bounds[:, 2].max())
+        np.fill_diagonal(hi, bounds[:, 3].min())
     if not extra:
-        return lambda V: _clip(V.view(real), lo, hi).view(M.dtype)
+        return lambda V: _clip(V, lo, hi)
     (atom,) = extra
     A = np.ones(M.shape) if atom.kind == "total_sum_leq" else atom.matrix
     if A.shape != M.shape:
         raise InvalidInputError(f"{atom.kind} matrix has shape {A.shape}, the objective {M.shape}")
+    if A.dtype.kind == "c" or not np.array_equal(A, A.T):
+        raise InvalidInputError(f"{atom.kind} matrix must be real and exactly symmetric")
     A = np.ascontiguousarray(A, dtype=M.dtype)
-    Ar = A.view(real)
     b = atom.lam if atom.kind == "total_sum_leq" else atom.bound
     l2 = atom.kind == "l2_ball"
     if atom.kind == "l1_ball":
-        pinned = np.iscomplexobj(M) and bool(entrywise)     # the diagonal is real
-        if pinned and A.diagonal().imag.any():
-            raise InvalidInputError("the l1 ball's center needs a real diagonal here")
-        stop = _clip(Ar, lo, hi)
+        stop = _clip(A, lo, hi)
 
         def value(Z):
-            return float(np.abs(Z.view(M.dtype) - A).sum()) - b
+            return float(np.abs(Z - A).sum()) - b
 
         def direction(V):
-            D = V.view(M.dtype) - A
-            if pinned:
-                np.fill_diagonal(D.imag, 0.0)
-            mag = np.abs(D)
-            N = np.divide(D, mag, out=np.zeros_like(D), where=mag > 0).view(real)
+            N = np.sign(V - A)
             return (N, N * N, np.maximum(lo, np.where(N > 0, stop, -np.inf)),
                     np.minimum(hi, np.where(N < 0, stop, np.inf)))
     elif l2:
         def value(Z):
-            E = Z - Ar
+            E = Z - A
             return float(np.vdot(E, E)) - b * b
 
         def direction(V):
-            D = V - Ar
+            D = V - A
             return D, D * D, lo, hi
     else:
         def value(Z):
-            return float(np.vdot(Ar, Z)) - b
+            return float(np.vdot(A, Z)) - b
 
-        fixed = Ar, Ar * Ar, lo, hi
+        fixed = A, A * A, lo, hi
 
         def direction(V):
             return fixed
@@ -420,15 +398,14 @@ def _set_projection(atoms, M):
     last = [0.0]    # the multiplier moves little from one sweep to the next
 
     def project(V):
-        V = V.view(real)
         Z = _clip(V, lo, hi)
         if value(Z) <= 0:
-            return Z.view(M.dtype)
+            return Z
         N, sq, L, H = direction(V)
         last[0], Z = _multiplier(V, N, sq, L, H, value, l2, last[0])
         if Z is None:
             Z = _clip(V - (last[0] / (1.0 + last[0]) if l2 else last[0]) * N, L, H)
-        return Z.view(M.dtype)
+        return Z
 
     return project
 
@@ -441,18 +418,16 @@ class _Anderson:
     hold the differences of F and g between the last accepted points and
     gamma minimizes ``||g - dG @ gamma||^2 + reg * ||gamma||^2``.  The
     differences sit in preallocated ring buffers and their Gram matrix is
-    updated one row per step.  Complex matrices are treated as real
-    vectors, so gamma is real and Hermitian iterates stay Hermitian.
+    updated one row per step.
     """
 
     def __init__(self, template: np.ndarray):
         shape = (_ANDERSON_MEMORY,) + template.shape
         self.dF = np.empty(shape, template.dtype)
         self.dG = np.empty(shape, template.dtype)
-        # real views, one row per slot, for the inner products
-        self._real = np.finfo(template.dtype).dtype
-        self._dF = self.dF.reshape(_ANDERSON_MEMORY, -1).view(self._real)
-        self._dG = self.dG.reshape(_ANDERSON_MEMORY, -1).view(self._real)
+        # one row per slot, for the inner products
+        self._dF = self.dF.reshape(_ANDERSON_MEMORY, -1)
+        self._dG = self.dG.reshape(_ANDERSON_MEMORY, -1)
         self.gram = np.empty((_ANDERSON_MEMORY, _ANDERSON_MEMORY))
         self._eye = np.eye(_ANDERSON_MEMORY)
         self.clear()
@@ -481,17 +456,18 @@ class _Anderson:
         if reg == 0.0:          # no pair, or g has not changed
             return F, False
         gamma = np.linalg.solve(gram + reg * self._eye[:k, :k],
-                                self._dG[:k] @ g.reshape(-1).view(self._real))
-        correction = (gamma @ self._dF[:k]).view(F.dtype).reshape(F.shape)
+                                self._dG[:k] @ g.reshape(-1))
+        correction = (gamma @ self._dF[:k]).reshape(F.shape)
         return np.subtract(F, correction, out=correction), True
 
 
 def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraConfig | None = None,
                  warm_start=None):
-    """Maximize ``Re <M, Z>`` over the intersection of ``atoms``: the psd
-    cone, entrywise bounds (only the diagonal rules for a complex ``M``) and
-    at most one half-space, l1 ball or l2 ball; any other set raises
-    InvalidInputError.
+    """Maximize ``<M, Z>`` for a real ``M`` over the intersection of
+    ``atoms``: the psd cone, entrywise bounds and at most one half-space,
+    l1 ball or l2 ball whose matrix is real and exactly symmetric; a complex
+    ``M`` or any other set raises InvalidInputError.  Complex unit-diagonal
+    programs are :func:`bm_solve`'s.
 
     Returns ``(Z_hat, SolveReport)``.  Runs two-block ADMM with Anderson
     acceleration and terminates once the scaled feasibility residual of the
@@ -520,19 +496,21 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
     changes, and hold the final penalty ``rho``.
 
     No sweep checks its matrices.  V is built in one buffer and handed to
-    the unchecked psd kernel after ``hermitian_part``.  On every set the
-    library builds V is exactly Hermitian (M is symmetrized, and both
-    projections and the acceleration keep Hermitian matrices Hermitian), so
-    that step returns V itself; it stays for the points that are not, such
-    as those a non-symmetric half-space normal produces.  M is finite, so
+    the unchecked psd kernel, whose ``eigh`` reads one triangle of it.  V is
+    exactly symmetric at every sweep: M is symmetrized, every atom matrix
+    is exactly symmetric, and both projections and the acceleration keep
+    symmetric matrices symmetric.  M is finite, so
     only a broken iterate is not: the scalar test of ``||X - Z||`` (and
     ``eigh`` failing on a non-finite V) raises the InvalidInputError that
     :func:`project_psd` raises on non-finite input.
     """
     config = config or PierraConfig()
     M = check_square(M, "objective")
-    # the sweeps run in double precision: the Anderson buffers take M's dtype
-    M = symmetrize_unchecked(M.astype(np.result_type(M.dtype, float), copy=False))
+    if M.dtype.kind == "c":
+        raise InvalidInputError("the splitting solver takes a real objective; "
+                                "bm_solve solves complex unit-diagonal programs")
+    # the sweeps run in double precision
+    M = symmetrize_unchecked(M.astype(float, copy=False))
     if not any(a.kind == "psd" for a in atoms):
         raise InvalidInputError("the constraint set must include the psd cone")
     project_set = _set_projection(atoms, M)
@@ -553,8 +531,7 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
         Z, U, rho = np.zeros_like(M), np.zeros_like(M), 1.0 / eps
     y = Z + U
     accel = _Anderson(y)
-    V = np.empty(M.shape, np.result_type(y, M))    # 2Z - y + M/rho
-    H = np.empty_like(V)                           # its Hermitian part
+    V = np.empty_like(M)    # 2Z - y + M/rho
     M_rho = M / rho
     counters = dict.fromkeys(("extrapolations_accepted", "extrapolations_rejected",
                               "penalty_changes"), 0)
@@ -568,11 +545,11 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
         V -= y
         V += M_rho
         try:
-            X = project_psd_hermitian(hermitian_part(V, H))
+            X = project_psd_hermitian(V)
         except np.linalg.LinAlgError:
-            if np.isfinite(H).all():
+            if np.isfinite(V).all():
                 raise
-            X = H          # eigh fails on some non-finite input: the test below raises
+            X = V          # eigh fails on some non-finite input: the test below raises
         g = X - Z
         g_norm = frobenius_norm(g)
         if not math.isfinite(g_norm):
@@ -590,7 +567,7 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
                 y, extrapolated = accel.F, False
         Z_prev = Z
         Z = project_set(y)
-        trace.append(float(np.real(np.vdot(M, Z))))
+        trace.append(float(np.vdot(M, Z)))
         if it % _CHECK_EVERY:
             continue
         if len(trace) > _CHECK_EVERY:
@@ -618,7 +595,7 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
         solver="pierra",
         iterations=iterations,
         termination=termination,
-        objective=float(np.real(np.vdot(M, Z_hat))),
+        objective=float(np.vdot(M, Z_hat)),
         objective_trace=np.asarray(trace),
         residuals=residuals(Z_hat),
         state=(Z, y - Z, rho),

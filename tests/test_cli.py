@@ -223,6 +223,14 @@ class TestFixedPointCommand:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not Path(str(out) + ".csv").exists()
 
+    @pytest.mark.parametrize("n_mc", [0, -3])
+    def test_non_positive_n_mc_names_the_flag(self, tmp_path, capsys, n_mc):
+        out = tmp_path / "fp"
+        assert run(["fixed-point", "--n", 8, "--n-mc", n_mc, "--r-grid", "5,20",
+                    "--out", out]) == 2
+        assert f"--n-mc must be > 0, got {n_mc}" in capsys.readouterr().err
+        assert not Path(str(out) + ".csv").exists()
+
     def test_writes_the_experiment_header(self, tmp_path, monkeypatch):
         # a column the curve gains reaches the CLI's csv
         spec = EXPERIMENTS["fixed_point_curve"]
@@ -312,8 +320,7 @@ class TestGsetCommand:
             return [{**row, "edges": 4.0} for row in spec.cell_fn(params, axes, seed)]
 
         monkeypatch.setitem(EXPERIMENTS, "maxcut_gset_sweep", dataclasses.replace(
-            spec, header=spec.header[:-1] + ("edges", "status"), cell_fn=cell,
-            value_cols=spec.value_cols + ("edges",)))
+            spec, cell_fn=cell, value_cols=spec.value_cols + ("edges",)))
         f = tmp_path / "g.gset"
         f.write_text("4 4\n1 2 1\n2 3 1\n3 4 1\n4 1 1\n")
         out = tmp_path / "sweep"

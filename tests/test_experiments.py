@@ -77,6 +77,24 @@ class TestConfig:
             {k: v for k, v in desk.items() if k not in ("n", "r_grid")}
 
 
+    def test_csv_headers(self):
+        # each sweep's header is derived from its grid, keys and outputs;
+        # these are the columns its csv has always had
+        headers = {name: spec.header for name, spec in experiments.EXPERIMENTS.items()}
+        assert headers == {
+            "signed_before_after": ("replicate", "seed", "algorithm", "gamma_before",
+                                    "gamma_after", "gamma_delta", "status"),
+            "maxcut_bipartite_heatmap": ("eta", "delta", "replicate", "seed", "ari",
+                                         "best_cut", "mean_cut", "status"),
+            "maxcut_gset_sweep": ("delta", "replicate", "seed", "cut_full", "status"),
+            "sync_heatmap_gaussian": ("level", "sample_prob", "replicate", "seed", "mse_sdp",
+                                      "mse_spectral", "status"),
+            "sync_heatmap_outlier": ("level", "sample_prob", "replicate", "seed", "mse_sdp",
+                                     "mse_spectral", "status"),
+            "fixed_point_curve": ("r", "quantile", "n_effective"),
+        }
+
+
 class TestGroundTruthMatrix:
     def test_blocks(self):
         M = signed_ground_truth_matrix(np.array([0, 0, 1]))

@@ -295,6 +295,17 @@ class TestBounds:
         with pytest.raises(InvalidInputError, match=r"needs \['sigma', 'eps'\]"):
             bound_report("sync_excess", n=200, sigma=None)
 
+    def test_bound_report_rejects_a_non_integer_n(self):
+        # the report echoes the n it evaluated: an n it would have to round
+        # (2.5 once evaluated as 2) raises instead
+        for formula, inputs in (("maxcut_rstar", {"p": 0.5}), ("gv_rstar", {"delta_prob": 0.1}),
+                                ("sync_excess", {"sigma": 0.5, "eps": 0.1})):
+            for n in (2.5, 2.0, True, "2"):
+                with pytest.raises(InvalidInputError, match="n must be an integer"):
+                    bound_report(formula, n=n, **inputs)
+            rep = bound_report(formula, n=np.int64(2), **inputs)
+            assert rep.inputs["n"] == 2 and rep.value == bound_report(formula, n=2, **inputs).value
+
     @pytest.mark.parametrize("formula, evaluate, args", [
         ("maxcut_rstar", maxcut_rstar_bound, (0, 0.5)),
         ("gv_rstar", gv_rstar_bound, (-5, 0.1)),

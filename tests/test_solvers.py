@@ -49,6 +49,7 @@ def all_atoms_for_tests(n, rng):
     center = rng.standard_normal((n, n))
     center = (center + center.T) / 2
     normal = rng.standard_normal((n, n))
+    normal = (normal + normal.T) / 2
     return [
         psd(),
         nonneg(),
@@ -147,27 +148,31 @@ def dykstra_oracle(atoms, V, passes=20_000):
     return Z
 
 
-LIBRARY_SETS = ("signed", "unit_diag", "excess_risk", "community", "l1", "l2", "complex_l1",
-                "complex_l2")
+def _symmetric(n, rng):
+    G = rng.standard_normal((n, n))
+    return (G + G.T) / 2
 
 
-def library_set(name, n, rng):
-    """One of the constraint sets the library builds, with ``complex`` for
-    the set of a complex objective; the half-spaces and balls are tight
-    enough that random inputs violate them."""
-    EA = rng.standard_normal((n, n))
-    EA = (EA + EA.T) / 2
-    return {
-        "signed": signed_atoms(),
-        "unit_diag": unit_diag_atoms(),
-        "excess_risk": unit_diag_atoms() + [affine_halfspace(-EA, -1.0)],
-        "community": community_atoms(2.0),
-        # the fixed-point estimator's ball localizations around a feasible point
-        "l1": signed_atoms() + [l1_ball_around(sample_feasible("signed", n, rng), 2.0)],
-        "l2": signed_atoms() + [l2_ball_around(sample_feasible("signed", n, rng), 1.0)],
-        "complex_l1": unit_diag_atoms() + [l1_ball_around(sample_feasible("sync", n, rng), 4.0)],
-        "complex_l2": unit_diag_atoms() + [l2_ball_around(sample_feasible("sync", n, rng), 2.0)],
-    }[name], name.startswith("complex")
+def real_embedding(M):
+    """``[[Re M, -Im M], [Im M, Re M]]``: a Hermitian M's real symmetric
+    2n x 2n form.  Over the unit-diagonal set its optimum is twice M's: a
+    complex feasible Z embeds the same way as a feasible point of value
+    ``2 Re <M, Z>``, and a real optimum ``[[A, B], [B^T, D]]`` gives the
+    complex feasible point ``(A + D)/2 + i (B^T - B)/2`` of half its value."""
+    return np.block([[M.real, -M.imag], [M.imag, M.real]])
+
+
+# each of the constraint sets the library builds, from (n, rng); the
+# half-spaces and balls are tight enough that random inputs violate them
+LIBRARY_SETS = {
+    "signed": lambda n, rng: signed_atoms(),
+    "unit_diag": lambda n, rng: unit_diag_atoms(),
+    "excess_risk": lambda n, rng: unit_diag_atoms() + [affine_halfspace(-_symmetric(n, rng), -1.0)],
+    "community": lambda n, rng: community_atoms(2.0),
+    # the fixed-point estimator's ball localizations around a feasible point
+    "l1": lambda n, rng: signed_atoms() + [l1_ball_around(sample_feasible("signed", n, rng), 2.0)],
+    "l2": lambda n, rng: signed_atoms() + [l2_ball_around(sample_feasible("signed", n, rng), 1.0)],
+}
 
 
 HERMITIAN_CASES = ("signed", "community", "excess_risk", "l1", "l2", "complex_unit_diag")
@@ -176,12 +181,13 @@ HERMITIAN_CASES = ("signed", "community", "excess_risk", "l1", "l2", "complex_un
 def hermitian_case(name):
     """(objective, atoms) of one small solve per kind of constraint set the
     library builds: the two problem sets, the three localizations of the
-    fixed-point estimator and a complex unit-diagonal program."""
+    fixed-point estimator and a complex unit-diagonal program, as its real
+    embedding."""
     if name == "community":
         inst = gen_sbm(16, 2, 0.8, 0.1, seed=0)
         return inst.observed, community_atoms(float(np.sum(inst.oracle)))
     if name == "complex_unit_diag":
-        return gen_sync(SyncParams(n=12, sigma=0.5), seed=1).observed, unit_diag_atoms()
+        return real_embedding(gen_sync(SyncParams(n=12, sigma=0.5), seed=1).observed), unit_diag_atoms()
     if name == "excess_risk":
         rng = np.random.default_rng(21)
         A0 = np.triu((rng.random((8, 8)) < 0.5).astype(float), 1)
@@ -200,15 +206,13 @@ def hermitian_case(name):
 class TestSetProjection:
     @pytest.mark.parametrize("name", LIBRARY_SETS)
     def test_matches_dykstra_idempotent_nonexpansive(self, name):
-        rng = np.random.default_rng(LIBRARY_SETS.index(name))
+        rng = np.random.default_rng(list(LIBRARY_SETS).index(name))
         n = 5
-        atoms, complex_valued = library_set(name, n, rng)
-        project = _set_projection(atoms, np.zeros((n, n), complex if complex_valued else float))
+        atoms = LIBRARY_SETS[name](n, rng)
+        project = _set_projection(atoms, np.zeros((n, n)))
         cut = 0     # points where the ball cuts the rest of the set
         for _ in range(5):
-            V, W = (2.0 * rng.standard_normal((n, n))
-                    + (2j * rng.standard_normal((n, n)) if complex_valued else 0) for _ in "VW")
-            V, W = (V + V.conj().T) / 2, (W + W.conj().T) / 2
+            V, W = (2.0 * _symmetric(n, rng) for _ in "VW")
             PV, PW = project(V), project(W)
             cut += not np.allclose(PV, dykstra_oracle(atoms[:-1], V))
             assert frobenius_norm(PV - dykstra_oracle(atoms, V)) <= 1e-10
@@ -247,8 +251,9 @@ class TestSetProjection:
     def box_halfspace_case(seed):
         """A point outside box01 intersected with a half-space it violates."""
         rng = np.random.default_rng(seed)
-        V = 2.0 * rng.standard_normal((12, 12))
+        V = 2.0 * _symmetric(12, rng)
         C = rng.random((12, 12))
+        C = (C + C.T) / 2
         lo, hi = np.zeros((12, 12)), np.ones((12, 12))
         return V, C, lo, hi, 0.3 * float(np.vdot(C, np.clip(V, lo, hi)))
 
@@ -394,15 +399,12 @@ class TestPierra:
         assert r1.iterations == r2.iterations
         assert np.array_equal(r1.objective_trace, r2.objective_trace)
 
-    @pytest.mark.parametrize("single, double", [(np.float32, np.float64),
-                                                (np.complex64, np.complex128)])
+    @pytest.mark.parametrize("single, double", [(np.float32, np.float64)])
     def test_single_precision_objective_solves_in_double(self, single, double):
         # the sweeps run in double precision: a single-precision objective is
         # solved as its exact double-precision copy
         rng = np.random.default_rng(6)
         M = rng.standard_normal((8, 8)).astype(single)
-        if single is np.complex64:
-            M = M + 1j * rng.standard_normal((8, 8)).astype(np.float32)
         atoms = unit_diag_atoms()
         Z, report = pierra_solve(M, atoms)
         Z64, report64 = pierra_solve(M.astype(double), atoms)
@@ -440,13 +442,31 @@ class TestPierra:
         "normal_3x3": lambda: affine_halfspace(np.eye(3), 1.0),
         "l1_center_3x3": lambda: l1_ball_around(np.eye(3), 1.0),
         "l2_center_3x3": lambda: l2_ball_around(np.eye(3), 1.0),
+        "normal_not_symmetric": lambda: affine_halfspace(np.triu(np.ones((4, 4))), 1.0),
+        "normal_one_ulp_off": lambda: affine_halfspace(
+            np.ones((4, 4)) + np.diag([np.spacing(1.0)] * 3, 1), 1.0),
+        "normal_complex": lambda: affine_halfspace(np.ones((4, 4), complex), 1.0),
+        "l1_center_not_symmetric": lambda: l1_ball_around(np.triu(np.ones((4, 4))), 1.0),
+        "l2_center_complex": lambda: l2_ball_around(1j * np.eye(4), 1.0),
     }
 
     @pytest.mark.parametrize("case", MALFORMED_ATOMS)
     def test_malformed_atoms_raise(self, case):
-        # a non-finite bound or a matrix of another shape than the objective
+        # a non-finite bound, a matrix of another shape than the objective, or
+        # one that is complex or not exactly symmetric: each sweep hands its
+        # point to an eigh that reads one triangle
         with pytest.raises(InvalidInputError):
             pierra_solve(np.eye(4), [psd(), self.MALFORMED_ATOMS[case]()])
+
+    def test_complex_objective_raises(self):
+        # the one complex program, synchronization, is bm_solve's; a complex
+        # objective with a zero imaginary part is still complex
+        M = gen_sync(SyncParams(n=8, sigma=0.3), seed=0).observed
+        for objective in (M, M.real.astype(complex)):
+            for atoms in (unit_diag_atoms(), signed_atoms(),
+                          unit_diag_atoms() + [l2_ball_around(np.eye(8), 2.0)]):
+                with pytest.raises(InvalidInputError, match="real objective.*bm_solve"):
+                    pierra_solve(objective, atoms)
 
     @pytest.mark.parametrize("atom", [nonneg, box01])
     def test_complex_objective_takes_no_off_diagonal_bounds(self, atom):
@@ -455,12 +475,6 @@ class TestPierra:
         M = gen_sync(SyncParams(n=8, sigma=0.3), seed=0).observed
         with pytest.raises(InvalidInputError, match="real objective"):
             pierra_solve(M, [psd(), atom()])
-        # the diagonal rules and one ball around a real-diagonal center still solve
-        for ball in (l1_ball_around(np.eye(8), 4.0), l2_ball_around(np.eye(8), 2.0)):
-            _, report = pierra_solve(M, unit_diag_atoms() + [ball])
-            assert report.converged
-        with pytest.raises(InvalidInputError, match="real diagonal"):
-            pierra_solve(M, unit_diag_atoms() + [l1_ball_around(1j * np.eye(8), 4.0)])
 
     def test_signed_sweep_guard(self):
         inst = gen_ssbm(SsbmParams(n=100, n_clusters=5, p=0.8, q=0.2, delta=0.4), seed=0)
@@ -601,8 +615,8 @@ class TestPierra:
         # the set projection and one projection per non-psd atom serve
         # every stop check and the final residuals
         rng = np.random.default_rng(7)
-        atoms, complex_valued = library_set(name, 5, rng)
-        M = rng.standard_normal((5, 5)) + (1j * rng.standard_normal((5, 5)) if complex_valued else 0)
+        atoms = LIBRARY_SETS[name](5, rng)
+        M = rng.standard_normal((5, 5))
         builds, checks = [], []
         build, residual = solvers._set_projection, solvers.psd_residual
         monkeypatch.setattr(solvers, "_set_projection", lambda *args: builds.append(1) or build(*args))
@@ -615,49 +629,22 @@ class TestPierra:
 
     @pytest.mark.parametrize("case", HERMITIAN_CASES)
     def test_sweep_point_is_exactly_hermitian(self, monkeypatch, case):
-        # each sweep hands V = 2Z - y + M/rho to the unchecked psd kernel
-        # through hermitian_part; on every set the library builds V is
-        # exactly Hermitian at every sweep, so the kernel sees V itself
+        # each sweep hands V = 2Z - y + M/rho straight to the unchecked psd
+        # kernel, whose eigh reads one triangle: on every set the library
+        # builds V is exactly symmetric at every sweep
         M, atoms = hermitian_case(case)
-        points, hermitian, kernel_saw_v = [], [], []
-        part, kernel = solvers.hermitian_part, solvers.project_psd_hermitian
+        symmetric = []
+        kernel = solvers.project_psd_hermitian
 
-        def spy_part(V, out):
-            points.append(V.copy())
-            hermitian.append(np.array_equal(V, V.conj().T))
-            return part(V, out)
+        def spy_kernel(V):
+            symmetric.append(V.dtype == np.float64 and np.array_equal(V, V.T))
+            return kernel(V)
 
-        def spy_kernel(H):
-            kernel_saw_v.append(np.array_equal(H, points[-1]))
-            return kernel(H)
-
-        monkeypatch.setattr(solvers, "hermitian_part", spy_part)
         monkeypatch.setattr(solvers, "project_psd_hermitian", spy_kernel)
         _, report = pierra_solve(M, atoms)
         assert report.converged
-        assert len(hermitian) == len(kernel_saw_v) == report.iterations
-        assert all(hermitian) and all(kernel_saw_v)
-
-    def test_non_symmetric_halfspace_normal(self, monkeypatch):
-        # <C, Z> = <(C + C^T)/2, Z> for symmetric Z, so a normal with an
-        # antisymmetric part cuts the same symmetric matrices; its iterates
-        # are not Hermitian, and the sweep's symmetrization of V handles them
-        M, atoms = hermitian_case("excess_risk")
-        C, bound = atoms[-1].matrix, atoms[-1].bound
-        K = np.triu(np.random.default_rng(5).standard_normal(C.shape), 1)
-        hermitian = []
-        part = solvers.hermitian_part
-
-        def spy_part(V, out):
-            hermitian.append(np.array_equal(V, V.conj().T))
-            return part(V, out)
-
-        monkeypatch.setattr(solvers, "hermitian_part", spy_part)
-        Z, report = pierra_solve(M, atoms[:-1] + [affine_halfspace(C + K - K.T, bound)])
-        _, symmetric = pierra_solve(M, atoms)
-        assert report.converged and not all(hermitian)
-        assert np.array_equal(Z, Z.T)
-        assert abs(report.objective - symmetric.objective) <= 1e-5 * (1 + abs(symmetric.objective))
+        assert len(symmetric) == report.iterations
+        assert all(symmetric)
 
     def test_max_iters_reported(self):
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -666,18 +653,19 @@ class TestPierra:
 
     @pytest.mark.parametrize("kind", ["sync", "gaussian"])
     def test_unit_diagonal_matches_certified_bm(self, kind):
-        # the complex objective is clipped as pairs of reals, the real one
-        # entry by entry; BM's optimum is certified
+        # BM's optimum is certified; the complex sync objective is solved by
+        # splitting as its real 2n embedding, whose optimum is twice it
         if kind == "sync":
             M = gen_sync(SyncParams(n=30, sigma=0.5), seed=0).observed
+            _, rp = pierra_solve(real_embedding(M), unit_diag_atoms())
+            split = rp.objective / 2
         else:
-            rng = np.random.default_rng(30)
-            M = rng.standard_normal((30, 30))
-            M = (M + M.T) / 2
-        _, rp = pierra_solve(M, unit_diag_atoms())
+            M = _symmetric(30, np.random.default_rng(30))
+            _, rp = pierra_solve(M, unit_diag_atoms())
+            split = rp.objective
         _, _, rb = bm_solve(M, "max")
         assert rp.converged and rb.converged
-        assert abs(rp.objective - rb.objective) <= 1e-8 * abs(rb.objective)
+        assert abs(split - rb.objective) <= 1e-8 * abs(rb.objective)
 
 
 def naive_anderson(pairs, memory):
@@ -689,21 +677,17 @@ def naive_anderson(pairs, memory):
     dG = [a[1] - b[1] for a, b in zip(pairs[1:], pairs[:-1])][-memory:]
     if not dG:
         return F
-    as_real = lambda X: np.concatenate([X.real.ravel(), X.imag.ravel()])
-    G = np.stack([as_real(d) for d in dG], axis=1)
+    G = np.stack([d.ravel() for d in dG], axis=1)
     H = G.T @ G
     H = H + solvers._ANDERSON_REG * np.trace(H) * np.eye(len(dG))
-    gamma = np.linalg.solve(H, G.T @ as_real(g))
+    gamma = np.linalg.solve(H, G.T @ g.ravel())
     return F - sum(c * d for c, d in zip(gamma, dF))
 
 
 class TestAnderson:
-    @pytest.mark.parametrize("complex_valued", [False, True])
-    def test_ring_buffer_matches_stacked_reference(self, complex_valued):
+    def test_ring_buffer_matches_stacked_reference(self):
         rng = np.random.default_rng(3)
-        shape = (4, 4)
-        draw = lambda: (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                        if complex_valued else rng.standard_normal(shape))
+        draw = lambda: rng.standard_normal((4, 4))
         accel = _Anderson(draw())
         pairs = []
         for _ in range(12):     # wraps the 5-slot buffer twice
