@@ -63,7 +63,7 @@ class _SdpEstimatorBase:
         return symmetrize_unchecked(A)
 
     def _bm_config(self):
-        return BmConfig(rank=self.rank, max_iters=self.max_iters, grad_tol=self.grad_tol,
+        return BmConfig(max_iters=self.max_iters, grad_tol=self.grad_tol,
                         restarts=self.restarts, seed=self.seed)
 
 
@@ -71,8 +71,8 @@ class _SdpClustering(_SdpEstimatorBase):
     """A clustering program of the problem table, labels read off its solution."""
 
     def _fit(self, A, problem, params):
-        config = PierraConfig(epsilon=self.epsilon, max_iters=self.max_iters,
-                              feas_tol=self.feas_tol, obj_tol=self.obj_tol)
+        config = PierraConfig(max_iters=self.max_iters, feas_tol=self.feas_tol,
+                              obj_tol=self.obj_tol)
         self.denoised_, self.report_ = PROBLEMS[problem].solve(A, params, config)
         self.labels_ = extract_communities(self.denoised_, self.n_clusters, seed=self.seed)
         return self
@@ -86,11 +86,10 @@ class SdpSignedClustering(_SdpClustering):
     max <A - alpha J, Z> over {Z psd, Z in [0,1], diag(Z) = 1}, then read
     communities off the top eigenvectors of the solution."""
 
-    def __init__(self, n_clusters=2, alpha=0.0, epsilon=None, max_iters=50_000,
-                 feas_tol=1e-7, obj_tol=1e-9, seed=0):
+    def __init__(self, n_clusters=2, alpha=0.0, max_iters=50_000, feas_tol=1e-7,
+                 obj_tol=1e-9, seed=0):
         self.n_clusters = n_clusters
         self.alpha = alpha
-        self.epsilon = epsilon
         self.max_iters = max_iters
         self.feas_tol = feas_tol
         self.obj_tol = obj_tol
@@ -105,11 +104,10 @@ class SdpCommunityClustering(_SdpClustering):
     {Z psd, Z >= 0, diag(Z) <= 1, sum(Z) <= lam}; ``lam=None`` uses the
     balanced-community value n^2 / n_clusters."""
 
-    def __init__(self, n_clusters=2, lam=None, epsilon=None, max_iters=50_000,
-                 feas_tol=1e-7, obj_tol=1e-9, seed=0):
+    def __init__(self, n_clusters=2, lam=None, max_iters=50_000, feas_tol=1e-7,
+                 obj_tol=1e-9, seed=0):
         self.n_clusters = n_clusters
         self.lam = lam
-        self.epsilon = epsilon
         self.max_iters = max_iters
         self.feas_tol = feas_tol
         self.obj_tol = obj_tol
@@ -125,8 +123,7 @@ class SdpAngularSynchronization(_SdpEstimatorBase):
     """Phase recovery: max <A, Z> over Hermitian {Z psd, diag(Z) = 1} via the
     low-rank factorization solver, then the scaled top eigenvector."""
 
-    def __init__(self, rank=None, max_iters=20_000, grad_tol=1e-7, restarts=3, seed=0):
-        self.rank = rank
+    def __init__(self, max_iters=20_000, grad_tol=1e-7, restarts=3, seed=0):
         self.max_iters = max_iters
         self.grad_tol = grad_tol
         self.restarts = restarts
@@ -147,9 +144,7 @@ class SdpMaxCut(_SdpEstimatorBase):
     """Goemans-Williamson pipeline: max <-A, Z> over {Z psd, diag(Z) = 1} via the
     low-rank solver (``report_.objective`` is ``<-A, gram_>``), then hyperplane rounding."""
 
-    def __init__(self, rank=None, gw_samples=200, max_iters=20_000, grad_tol=1e-7,
-                 restarts=3, seed=0):
-        self.rank = rank
+    def __init__(self, gw_samples=200, max_iters=20_000, grad_tol=1e-7, restarts=3, seed=0):
         self.gw_samples = gw_samples
         self.max_iters = max_iters
         self.grad_tol = grad_tol

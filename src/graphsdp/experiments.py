@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+_COUNTS = ("n", "gw_samples")     # params that count something, so at least 1
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,8 @@ class ExperimentConfig:
             )
         for name, value in self.params.items():
             check_value(f"param '{name}'", value, kinds[name])
+            if name in _COUNTS and value < 1:
+                raise InvalidInputError(f"param '{name}' must be >= 1, got {value!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -184,6 +187,10 @@ def _status(report):
     return "ok" if report.converged else f"solver_{report.termination}"
 
 
+# denoising needs only a moderately accurate solve
+_DENOISING_CONFIG = PierraConfig(max_iters=20_000, feas_tol=1e-5, obj_tol=1e-7)
+
+
 def _cell_signed_before_after(params, axes, seed):
     ssbm = SsbmParams(
         n=params["n"], n_clusters=params["K"], p=params["p"], q=params["q"],
@@ -191,13 +198,7 @@ def _cell_signed_before_after(params, axes, seed):
     )
     inst = gen_ssbm(ssbm, seed=seed)
     signed = PROBLEMS["signed"]
-    # denoising needs only a moderately accurate solve
-    Z_hat, report = signed.solve(
-        inst.observed, inst.params,
-        PierraConfig(max_iters=params.get("max_iters", 20000),
-                     feas_tol=params.get("feas_tol", 1e-5),
-                     obj_tol=params.get("obj_tol", 1e-7)),
-    )
+    Z_hat, report = signed.solve(inst.observed, inst.params, _DENOISING_CONFIG)
     status = _status(report)
     K = params["K"]
 
@@ -213,19 +214,15 @@ def _cell_signed_before_after(params, axes, seed):
     return rows
 
 
-_BM_PARAMS = {"max_iters": int, "restarts": int}
-
-
-def _bm_config(params, seed):
-    return BmConfig(max_iters=params.get("max_iters", 20000),
-                    restarts=params.get("restarts", 2), seed=seed)
+def _bm_config(seed):
+    return BmConfig(restarts=2, seed=seed)
 
 
 def _round_maxcut(inst, params, seed):
     """Solve a masked cut instance by BM, round it on the full graph:
     (best sign vector, mean sampled cut, status)."""
     Z_hat, report = PROBLEMS["maxcut"].solve(
-        inst.observed, {"mask_prob": inst.mask_prob}, bm_config=_bm_config(params, seed)
+        inst.observed, {"mask_prob": inst.mask_prob}, bm_config=_bm_config(seed)
     )
     x, mean_cut = gw_round(Z_hat, inst.full_adjacency, params["gw_samples"], seed=seed)
     return x, mean_cut, _status(report)
@@ -279,7 +276,7 @@ def _cell_sync(noise_model):
                        **kwargs),
             seed=seed,
         )
-        Z_hat, report = sync.solve(inst.observed, inst.params, bm_config=_bm_config(params, seed))
+        Z_hat, report = sync.solve(inst.observed, inst.params, bm_config=_bm_config(seed))
         phases_sdp = np.angle(extract_phases(Z_hat))
         phases_spec = np.angle(spectral_sync(inst.observed))
         return [{
@@ -296,7 +293,6 @@ EXPERIMENTS = {
         group_cols=("algorithm",),
         value_cols=("gamma_before", "gamma_after", "gamma_delta"),
         cell_fn=_cell_signed_before_after,
-        optional={"max_iters": int, "feas_tol": float, "obj_tol": float},
         desk_defaults={"n": 200, "K": 5, "p": 0.8, "q": 0.2, "delta": 0.3},
         full_defaults={"n": 200, "K": 5, "p": 0.8, "q": 0.2, "delta": 0.3},
     ),
@@ -305,7 +301,6 @@ EXPERIMENTS = {
         group_cols=("eta", "delta"),
         value_cols=("ari", "best_cut", "mean_cut"),
         cell_fn=_cell_maxcut_bipartite,
-        optional=_BM_PARAMS,
         desk_defaults={"n": 100, "eta_grid": [0.0, 0.05, 0.1],
                        "delta_grid": [0.3, 0.6, 1.0], "gw_samples": 100},
         full_defaults={"n": 500, "eta_grid": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5],
@@ -317,7 +312,7 @@ EXPERIMENTS = {
         group_cols=("delta",),
         value_cols=("cut_full",),
         cell_fn=_cell_gset_sweep,
-        optional={**_BM_PARAMS, "gset_path": str},
+        optional={"gset_path": str},
         setup=_benchmark_graph,
         desk_defaults={"n": 150, "avg_degree": 12.0, "graph_seed": 53,
                        "delta_grid": [0.2, 0.5, 0.8, 1.0], "gw_samples": 100},
@@ -330,7 +325,6 @@ EXPERIMENTS = {
         group_cols=("level", "sample_prob"),
         value_cols=("mse_sdp", "mse_spectral"),
         cell_fn=_cell_sync("gaussian"),
-        optional=_BM_PARAMS,
         desk_defaults={"n": 100, "level_grid": [0.0, 0.25, 0.5, 1.0],
                        "prob_grid": [0.3, 0.6, 1.0]},
         full_defaults={"n": 500, "level_grid": [0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2],
@@ -341,7 +335,6 @@ EXPERIMENTS = {
         group_cols=("level", "sample_prob"),
         value_cols=("mse_sdp", "mse_spectral"),
         cell_fn=_cell_sync("outlier"),
-        optional=_BM_PARAMS,
         desk_defaults={"n": 100, "level_grid": [0.0, 0.2, 0.4, 0.6],
                        "prob_grid": [0.3, 0.6, 1.0]},
         full_defaults={"n": 500, "level_grid": [0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9],

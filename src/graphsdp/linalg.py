@@ -71,11 +71,9 @@ def check_value(name: str, value, kind) -> None:
 def check_fields(config, kinds: dict, positive=(), nonnegative=()) -> None:
     """Reject a dataclass field whose value is not of its kind in ``kinds``
     (see :func:`check_value`), one in ``positive`` that is not > 0, or one in
-    ``nonnegative`` that is < 0.  None passes where it is the field's default."""
+    ``nonnegative`` that is < 0."""
     for name, kind in kinds.items():
         value = getattr(config, name)
-        if value is None and config.__dataclass_fields__[name].default is None:
-            continue
         check_value(name, value, kind)
         if name in positive and value <= 0:
             raise InvalidInputError(f"{name} must be > 0, got {value!r}")
@@ -334,8 +332,8 @@ def _inverse_iteration_top(H: np.ndarray) -> np.ndarray:
         f"inverse iteration found no top eigenvector in {_MAX_STEPS} steps")
 
 
-def top_eigenvector(M: np.ndarray, target_norm: float = 1.0) -> np.ndarray:
-    """Eigenvector of the largest eigenvalue, scaled to ``target_norm``.
+def top_eigenvector(M: np.ndarray) -> np.ndarray:
+    """Unit eigenvector of the largest eigenvalue.
 
     A short Lanczos run from a fixed start goes first (see
     ``_lanczos_top``): its top Ritz vector is returned once its explicit
@@ -367,7 +365,7 @@ def top_eigenvector(M: np.ndarray, target_norm: float = 1.0) -> np.ndarray:
             v = v * (pivot.conjugate() / abs(pivot))
         elif pivot.real < 0:
             v = -v
-    return v * target_norm
+    return v
 
 
 def frobenius_norm(M: np.ndarray) -> float:

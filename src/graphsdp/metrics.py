@@ -326,6 +326,9 @@ def _localization_atom(kind: str, EA, Z_star, r: float) -> ConstraintAtom:
     raise InvalidInputError(f"unknown localization '{kind}'")
 
 
+_FIXED_POINT_CONFIG = PierraConfig(feas_tol=1e-6)    # the inner solves' settings
+
+
 def estimate_fixed_point(
     generator: Callable[[np.random.Generator], tuple],
     atoms: Sequence[ConstraintAtom],
@@ -334,7 +337,6 @@ def estimate_fixed_point(
     n_mc: int,
     r_grid: Sequence[float],
     seed: int = 0,
-    solver_config: Optional[PierraConfig] = None,
 ) -> FixedPointEstimate:
     """Monte Carlo estimate of the localization fixed point.
 
@@ -347,9 +349,9 @@ def estimate_fixed_point(
     excluded and counted; above 10% exclusions the estimate is flagged
     unreliable, and a grid that never resolves is flagged unresolved.
 
-    The inner programs run at a looser feasibility tolerance (1e-6 by
-    default) than estimation solves; the reported suprema are therefore
-    conservative up to that tolerance.
+    The inner programs run at a looser feasibility tolerance
+    (``_FIXED_POINT_CONFIG``, 1e-6) than estimation solves; the reported
+    suprema are therefore conservative up to that tolerance.
     """
     if localization not in LOCALIZATIONS:
         raise InvalidInputError(f"localization must be one of {LOCALIZATIONS}")
@@ -360,7 +362,6 @@ def estimate_fixed_point(
     r_grid = [float(r) for r in r_grid]
     if not r_grid or any(r <= 0 for r in r_grid) or sorted(r_grid) != r_grid:
         raise InvalidInputError("r_grid must be positive and sorted ascending")
-    config = solver_config or PierraConfig(feas_tol=1e-6)
 
     sups = []
     n_flagged = 0
@@ -374,7 +375,8 @@ def estimate_fixed_point(
         for r in r_grid:
             loc = _localization_atom(localization, EA, Z_star, r)
             # warm-start along the ascending grid: the localities are nested
-            _, report = pierra_solve(W, list(atoms) + [loc], config, warm_start=state)
+            _, report = pierra_solve(W, list(atoms) + [loc], _FIXED_POINT_CONFIG,
+                                     warm_start=state)
             if not report.converged:
                 n_flagged += 1
                 break

@@ -89,9 +89,8 @@ def extract_phases(Z: np.ndarray) -> np.ndarray:
 
     No entrywise normalization: the estimator is the raw scaled eigenvector.
     """
-    Z = np.asarray(Z)
-    n = len(Z) if Z.ndim else 0     # top_eigenvector checks Z
-    return top_eigenvector(Z, target_norm=float(np.sqrt(n)))
+    v = top_eigenvector(Z)
+    return v * np.sqrt(v.size)
 
 
 def spectral_sync(A: np.ndarray) -> np.ndarray:

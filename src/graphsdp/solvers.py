@@ -157,23 +157,21 @@ _ENTRY_BOUNDS = {
 class PierraConfig:
     """ADMM knobs.
 
-    ``epsilon`` is the initial objective step ``1/rho_0`` (the inverse of
-    the starting penalty); ``None`` auto-scales it to ``sqrt(n) / ||M||_F``,
-    which keeps the per-sweep drift commensurate with the feasible set's
-    diameter.  The penalty then adapts every 10 sweeps.  The sweeps are
-    always Anderson-accelerated, with a memory fixed at 5 steps and a
-    safeguard that falls back to the plain step whenever an extrapolated
-    point raises the fixed-point residual; ``max_iters`` counts every
-    sweep, rejected ones included.
+    A cold solve starts at the penalty ``||M||_F / sqrt(n)``, which keeps
+    the per-sweep drift commensurate with the feasible set's diameter, and
+    the penalty then adapts every 10 sweeps.  The sweeps are always
+    Anderson-accelerated, with a memory fixed at 5 steps and a safeguard
+    that falls back to the plain step whenever an extrapolated point raises
+    the fixed-point residual; ``max_iters`` counts every sweep, rejected
+    ones included.
     """
 
-    epsilon: Optional[float] = None
     max_iters: int = 50_000
     feas_tol: float = 1e-7
     obj_tol: float = 1e-9
 
     def __post_init__(self):
-        kinds = {"epsilon": float, "max_iters": int, "feas_tol": float, "obj_tol": float}
+        kinds = {"max_iters": int, "feas_tol": float, "obj_tol": float}
         check_fields(self, kinds, positive=kinds)
 
 
@@ -181,10 +179,9 @@ class PierraConfig:
 class BmConfig:
     """Low-rank factorization knobs.
 
-    ``rank=None`` adapts the factor's rank: each restart starts with
-    ``min(4, bm_rank(n))`` columns and grows only when the certificate
-    rejects a full-rank factor, never beyond the cap :func:`bm_rank`; an
-    integer ``rank`` is fixed.  ``restarts`` is the most seeded starts that
+    Each restart starts with ``min(4, bm_rank(n))`` columns, which grow
+    only when the certificate rejects a full-rank factor, never beyond the
+    cap :func:`bm_rank`.  ``restarts`` is the most seeded starts that
     run: the first one whose dual certificate proves it optimal to
     ``grad_tol * (1 + |objective|)`` ends the solve.  ``max_iters`` is one
     restart's budget, shared by its first descent and the descents after
@@ -192,16 +189,14 @@ class BmConfig:
     once the gradient norm is at most ``grad_tol * (1 + ||M||_F)``.
     """
 
-    rank: Optional[int] = None
     max_iters: int = 20_000
     grad_tol: float = 1e-7
     restarts: int = 3
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self, {"rank": int, "max_iters": int, "grad_tol": float,
-                            "restarts": int, "seed": int},
-                     positive=("rank", "max_iters", "grad_tol", "restarts"),
+        check_fields(self, {"max_iters": int, "grad_tol": float, "restarts": int, "seed": int},
+                     positive=("max_iters", "grad_tol", "restarts"),
                      nonnegative=("seed",))
 
 
@@ -527,8 +522,7 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
     if warm_start is not None:
         Z, U, rho = warm_start
     else:
-        eps = config.epsilon if config.epsilon is not None else _auto_epsilon(M)
-        Z, U, rho = np.zeros_like(M), np.zeros_like(M), 1.0 / eps
+        Z, U, rho = np.zeros_like(M), np.zeros_like(M), 1.0 / _auto_epsilon(M)
     y = Z + U
     accel = _Anderson(y)
     V = np.empty_like(M)    # 2Z - y + M/rho
@@ -629,7 +623,7 @@ def pierra_signed(A: np.ndarray, alpha: float, config: PierraConfig | None = Non
 # ---------------------------------------------------------------------------
 # low-rank factorization on the product of spheres / circles
 
-_BM_START_RANK = 4            # columns an adaptive restart starts with
+_BM_START_RANK = 4            # columns a restart starts with
 _BM_REFERENCE_WEIGHT = 0.85   # eta of the descent's Zhang-Hager reference value
 # a factor has full column rank when the least eigenvalue of Y* Y exceeds
 # this share of the largest
@@ -838,14 +832,14 @@ def bm_solve(M: np.ndarray, sense: str = "max", config: BmConfig | None = None):
     escapes along the bottom eigenvector of S and descends again; the
     descents and escapes of one restart share its ``max_iters`` budget.
 
-    ``config.rank=None`` adapts the rank: each restart starts with
-    ``min(4, bm_rank(n))`` columns, and a factor that the certificate
-    rejects while it has full column rank (a rank-deficient one escapes
-    instead) gains columns along the bottom eigenvectors of S, up to twice
-    its rank and never beyond the cap ``bm_rank(n)``, where the guarantee
-    that every local optimum is global holds.  An integer rank is fixed.
-    At most ``config.restarts`` restarts run: the first certified one ends
-    the solve, otherwise the best one wins, ties to the lowest index.
+    Each restart starts with ``min(4, bm_rank(n))`` columns, and a factor
+    that the certificate rejects while it has full column rank (a
+    rank-deficient one escapes instead) gains columns along the bottom
+    eigenvectors of S, up to twice its rank and never beyond the cap
+    ``bm_rank(n)``, where the guarantee that every local optimum is global
+    holds.  At most ``config.restarts`` restarts run: the first certified
+    one ends the solve, otherwise the best one wins, ties to the lowest
+    index.
 
     Returns ``(Y, Z_hat, SolveReport)`` with ``Z_hat = Y @ Y*``; the
     report's ``gap`` is the bound of the returned point, and its
@@ -858,8 +852,8 @@ def bm_solve(M: np.ndarray, sense: str = "max", config: BmConfig | None = None):
     config = config or BmConfig()
     M = symmetrize(M, "objective")
     n = M.shape[0]
-    cap = config.rank if config.rank is not None else bm_rank(n)
-    p = config.rank if config.rank is not None else min(_BM_START_RANK, cap)
+    cap = bm_rank(n)
+    p = min(_BM_START_RANK, cap)
     sgn = 1.0 if sense == "min" else -1.0
     C = sgn * M
     scale = frobenius_norm(M)

@@ -89,6 +89,19 @@ class TestGenerateSolveRoundEvaluate:
         assert "max_iter" in capsys.readouterr().err
         assert not (tmp_path / "r.coo").exists()
 
+    @pytest.mark.parametrize("key", ["rank", "epsilon"])
+    def test_starting_rank_and_step_are_unknown_config_keys(self, tmp_path, capsys, key):
+        # the factor's rank adapts and a cold splitting solve scales its own
+        # first step: neither is a solver setting
+        inst = tmp_path / "inst"
+        run(["generate", "--problem", "signed", "--n", 8, "--k", 2, "--seed", 0,
+             "--out", inst])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 4}))
+        assert run(["solve", "--in", inst, "--config", cfg, "--out", tmp_path / "r"]) == 2
+        assert f"unknown solver config keys ['{key}']" in capsys.readouterr().err
+        assert not (tmp_path / "r.coo").exists()
+
     def test_non_numeric_config_value_is_invalid_input(self, tmp_path, capsys):
         inst = tmp_path / "inst"
         run(["generate", "--problem", "signed", "--n", 8, "--k", 2, "--seed", 0,
@@ -153,6 +166,20 @@ class TestClusterCommand:
         assert run(["cluster", "--in", inst, "--input", "sdp", "--solution", res,
                     "--algo", "adjacency", "--out", sdp_out]) == 0
         assert read_json(sdp_out)["ari"] == 1.0
+
+    def test_in_process_solve_equals_a_saved_solution(self, tmp_path):
+        # --input sdp without --solution solves the instance as `solve` does
+        inst = tmp_path / "inst"
+        run(["generate", "--problem", "signed", "--n", 16, "--k", 2, "--p", 0.95,
+             "--q", 0.05, "--delta", 0.9, "--seed", 7, "--out", inst])
+        res = tmp_path / "res"
+        assert run(["solve", "--in", inst, "--out", res]) == 0
+        saved, in_process = tmp_path / "saved.json", tmp_path / "in_process.json"
+        assert run(["cluster", "--in", inst, "--input", "sdp", "--solution", res,
+                    "--algo", "bnc", "--out", saved]) == 0
+        assert run(["cluster", "--in", inst, "--input", "sdp", "--algo", "bnc",
+                    "--out", in_process]) == 0
+        assert file_bytes(saved) == file_bytes(in_process)
 
     def test_k_zero_is_invalid_input(self, tmp_path, capsys):
         # --k 0 reaches k-means, which needs 1 <= K <= n, instead of giving
@@ -231,6 +258,14 @@ class TestFixedPointCommand:
         assert f"--n-mc must be > 0, got {n_mc}" in capsys.readouterr().err
         assert not Path(str(out) + ".csv").exists()
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_non_positive_n_names_the_param(self, tmp_path, capsys, n):
+        out = tmp_path / "fp"
+        assert run(["fixed-point", "--n", n, "--n-mc", 2, "--r-grid", "5,20",
+                    "--out", out]) == 2
+        assert f"param 'n' must be >= 1, got {n}" in capsys.readouterr().err
+        assert not Path(str(out) + ".csv").exists()
+
     def test_writes_the_experiment_header(self, tmp_path, monkeypatch):
         # a column the curve gains reaches the CLI's csv
         spec = EXPERIMENTS["fixed_point_curve"]
@@ -278,7 +313,7 @@ class TestExperimentCommand:
         ("sync_heatmap_gaussian", {"n": "8", "level_grid": [0.1], "prob_grid": [1.0]}, "n"),
         ("fixed_point_curve", {"n": "8"}, "n"),
         ("sync_heatmap_gaussian", {"n": 8, "level_grid": 0.1}, "level_grid"),
-        ("maxcut_gset_sweep", {"n": 8, "max_iters": 1.5}, "max_iters"),
+        ("maxcut_gset_sweep", {"n": 8, "gset_path": 1.5}, "gset_path"),
     ])
     def test_param_of_the_wrong_kind_is_invalid_input(self, tmp_path, capsys, experiment,
                                                       params, key):
@@ -340,6 +375,16 @@ class TestGsetCommand:
         assert run(["gset", "--in", f, "--sweep", "--delta-grid", "1.0",
                     "--replicates", 1, "--out", out]) == 2
         assert "line 2: non-finite weight" in capsys.readouterr().err
+        assert not Path(str(out) + ".csv").exists()
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_sweep_without_samples_is_invalid_input(self, tmp_path, capsys, samples):
+        # rejected before any cell runs, not one error row per cell
+        f = tmp_path / "g.gset"
+        f.write_text("4 4\n1 2 1\n2 3 1\n3 4 1\n4 1 1\n")
+        out = tmp_path / "sweep"
+        assert run(["gset", "--in", f, "--sweep", "--samples", samples, "--out", out]) == 2
+        assert f"param 'gw_samples' must be >= 1, got {samples}" in capsys.readouterr().err
         assert not Path(str(out) + ".csv").exists()
 
     def test_malformed_file_exit_code(self, tmp_path):

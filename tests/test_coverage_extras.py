@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from graphsdp import metrics
 from graphsdp.cli import main
 from graphsdp.experiments import ExperimentConfig, run_experiment
 from graphsdp.fileio import read_csv, read_json, render_gset, parse_gset
@@ -40,14 +41,14 @@ class TestFixedPointFlagging:
 
         return generator
 
-    def test_nonconverged_replicates_are_excluded_and_counted(self):
+    def test_nonconverged_replicates_are_excluded_and_counted(self, monkeypatch):
         from graphsdp.solvers import signed_atoms
         # a 3-iteration budget cannot converge: everything gets flagged
         starved = PierraConfig(max_iters=3, feas_tol=1e-12, obj_tol=1e-14)
+        monkeypatch.setattr(metrics, "_FIXED_POINT_CONFIG", starved)
         with pytest.raises(InvalidInputError):
             estimate_fixed_point(self.make_generator(), signed_atoms(), "l1",
-                                 0.2, 5, [1.0, 2.0], seed=0,
-                                 solver_config=starved)
+                                 0.2, 5, [1.0, 2.0], seed=0)
 
     def test_unreliable_flag_via_partial_budget(self):
         from graphsdp.solvers import signed_atoms

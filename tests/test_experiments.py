@@ -1,8 +1,10 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from graphsdp import _rng, experiments
-from graphsdp.experiments import ExperimentConfig, run_experiment, run_grid
+from graphsdp.experiments import EXPERIMENTS, ExperimentConfig, run_experiment, run_grid
 from graphsdp.fileio import GsetGraph, parse_gset, read_csv, render_gset
 from graphsdp.linalg import InvalidInputError
 from graphsdp.problems import signed_ground_truth_matrix
@@ -35,8 +37,6 @@ class TestConfig:
                                 ("sync_heatmap_gaussian", {"level_grid": []}),
                                 ("sync_heatmap_gaussian", {"prob_grid": [1.0, "0.5"]}),
                                 ("sync_heatmap_gaussian", {"prob_grid": [True]}),
-                                ("sync_heatmap_outlier", {"restarts": "2"}),
-                                ("signed_before_after", {"feas_tol": "1e-5"}),
                                 ("signed_before_after", {"p": None}),
                                 ("maxcut_bipartite_heatmap", {"gw_samples": 10.0}),
                                 ("maxcut_gset_sweep", {"gset_path": 5}),
@@ -48,11 +48,31 @@ class TestConfig:
             with pytest.raises(InvalidInputError, match=f"'{next(iter(bad))}'"):
                 ExperimentConfig(experiment, params=bad)
 
+    def test_solver_settings_are_unknown_params(self):
+        # every cell solves with fixed settings: no experiment takes solver params
+        for experiment, key in (("signed_before_after", "max_iters"),
+                                ("signed_before_after", "feas_tol"),
+                                ("signed_before_after", "obj_tol"),
+                                ("maxcut_bipartite_heatmap", "max_iters"),
+                                ("maxcut_gset_sweep", "restarts"),
+                                ("sync_heatmap_gaussian", "max_iters"),
+                                ("sync_heatmap_outlier", "restarts")):
+            with pytest.raises(InvalidInputError, match=f"unknown params.*'{key}'"):
+                ExperimentConfig(experiment, params={key: 2})
+
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_counts_below_one_are_rejected(self, experiment):
+        # a size or a sample count below 1 fails before any cell runs
+        counts = [k for k in ("n", "gw_samples") if k in EXPERIMENTS[experiment].desk_defaults]
+        for key, bad in product(counts, (0, -3)):
+            with pytest.raises(InvalidInputError, match=f"param '{key}' must be >= 1, got {bad}"):
+                ExperimentConfig(experiment, params={key: bad})
+        ExperimentConfig(experiment, params=dict.fromkeys(counts, 1))
+
     def test_param_values_of_their_kind_pass(self):
         # an integer is a real number; a grid may be a tuple
         ExperimentConfig("sync_heatmap_gaussian",
-                         params={"n": 8, "level_grid": [0, 0.5], "prob_grid": (1,),
-                                 "max_iters": 100})
+                         params={"n": 8, "level_grid": [0, 0.5], "prob_grid": (1,)})
         ExperimentConfig("fixed_point_curve", params={"p": 1, "K": 3, "graph_seed": 3})
         ExperimentConfig("maxcut_gset_sweep", params={"gset_path": "g.txt"})
 
@@ -258,7 +278,7 @@ def test_unconverged_cell_reads_its_stop_reason(monkeypatch):
     # a gradient tolerance below roundoff stalls BM (as in test_stop_reasons);
     # the row names that stop, not an exhausted budget
     monkeypatch.setattr(experiments, "_bm_config",
-                        lambda params, seed: BmConfig(grad_tol=1e-30, restarts=1))
+                        lambda seed: BmConfig(grad_tol=1e-30, restarts=1))
     rows, _ = run_grid(ExperimentConfig("sync_heatmap_gaussian", params={
         "n": 12, "level_grid": [0.3], "prob_grid": [1.0]}, replicates=2, seed=0))
     assert [row["status"] for row in rows] == ["solver_stalled"] * 2

@@ -167,12 +167,13 @@ def phase_pivot(v):
     return int(np.argmax(mod >= (1 - 1e-8) * mod.max()))
 
 
-def assert_top_eigenvector(M, v, target_norm=1.0):
-    """Unit top eigenvector up to the oracle test's residual bound, with the
-    sign convention on the first entry of (up to 1e-8) largest modulus."""
+def assert_top_eigenvector(M, v, norm=1.0):
+    """Top eigenvector of the given norm up to the oracle test's residual
+    bound, with the sign convention on the first entry of (up to 1e-8)
+    largest modulus."""
     lam_oracle = np.linalg.eigvalsh(symmetrize(M)).max()
-    assert abs(np.linalg.norm(v) - target_norm) <= 1e-12 * target_norm
-    u = v / target_norm
+    assert abs(np.linalg.norm(v) - norm) <= 1e-12 * norm
+    u = v / norm
     assert np.linalg.norm(M @ u - lam_oracle * u) <= 1e-8 * (1 + frobenius_norm(M))
     pivot = u[phase_pivot(u)]
     assert pivot.real >= 0 and abs(pivot.imag) <= 1e-12
@@ -198,11 +199,11 @@ def count_exact_path(monkeypatch):
     return calls
 
 
-def exact_path(M, target_norm=1.0):
+def exact_path(M):
     """top_eigenvector with the Lanczos attempt switched off."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_lanczos_top", lambda H: None)
-        return top_eigenvector(M, target_norm)
+        return top_eigenvector(M)
 
 
 def planted_gap(n, gap, rng, complex_valued):
@@ -213,11 +214,11 @@ def planted_gap(n, gap, rng, complex_valued):
 class TestTopEigenvector:
     def test_rank_one(self):
         x = np.array([1.0, 1.0]) / np.sqrt(2)
-        v = top_eigenvector(np.outer(x, x), target_norm=np.sqrt(2))
+        v = top_eigenvector(np.outer(x, x)) * np.sqrt(2)
         assert np.allclose(v, np.array([1.0, 1.0]), atol=1e-10)
 
     def test_degenerate_spectrum_still_satisfies_residual(self):
-        v = top_eigenvector(np.eye(4), target_norm=1.0)
+        v = top_eigenvector(np.eye(4))
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
         resid = np.linalg.norm(np.eye(4) @ v - v)
         assert resid <= 1e-8
@@ -226,7 +227,7 @@ class TestTopEigenvector:
     def test_matches_full_decomposition_oracle(self, seed):
         rng = np.random.default_rng(300 + seed)
         M = random_symmetric(6, rng, complex_valued=True)
-        v = top_eigenvector(M, target_norm=1.0)
+        v = top_eigenvector(M)
         lam_oracle = np.linalg.eigvalsh(M).max()
         rayleigh = float(np.real(np.vdot(v, M @ v)))
         assert abs(rayleigh - lam_oracle) <= 1e-9 * (1 + abs(lam_oracle))
@@ -245,7 +246,7 @@ class TestTopEigenvector:
         # the Cholesky certificate, and the exact path finds u
         calls = count_exact_path(monkeypatch)
         M = orthogonal_to_start(n, np.random.default_rng(n), complex_valued)
-        assert_top_eigenvector(M, top_eigenvector(M, target_norm=np.sqrt(n)), np.sqrt(n))
+        assert_top_eigenvector(M, top_eigenvector(M) * np.sqrt(n), np.sqrt(n))
         assert calls == [1]
 
     @pytest.mark.parametrize("complex_valued", [False, True])
@@ -352,11 +353,12 @@ class TestTopEigenvector:
             mp.setattr(linalg.np.linalg, "eigvalsh", refuse)
             mp.setattr(linalg.np.linalg, "cholesky", refuse)
             mp.setattr(linalg, "_inverse_iteration_top", refuse)
-            fast = {name: top_eigenvector(M, np.sqrt(n)) for name, M in (("Z", Z), ("A", inst.observed))}
+            fast = {name: top_eigenvector(M) * np.sqrt(n)
+                    for name, M in (("Z", Z), ("A", inst.observed))}
         for name, M in (("Z", Z), ("A", inst.observed)):
             assert_top_eigenvector(M, fast[name], np.sqrt(n))
             # the convention picks the same pivot, so the two paths agree entrywise
-            assert np.max(np.abs(fast[name] - exact_path(M, np.sqrt(n)))) <= 1e-9, name
+            assert np.max(np.abs(fast[name] - exact_path(M) * np.sqrt(n))) <= 1e-9, name
 
     @pytest.mark.parametrize("complex_valued", [False, True])
     @pytest.mark.parametrize("n", [40, 150])
@@ -387,7 +389,7 @@ class TestTopEigenvector:
         x = np.exp(1j * rng.uniform(0, 2 * np.pi, 50))
         Z = np.outer(x, x.conj())
         for M in (Z, Z * (1 + 1e-13 * rng.standard_normal((50, 50)))):
-            v = top_eigenvector(M, np.sqrt(50))
+            v = top_eigenvector(M) * np.sqrt(50)
             assert abs(v[0] - 1.0) <= 1e-10
         # beyond the margin, modulus still decides
         x = np.array([1.0, -(1 + 1e-6)])

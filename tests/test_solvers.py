@@ -63,6 +63,18 @@ def all_atoms_for_tests(n, rng):
     ]
 
 
+def fix_rank(monkeypatch, k):
+    """Hold every factor of ``bm_solve`` at k columns: it starts at k and
+    the cap is k."""
+    monkeypatch.setattr(solvers, "bm_rank", lambda n: k)
+    monkeypatch.setattr(solvers, "_BM_START_RANK", k)
+
+
+def cold_start(M, epsilon):
+    """A warm start equal to a cold solve's, at the initial step ``epsilon``."""
+    return np.zeros(np.shape(M)), np.zeros(np.shape(M)), 1.0 / epsilon
+
+
 def project_atom(atom, Z):
     """The exact projection onto one atom: :func:`project_psd` for the cone,
     else the one-atom case of the set projection."""
@@ -422,15 +434,13 @@ class TestPierra:
             pierra_solve(np.full((2, 2), np.nan), unit_diag_atoms())
         with pytest.raises(InvalidInputError):
             pierra_solve(np.eye(2), community_atoms(0.0))
-        with pytest.raises(InvalidInputError):
-            PierraConfig(epsilon=-1.0)
         # JSON overrides can carry strings, lists or booleans
         for bad in ({"max_iters": "5"}, {"max_iters": 5.0}, {"max_iters": True},
-                    {"feas_tol": "1e-7"}, {"obj_tol": None}, {"epsilon": [1.0]},
+                    {"feas_tol": "1e-7"}, {"obj_tol": None},
                     {"max_iters": -5}, {"max_iters": 0}):
             with pytest.raises(InvalidInputError, match=next(iter(bad))):
                 PierraConfig(**bad)
-        assert PierraConfig(max_iters=np.int64(5), feas_tol=1, epsilon=None).max_iters == 5
+        assert PierraConfig(max_iters=np.int64(5), feas_tol=1).max_iters == 5
 
     MALFORMED_ATOMS = {
         "l1_radius_nan": lambda: l1_ball_around(np.eye(4), np.nan),
@@ -537,8 +547,8 @@ class TestPierra:
         inst = gen_ssbm(SsbmParams(n=n, n_clusters=2, p=0.8, q=0.2, delta=delta), seed=seed)
         M = inst.observed - inst.params["alpha"]
         epsilon = factor * np.sqrt(n) / frobenius_norm(M)
-        _, report = pierra_signed(inst.observed, inst.params["alpha"],
-                                  PierraConfig(epsilon=epsilon, max_iters=budget))
+        _, report = pierra_solve(M, signed_atoms(), PierraConfig(max_iters=budget),
+                                 warm_start=cold_start(M, epsilon))
         _, default = pierra_signed(inst.observed, inst.params["alpha"])
         assert report.converged
         assert abs(report.objective - default.objective) <= 1e-6 * abs(default.objective)
@@ -551,10 +561,11 @@ class TestPierra:
         inst = gen_ssbm(SsbmParams(n=30, n_clusters=3, p=0.8, q=0.2, delta=0.6), seed=0)
         M = symmetrize(inst.observed - inst.params["alpha"])
         epsilon = factor * np.sqrt(30) / frobenius_norm(M)
-        config = lambda k: PierraConfig(epsilon=epsilon, max_iters=k)
-        state = pierra_solve(M, signed_atoms(), config(10))[1].state
+        config = lambda k: PierraConfig(max_iters=k)
+        start = cold_start(M, epsilon)
+        state = pierra_solve(M, signed_atoms(), config(10), warm_start=start)[1].state
         assert state[2] != 1.0 / epsilon
-        full = pierra_solve(M, signed_atoms(), config(40))[1].objective_trace
+        full = pierra_solve(M, signed_atoms(), config(40), warm_start=start)[1].objective_trace
         resumed = pierra_solve(M, signed_atoms(), config(30), warm_start=state)[1].objective_trace
         assert np.allclose(full[10:], resumed, rtol=1e-12, atol=0)
 
@@ -564,8 +575,8 @@ class TestPierra:
         inst = gen_ssbm(SsbmParams(n=12, n_clusters=2, p=0.8, q=0.2, delta=0.8), seed=0)
         M = inst.observed - inst.params["alpha"]
         epsilon = 100 * np.sqrt(12) / frobenius_norm(M)
-        _, report = pierra_signed(inst.observed, inst.params["alpha"],
-                                  PierraConfig(epsilon=epsilon, max_iters=10_000))
+        _, report = pierra_solve(M, signed_atoms(), PierraConfig(max_iters=10_000),
+                                 warm_start=cold_start(M, epsilon))
         assert report.converged
         assert report.counters["penalty_changes"] > 0
         assert report.counters["rho"] != 1.0 / epsilon
@@ -743,7 +754,8 @@ class TestBm:
 
     def test_single_edge_antipodal(self):
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
-        Y, Z, report = bm_solve(A, "min", BmConfig(rank=2))
+        # n = 2: the factor starts at the cap, 2 columns
+        Y, Z, report = bm_solve(A, "min")
         assert abs(Z[0, 1] + 1.0) <= 1e-4
         assert abs(report.objective + 2.0) <= 1e-4
 
@@ -756,12 +768,13 @@ class TestBm:
         Zp, rp = pierra_solve(-A0, unit_diag_atoms())
         assert abs(rb.objective - rp.objective) <= 1e-3 * (1 + abs(rp.objective))
 
-    def test_full_rank_matches_pierra(self):
+    def test_full_rank_matches_pierra(self, monkeypatch):
         rng = np.random.default_rng(8)
         n = 12
         M = rng.standard_normal((n, n))
         M = (M + M.T) / 2
-        _, Zb, rb = bm_solve(M, "max", BmConfig(rank=n, seed=2))
+        fix_rank(monkeypatch, n)
+        _, Zb, rb = bm_solve(M, "max", BmConfig(seed=2))
         Zp, rp = pierra_solve(M, unit_diag_atoms())
         assert abs(rb.objective - rp.objective) <= 1e-3 * (1 + abs(rp.objective))
 
@@ -840,7 +853,8 @@ class TestBm:
                 calls[_key] += 1
                 return _fn(*args)
             monkeypatch.setattr(solvers, name, tally)
-        _, _, report = bm_solve(M, "max", BmConfig(rank=1, max_iters=200, restarts=3, seed=1))
+        fix_rank(monkeypatch, 1)
+        _, _, report = bm_solve(M, "max", BmConfig(max_iters=200, restarts=3, seed=1))
         # every restart stalls: each of its rounds tries an escape, the last in vain
         assert report.termination == "stalled"
         assert calls["eigvalsh"] == 0
@@ -860,13 +874,14 @@ class TestBm:
         assert r1.iterations == r3.iterations
 
     @pytest.mark.parametrize("complex_valued", [False, True])
-    def test_rank_one_is_not_certified(self, complex_valued):
+    def test_rank_one_is_not_certified(self, complex_valued, monkeypatch):
         rng = np.random.default_rng(21)
         M = rng.standard_normal((30, 30))
         if complex_valued:
             M = M + 1j * rng.standard_normal((30, 30))
         M = (M + M.conj().T) / 2
-        config = BmConfig(rank=1, max_iters=40, restarts=3, seed=1)
+        fix_rank(monkeypatch, 1)
+        config = BmConfig(max_iters=40, restarts=3, seed=1)
         _, _, report = bm_solve(M, "max", config)
         assert report.iterations <= config.restarts * config.max_iters
         assert not report.converged and report.gap > 0.0
@@ -1017,11 +1032,15 @@ class TestBm:
         # solve starts at rank 4, grows and matches the solve at the cap
         n = 80
         M = self._gaussian(n, 80)
-        Y4, _, fixed = bm_solve(M, "max", BmConfig(rank=4))
+        with monkeypatch.context() as m:
+            fix_rank(m, 4)
+            Y4, _, fixed = bm_solve(M, "max")
         assert fixed.termination == "stalled" and fixed.gap > 20.0
         assert Y4.shape[1] == fixed.counters["rank"] == 4
         assert fixed.counters["rank_increases"] == 0 and fixed.counters["escapes"] > 0
-        _, _, at_cap = bm_solve(M, "max", BmConfig(rank=bm_rank(n)))
+        with monkeypatch.context() as m:
+            fix_rank(m, bm_rank(n))
+            _, _, at_cap = bm_solve(M, "max")
         assert at_cap.counters["rank"] == bm_rank(n) and at_cap.counters["rank_increases"] == 0
         Y, Z, adaptive = bm_solve(M, "max")
         assert adaptive.converged and at_cap.converged
@@ -1042,13 +1061,14 @@ class TestBm:
         assert np.array_equal(again.objective_trace, adaptive.objective_trace)
         assert adaptive.counters["evaluations"] == len(evaluations) > adaptive.iterations
 
-    def test_descent_accepts_steps_against_the_reference_value(self):
+    def test_descent_accepts_steps_against_the_reference_value(self, monkeypatch):
         # the line search compares a trial with the Zhang-Hager reference,
         # a weighted mean of the accepted values, not with the last value:
         # some accepted steps raise the minimized value, none reaches the
         # reference (one descent: no escape, no growth)
         n = 40
-        _, _, report = bm_solve(self._gaussian(n, 80), "max", BmConfig(rank=bm_rank(n)))
+        fix_rank(monkeypatch, bm_rank(n))
+        _, _, report = bm_solve(self._gaussian(n, 80), "max")
         assert report.converged
         assert report.counters["escapes"] == report.counters["rank_increases"] == 0
         values = -report.objective_trace
@@ -1088,13 +1108,11 @@ class TestBm:
             assert value - optimum.objective <= gap
 
     def test_invalid(self):
-        with pytest.raises(InvalidInputError):
-            BmConfig(rank=0)
-        for bad in ({"rank": 2.0}, {"max_iters": "20"}, {"restarts": 1.5},
+        for bad in ({"max_iters": "20"}, {"restarts": 1.5},
                     {"seed": "0"}, {"seed": None}, {"grad_tol": "1e-7"},
                     {"max_iters": 0}, {"grad_tol": -1}, {"grad_tol": 0.0}, {"seed": -1}):
             with pytest.raises(InvalidInputError, match=next(iter(bad))):
                 BmConfig(**bad)
-        assert BmConfig(rank=None, seed=np.int64(3), grad_tol=1).seed == 3
+        assert BmConfig(seed=np.int64(3), grad_tol=1).seed == 3
         with pytest.raises(InvalidInputError):
             bm_solve(np.eye(2), "ascend")
