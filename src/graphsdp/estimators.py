@@ -8,15 +8,16 @@ attributes follow the trailing-underscore convention.
 
 from __future__ import annotations
 
-import inspect
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import InvalidInputError, check_square, is_hermitian, symmetrize_unchecked
+from .linalg import (InvalidInputError, check_fields, check_square, frobenius_norm,
+                     symmetrize_unchecked)
 from .metrics import cut_value
 from .problems import PROBLEMS
 from .rounding import expected_cut_closed_form, extract_communities, extract_phases, gw_round
-from .solvers import BmConfig, PierraConfig
+from .solvers import BmConfig
 
 __all__ = [
     "SdpSignedClustering",
@@ -27,18 +28,14 @@ __all__ = [
 
 
 class _SdpEstimatorBase:
-    """Minimal scikit-learn-compatible parameter handling."""
-
-    @classmethod
-    def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [p for p in sig.parameters if p != "self"]
+    """Minimal scikit-learn-compatible parameter handling: the parameters are
+    the fields of the estimator's dataclass, which also gives its repr."""
 
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def set_params(self, **params):
-        valid = set(self._param_names())
+        valid = {f.name for f in fields(self)}
         for key, value in params.items():
             if key not in valid:
                 raise InvalidInputError(
@@ -47,10 +44,6 @@ class _SdpEstimatorBase:
             setattr(self, key, value)
         return self
 
-    def __repr__(self):
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
-
     def _check_input(self, A, complex_ok=False):
         """``(A + A*) / 2`` after one finiteness scan of A (``check_square``);
         the solver scans the objective it is handed once more."""
@@ -58,22 +51,25 @@ class _SdpEstimatorBase:
         if np.iscomplexobj(A):
             if not complex_ok:
                 raise InvalidInputError("this estimator expects a real symmetric matrix")
-            if not is_hermitian(A, tol=1e-8):
+            if frobenius_norm(A - A.conj().T) > 1e-8 * (1.0 + frobenius_norm(A)):
                 raise InvalidInputError("input must be Hermitian")
         return symmetrize_unchecked(A)
-
-    def _bm_config(self):
-        return BmConfig(max_iters=self.max_iters, grad_tol=self.grad_tol,
-                        restarts=self.restarts, seed=self.seed)
 
 
 class _SdpClustering(_SdpEstimatorBase):
     """A clustering program of the problem table, labels read off its solution."""
 
+    def _check_input(self, A, complex_ok=False):
+        """The checked input, once ``n_clusters`` is known to be a count in [1, n]."""
+        A = super()._check_input(A, complex_ok)
+        check_fields(self, {"n_clusters": int}, positive=("n_clusters",))
+        if self.n_clusters > A.shape[0]:
+            raise InvalidInputError(
+                f"n_clusters must be <= n = {A.shape[0]}, got {self.n_clusters!r}")
+        return A
+
     def _fit(self, A, problem, params):
-        config = PierraConfig(max_iters=self.max_iters, feas_tol=self.feas_tol,
-                              obj_tol=self.obj_tol)
-        self.denoised_, self.report_ = PROBLEMS[problem].solve(A, params, config)
+        self.denoised_, self.report_ = PROBLEMS[problem].solve(A, params)
         self.labels_ = extract_communities(self.denoised_, self.n_clusters, seed=self.seed)
         return self
 
@@ -81,37 +77,29 @@ class _SdpClustering(_SdpEstimatorBase):
         return self.fit(A).labels_
 
 
+@dataclass(eq=False)
 class SdpSignedClustering(_SdpClustering):
     """Denoise a signed adjacency matrix by the clustering program
     max <A - alpha J, Z> over {Z psd, Z in [0,1], diag(Z) = 1}, then read
     communities off the top eigenvectors of the solution."""
 
-    def __init__(self, n_clusters=2, alpha=0.0, max_iters=50_000, feas_tol=1e-7,
-                 obj_tol=1e-9, seed=0):
-        self.n_clusters = n_clusters
-        self.alpha = alpha
-        self.max_iters = max_iters
-        self.feas_tol = feas_tol
-        self.obj_tol = obj_tol
-        self.seed = seed
+    n_clusters: int = 2
+    alpha: float = 0.0
+    seed: int = 0
 
     def fit(self, A, y=None):
         return self._fit(self._check_input(A), "signed", {"alpha": self.alpha})
 
 
+@dataclass(eq=False)
 class SdpCommunityClustering(_SdpClustering):
     """Community detection via max <A, Z> over
     {Z psd, Z >= 0, diag(Z) <= 1, sum(Z) <= lam}; ``lam=None`` uses the
     balanced-community value n^2 / n_clusters."""
 
-    def __init__(self, n_clusters=2, lam=None, max_iters=50_000, feas_tol=1e-7,
-                 obj_tol=1e-9, seed=0):
-        self.n_clusters = n_clusters
-        self.lam = lam
-        self.max_iters = max_iters
-        self.feas_tol = feas_tol
-        self.obj_tol = obj_tol
-        self.seed = seed
+    n_clusters: int = 2
+    lam: float | None = None
+    seed: int = 0
 
     def fit(self, A, y=None):
         A = self._check_input(A)
@@ -119,19 +107,17 @@ class SdpCommunityClustering(_SdpClustering):
         return self._fit(A, "community", {"lam": lam})
 
 
+@dataclass(eq=False)
 class SdpAngularSynchronization(_SdpEstimatorBase):
     """Phase recovery: max <A, Z> over Hermitian {Z psd, diag(Z) = 1} via the
     low-rank factorization solver, then the scaled top eigenvector."""
 
-    def __init__(self, max_iters=20_000, grad_tol=1e-7, restarts=3, seed=0):
-        self.max_iters = max_iters
-        self.grad_tol = grad_tol
-        self.restarts = restarts
-        self.seed = seed
+    seed: int = 0
 
     def fit(self, A, y=None):
         A = self._check_input(np.asarray(A, dtype=complex), complex_ok=True)
-        self.gram_, self.report_ = PROBLEMS["sync"].solve(A, {}, bm_config=self._bm_config())
+        self.gram_, self.report_ = PROBLEMS["sync"].solve(
+            A, {}, bm_config=BmConfig(seed=self.seed))
         self.estimate_ = extract_phases(self.gram_)
         self.phases_ = np.angle(self.estimate_)
         return self
@@ -140,22 +126,20 @@ class SdpAngularSynchronization(_SdpEstimatorBase):
         return self.fit(A).phases_
 
 
+@dataclass(eq=False)
 class SdpMaxCut(_SdpEstimatorBase):
     """Goemans-Williamson pipeline: max <-A, Z> over {Z psd, diag(Z) = 1} via the
     low-rank solver (``report_.objective`` is ``<-A, gram_>``), then hyperplane rounding."""
 
-    def __init__(self, gw_samples=200, max_iters=20_000, grad_tol=1e-7, restarts=3, seed=0):
-        self.gw_samples = gw_samples
-        self.max_iters = max_iters
-        self.grad_tol = grad_tol
-        self.restarts = restarts
-        self.seed = seed
+    gw_samples: int = 200
+    seed: int = 0
 
     def fit(self, A, y=None, full_adjacency=None):
         A = self._check_input(np.asarray(A, dtype=float))
+        check_fields(self, {"gw_samples": int}, positive=("gw_samples",))
         graph = A if full_adjacency is None else np.asarray(full_adjacency, dtype=float)
         self.gram_, self.report_ = PROBLEMS["maxcut"].solve(
-            A, {"mask_prob": 1.0}, bm_config=self._bm_config())
+            A, {"mask_prob": 1.0}, bm_config=BmConfig(seed=self.seed))
         self.cut_vector_, self.mean_cut_ = gw_round(
             self.gram_, graph, self.gw_samples, seed=self.seed
         )

@@ -405,8 +405,13 @@ def _fixed_point_problem(params):
     """Build (generator, atoms) for the fixed-point curve."""
     problem, n = params["problem"], params["n"]
     if problem == "maxcut":
-        A0 = _synthetic_benchmark_graph(n, params.get("avg_degree", 0.5 * (n - 1)),
-                                        params.get("graph_seed", 7))
+        avg_degree = params.get("avg_degree", 0.5 * (n - 1))
+        A0 = _synthetic_benchmark_graph(n, avg_degree, params.get("graph_seed", 7))
+        if params["localization"] == "excess_risk" and not A0.any():
+            # the half-space <-A0, Z> <= bound has no normal without an edge
+            raise InvalidInputError(
+                f"the excess_risk localization needs a graph with an edge; n={n} and "
+                f"avg_degree={avg_degree} gave none")
         Z_star, _ = PROBLEMS["maxcut"].solve(
             A0, {"mask_prob": 1.0}, bm_config=BmConfig(seed=params.get("graph_seed", 7)))
 

@@ -34,7 +34,6 @@ __all__ = [
     "check_square",
     "symmetrize",
     "symmetrize_unchecked",
-    "is_hermitian",
     "eigh_sorted",
     "project_psd",
     "project_psd_hermitian",
@@ -113,14 +112,6 @@ def symmetrize_unchecked(M: np.ndarray) -> np.ndarray:
         np.add(M.T, M, out=out)
     out *= 0.5
     return out
-
-
-def is_hermitian(M: np.ndarray, tol: float = 1e-10) -> bool:
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        return False
-    scale = 1.0 + frobenius_norm(M)
-    return float(frobenius_norm(M - M.conj().T)) <= tol * scale
 
 
 def eigh_sorted(M: np.ndarray):

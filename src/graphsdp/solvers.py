@@ -612,12 +612,12 @@ def unit_diag_atoms() -> list[ConstraintAtom]:
     return [psd(), diag_eq_one()]
 
 
-def pierra_signed(A: np.ndarray, alpha: float, config: PierraConfig | None = None):
+def pierra_signed(A: np.ndarray, alpha: float):
     """Signed clustering program: maximize <A - alpha*J, Z> over
-    {Z psd, Z in [0,1], diag(Z) = 1}."""
+    {Z psd, Z in [0,1], diag(Z) = 1} at the default :class:`PierraConfig`."""
     A = np.asarray(A, dtype=float)
     M = A - alpha * np.ones_like(A)     # pierra_solve checks it
-    return pierra_solve(M, signed_atoms(), config)
+    return pierra_solve(M, signed_atoms())
 
 
 # ---------------------------------------------------------------------------

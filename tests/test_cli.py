@@ -266,6 +266,23 @@ class TestFixedPointCommand:
         assert f"param 'n' must be >= 1, got {n}" in capsys.readouterr().err
         assert not Path(str(out) + ".csv").exists()
 
+    def test_edgeless_graph_under_excess_risk_names_the_params(self, tmp_path, capsys):
+        # n=1 draws no edge, so the excess_risk half-space has no normal
+        out = tmp_path / "fp"
+        assert run(["fixed-point", "--n", 1, "--n-mc", 2, "--r-grid", "5,20",
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "excess_risk" in err and "n=1" in err and "avg_degree=0.0" in err
+        assert not Path(str(out) + ".csv").exists()
+
+    @pytest.mark.parametrize("localization", ["l1", "l2"])
+    def test_edgeless_graph_under_a_ball_gives_a_zero_curve(self, tmp_path, localization):
+        out = tmp_path / "fp"
+        assert run(["fixed-point", "--n", 1, "--localization", localization,
+                    "--n-mc", 2, "--r-grid", "5,20", "--out", out]) == 0
+        _, rows = read_csv(str(out) + ".csv")
+        assert [float(row["quantile"]) for row in rows] == [0.0, 0.0]
+
     def test_writes_the_experiment_header(self, tmp_path, monkeypatch):
         # a column the curve gains reaches the CLI's csv
         spec = EXPERIMENTS["fixed_point_curve"]

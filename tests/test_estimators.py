@@ -12,6 +12,17 @@ from graphsdp.metrics import ari, brute_force_maxcut, sync_mse
 from graphsdp.models import SsbmParams, SyncParams, gen_sbm, gen_ssbm, gen_sync
 from graphsdp.solvers import BmConfig, bm_solve, community_atoms, pierra_signed, pierra_solve
 
+# each estimator's get_params() and repr at its defaults: its model
+# parameters and seed, no solver setting
+_DEFAULTS = {
+    SdpSignedClustering: ({"n_clusters": 2, "alpha": 0.0, "seed": 0},
+                          "SdpSignedClustering(n_clusters=2, alpha=0.0, seed=0)"),
+    SdpCommunityClustering: ({"n_clusters": 2, "lam": None, "seed": 0},
+                             "SdpCommunityClustering(n_clusters=2, lam=None, seed=0)"),
+    SdpAngularSynchronization: ({"seed": 0}, "SdpAngularSynchronization(seed=0)"),
+    SdpMaxCut: ({"gw_samples": 200, "seed": 0}, "SdpMaxCut(gw_samples=200, seed=0)"),
+}
+
 
 class TestParamsProtocol:
     def test_get_set_round_trip(self):
@@ -21,12 +32,37 @@ class TestParamsProtocol:
         est.set_params(alpha=0.5)
         assert est.alpha == 0.5
 
-    def test_set_unknown_param_rejected(self):
-        with pytest.raises(InvalidInputError):
-            SdpMaxCut().set_params(bogus=1)
+    @pytest.mark.parametrize("name", ["bogus", "max_iters"])
+    @pytest.mark.parametrize("cls", list(_DEFAULTS))
+    def test_set_unknown_param_rejected(self, cls, name):
+        # a solver setting is no estimator parameter
+        with pytest.raises(InvalidInputError, match=name):
+            cls().set_params(**{name: 1})
 
-    def test_repr_shows_params(self):
-        assert "n_clusters=2" in repr(SdpCommunityClustering())
+    @pytest.mark.parametrize("cls", list(_DEFAULTS))
+    def test_repr_shows_params(self, cls):
+        params, text = _DEFAULTS[cls]
+        est = cls()
+        assert list(est.get_params().items()) == list(params.items())
+        assert repr(est) == text
+
+    @pytest.mark.parametrize("cls, name, value", [
+        (SdpSignedClustering, "n_clusters", 0),
+        (SdpSignedClustering, "n_clusters", 7),
+        (SdpSignedClustering, "n_clusters", 2.0),
+        (SdpCommunityClustering, "n_clusters", 0),
+        (SdpCommunityClustering, "n_clusters", 7),
+        (SdpMaxCut, "gw_samples", 0),
+        (SdpMaxCut, "gw_samples", 2.5),
+    ])
+    def test_bad_count_rejected_before_solving(self, cls, name, value):
+        # n = 6: a count outside [1, n] or not an integer fails before the
+        # solve, so no report is left behind
+        A = np.roll(np.eye(6), 1, axis=1)
+        est = cls(**{name: value})
+        with pytest.raises(InvalidInputError, match=name):
+            est.fit(A + A.T)
+        assert not hasattr(est, "report_")
 
 
 class TestSignedEstimator:

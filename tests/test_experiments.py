@@ -239,6 +239,17 @@ class TestRunExperiment:
         assert len(rows) == 3
         assert "estimate" in summary
 
+    def test_fixed_point_curve_rejects_an_edgeless_half_space(self, tmp_path):
+        # the l1 and l2 balls take the same graph (see the CLI test)
+        cfg = ExperimentConfig(
+            experiment="fixed_point_curve",
+            params={"n": 6, "avg_degree": 0.0, "r_grid": [5.0, 20.0]}, replicates=2,
+        )
+        with pytest.raises(InvalidInputError,
+                           match="excess_risk localization .* n=6 and avg_degree=0.0"):
+            run_to_tmp(tmp_path, cfg, "fp")
+        assert not (tmp_path / "fp.csv").exists()
+
 
 _GRID = {"n": 12, "level_grid": [0.0, 0.2], "prob_grid": [1.0]}
 

@@ -513,8 +513,8 @@ class TestPierra:
             return F + 100.0 * rng.standard_normal(F.shape), True
 
         monkeypatch.setattr(_Anderson, "step", hostile)
-        _, report = pierra_signed(inst.observed, inst.params["alpha"],
-                                  PierraConfig(max_iters=10_000))
+        M = inst.observed - inst.params["alpha"] * np.ones_like(inst.observed)
+        _, report = pierra_solve(M, signed_atoms(), PierraConfig(max_iters=10_000))
         assert report.converged
         assert abs(report.objective - default.objective) <= 1e-6 * (1 + abs(default.objective))
         assert default.counters["extrapolations_accepted"] > 0
