@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import InvalidInputError, check_value
+
 # Fixed substream indices; never renumber, files produced with one layout
 # must reload identically.
 STREAM_EDGES = 0      # Bernoulli edge indicators B_ij
@@ -19,6 +21,11 @@ STREAM_SOLVER = 4     # solver-internal randomness (restarts, rounding)
 
 
 def seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
+    """The sequence of (seed, key...); a seed that is not an integer >= 0
+    raises where it enters, before any draw."""
+    check_value("seed", seed, int)
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed!r}")
     return np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in key))
 
 

@@ -60,9 +60,11 @@ class _SdpClustering(_SdpEstimatorBase):
     """A clustering program of the problem table, labels read off its solution."""
 
     def _check_input(self, A, complex_ok=False):
-        """The checked input, once ``n_clusters`` is known to be a count in [1, n]."""
+        """The checked input, once ``n_clusters`` is known to be a count in
+        [1, n] and ``seed`` an integer >= 0."""
         A = super()._check_input(A, complex_ok)
-        check_fields(self, {"n_clusters": int}, positive=("n_clusters",))
+        check_fields(self, {"n_clusters": int, "seed": int}, positive=("n_clusters",),
+                     nonnegative=("seed",))
         if self.n_clusters > A.shape[0]:
             raise InvalidInputError(
                 f"n_clusters must be <= n = {A.shape[0]}, got {self.n_clusters!r}")
@@ -137,7 +139,12 @@ class SdpMaxCut(_SdpEstimatorBase):
     def fit(self, A, y=None, full_adjacency=None):
         A = self._check_input(np.asarray(A, dtype=float))
         check_fields(self, {"gw_samples": int}, positive=("gw_samples",))
-        graph = A if full_adjacency is None else np.asarray(full_adjacency, dtype=float)
+        graph = A
+        if full_adjacency is not None:
+            graph = check_square(np.asarray(full_adjacency, dtype=float), "full_adjacency")
+            if graph.shape != A.shape:
+                raise InvalidInputError(
+                    f"full_adjacency must have the input's shape {A.shape}, got {graph.shape}")
         self.gram_, self.report_ = PROBLEMS["maxcut"].solve(
             A, {"mask_prob": 1.0}, bm_config=BmConfig(seed=self.seed))
         self.cut_vector_, self.mean_cut_ = gw_round(

@@ -3,8 +3,8 @@
 Two solver families cover every program in the library:
 
 * :func:`pierra_solve` maximizes ``<M, Z>`` over the psd cone intersected
-  with other convex constraint atoms.  The cone is one block; the others
-  together form a set P, which must be entrywise bounds plus at most one
+  with a set P given as convex constraint atoms.  The cone is always one
+  block and P the other; P must be entrywise bounds plus at most one
   half-space, l1 ball or l2 ball, projected exactly by a clip and a 1-D
   multiplier search; a set of any other shape raises.  Each sweep is one
   Douglas-Rachford / ADMM step ``X = P_psd(Z - U + eps*M)``,
@@ -49,7 +49,6 @@ from .linalg import (
 
 __all__ = [
     "ConstraintAtom",
-    "psd",
     "nonneg",
     "box01",
     "diag_leq_one",
@@ -74,17 +73,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConstraintAtom:
-    """One convex constraint, a plain record: :func:`pierra_solve` builds
-    the projections onto the atoms it is given (see ``_set_projection``)."""
+    """One convex constraint of the set P, a plain record: :func:`pierra_solve`
+    builds the projections onto the atoms it is given (see ``_set_projection``)."""
 
     kind: str
-    lam: float = 0.0
     matrix: Optional[np.ndarray] = None   # halfspace normal or ball center
-    bound: float = 0.0                    # halfspace offset or ball radius
-
-
-def psd() -> ConstraintAtom:
-    return ConstraintAtom("psd")
+    bound: float = 0.0                    # total-sum cap, halfspace offset or ball radius
 
 
 def nonneg() -> ConstraintAtom:
@@ -111,7 +105,7 @@ def _finite(value: float, name: str) -> float:
 
 
 def total_sum_leq(lam: float) -> ConstraintAtom:
-    return ConstraintAtom("total_sum_leq", lam=_finite(lam, "total-sum cap"))
+    return ConstraintAtom("total_sum_leq", bound=_finite(lam, "total-sum cap"))
 
 
 def affine_halfspace(C: np.ndarray, bound: float) -> ConstraintAtom:
@@ -252,7 +246,7 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# two-block ADMM: the psd cone against one projection onto the other atoms
+# two-block ADMM: the psd cone against one projection onto the atoms' set P
 
 _CHECK_EVERY = 10
 _ANDERSON_MEMORY = 5     # (delta T(y), delta g) pairs kept by the acceleration
@@ -324,12 +318,12 @@ def _multiplier(V, N, sq, L, H, value, l2, tau):
 
 
 def _set_projection(atoms, M):
-    """Exact projection onto the intersection of the non-psd atoms, for
-    real C-contiguous iterates shaped like ``M``.
+    """Exact projection onto the intersection of the atoms, for real
+    C-contiguous iterates shaped like ``M``.
 
     The atoms must be entrywise bounds plus at most one half-space, l1 ball
     or l2 ball, whose matrix is real and exactly symmetric; every set the
-    library builds has that shape, and any other raises.  The
+    library builds has that shape, and any other kind or shape raises.  The
     projection clips V to the bounds.  When that point violates the other
     atom, it clips instead ``V - tau*N`` at a multiplier tau found by
     :func:`_multiplier`: N = C for the half-space {<C, Z> <= b}; for the l1
@@ -340,9 +334,11 @@ def _set_projection(atoms, M):
     applies one scalar to every entry, so a symmetric V projects to a
     symmetric point.
     """
-    others = [a for a in atoms if a.kind != "psd"]
-    entrywise = [a for a in others if a.kind in _ENTRY_BOUNDS]
-    extra = [a for a in others if a.kind not in _ENTRY_BOUNDS]
+    for a in atoms:
+        if a.kind not in (*_ENTRY_BOUNDS, "total_sum_leq", "affine_halfspace", "l1_ball", "l2_ball"):
+            raise InvalidInputError(f"unknown atom kind {a.kind!r}; the psd cone is always included")
+    entrywise = [a for a in atoms if a.kind in _ENTRY_BOUNDS]
+    extra = [a for a in atoms if a.kind not in _ENTRY_BOUNDS]
     if len(extra) > 1:
         raise InvalidInputError("a constraint set takes at most one half-space or ball "
                                 "besides entrywise bounds, got " + ", ".join(a.kind for a in extra))
@@ -356,18 +352,17 @@ def _set_projection(atoms, M):
         return lambda V: _clip(V, lo, hi)
     (atom,) = extra
     A = np.ones(M.shape) if atom.kind == "total_sum_leq" else atom.matrix
-    if A.shape != M.shape:
-        raise InvalidInputError(f"{atom.kind} matrix has shape {A.shape}, the objective {M.shape}")
+    if np.shape(A) != M.shape:    # a hand-built atom may have no matrix
+        raise InvalidInputError(f"{atom.kind} matrix has shape {np.shape(A)}, the objective {M.shape}")
     if A.dtype.kind == "c" or not np.array_equal(A, A.T):
         raise InvalidInputError(f"{atom.kind} matrix must be real and exactly symmetric")
     A = np.ascontiguousarray(A, dtype=M.dtype)
-    b = atom.lam if atom.kind == "total_sum_leq" else atom.bound
     l2 = atom.kind == "l2_ball"
     if atom.kind == "l1_ball":
         stop = _clip(A, lo, hi)
 
         def value(Z):
-            return float(np.abs(Z - A).sum()) - b
+            return float(np.abs(Z - A).sum()) - atom.bound
 
         def direction(V):
             N = np.sign(V - A)
@@ -376,14 +371,14 @@ def _set_projection(atoms, M):
     elif l2:
         def value(Z):
             E = Z - A
-            return float(np.vdot(E, E)) - b * b
+            return float(np.vdot(E, E)) - atom.bound * atom.bound
 
         def direction(V):
             D = V - A
             return D, D * D, lo, hi
     else:
         def value(Z):
-            return float(np.vdot(A, Z)) - b
+            return float(np.vdot(A, Z)) - atom.bound
 
         fixed = A, A * A, lo, hi
 
@@ -458,20 +453,20 @@ class _Anderson:
 
 def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraConfig | None = None,
                  warm_start=None):
-    """Maximize ``<M, Z>`` for a real ``M`` over the intersection of
-    ``atoms``: the psd cone, entrywise bounds and at most one half-space,
-    l1 ball or l2 ball whose matrix is real and exactly symmetric; a complex
-    ``M`` or any other set raises InvalidInputError.  Complex unit-diagonal
-    programs are :func:`bm_solve`'s.
+    """Maximize ``<M, Z>`` for a real ``M`` over the psd cone intersected
+    with the set P that ``atoms`` name (none: the cone alone), entrywise
+    bounds and at most one half-space, l1 ball or l2 ball whose matrix is
+    real and exactly symmetric; a complex ``M`` or any other set raises
+    InvalidInputError.  Complex unit-diagonal programs are :func:`bm_solve`'s.
 
     Returns ``(Z_hat, SolveReport)``.  Runs two-block ADMM with Anderson
     acceleration and terminates once the scaled feasibility residual of the
     iterate drops below ``feas_tol`` and the objective has moved by at most
     ``obj_tol`` (relative) over 10 iterations.  ``Z_hat`` is the psd
-    projection of the last iterate, which lies in the other atoms' set, and
-    the report's objective and residuals are measured on it.  ``warm_start``,
-    an earlier report's ``state``, resumes the sweeps where that solve ended
-    (continuation over a related set).
+    projection of the last iterate, which lies in P; the report's objective
+    and residuals (``"0:psd"``, then ``"i:<kind>"`` for atom i from 1) are
+    measured on it.  ``warm_start``, an earlier report's ``state``, resumes
+    the sweeps where that solve ended (continuation over a related set).
 
     The sweep is the Douglas-Rachford map on ``y = Z + U``:
     ``Z = P_P(y)``, ``X = P_psd(2Z - y + M/rho)``, ``T(y) = y + X - Z``.
@@ -482,13 +477,13 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
     point and the memory is cleared, as it is whenever the penalty changes.
     Every 10th sweep takes the plain step, so the stop rule and the penalty
     test only ever judge points reached from an accepted one.  The set
-    projection, and one projection per non-psd atom for the residuals, are
-    built once per solve.
+    projection, and one projection per atom for the residuals, are built
+    once per solve.
 
-    The report's ``state`` is ``(Z, U, rho)``: the last iterate in the
-    other atoms' set, the scaled dual and the penalty.  Its ``counters``
-    count the extrapolated points accepted and rejected, the penalty
-    changes, and hold the final penalty ``rho``.
+    The report's ``state`` is ``(Z, U, rho)``: the last iterate in P, the
+    scaled dual and the penalty.  Its ``counters`` count the extrapolated
+    points accepted and rejected, the penalty changes, and hold the final
+    penalty ``rho``.
 
     No sweep checks its matrices.  V is built in one buffer and handed to
     the unchecked psd kernel, whose ``eigh`` reads one triangle of it.  V is
@@ -506,18 +501,15 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
                                 "bm_solve solves complex unit-diagonal programs")
     # the sweeps run in double precision
     M = symmetrize_unchecked(M.astype(float, copy=False))
-    if not any(a.kind == "psd" for a in atoms):
-        raise InvalidInputError("the constraint set must include the psd cone")
     project_set = _set_projection(atoms, M)
-    # one projection per non-psd atom, for its residual ||P(Z) - Z||_F; the
-    # cone's residual comes from its eigenvalues alone
-    projections = {f"{i}:{a.kind}": None if a.kind == "psd" else _set_projection([a], M)
-                   for i, a in enumerate(atoms)}
+    # one projection per atom, for its residual ||P(Z) - Z||_F; the cone's
+    # residual comes from its eigenvalues alone
+    projections = {f"{i}:{a.kind}": _set_projection([a], M) for i, a in enumerate(atoms, 1)}
 
     def residuals(Z):
         scale = 1.0 + frobenius_norm(Z)
-        return {key: (psd_residual(Z) if project is None else frobenius_norm(project(Z) - Z)) / scale
-                for key, project in projections.items()}
+        return {"0:psd": psd_residual(Z) / scale,
+                **{key: frobenius_norm(project(Z) - Z) / scale for key, project in projections.items()}}
 
     if warm_start is not None:
         Z, U, rho = warm_start
@@ -601,15 +593,15 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
 def community_atoms(lam: float) -> list[ConstraintAtom]:
     if lam <= 0:
         raise InvalidInputError("lam must be > 0")
-    return [psd(), nonneg(), diag_leq_one(), total_sum_leq(lam)]
+    return [nonneg(), diag_leq_one(), total_sum_leq(lam)]
 
 
 def signed_atoms() -> list[ConstraintAtom]:
-    return [psd(), box01(), diag_eq_one()]
+    return [box01(), diag_eq_one()]
 
 
 def unit_diag_atoms() -> list[ConstraintAtom]:
-    return [psd(), diag_eq_one()]
+    return [diag_eq_one()]
 
 
 def pierra_signed(A: np.ndarray, alpha: float):

@@ -38,6 +38,12 @@ class TestGenerateSolveRoundEvaluate:
         result = read_json(ev)
         assert result["ari"] == 1.0 and result["gamma"] == 0.0
 
+    def test_negative_seed_names_the_param(self, tmp_path, capsys):
+        out = tmp_path / "inst"
+        assert run(["generate", "--problem", "signed", "--n", 8, "--seed", -1, "--out", out]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not Path(str(out) + ".json").exists()
+
     def test_maxcut_pipeline_with_bm(self, tmp_path):
         inst = tmp_path / "mc"
         res = tmp_path / "mcres"

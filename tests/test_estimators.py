@@ -54,10 +54,14 @@ class TestParamsProtocol:
         (SdpCommunityClustering, "n_clusters", 7),
         (SdpMaxCut, "gw_samples", 0),
         (SdpMaxCut, "gw_samples", 2.5),
+        (SdpSignedClustering, "seed", -1),
+        (SdpSignedClustering, "seed", 1.5),
+        (SdpCommunityClustering, "seed", -1),
     ])
     def test_bad_count_rejected_before_solving(self, cls, name, value):
-        # n = 6: a count outside [1, n] or not an integer fails before the
-        # solve, so no report is left behind
+        # n = 6: a count outside [1, n] or not an integer, or a seed that is
+        # not an integer >= 0, fails before the solve, so no report is left
+        # behind
         A = np.roll(np.eye(6), 1, axis=1)
         est = cls(**{name: value})
         with pytest.raises(InvalidInputError, match=name):
@@ -109,6 +113,14 @@ class TestMaxCutEstimator:
         opt, _ = brute_force_maxcut(A0)
         assert est.cut_value_ >= 0.878 * opt - 1.0
         assert set(np.unique(est.cut_vector_)) <= {-1, 1}
+
+    @pytest.mark.parametrize("graph", [np.eye(5), np.full((6, 6), np.nan), np.ones((6, 5))])
+    def test_bad_full_adjacency_rejected_before_solving(self, graph):
+        A = np.roll(np.eye(6), 1, axis=1)
+        est = SdpMaxCut()
+        with pytest.raises(InvalidInputError, match="full_adjacency"):
+            est.fit(A + A.T, full_adjacency=graph)
+        assert not hasattr(est, "report_")
 
 
 class TestSolvesThroughTheProblemTable:

@@ -68,6 +68,20 @@ class TestProjectPsd:
         P = project_psd(M)
         assert frobenius_norm(project_psd(P) - P) <= 1e-9
 
+    def test_idempotent_and_nonexpansive_on_its_draws(self):
+        # the cone's case of test_solvers' per-atom test, on the same draws:
+        # seed 40, two 4 x 4 draws for the other atoms' matrices, then five
+        # pairs of non-symmetric points
+        rng = np.random.default_rng(40)
+        rng.standard_normal((4, 4))    # the l1 and l2 balls' center
+        rng.standard_normal((4, 4))    # the half-space's normal
+        for trial in range(5):
+            Z = rng.standard_normal((4, 4))
+            W = rng.standard_normal((4, 4))
+            PZ, PW = project_psd(Z), project_psd(W)
+            assert frobenius_norm(project_psd(PZ) - PZ) <= 1e-12 * (1 + frobenius_norm(PZ))
+            assert frobenius_norm(PZ - PW) <= frobenius_norm(Z - W) + 1e-12
+
     @pytest.mark.parametrize("seed", range(5))
     def test_contraction_toward_cone(self, seed):
         rng = np.random.default_rng(200 + seed)

@@ -261,8 +261,8 @@ class TestInstanceInvariants:
     def test_oracle_lies_in_the_problem_set(self, seed):
         # every generated oracle is feasible for its problem's constraint
         # set: the exact psd residual for the cone, one projection onto
-        # each other atom alone for the rest (the diagonal's distance to 1
-        # for the complex sync oracle)
+        # each atom alone for the rest (the diagonal's distance to 1 for
+        # the complex sync oracle)
         phases = np.random.default_rng(seed).uniform(-np.pi, np.pi, 14)
         instances = [
             gen_sbm(14, 3, 0.8, 0.2, seed=seed),
@@ -278,10 +278,9 @@ class TestInstanceInvariants:
         for inst in instances:
             Z = inst.oracle
             scale = 1.0 + frobenius_norm(Z)
+            assert psd_residual(Z) / scale <= 1e-8, (inst.problem, "psd")
             for atom in PROBLEMS[inst.problem].atoms(inst.params):
-                if atom.kind == "psd":
-                    residual = psd_residual(Z)
-                elif np.iscomplexobj(Z):    # sync's unit diagonal: the set projection is real
+                if np.iscomplexobj(Z):    # sync's unit diagonal: the set projection is real
                     assert atom.kind == "diag_eq_one"
                     residual = frobenius_norm(np.diagonal(Z) - 1.0)
                 else:

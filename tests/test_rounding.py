@@ -13,6 +13,7 @@ from graphsdp.rounding import (
     gw_round,
     spectral_sync,
 )
+from graphsdp.signed import kmeans
 from graphsdp.solvers import BmConfig, bm_solve, pierra_signed
 
 
@@ -269,3 +270,25 @@ class TestExtractCommunities:
     def test_k_bigger_than_n_rejected(self):
         with pytest.raises(InvalidInputError):
             extract_communities(np.eye(3), 4)
+
+
+class TestSeeds:
+    # every seeded routine draws through _rng.seed_sequence, which checks the
+    # seed where it enters: a float is not truncated, nor a bool read as 0 or 1
+    ENTRIES = {
+        "gen_ssbm": lambda seed: gen_ssbm(
+            SsbmParams(n=8, n_clusters=2, p=0.8, q=0.2, delta=0.6), seed=seed),
+        "kmeans": lambda seed: kmeans(np.eye(4), 2, seed=seed),
+        "gw_round": lambda seed: gw_round(np.eye(4), np.ones((4, 4)) - np.eye(4), 4, seed=seed),
+    }
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_bad_seed_names_the_param(self, entry, seed):
+        with pytest.raises(InvalidInputError, match="seed"):
+            self.ENTRIES[entry](seed)
+
+    def test_integer_seeds_of_any_type_draw_the_same_bits(self):
+        draws = [_rng.stream(seed, _rng.STREAM_NOISE).standard_normal(4)
+                 for seed in (7, np.int64(7), np.uint32(7))]
+        assert all(np.array_equal(draws[0], d) for d in draws[1:])

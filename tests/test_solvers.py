@@ -17,6 +17,7 @@ from graphsdp.models import (
 )
 from graphsdp.solvers import (
     BmConfig,
+    ConstraintAtom,
     PierraConfig,
     SolveReport,
     _Anderson,
@@ -38,7 +39,6 @@ from graphsdp.solvers import (
     nonneg,
     pierra_signed,
     pierra_solve,
-    psd,
     signed_atoms,
     total_sum_leq,
     unit_diag_atoms,
@@ -51,7 +51,6 @@ def all_atoms_for_tests(n, rng):
     normal = rng.standard_normal((n, n))
     normal = (normal + normal.T) / 2
     return [
-        psd(),
         nonneg(),
         box01(),
         diag_leq_one(),
@@ -76,10 +75,8 @@ def cold_start(M, epsilon):
 
 
 def project_atom(atom, Z):
-    """The exact projection onto one atom: :func:`project_psd` for the cone,
-    else the one-atom case of the set projection."""
-    if atom.kind == "psd":
-        return project_psd(Z)
+    """The exact projection onto one atom: the one-atom case of the set
+    projection."""
     return _set_projection([atom], Z)(Z)
 
 
@@ -131,10 +128,12 @@ class TestAtomProjections:
         out = project_atom(atom, Z)
         assert abs(frobenius_norm(out) - 1.0) <= 1e-12
 
-    @pytest.mark.parametrize("idx", range(9))
+    @pytest.mark.parametrize("idx", range(1, 9))
     def test_idempotent_and_nonexpansive(self, idx):
+        # each atom keeps seed 40 + idx; seed 40, the cone's, is test_linalg's
+        # TestProjectPsd::test_idempotent_and_nonexpansive_on_its_draws
         rng = np.random.default_rng(40 + idx)
-        atom = all_atoms_for_tests(4, rng)[idx]
+        atom = all_atoms_for_tests(4, rng)[idx - 1]
         for trial in range(5):
             Z = rng.standard_normal((4, 4))
             W = rng.standard_normal((4, 4))
@@ -144,10 +143,9 @@ class TestAtomProjections:
 
 
 def dykstra_oracle(atoms, V, passes=20_000):
-    """Projection onto the intersection of the non-psd atoms, one atom at a
-    time.  Stops once a pass moves neither the point nor any increment: the
-    point alone can stand still for a pass while the increments still move."""
-    atoms = [a for a in atoms if a.kind != "psd"]
+    """Projection onto the intersection of the atoms, one atom at a time.
+    Stops once a pass moves neither the point nor any increment: the point
+    alone can stand still for a pass while the increments still move."""
     Z, increments = V, [np.zeros_like(V) for _ in atoms]
     for _ in range(passes):
         start = [Z] + increments
@@ -231,15 +229,15 @@ class TestSetProjection:
             assert frobenius_norm(project(PV) - PV) <= 1e-12 * (1 + frobenius_norm(PV))
             assert frobenius_norm(PV - PW) <= frobenius_norm(V - W) + 1e-12
         assert cut >= 3 or not name.endswith(("l1", "l2"))
-        # a solve over the set measures each atom's residual on the returned
-        # matrix, as one projection onto that atom alone does, with
-        # projections it built once; the cone's from its eigenvalues
+        # a solve over the set measures the cone's residual first, from its
+        # eigenvalues, then each atom's on the returned matrix, as one
+        # projection onto that atom alone does, with projections it built once
         Z, report = pierra_solve(V, atoms, PierraConfig(max_iters=2000))
         scale = 1.0 + frobenius_norm(Z)
-        assert list(report.residuals) == [f"{i}:{a.kind}" for i, a in enumerate(atoms)]
-        for (key, value), atom in zip(report.residuals.items(), atoms):
-            residual = (psd_residual(Z) if atom.kind == "psd"
-                        else frobenius_norm(project_atom(atom, Z) - Z))
+        assert list(report.residuals) == ["0:psd"] + [f"{i}:{a.kind}" for i, a in enumerate(atoms, 1)]
+        assert abs(report.residuals["0:psd"] - psd_residual(Z) / scale) <= 1e-12
+        for (key, value), atom in zip(list(report.residuals.items())[1:], atoms):
+            residual = frobenius_norm(project_atom(atom, Z) - Z)
             assert abs(value - residual / scale) <= 1e-12, key
 
     def test_newton_step_across_an_entry_range(self):
@@ -423,11 +421,29 @@ class TestPierra:
         assert Z.dtype == double and np.array_equal(Z, Z64)
         assert report.objective == report64.objective and report.converged
 
-    def test_set_without_the_cone_is_rejected(self):
-        # every set the library builds includes the psd cone
-        for atoms in ([], [box01(), diag_eq_one()]):
-            with pytest.raises(InvalidInputError, match="psd cone"):
-                pierra_solve(np.eye(4), atoms)
+    def test_no_atoms_solve_over_the_cone_alone(self):
+        # the cone is always one block: max <-I, Z> over it is 0, at Z = 0
+        Z, report = pierra_solve(-np.eye(3), [])
+        assert report.converged and list(report.residuals) == ["0:psd"]
+        assert np.allclose(Z, 0.0, atol=1e-6) and abs(report.objective) <= 1e-6
+
+    UNKNOWN_ATOMS = {
+        "psd": (ConstraintAtom("psd"), "'psd'; the psd cone is always included"),
+        "foo": (ConstraintAtom("foo"), "unknown atom kind 'foo'"),
+        "halfspace_without_matrix": (ConstraintAtom("affine_halfspace"), "affine_halfspace matrix"),
+    }
+
+    @pytest.mark.parametrize("case", UNKNOWN_ATOMS)
+    def test_unknown_atom_kind_names_it(self, monkeypatch, case):
+        # an atom of a kind the set projection does not know, the cone's
+        # included, or a hand-built half-space with no normal raises the
+        # input error naming the kind before any sweep, whose psd kernel
+        # is None here
+        atom, message = self.UNKNOWN_ATOMS[case]
+        monkeypatch.setattr(solvers, "project_psd_hermitian", None)
+        for atoms in ([atom], [atom, box01(), diag_eq_one()]):
+            with pytest.raises(InvalidInputError, match=message):
+                pierra_solve(-np.eye(3), atoms)
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidInputError):
@@ -466,7 +482,7 @@ class TestPierra:
         # one that is complex or not exactly symmetric: each sweep hands its
         # point to an eigh that reads one triangle
         with pytest.raises(InvalidInputError):
-            pierra_solve(np.eye(4), [psd(), self.MALFORMED_ATOMS[case]()])
+            pierra_solve(np.eye(4), [self.MALFORMED_ATOMS[case]()])
 
     def test_complex_objective_raises(self):
         # the one complex program, synchronization, is bm_solve's; a complex
@@ -484,7 +500,7 @@ class TestPierra:
         # would clip the real part and drop the imaginary one
         M = gen_sync(SyncParams(n=8, sigma=0.3), seed=0).observed
         with pytest.raises(InvalidInputError, match="real objective"):
-            pierra_solve(M, [psd(), atom()])
+            pierra_solve(M, [atom()])
 
     def test_signed_sweep_guard(self):
         inst = gen_ssbm(SsbmParams(n=100, n_clusters=5, p=0.8, q=0.2, delta=0.4), seed=0)
@@ -607,7 +623,7 @@ class TestPierra:
     def test_warm_started_solve_ends_in_one_psd_projection(self):
         # continuation over nested balls: the report's state, passed back as
         # warm_start, resumes the sweeps, and the returned matrix is the psd
-        # projection of the last iterate in the other atoms' set
+        # projection of the last iterate in the atoms' set
         inst = gen_ssbm(SsbmParams(n=10, n_clusters=2, p=0.9, q=0.1, delta=0.8), seed=1)
         M = symmetrize(inst.observed - inst.params["alpha"])
         config = PierraConfig()
@@ -623,8 +639,8 @@ class TestPierra:
 
     @pytest.mark.parametrize("name", LIBRARY_SETS)
     def test_projections_are_built_once_per_solve(self, monkeypatch, name):
-        # the set projection and one projection per non-psd atom serve
-        # every stop check and the final residuals
+        # the set projection and one projection per atom serve every stop
+        # check and the final residuals
         rng = np.random.default_rng(7)
         atoms = LIBRARY_SETS[name](5, rng)
         M = rng.standard_normal((5, 5))
@@ -636,7 +652,7 @@ class TestPierra:
         # stop check at every 10th sweep from the 20th, then the final residuals
         _, report = pierra_solve(M, atoms, PierraConfig(max_iters=60, obj_tol=1e10))
         assert report.termination == "max_iters" and len(checks) == 6
-        assert len(builds) == 1 + sum(a.kind != "psd" for a in atoms)
+        assert len(builds) == 1 + len(atoms)
 
     @pytest.mark.parametrize("case", HERMITIAN_CASES)
     def test_sweep_point_is_exactly_hermitian(self, monkeypatch, case):
