@@ -15,21 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import (
-    EXPERIMENTS,
-    ExperimentConfig,
-    fixed_point_curve,
-    run_experiment,
-    write_sweep,
-)
-from .fileio import (
-    dump_matrix,
-    load_matrix,
-    parse_gset,
-    read_json,
-    write_csv,
-    write_json,
-)
+from .experiments import ExperimentConfig, run_experiment, write_sweep
+from .fileio import dump_matrix, load_matrix, parse_gset, read_json, write_json
 from .linalg import InvalidInputError
 from .metrics import BOUNDS, LOCALIZATIONS, bound_report, cut_value
 from .models import (
@@ -93,6 +80,9 @@ def _cmd_generate(args) -> int:
 
 def _solver_configs(args):
     overrides = read_json(args.config) if args.config else {}
+    if not isinstance(overrides, dict):
+        raise InvalidInputError(
+            f"a solver config must be a JSON object, got {type(overrides).__name__}")
     pierra_keys = {f.name for f in fields(PierraConfig)}
     bm_keys = {f.name for f in fields(BmConfig)}
     unknown = set(overrides) - pierra_keys - bm_keys
@@ -191,10 +181,7 @@ def _cmd_fixed_point(args) -> int:
               "r_grid": _float_list(args.r_grid)}
     config = ExperimentConfig("fixed_point_curve", replicates=args.n_mc, seed=args.seed,
                               params={k: v for k, v in params.items() if v is not None})
-    rows, estimate = fixed_point_curve(config.resolved_params(), args.n_mc, args.seed)
-    out = args.out or "fixed_point"
-    write_csv(out + ".csv", EXPERIMENTS["fixed_point_curve"].header, rows)
-    write_json(estimate.to_dict(), out + ".json")
+    run_experiment(config, args.out or "fixed_point")
     return EXIT_OK
 
 

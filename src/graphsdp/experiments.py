@@ -17,7 +17,7 @@ and never aborts a sweep; a cell whose solve did not converge reads
 ``solver_<termination>``, the solve's stop reason.  Config ``params`` are
 checked by name and by the kind of their default before anything runs.  The
 fixed-point curve is the one experiment whose replicates are pooled by its
-estimator: it writes the quantile curve as both tables.
+estimator: both tables hold its quantile curve, and the sidecar its estimate.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ __all__ = [
     "run_experiment",
     "write_sweep",
     "run_grid",
-    "fixed_point_curve",
 ]
 
 SCHEMA_VERSION = 1
@@ -95,6 +94,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise InvalidInputError(
+                f"an experiment config must be a JSON object, got {type(data).__name__}")
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidInputError(f"unknown config fields {sorted(unknown)}")
@@ -121,6 +123,7 @@ class _ExperimentSpec:
     group_cols: tuple = ()    # aggregation keys, the grid point's names first
     value_cols: tuple = ()    # numeric outputs to aggregate
     optional: dict = field(default_factory=dict)   # {name: kind} of params without a default
+    complete: object = dict   # resolved params -> the params echoed and run
     setup: object = dict      # params -> params for the cells, run once
 
     @property
@@ -130,9 +133,6 @@ class _ExperimentSpec:
         k = len(self.grid_axes)
         return (self.group_cols[:k] + ("replicate", "seed") + self.group_cols[k:]
                 + self.value_cols + ("status",))
-
-    def complete(self, params):
-        return params
 
     def run(self, config, params, threads):
         """Every cell of the sweep: (rows, agg header, agg rows, sidecar fields)."""
@@ -167,19 +167,30 @@ class _FixedPointSpec:
 
     desk_defaults: dict
     full_defaults: dict
-    optional = {"p": float, "K": int, "q": float, "delta": float, "avg_degree": float,
-                "graph_seed": int}
     header = ("r", "quantile", "n_effective")
 
+    @property
+    def optional(self):
+        """{name: kind} of every problem's own params."""
+        return {name: type(value) for defaults in _FIXED_POINT_DEFAULTS.values()
+                for name, value in defaults(1).items()}
+
     def complete(self, params):
-        """The problem's own default ``p``, unless given."""
-        if params["problem"] in _FIXED_POINT_P:
-            return {"p": _FIXED_POINT_P[params["problem"]], **params}
-        return params
+        """The problem's own defaults, unless given."""
+        problem = params["problem"]
+        if problem not in _FIXED_POINT_DEFAULTS:
+            raise InvalidInputError(f"fixed_point_curve does not support problem '{problem}'")
+        return {**_FIXED_POINT_DEFAULTS[problem](params["n"]), **params}
 
     def run(self, config, params, threads):
-        rows, estimate = fixed_point_curve(params, config.replicates, config.seed)
-        return rows, self.header, rows, {"estimate": estimate.to_dict()}
+        generator, atoms = _fixed_point_problem(params)
+        estimate = estimate_fixed_point(
+            generator, atoms, params["localization"], params["delta_prob"],
+            n_mc=config.replicates, r_grid=params["r_grid"], seed=config.seed,
+        )
+        rows = [{"r": r, "quantile": q, "n_effective": estimate.n_effective}
+                for r, q in estimate.quantile_curve]
+        return rows, self.header, rows, estimate.to_dict()
 
 
 def _status(report):
@@ -244,6 +255,12 @@ def _synthetic_benchmark_graph(n: int, avg_degree: float, seed: int) -> np.ndarr
     draw = (rng.random((n, n)) < prob).astype(float)
     upper = np.triu(draw, 1)
     return upper + upper.T
+
+
+def _file_or_synthetic_graph(params):
+    """A Gset file's sweep reads none of the synthetic graph's params."""
+    drop = ("n", "avg_degree", "graph_seed") if params.get("gset_path") else ()
+    return {k: v for k, v in params.items() if k not in drop}
 
 
 def _benchmark_graph(params):
@@ -313,6 +330,7 @@ EXPERIMENTS = {
         value_cols=("cut_full",),
         cell_fn=_cell_gset_sweep,
         optional={"gset_path": str},
+        complete=_file_or_synthetic_graph,
         setup=_benchmark_graph,
         desk_defaults={"n": 150, "avg_degree": 12.0, "graph_seed": 53,
                        "delta_grid": [0.2, 0.5, 0.8, 1.0], "gw_samples": 100},
@@ -384,36 +402,28 @@ def run_grid(config: ExperimentConfig, threads: int = 1):
     return rows, agg_rows
 
 
-def fixed_point_curve(params, n_mc: int, seed: int):
-    """(quantile curve rows, estimate) for the fixed point of ``params``'s problem."""
-    generator, atoms = _fixed_point_problem(params)
-    estimate = estimate_fixed_point(
-        generator, atoms, params["localization"], params["delta_prob"],
-        n_mc=n_mc, r_grid=params["r_grid"], seed=seed,
-    )
-    rows = [{"r": r, "quantile": q, "n_effective": estimate.n_effective}
-            for r, q in estimate.quantile_curve]
-    return rows, estimate
-
-
-# default p per fixed-point problem: the MAX-CUT mask probability, the SSBM
-# sign probability
-_FIXED_POINT_P = {"maxcut": 0.8, "signed": 0.9}
+# each fixed-point problem's own params and their defaults at size n: MAX-CUT
+# masks a seeded graph of average degree avg_degree with probability p, the
+# signed curve draws SSBM instances with sign probability p
+_FIXED_POINT_DEFAULTS = {
+    "maxcut": lambda n: {"p": 0.8, "avg_degree": 0.5 * (n - 1), "graph_seed": 7},
+    "signed": lambda n: {"p": 0.9, "K": 2, "q": 0.1, "delta": 1.0},
+}
 
 
 def _fixed_point_problem(params):
-    """Build (generator, atoms) for the fixed-point curve."""
+    """(generator, atoms) for the curve of resolved params: maxcut or signed."""
     problem, n = params["problem"], params["n"]
     if problem == "maxcut":
-        avg_degree = params.get("avg_degree", 0.5 * (n - 1))
-        A0 = _synthetic_benchmark_graph(n, avg_degree, params.get("graph_seed", 7))
+        avg_degree = params["avg_degree"]
+        A0 = _synthetic_benchmark_graph(n, avg_degree, params["graph_seed"])
         if params["localization"] == "excess_risk" and not A0.any():
             # the half-space <-A0, Z> <= bound has no normal without an edge
             raise InvalidInputError(
                 f"the excess_risk localization needs a graph with an edge; n={n} and "
                 f"avg_degree={avg_degree} gave none")
         Z_star, _ = PROBLEMS["maxcut"].solve(
-            A0, {"mask_prob": 1.0}, bm_config=BmConfig(seed=params.get("graph_seed", 7)))
+            A0, {"mask_prob": 1.0}, bm_config=BmConfig(seed=params["graph_seed"]))
 
         def generator(rng):
             seed = int(rng.integers(0, 2**32))
@@ -421,19 +431,17 @@ def _fixed_point_problem(params):
             return inst.rescaled, -A0, Z_star
 
         return generator, PROBLEMS["maxcut"].atoms(params)
-    if problem == "signed":
-        ssbm = SsbmParams(n=n, n_clusters=params.get("K", 2), p=params["p"],
-                          q=params.get("q", 0.1), delta=params.get("delta", 1.0))
-        signed = PROBLEMS["signed"]
+    ssbm = SsbmParams(n=n, n_clusters=params["K"], p=params["p"], q=params["q"],
+                      delta=params["delta"])
+    signed = PROBLEMS["signed"]
 
-        def generator(rng):
-            seed = int(rng.integers(0, 2**32))
-            inst = gen_ssbm(ssbm, seed=seed)
-            return (signed.objective(inst.observed, inst.params),
-                    signed.objective(inst.expected, inst.params), inst.oracle)
+    def generator(rng):
+        seed = int(rng.integers(0, 2**32))
+        inst = gen_ssbm(ssbm, seed=seed)
+        return (signed.objective(inst.observed, inst.params),
+                signed.objective(inst.expected, inst.params), inst.oracle)
 
-        return generator, signed.atoms(params)
-    raise InvalidInputError(f"fixed_point_curve does not support problem '{problem}'")
+    return generator, signed.atoms(params)
 
 
 def write_sweep(config: ExperimentConfig, out_prefix, threads: int = 1):

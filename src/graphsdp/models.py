@@ -296,8 +296,8 @@ def gen_sync(params: SyncParams, seed=0) -> ProblemInstance:
 def gen_bipartite_perturbed(n, eta, delta, seed=0) -> MaxCutInstance:
     """Complete bipartite graph on two n/2 halves, perturbed by Bernoulli(eta)
     edges within each half, then masked by an Erdos-Renyi(delta) observation."""
-    if n % 2 != 0:
-        raise InvalidInputError("n must be even")
+    if n < 2 or n % 2 != 0:
+        raise InvalidInputError(f"n must be even and >= 2, got {n}")
     if not (0.0 <= eta <= 1.0) or not (0.0 < delta <= 1.0):
         raise InvalidInputError("need eta in [0,1] and delta in (0,1]")
     half = n // 2

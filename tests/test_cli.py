@@ -44,6 +44,13 @@ class TestGenerateSolveRoundEvaluate:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not Path(str(out) + ".json").exists()
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_maxcut_below_two_vertices_names_n(self, tmp_path, capsys, n):
+        out = tmp_path / "mc"
+        assert run(["generate", "--problem", "maxcut", "--n", n, "--out", out]) == 2
+        assert f"n must be even and >= 2, got {n}" in capsys.readouterr().err
+        assert not Path(str(out) + ".json").exists()
+
     def test_maxcut_pipeline_with_bm(self, tmp_path):
         inst = tmp_path / "mc"
         res = tmp_path / "mcres"
@@ -116,6 +123,17 @@ class TestGenerateSolveRoundEvaluate:
         cfg.write_text(json.dumps({"max_iters": "5"}))
         assert run(["solve", "--in", inst, "--config", cfg, "--out", tmp_path / "r"]) == 2
         assert "max_iters" in capsys.readouterr().err
+        assert not (tmp_path / "r.coo").exists()
+
+    @pytest.mark.parametrize("text", ["5", "null", "[]", '"x"'])
+    def test_config_that_is_not_an_object_is_invalid_input(self, tmp_path, capsys, text):
+        inst = tmp_path / "inst"
+        run(["generate", "--problem", "signed", "--n", 8, "--k", 2, "--seed", 0,
+             "--out", inst])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert run(["solve", "--in", inst, "--config", cfg, "--out", tmp_path / "r"]) == 2
+        assert "solver config must be a JSON object" in capsys.readouterr().err
         assert not (tmp_path / "r.coo").exists()
 
     def test_out_of_range_config_value_is_invalid_input(self, tmp_path, capsys):
@@ -300,19 +318,36 @@ class TestFixedPointCommand:
         assert header == list(EXPERIMENTS["fixed_point_curve"].header)
         assert header[-1] == "extra"
 
+    @staticmethod
+    def _matches_experiment(tmp_path, flags, params):
+        """The command and the equivalent experiment config write the same three files."""
+        out = tmp_path / "fp"
+        assert run(["fixed-point", *flags, "--n-mc", 3, "--seed", 2, "--out", out]) == 0
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"experiment": "fixed_point_curve", "replicates": 3,
+                                   "seed": 2, "params": params}))
+        assert run(["experiment", "--config", cfg, "--out", tmp_path / "exp"]) == 0
+        suffixes = (".csv", ".agg.csv", ".json")
+        assert file_bytes(*(str(out) + s for s in suffixes)) == \
+            file_bytes(*(str(tmp_path / "exp") + s for s in suffixes))
+        return read_json(str(out) + ".json")
+
     def test_signed_curve_matches_experiment(self, tmp_path):
         # both front ends build the signed instance with the SSBM default p
-        out = tmp_path / "fp"
-        assert run(["fixed-point", "--problem", "signed", "--n", 6, "--n-mc", 3,
-                    "--delta-prob", 0.3, "--r-grid", "1,4", "--seed", 2,
-                    "--out", out]) == 0
-        cfg = tmp_path / "exp.json"
-        cfg.write_text(json.dumps({
-            "experiment": "fixed_point_curve", "replicates": 3, "seed": 2,
-            "params": {"problem": "signed", "n": 6, "delta_prob": 0.3, "r_grid": [1, 4]}}))
-        assert run(["experiment", "--config", cfg, "--out", tmp_path / "exp"]) == 0
-        assert file_bytes(str(out) + ".csv") == file_bytes(tmp_path / "exp.csv")
-        assert read_json(tmp_path / "exp.json")["resolved_params"]["p"] == 0.9
+        side = self._matches_experiment(
+            tmp_path, ["--problem", "signed", "--n", 6, "--delta-prob", 0.3, "--r-grid", "1,4"],
+            {"problem": "signed", "n": 6, "delta_prob": 0.3, "r_grid": [1.0, 4.0]})
+        assert side["resolved_params"]["p"] == 0.9
+        assert side["n_mc"] == 3 and side["config"]["seed"] == 2
+
+    def test_maxcut_curve_matches_experiment(self, tmp_path):
+        side = self._matches_experiment(
+            tmp_path, ["--problem", "maxcut", "--n", 8, "--graph-seed", 3,
+                       "--localization", "l1", "--delta-prob", 0.3, "--r-grid", "5,20"],
+            {"problem": "maxcut", "n": 8, "graph_seed": 3, "localization": "l1",
+             "delta_prob": 0.3, "r_grid": [5.0, 20.0]})
+        assert side["resolved_params"]["avg_degree"] == 3.5
+        assert side["resolved_params"]["graph_seed"] == 3
 
 
 class TestExperimentCommand:
@@ -322,6 +357,14 @@ class TestExperimentCommand:
                                    "params": {"n": 8, "level_grd": [0.5]}}))
         assert run(["experiment", "--config", cfg, "--out", tmp_path / "x"]) == 2
         assert "level_grd" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("text", ["5", "null", "[]", '"x"'])
+    def test_config_that_is_not_an_object_is_invalid_input(self, tmp_path, capsys, text):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(text)
+        assert run(["experiment", "--config", cfg, "--out", tmp_path / "x"]) == 2
+        assert "experiment config must be a JSON object" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_non_integer_replicates_is_invalid_input(self, tmp_path, capsys):

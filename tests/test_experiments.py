@@ -86,15 +86,57 @@ class TestConfig:
             ExperimentConfig.from_dict({"experiment": "sync_heatmap_gaussian", "bogus": 1})
 
     def test_fixed_point_curve_desk_and_full_defaults(self):
+        # the echo holds the graph's params too: average degree (n-1)/2, seed 7
         desk = ExperimentConfig(experiment="fixed_point_curve").resolved_params()
         assert desk == {"problem": "maxcut", "n": 20, "p": 0.8,
                         "localization": "excess_risk", "delta_prob": 0.005,
-                        "r_grid": [2.0 * k for k in range(1, 41)]}
+                        "r_grid": [2.0 * k for k in range(1, 41)],
+                        "avg_degree": 9.5, "graph_seed": 7}
         full = ExperimentConfig(experiment="fixed_point_curve",
                                 full_scale=True).resolved_params()
         assert full["n"] == 40 and full["r_grid"][-1] == 300.0
-        assert {k: v for k, v in full.items() if k not in ("n", "r_grid")} == \
-            {k: v for k, v in desk.items() if k not in ("n", "r_grid")}
+        assert full["avg_degree"] == 19.5
+        sized = ("n", "r_grid", "avg_degree")
+        assert {k: v for k, v in full.items() if k not in sized} == \
+            {k: v for k, v in desk.items() if k not in sized}
+
+    @pytest.mark.parametrize("problem, own", [
+        ("maxcut", {"p": 0.8, "avg_degree": 2.5, "graph_seed": 7}),
+        ("signed", {"p": 0.9, "K": 2, "q": 0.1, "delta": 1.0}),
+    ])
+    def test_fixed_point_curve_echoes_every_param_it_reads(self, problem, own):
+        params = ExperimentConfig("fixed_point_curve",
+                                  params={"problem": problem, "n": 6}).resolved_params()
+        assert {k: params[k] for k in own} == own
+
+        class Reads(dict):
+            def __init__(self, params):
+                super().__init__(params)
+                self.read = set()
+
+            def __getitem__(self, key):
+                self.read.add(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                self.read.add(key)
+                return super().get(key, default)
+
+        reads = Reads(params)
+        generator, _ = experiments._fixed_point_problem(reads)
+        generator(np.random.default_rng(0))
+        assert reads.read >= set(own) and reads.read <= set(params)
+
+    def test_gset_file_sweep_echoes_no_synthetic_graph(self):
+        # the graph comes from the file, so its synthetic stand-in's params are not echoed
+        synthetic = ("n", "avg_degree", "graph_seed")
+        from_file = ExperimentConfig("maxcut_gset_sweep",
+                                     params={"gset_path": "g.txt"}).resolved_params()
+        assert from_file["gset_path"] == "g.txt"
+        assert not set(synthetic) & set(from_file)
+        seeded = ExperimentConfig("maxcut_gset_sweep").resolved_params()
+        assert {k: seeded[k] for k in synthetic} == \
+            {"n": 150, "avg_degree": 12.0, "graph_seed": 53}
 
 
     def test_csv_headers(self):
@@ -237,7 +279,11 @@ class TestRunExperiment:
         header, rows = read_csv(str(prefix) + ".csv")
         assert header == ["r", "quantile", "n_effective"]
         assert len(rows) == 3
-        assert "estimate" in summary
+        # the estimate's fields sit beside the echo, as a grid sweep's row counts do
+        assert {"r_hat", "delta", "n_mc", "n_effective", "n_flagged", "unresolved",
+                "unreliable", "quantile_curve"} <= set(summary)
+        assert summary["n_mc"] == 8 and summary["r_hat"] in (5.0, 20.0, 80.0)
+        assert summary["resolved_params"]["graph_seed"] == 7
 
     def test_fixed_point_curve_rejects_an_edgeless_half_space(self, tmp_path):
         # the l1 and l2 balls take the same graph (see the CLI test)

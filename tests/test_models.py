@@ -191,6 +191,12 @@ class TestMaxCut:
         with pytest.raises(InvalidInputError):
             gen_bipartite_perturbed(7, 0.1, 0.5)
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_fewer_than_two_vertices_rejected(self, n):
+        # even, but no halves to cut between
+        with pytest.raises(InvalidInputError, match=f"n must be even and >= 2, got {n}"):
+            gen_bipartite_perturbed(n, 0.1, 0.5)
+
     def test_within_half_edge_count_matches_binomial_oracle(self):
         n, eta, reps = 20, 0.3, 400
         half = np.repeat([0, 1], n // 2)
