@@ -176,11 +176,17 @@ class _FixedPointSpec:
                 for name, value in defaults(1).items()}
 
     def complete(self, params):
-        """The problem's own defaults, unless given."""
+        """The problem's own defaults, unless given; another problem's own
+        params raise, as the curve would not read them."""
         problem = params["problem"]
         if problem not in _FIXED_POINT_DEFAULTS:
             raise InvalidInputError(f"fixed_point_curve does not support problem '{problem}'")
-        return {**_FIXED_POINT_DEFAULTS[problem](params["n"]), **params}
+        own = _FIXED_POINT_DEFAULTS[problem](params["n"])
+        foreign = sorted(set(params) & set(self.optional) - set(own))
+        if foreign:
+            raise InvalidInputError(
+                f"params {foreign} do not apply to the {problem} fixed-point curve")
+        return {**own, **params}
 
     def run(self, config, params, threads):
         generator, atoms = _fixed_point_problem(params)

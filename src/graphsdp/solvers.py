@@ -9,12 +9,14 @@ Two solver families cover every program in the library:
   multiplier search; a set of any other shape raises.  Each sweep is one
   Douglas-Rachford / ADMM step ``X = P_psd(Z - U + eps*M)``,
   ``Z = P_P(X + U)``, ``U += X - Z``, and the penalty ``1/eps`` is
-  rebalanced every 10 sweeps so that the primal and dual residuals stay
-  within a factor 10 of each other.  The sweeps are a fixed-point map on
-  ``Z + U``, and type-II Anderson acceleration over the last 5 steps
-  extrapolates it.  A safeguard rejects an extrapolated point whose
-  fixed-point residual exceeds the last accepted one and takes the plain
-  step instead.  The memory is cleared on a rejection and on a penalty
+  rebalanced every 10 sweeps so that the relative primal and dual
+  residuals (Wohlberg 2017), ``||X - Z|| / max(||X||, ||Z||)`` and
+  ``||Z - Z_prev|| / ||U||``, stay within a factor 10 of each other; the
+  test does not depend on n or on the scale of M.  The sweeps are a
+  fixed-point map on ``Z + U``, and type-II Anderson acceleration over the
+  last 5 steps extrapolates it.  A safeguard rejects an extrapolated point
+  whose fixed-point residual exceeds the last accepted one and takes the
+  plain step instead.  The memory is cleared on a rejection and on a penalty
   change.  The returned matrix is the psd projection of the last iterate,
   which lies in P, and the reported residuals are measured on it.
 * :func:`bm_solve` optimizes ``<M, Y Y*>`` over unit-norm rows of a low-rank
@@ -153,11 +155,13 @@ class PierraConfig:
 
     A cold solve starts at the penalty ``||M||_F / sqrt(n)``, which keeps
     the per-sweep drift commensurate with the feasible set's diameter, and
-    the penalty then adapts every 10 sweeps.  The sweeps are always
-    Anderson-accelerated, with a memory fixed at 5 steps and a safeguard
-    that falls back to the plain step whenever an extrapolated point raises
-    the fixed-point residual; ``max_iters`` counts every sweep, rejected
-    ones included.
+    the penalty then doubles or halves every 10 sweeps while the relative
+    primal residual ``||X - Z|| / max(||X||, ||Z||)`` and the relative dual
+    residual ``||Z - Z_prev|| / ||U||`` differ by more than a factor 10.
+    The sweeps are always Anderson-accelerated, with a memory fixed at 5
+    steps and a safeguard that falls back to the plain step whenever an
+    extrapolated point raises the fixed-point residual; ``max_iters``
+    counts every sweep, rejected ones included.
     """
 
     max_iters: int = 50_000
@@ -476,7 +480,12 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
     solve falls back to the plain step ``T(y)`` from the last accepted
     point and the memory is cleared, as it is whenever the penalty changes.
     Every 10th sweep takes the plain step, so the stop rule and the penalty
-    test only ever judge points reached from an accepted one.  The set
+    test only ever judge points reached from an accepted one.  The penalty
+    test balances relative residuals: the primal ``||X - Z||`` over
+    ``max(||X||, ||Z||)`` against the dual ``rho ||Z - Z_prev||`` over
+    ``||rho U||`` for the scaled dual ``U = y - Z``; ``rho`` doubles when
+    the primal exceeds 10 times the dual, halves in the opposite case, and
+    stays when either reference norm is zero.  The set
     projection, and one projection per atom for the residuals, are built
     once per solve.
 
@@ -563,8 +572,14 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
                 termination = "converged"
                 iterations = it
                 break
-        primal = frobenius_norm(X - Z)
-        dual = rho * frobenius_norm(Z - Z_prev)
+        # relative residuals (Wohlberg 2017), free of the scale of n and M;
+        # a zero reference norm (X = Z = 0, or U = 0) leaves rho as it is
+        primal_ref = max(frobenius_norm(X), frobenius_norm(Z))
+        dual_ref = frobenius_norm(y - Z)
+        if primal_ref == 0.0 or dual_ref == 0.0:
+            continue
+        primal = frobenius_norm(X - Z) / primal_ref
+        dual = frobenius_norm(Z - Z_prev) / dual_ref
         if primal > _RHO_BALANCE * dual:
             scale = 2.0
         elif dual > _RHO_BALANCE * primal:

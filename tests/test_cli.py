@@ -349,6 +349,15 @@ class TestFixedPointCommand:
         assert side["resolved_params"]["avg_degree"] == 3.5
         assert side["resolved_params"]["graph_seed"] == 3
 
+    def test_other_problems_flag_is_invalid_input(self, tmp_path, capsys):
+        # --k is the signed curve's; the MAX-CUT curve would not read it
+        out = tmp_path / "fp"
+        assert run(["fixed-point", "--problem", "maxcut", "--n", 8, "--k", 3, "--n-mc", 2,
+                    "--r-grid", "5,20", "--out", out]) == 2
+        assert "params ['K'] do not apply to the maxcut fixed-point curve" in \
+            capsys.readouterr().err
+        assert not Path(str(out) + ".csv").exists()
+
 
 class TestExperimentCommand:
     def test_unknown_param_is_invalid_input(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import numpy as np
@@ -126,6 +127,18 @@ class TestConfig:
         generator, _ = experiments._fixed_point_problem(reads)
         generator(np.random.default_rng(0))
         assert reads.read >= set(own) and reads.read <= set(params)
+
+    @pytest.mark.parametrize("params, foreign", [
+        ({"problem": "maxcut", "K": 3, "q": 0.2}, "['K', 'q']"),
+        ({"problem": "signed", "avg_degree": 2.0, "graph_seed": 1}, "['avg_degree', 'graph_seed']"),
+    ], ids=["maxcut", "signed"])
+    def test_fixed_point_curve_rejects_the_other_problems_params(self, params, foreign):
+        # the curve would neither read nor should echo them; the shared p stays valid
+        config = ExperimentConfig("fixed_point_curve", params={**params, "p": 0.7})
+        with pytest.raises(InvalidInputError, match=re.escape(foreign)):
+            config.resolved_params()
+        shared = {"problem": params["problem"], "p": 0.7}
+        assert ExperimentConfig("fixed_point_curve", params=shared).resolved_params()["p"] == 0.7
 
     def test_gset_file_sweep_echoes_no_synthetic_graph(self):
         # the graph comes from the file, so its synthetic stand-in's params are not echoed
