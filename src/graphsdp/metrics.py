@@ -19,6 +19,8 @@ from .solvers import (
     ConstraintAtom,
     PierraConfig,
     affine_halfspace,
+    bm_solve,
+    is_unit_diagonal,
     l1_ball_around,
     l2_ball_around,
     pierra_solve,
@@ -289,7 +291,14 @@ LOCALIZATIONS = ("excess_risk", "l1", "l2")
 
 @dataclass(frozen=True)
 class FixedPointEstimate:
-    """Empirical localization radius and the quantile curve behind it."""
+    """Empirical localization radius and the quantile curve behind it.
+
+    ``r_star`` is a certified upper bound on the fixed point from the
+    unlocalized solves (None off the unit-diagonal set), and exact to the
+    solves' gaps when ``r_star_exact``; ``sweeps`` counts the splitting
+    iterations of every localized solve and ``bm_solves`` the unlocalized
+    solves run.
+    """
 
     r_hat: float
     delta: float
@@ -299,6 +308,10 @@ class FixedPointEstimate:
     n_flagged: int
     unresolved: bool
     unreliable: bool
+    r_star: Optional[float]
+    r_star_exact: bool
+    sweeps: int
+    bm_solves: int
 
     def to_dict(self) -> dict:
         return {
@@ -309,6 +322,10 @@ class FixedPointEstimate:
             "n_flagged": int(self.n_flagged),
             "unresolved": self.unresolved,
             "unreliable": self.unreliable,
+            "r_star": None if self.r_star is None else float(self.r_star),
+            "r_star_exact": self.r_star_exact,
+            "sweeps": int(self.sweeps),
+            "bm_solves": int(self.bm_solves),
             "quantile_curve": [[float(r), float(q)] for r, q in self.quantile_curve],
         }
 
@@ -324,6 +341,14 @@ def _localization_atom(kind: str, EA, Z_star, r: float) -> ConstraintAtom:
         # locality {||Z - Z*||_2^2 <= r}: Frobenius ball of radius sqrt(r)
         return l2_ball_around(Z_star, float(np.sqrt(r)))
     raise InvalidInputError(f"unknown localization '{kind}'")
+
+
+def _locality_distance(kind: str, EA, Z_star, Z) -> float:
+    """The least radius whose locality ``kind`` (see ``_localization_atom``) holds Z."""
+    if kind == "excess_risk":
+        return excess_risk(EA, Z_star, Z)
+    D = np.asarray(Z_star) - Z
+    return float(np.abs(D).sum()) if kind == "l1" else float(np.real(np.vdot(D, D)))
 
 
 _FIXED_POINT_CONFIG = PierraConfig(feas_tol=1e-6)    # the inner solves' settings
@@ -342,16 +367,37 @@ def estimate_fixed_point(
 
     ``generator(rng)`` must yield one replicate ``(A, EA, Z_star)``.  For
     each replicate and each radius in the ascending grid, the localized
-    noise supremum ``sup <A - EA, Z - Z*>`` is solved over the constraint
-    set intersected with the chosen locality; the curve of empirical
-    (1-delta) quantiles is then scanned for the first radius dominating
-    twice the supremum.  Replicates whose inner solve does not converge are
+    noise supremum ``h(r) = sup <A - EA, Z - Z*>`` over the constraint set
+    intersected with the chosen locality is the value of a warm-started
+    splitting solve; the curve of empirical (1-delta) quantiles is then
+    scanned for the first radius dominating twice the supremum (``r_hat``,
+    a grid point).  Replicates whose inner solve does not converge are
     excluded and counted; above 10% exclusions the estimate is flagged
     unreliable, and a grid that never resolves is flagged unresolved.
 
     The inner programs run at a looser feasibility tolerance
-    (``_FIXED_POINT_CONFIG``, 1e-6) than estimation solves; the reported
-    suprema are therefore conservative up to that tolerance.
+    (``_FIXED_POINT_CONFIG``, 1e-6) than estimation solves; the suprema of
+    solved radii are therefore conservative up to that tolerance.
+
+    When the atoms are exactly the unit-diagonal set, each replicate first
+    solves its unlocalized program by certified BM (``bm_solve(W, "max")``
+    at the default config): value s with gap g, and maximizer Z_u at
+    locality distance e from Z*.  Z_u is feasible for every radius r >= e,
+    so h(r) lies in [s, s + g] there, and such radii are not solved: they
+    carry the upper value s + g.  An uncertified BM solve skips nothing.
+    Over the effective replicates, with Q the curve's order statistic:
+
+    * h(r) <= s + g for every r, so q(r) <= Q(s + g), and every
+      r >= 2 Q(s + g) passes the test: ``r_star = 2 Q(s + g)`` bounds the
+      fixed point r* = inf{r > 0 : q(r) <= r/2} from above.
+    * h is the value of a convex program whose right-hand side is r, so it
+      is concave, and h(0) >= 0 as Z* is feasible.  With R = 2 Q(s) above
+      every e, each r < R has h(r) >= min(r/e, 1) s >= (r/R) s, strictly
+      where s > 0, so q(r) > (r/R) Q(s) = r/2: no radius below R passes,
+      and r* lies in [2 Q(s), r_star].  ``r_star_exact`` records this test,
+      which needs every effective replicate's BM solve certified.
+
+    Other sets solve every radius and leave ``r_star`` None.
     """
     if localization not in LOCALIZATIONS:
         raise InvalidInputError(f"localization must be one of {LOCALIZATIONS}")
@@ -363,37 +409,61 @@ def estimate_fixed_point(
     if not r_grid or any(r <= 0 for r in r_grid) or sorted(r_grid) != r_grid:
         raise InvalidInputError("r_grid must be positive and sorted ascending")
 
+    unit_diagonal = is_unit_diagonal(atoms)
     sups = []
-    n_flagged = 0
+    unlocalized = []    # (s, s + g, e) of each effective replicate
+    n_flagged = sweeps = bm_solves = 0
     for rep in range(n_mc):
         rng = _rng.stream(seed, _rng.STREAM_NOISE, rep)
         A, EA, Z_star = generator(rng)
         W = symmetrize(np.asarray(A) - np.asarray(EA))
         offset = float(np.real(np.vdot(W, Z_star)))
+        slack_from = np.inf    # the least radius past which the locality is slack
+        if unit_diagonal:
+            _, Z_u, bm = bm_solve(W, "max")
+            bm_solves += 1
+            lower = bm.objective - offset
+            upper = lower + bm.gap
+            if bm.converged:
+                slack_from = _locality_distance(localization, EA, Z_star, Z_u)
         row = []
         state = None
         for r in r_grid:
-            loc = _localization_atom(localization, EA, Z_star, r)
-            # warm-start along the ascending grid: the localities are nested
-            _, report = pierra_solve(W, list(atoms) + [loc], _FIXED_POINT_CONFIG,
-                                     warm_start=state)
-            if not report.converged:
-                n_flagged += 1
-                break
-            state = report.state
-            value = report.objective - offset
+            if r >= slack_from:
+                value = upper
+            else:
+                loc = _localization_atom(localization, EA, Z_star, r)
+                # warm-start along the ascending grid: the localities are nested
+                _, report = pierra_solve(W, list(atoms) + [loc], _FIXED_POINT_CONFIG,
+                                         warm_start=state)
+                sweeps += report.iterations
+                if not report.converged:
+                    n_flagged += 1
+                    break
+                state = report.state
+                value = report.objective - offset
             # nested suprema: enforce monotonicity along the grid
             row.append(max(value, row[-1]) if row else value)
         else:
             sups.append(row)
+            if unit_diagonal:
+                unlocalized.append((lower, upper, slack_from))
 
     n_effective = len(sups)
     if n_effective == 0:
         raise InvalidInputError("every replicate was flagged; no estimate available")
-    table = np.asarray(sups)
     idx = int(np.ceil((1.0 - delta_prob) * n_effective))
     idx = min(max(idx, 1), n_effective)
-    quantiles = np.sort(table, axis=0)[idx - 1]
+
+    def quantile(table):
+        return np.sort(np.asarray(table), axis=0)[idx - 1]
+
+    quantiles = quantile(sups)
+    r_star, r_star_exact = None, False
+    if unit_diagonal:
+        lower, upper, slack_from = np.asarray(unlocalized).T
+        r_star = 2.0 * float(quantile(upper))
+        r_star_exact = bool(2.0 * quantile(lower) > slack_from.max())
 
     r_hat = None
     for r, q in zip(r_grid, quantiles):
@@ -412,4 +482,8 @@ def estimate_fixed_point(
         n_flagged=n_flagged,
         unresolved=unresolved,
         unreliable=n_flagged > 0.1 * n_mc,
+        r_star=r_star,
+        r_star_exact=r_star_exact,
+        sweeps=sweeps,
+        bm_solves=bm_solves,
     )

@@ -18,7 +18,14 @@ import numpy as np
 
 from .metrics import ari, cut_value, phase_aligned_l2, signed_error_rate, sync_mse
 from .models import membership_matrix, rescale_masked
-from .solvers import bm_solve, community_atoms, pierra_solve, signed_atoms, unit_diag_atoms
+from .solvers import (
+    bm_solve,
+    community_atoms,
+    is_unit_diagonal,
+    pierra_solve,
+    signed_atoms,
+    unit_diag_atoms,
+)
 
 __all__ = ["Problem", "PROBLEMS", "signed_ground_truth_matrix"]
 
@@ -46,7 +53,7 @@ class Problem:
         """
         M = self.objective(observed, params)
         atoms = self.atoms(params)
-        if {a.kind for a in atoms} == {a.kind for a in unit_diag_atoms()}:
+        if is_unit_diagonal(atoms):
             return bm_solve(M, "max", bm_config)[1:]    # (Z, report) without the factor
         return pierra_solve(M, atoms, pierra_config)
 

@@ -14,7 +14,7 @@ Two solver families cover every program in the library:
   ``||Z - Z_prev|| / ||U||``, stay within a factor 10 of each other; the
   test does not depend on n or on the scale of M.  The sweeps are a
   fixed-point map on ``Z + U``, and type-II Anderson acceleration over the
-  last 5 steps extrapolates it.  A safeguard rejects an extrapolated point
+  last 10 steps extrapolates it.  A safeguard rejects an extrapolated point
   whose fixed-point residual exceeds the last accepted one and takes the
   plain step instead.  The memory is cleared on a rejection and on a penalty
   change.  The returned matrix is the psd projection of the last iterate,
@@ -55,6 +55,7 @@ __all__ = [
     "box01",
     "diag_leq_one",
     "diag_eq_one",
+    "is_unit_diagonal",
     "total_sum_leq",
     "affine_halfspace",
     "l1_ball_around",
@@ -158,7 +159,7 @@ class PierraConfig:
     the penalty then doubles or halves every 10 sweeps while the relative
     primal residual ``||X - Z|| / max(||X||, ||Z||)`` and the relative dual
     residual ``||Z - Z_prev|| / ||U||`` differ by more than a factor 10.
-    The sweeps are always Anderson-accelerated, with a memory fixed at 5
+    The sweeps are always Anderson-accelerated, with a memory fixed at 10
     steps and a safeguard that falls back to the plain step whenever an
     extrapolated point raises the fixed-point residual; ``max_iters``
     counts every sweep, rejected ones included.
@@ -229,7 +230,8 @@ class SolveReport:
     # splitting: extrapolations accepted and rejected by the safeguard,
     # penalty changes and the final penalty rho; BM: restarts run, escapes
     # and rank increases taken, objective evaluations, certificates settled
-    # by a Cholesky factor and by eigh, and the final rank
+    # without eigh (by a Cholesky factor, or a zero dual slack) and by eigh,
+    # and the final rank
     counters: dict = field(default_factory=dict)
 
     @property
@@ -253,7 +255,7 @@ class SolveReport:
 # two-block ADMM: the psd cone against one projection onto the atoms' set P
 
 _CHECK_EVERY = 10
-_ANDERSON_MEMORY = 5     # (delta T(y), delta g) pairs kept by the acceleration
+_ANDERSON_MEMORY = 10    # (delta T(y), delta g) pairs kept by the acceleration
 _ANDERSON_REG = 1e-10    # Tikhonov weight, relative to the trace of the Gram matrix
 _RHO_BALANCE = 10.0      # residual ratio that triggers a penalty change
 _MULTIPLIER_STEPS = 100
@@ -619,6 +621,12 @@ def unit_diag_atoms() -> list[ConstraintAtom]:
     return [diag_eq_one()]
 
 
+def is_unit_diagonal(atoms: Sequence[ConstraintAtom]) -> bool:
+    """Whether the atoms name exactly the unit-diagonal set {Z psd, diag(Z) = 1},
+    the set :func:`bm_solve` solves over."""
+    return {a.kind for a in atoms} == {a.kind for a in unit_diag_atoms()}
+
+
 def pierra_signed(A: np.ndarray, alpha: float):
     """Signed clustering program: maximize <A - alpha*J, Z> over
     {Z psd, Z in [0,1], diag(Z) = 1} at the default :class:`PierraConfig`."""
@@ -741,12 +749,17 @@ def _certificate(C, Y, CY, target):
     its eigenvectors with eigenvalues below ``-slack`` (the bottom one at
     least), in ascending order, are where ``_escape`` steps.
 
-    Returns ``(gap, V)``: V is None when a Cholesky bound certified."""
+    An exactly zero S (a zero objective, for one) is psd as it stands, and
+    certifies a zero gap with no factor.
+
+    Returns ``(gap, V)``: V is None when no eigh was needed."""
     n = C.shape[0]
     lam = np.real(np.sum(CY * Y.conj(), axis=1))
     S = C - np.diag(lam)
     eps = np.finfo(float).eps
     slack = n * eps * frobenius_norm(S)
+    if slack == 0.0:    # S = 0
+        return 0.0, None
     if 2 * n * slack <= target:
         if has_cholesky(S, slack):
             return 2 * n * slack, None

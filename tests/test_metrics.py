@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from graphsdp import metrics
 from graphsdp.linalg import InvalidInputError
 from graphsdp.metrics import (
     BOUNDS,
@@ -22,13 +25,23 @@ from graphsdp.metrics import (
 from graphsdp.models import (
     SsbmParams,
     SyncParams,
+    apply_mask,
     gen_sbm,
     gen_ssbm,
     gen_sync,
     membership_matrix,
     sample_feasible,
 )
-from graphsdp.solvers import signed_atoms
+from graphsdp.solvers import (
+    BmConfig,
+    affine_halfspace,
+    bm_solve,
+    l1_ball_around,
+    l2_ball_around,
+    pierra_solve,
+    signed_atoms,
+    unit_diag_atoms,
+)
 
 
 class TestAri:
@@ -356,3 +369,142 @@ class TestFixedPoint:
             estimate_fixed_point(gen, signed_atoms(), "l1", 0.5, 2, [2.0, 1.0])
         with pytest.raises(InvalidInputError):
             estimate_fixed_point(gen, signed_atoms(), "nope", 0.5, 2, [1.0])
+
+
+def masked_maxcut(n, seed):
+    """A masked MAX-CUT replicate (A, EA, Z*) and its noise W = A - EA."""
+    rng = np.random.default_rng(seed)
+    A0 = np.triu((rng.random((n, n)) < 0.5).astype(float), 1)
+    A0 = A0 + A0.T
+    _, Z_star, _ = bm_solve(-A0, "max", BmConfig(seed=0))
+    mask = np.triu(rng.random((n, n)) < 0.8, 1)
+    A = -(A0 * (mask + mask.T)) / 0.8
+    return (A, -A0, Z_star), A + A0
+
+
+def count_solves(monkeypatch):
+    """Record the iterations of every splitting solve the estimator runs."""
+    iterations = []
+
+    def spy(*args, **kwargs):
+        Z, report = pierra_solve(*args, **kwargs)
+        iterations.append(report.iterations)
+        return Z, report
+
+    monkeypatch.setattr(metrics, "pierra_solve", spy)
+    return iterations
+
+
+class TestFixedPointSkip:
+    """Radii at or past the unlocalized maximizer's locality distance take
+    the certified BM value instead of a splitting solve."""
+
+    @pytest.mark.parametrize("localization, n, seed", [
+        ("excess_risk", 8, 21), ("l1", 10, 22), ("l2", 12, 23)])
+    def test_curve_equals_cold_solves_across_the_slack_radius(self, monkeypatch, localization,
+                                                              n, seed):
+        replicate, W = masked_maxcut(n, seed)
+        _, EA, Z_star = replicate
+        _, Z_u, _ = bm_solve(W, "max")
+        D = Z_star - Z_u
+        e = {"excess_risk": np.vdot(EA, D), "l1": np.abs(D).sum(), "l2": np.vdot(D, D)}[localization]
+        radii = [f * e for f in (0.25, 0.5, 0.9, 1.1, 2.0)]    # two radii past e
+        iterations = count_solves(monkeypatch)
+        est = estimate_fixed_point(lambda _: replicate, unit_diag_atoms(), localization,
+                                   0.5, 1, radii)
+        assert len(iterations) == 3
+        offset = np.vdot(W, Z_star)
+        cold = []
+        for r in radii:
+            locality = {"excess_risk": lambda: affine_halfspace(-EA, r - np.vdot(EA, Z_star)),
+                        "l1": lambda: l1_ball_around(Z_star, r),
+                        "l2": lambda: l2_ball_around(Z_star, np.sqrt(r))}[localization]()
+            _, report = pierra_solve(W, unit_diag_atoms() + [locality])
+            assert report.converged
+            cold.append(report.objective - offset)
+        for (_, q), c in zip(est.quantile_curve, np.maximum.accumulate(cold)):
+            assert abs(q - c) <= 1e-5 * (1 + abs(c))
+
+    def test_counts_the_solves_it_runs(self, monkeypatch):
+        # the replicate whose unlocalized maximizer is nearer Z* skips the
+        # last two radii, the other solves all three
+        replicates = [masked_maxcut(10, 30 + k) for k in range(2)]
+        lo, hi = sorted(np.vdot(EA, Z_star - bm_solve(W, "max")[1])
+                        for (_, EA, Z_star), W in replicates)
+        assert lo < hi
+        radii = [0.5 * lo, (2 * lo + hi) / 3, (lo + 2 * hi) / 3]
+        stream = iter(replicate for replicate, _ in replicates)
+        iterations = count_solves(monkeypatch)
+        est = estimate_fixed_point(lambda _: next(stream), unit_diag_atoms(), "excess_risk",
+                                   0.5, 2, radii)
+        assert len(iterations) == 3 + 1
+        assert est.sweeps == sum(iterations) > 0
+        assert est.bm_solves == 2
+        out = est.to_dict()
+        assert (out["sweeps"], out["bm_solves"]) == (est.sweeps, 2)
+        assert out["r_star"] == est.r_star and out["r_star_exact"] == est.r_star_exact
+
+    def test_other_sets_solve_every_radius(self, monkeypatch):
+        params = SsbmParams(n=6, n_clusters=2, p=0.9, q=0.1, delta=0.8)
+
+        def generator(rng):
+            inst = gen_ssbm(params, seed=int(rng.integers(0, 2**32)))
+            return inst.observed, inst.expected, inst.oracle
+
+        iterations = count_solves(monkeypatch)
+        est = estimate_fixed_point(generator, signed_atoms(), "l1", 0.2, 3, [1.0, 100.0])
+        assert len(iterations) == 3 * 2 and est.sweeps == sum(iterations)
+        assert est.bm_solves == 0
+        assert est.r_star is None and not est.r_star_exact
+        assert est.to_dict()["r_star"] is None
+
+    def test_uncertified_unlocalized_solve_skips_nothing(self, monkeypatch):
+        replicate, _ = masked_maxcut(10, 22)
+        radii = [1.0, 5.0, 40.0, 200.0, 1000.0]
+
+        def estimate():
+            return estimate_fixed_point(lambda _: replicate, unit_diag_atoms(), "excess_risk",
+                                        0.5, 1, radii)
+
+        certified = estimate()
+        assert certified.r_star_exact
+
+        def uncertified(M, sense, config=None):
+            Y, Z, report = bm_solve(M, sense, config)
+            return Y, Z, dataclasses.replace(report, termination="max_iters")
+
+        monkeypatch.setattr(metrics, "bm_solve", uncertified)
+        iterations = count_solves(monkeypatch)
+        est = estimate()
+        assert len(iterations) == len(radii)
+        assert est.sweeps == sum(iterations) > certified.sweeps
+        assert est.bm_solves == 1
+        # the gap still bounds the supremum, but no radius is known to be slack
+        assert est.r_star == certified.r_star and not est.r_star_exact
+        for (_, q), (_, c) in zip(est.quantile_curve, certified.quantile_curve):
+            assert abs(q - c) <= 1e-5 * (1 + abs(c))
+
+    def test_exact_fixed_point_picks_the_first_grid_radius_past_it(self):
+        # criterion 6's instance with 20 replicates and a grid around r*
+        n, p = 20, 0.8
+        rng = np.random.default_rng(123)
+        A0 = np.triu((rng.random((n, n)) < 0.5).astype(float), 1)
+        A0 = A0 + A0.T
+        _, Z_star, _ = bm_solve(-A0, "max", BmConfig(seed=0))
+
+        def generator(rng):
+            inst = apply_mask(A0, p, seed=int(rng.integers(0, 2**32)))
+            return inst.rescaled, -A0, Z_star
+
+        grid = [10.0, 20.0, 40.0, 60.0, 90.0, 110.0, 120.0, 125.0, 130.0, 180.0, 240.0]
+        est = estimate_fixed_point(generator, unit_diag_atoms(), "excess_risk",
+                                   delta_prob=4.0 ** (-n), n_mc=20, r_grid=grid, seed=7)
+        assert est.r_star_exact and not est.unresolved
+        assert est.r_star <= maxcut_rstar_bound(n, p)
+        first = min(r for r in grid if r >= est.r_star)
+        assert est.r_hat == first or abs(est.r_hat - est.r_star) <= 1e-5 * (1 + est.r_star)
+        # every radius past r* is past each replicate's slack radius: the
+        # curve is flat at r* / 2 there
+        for r, q in est.quantile_curve:
+            if r >= est.r_star:
+                assert abs(q - est.r_star / 2) <= 1e-5 * (1 + est.r_star)

@@ -983,6 +983,14 @@ class TestBm:
         assert 0.0 <= gap <= bound
         assert np.allclose(np.abs(v), 1.0 / np.sqrt(n))
 
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_zero_objective_certifies_a_zero_gap(self, n):
+        # every feasible Z is optimal for M = 0: S = 0 is psd as it stands,
+        # where a factor of S + tau I would leave a gap of n tau
+        _, _, report = bm_solve(np.zeros((n, n)), "max")
+        assert report.converged and report.gap == 0.0 and report.objective == 0.0
+        assert report.counters["certificates_eigh"] == 0
+
     def test_second_factor_certifies_just_below_the_roundoff_shift(self, monkeypatch):
         # S has a null vector (Y = ones) and lambda_min(S) = -delta.  With
         # delta = 1e-10, far below -slack but inside the target's half
