@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import ExperimentConfig, run_experiment, write_sweep
+from .experiments import ExperimentConfig, run_experiment
 from .fileio import dump_matrix, load_matrix, parse_gset, read_json, write_json
 from .linalg import InvalidInputError
 from .metrics import BOUNDS, LOCALIZATIONS, bound_report, cut_value
@@ -112,9 +112,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_round(args) -> int:
+    """Round as the result's problem is scored: its answer key picks the step."""
     Z = load_matrix(args.infile + ".coo")
+    key = PROBLEMS[read_json(args.infile + ".json")["problem"]].answer_key
     out = args.out or "rounded.json"
-    if args.mode == "cut":
+    if key == "cut_vector":
         if args.instance:
             _, _, graph = _load_instance(args.instance)
         elif args.graph:
@@ -124,7 +126,7 @@ def _cmd_round(args) -> int:
         x, mean_cut = gw_round(Z, graph, args.samples, seed=args.seed)
         write_json({"mode": "cut", "cut_vector": x, "best_cut": cut_value(graph, x),
                     "mean_cut": mean_cut}, out)
-    elif args.mode == "communities":
+    elif key == "labels":
         labels = extract_communities(Z, args.k, seed=args.seed)
         write_json({"mode": "communities", "labels": labels}, out)
     else:  # phases
@@ -138,15 +140,11 @@ def _cmd_cluster(args) -> int:
     meta, observed, _ = _load_instance(args.infile)
     if meta["problem"] != "signed":
         raise InvalidInputError("cluster works on signed instances")
-    if args.input == "raw":
-        matrix = observed
-    elif args.solution:
-        matrix = load_matrix(args.solution + ".coo")
-    else:
-        matrix, _ = PROBLEMS["signed"].solve(observed, meta["params"])
+    matrix = load_matrix(args.solution + ".coo") if args.solution else observed
     K = args.k if args.k is not None else meta["params"]["K"]
     labels = cluster_baseline(matrix, args.algo, K, seed=args.seed)
-    result = {"labels": labels, "algorithm": args.algo, "input": args.input}
+    result = {"labels": labels, "algorithm": args.algo,
+              "input": "sdp" if args.solution else "raw"}
     truth = meta.get("ground_truth")
     if truth is not None:
         result.update(PROBLEMS["signed"].score(labels, truth))
@@ -165,7 +163,11 @@ def _cmd_evaluate(args) -> int:
         raise InvalidInputError("evaluate needs --bound, or both --in and --instance")
     meta, _, graph = _load_instance(args.instance)
     problem = PROBLEMS[meta["problem"]]
-    answer = read_json(args.infile)[problem.answer_key]
+    rounded = read_json(args.infile)
+    if problem.answer_key not in rounded:
+        raise InvalidInputError(f"{args.infile} holds no '{problem.answer_key}', the answer "
+                                f"a {meta['problem']} instance is scored on")
+    answer = rounded[problem.answer_key]
     result = {"problem": meta["problem"],
               **problem.score(answer, meta.get("ground_truth"), graph)}
     write_json(result, out)
@@ -201,7 +203,7 @@ def _cmd_gset(args) -> int:
                                   seed=args.seed, params={
                                       "gset_path": args.infile, "gw_samples": args.samples,
                                       "delta_grid": _float_list(args.delta_grid)})
-        write_sweep(config, args.out or "gset_sweep", threads=args.threads)
+        run_experiment(config, args.out or "gset_sweep", threads=args.threads)
         return EXIT_OK
     graph = parse_gset(Path(args.infile).read_text())
     info = {"n": graph.n, "m": graph.m, "average_degree": graph.average_degree}
@@ -217,14 +219,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="graphsdp",
         description="SDP estimators for graph learning: generate, solve, round, evaluate.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    common.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
-    common.add_argument("--out", help="output path or prefix")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_parser(name, seed=True, threads=False, **kw):
+        """A subcommand with ``--out``, and ``--seed`` and ``--threads`` where it reads them."""
+        p = sub.add_parser(name, **kw)
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+        if threads:
+            p.add_argument("--threads", type=int, default=1,
+                           help="worker threads of the sweep (the output does not depend on it)")
+        p.add_argument("--out", help="output path or prefix")
+        return p
 
     g = add_parser("generate", help="generate a synthetic instance")
     g.add_argument("--problem", required=True, choices=list(PROBLEMS))
@@ -248,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_solve)
 
     r = add_parser("round", help="round a solved matrix")
-    r.add_argument("--in", dest="infile", required=True, help="result prefix")
-    r.add_argument("--mode", required=True, choices=["cut", "communities", "phases"])
+    r.add_argument("--in", dest="infile", required=True,
+                   help="result prefix; its sidecar's problem picks the rounding")
     r.add_argument("--instance", help="instance prefix (for cut evaluation)")
     r.add_argument("--graph", help="explicit graph .coo (for cut evaluation)")
     r.add_argument("--samples", type=int, default=200)
@@ -258,13 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = add_parser("cluster", help="signed clustering baselines, before/after")
     c.add_argument("--in", dest="infile", required=True, help="instance prefix")
-    c.add_argument("--input", default="raw", choices=["raw", "sdp"])
-    c.add_argument("--solution", help="solved result prefix (skips in-process solve)")
+    c.add_argument("--solution", help="solved result prefix (default: the raw observation)")
     c.add_argument("--algo", default="adjacency", choices=BASELINES)
     c.add_argument("--k", type=int)
     c.set_defaults(func=_cmd_cluster)
 
-    e = add_parser("evaluate", help="metrics for rounded outputs or bounds")
+    e = add_parser("evaluate", seed=False, help="metrics for rounded outputs or bounds")
     e.add_argument("--in", dest="infile", help="rounded output JSON")
     e.add_argument("--instance", help="instance prefix")
     e.add_argument("--bound", choices=list(BOUNDS))
@@ -290,12 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--r-grid", required=True, help="comma-separated radii")
     f.set_defaults(func=_cmd_fixed_point)
 
-    x = add_parser("experiment", help="run a configured sweep")
+    x = add_parser("experiment", threads=True, help="run a configured sweep")
+    x.set_defaults(seed=None)    # None keeps the config's seed
     x.add_argument("--config", required=True, help="experiment config JSON")
     x.add_argument("--full", action="store_true", help="paper-scale parameters")
     x.set_defaults(func=_cmd_experiment)
 
-    gs = add_parser("gset", help="benchmark graph utilities")
+    gs = add_parser("gset", threads=True, help="benchmark graph utilities")
     gs.add_argument("--in", dest="infile", required=True, help="edge-list file")
     gs.add_argument("--sweep", action="store_true")
     gs.add_argument("--delta-grid", default="0.2,0.5,0.8,1.0")
@@ -309,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command != "experiment" and args.seed is None:
-        args.seed = 0
     try:
         return args.func(args)
     except (InvalidInputError, FileNotFoundError) as exc:

@@ -50,7 +50,6 @@ __all__ = [
     "ExperimentConfig",
     "EXPERIMENTS",
     "run_experiment",
-    "write_sweep",
     "run_grid",
 ]
 
@@ -450,27 +449,20 @@ def _fixed_point_problem(params):
     return generator, signed.atoms(params)
 
 
-def write_sweep(config: ExperimentConfig, out_prefix, threads: int = 1):
+def run_experiment(config: ExperimentConfig, out_prefix, threads: int = 1) -> dict:
     """Run a sweep and write its rows to ``<out_prefix>.csv`` and the
     aggregate to ``<out_prefix>.agg.csv``, under the headers the experiment
-    declares.  Returns (resolved params, sidecar fields)."""
+    declares, and a JSON sidecar to ``<out_prefix>.json``.
+
+    Returns the sidecar's dict.
+    """
     out_prefix = str(out_prefix)
     spec = EXPERIMENTS[config.experiment]
     params = config.resolved_params()
     rows, agg_header, agg_rows, fields = spec.run(config, params, threads)
     write_csv(out_prefix + ".csv", spec.header, rows)
     write_csv(out_prefix + ".agg.csv", agg_header, agg_rows)
-    return params, fields
-
-
-def run_experiment(config: ExperimentConfig, out_prefix, threads: int = 1) -> dict:
-    """Run a sweep and persist CSV results plus a JSON sidecar.
-
-    Returns a summary dict (also written into the sidecar).
-    """
-    params, fields = write_sweep(config, out_prefix, threads)
     sidecar = {"config": config.to_dict(), "schema_version": SCHEMA_VERSION,
                "resolved_params": params, **fields}
-    write_json(sidecar, str(out_prefix) + ".json")
+    write_json(sidecar, out_prefix + ".json")
     return sidecar
-

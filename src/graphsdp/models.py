@@ -55,7 +55,8 @@ class SsbmParams:
 
     Within-cluster edges carry sign +1 with probability ``p`` (across:
     ``q``), and every off-diagonal pair is observed independently with
-    probability ``delta``.
+    probability ``delta``.  The communities have the sizes
+    :func:`default_sizes` gives.
     """
 
     n: int
@@ -63,20 +64,12 @@ class SsbmParams:
     p: float
     q: float
     delta: float
-    sizes: Optional[tuple] = None
 
     def __post_init__(self):
         if not (0.0 <= self.q < 0.5 < self.p <= 1.0):
             raise InvalidInputError("need 0 <= q < 1/2 < p <= 1")
         if not (0.0 < self.delta <= 1.0):
             raise InvalidInputError("need 0 < delta <= 1")
-        if self.sizes is not None:
-            sizes = tuple(int(s) for s in self.sizes)
-            object.__setattr__(self, "sizes", sizes)
-            if len(sizes) != self.n_clusters or any(s <= 0 for s in sizes):
-                raise InvalidInputError("sizes must list a positive size per community")
-            if sum(sizes) != self.n:
-                raise InvalidInputError("sizes must sum to n")
 
     @property
     def alpha(self) -> float:
@@ -95,6 +88,7 @@ class SyncParams:
     ``"outlier"`` (offset exact with probability 1-gamma, uniform on the
     circle otherwise).  Pairs are observed independently with probability
     ``sample_prob``; unobserved entries enter the data matrix as zeros.
+    The true phases are drawn from the instance's seed.
     """
 
     n: int
@@ -102,7 +96,6 @@ class SyncParams:
     noise_model: str = "gaussian"
     gamma: float = 0.0
     sample_prob: float = 1.0
-    true_phases: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -115,11 +108,6 @@ class SyncParams:
             raise InvalidInputError("gamma must be in [0, 1]")
         if not (0.0 < self.sample_prob <= 1.0):
             raise InvalidInputError("sample_prob must be in (0, 1]")
-        if self.true_phases is not None:
-            phases = np.asarray(self.true_phases, dtype=float)
-            if phases.shape != (self.n,) or not np.isfinite(phases).all():
-                raise InvalidInputError("true_phases must be n finite numbers")
-            object.__setattr__(self, "true_phases", phases)
 
     @property
     def signal_factor(self) -> float:
@@ -181,14 +169,13 @@ def _bernoulli_symmetric(prob: np.ndarray, rng: np.random.Generator) -> np.ndarr
     return upper + upper.T
 
 
-def gen_sbm(n, K, p, q, sizes=None, seed=0) -> ProblemInstance:
-    """Stochastic block model: within-community edge probability p, across q,
-    self-loops always present.  The oracle is the membership matrix."""
+def gen_sbm(n, K, p, q, seed=0) -> ProblemInstance:
+    """Stochastic block model on communities of :func:`default_sizes`:
+    within-community edge probability p, across q, self-loops always
+    present.  The oracle is the membership matrix."""
     if not (0.0 <= q < p <= 1.0):
         raise InvalidInputError("need 0 <= q < p <= 1")
-    sizes = tuple(sizes) if sizes is not None else default_sizes(n, K)
-    if sum(sizes) != n or len(sizes) != K or any(s <= 0 for s in sizes):
-        raise InvalidInputError("sizes must be positive and sum to n")
+    sizes = default_sizes(n, K)
     labels = _block_labels(sizes)
     Zstar = membership_matrix(labels)
     expected = np.where(Zstar > 0, p, q)
@@ -209,7 +196,7 @@ def gen_sbm(n, K, p, q, sizes=None, seed=0) -> ProblemInstance:
 
 def gen_ssbm(params: SsbmParams, seed=0) -> ProblemInstance:
     """Signed stochastic block model; entries in {-1, 0, +1}, unit diagonal."""
-    sizes = params.sizes if params.sizes is not None else default_sizes(params.n, params.n_clusters)
+    sizes = default_sizes(params.n, params.n_clusters)
     labels = _block_labels(sizes)
     Zstar = membership_matrix(labels)
     within = Zstar > 0
@@ -251,10 +238,7 @@ def gen_sync(params: SyncParams, seed=0) -> ProblemInstance:
     off the diagonal (c the noise attenuation factor) and 1 on it.
     """
     n = params.n
-    if params.true_phases is not None:
-        phases = params.true_phases
-    else:
-        phases = _rng.stream(seed, _rng.STREAM_PHASES).uniform(0.0, 2.0 * np.pi, n)
+    phases = _rng.stream(seed, _rng.STREAM_PHASES).uniform(0.0, 2.0 * np.pi, n)
     x = np.exp(1j * phases)
     offsets = phases[:, None] - phases[None, :]
     noise_rng = _rng.stream(seed, _rng.STREAM_NOISE)

@@ -56,13 +56,18 @@ def gw_round(Z: np.ndarray, graph: np.ndarray, n_samples: int, seed: int = 0):
     scores each sample by its cut value on ``graph`` (the full adjacency when
     available, the observed one otherwise), and returns the best sign vector
     together with the sample-mean cut value.  Ties keep the earliest sample.
-    All samples are drawn in one block and scored together.
+    All samples are drawn in one block and scored together.  ``graph`` is a
+    finite square matrix of Z's shape.
     """
     if n_samples < 1:
         raise InvalidInputError("n_samples must be >= 1")
     rows = factorize_gram(Z)
     if np.iscomplexobj(rows):
         raise InvalidInputError("hyperplane rounding expects a real factor")
+    graph = check_square(graph, "graph")
+    if graph.shape != np.shape(Z):
+        raise InvalidInputError(
+            f"graph of shape {graph.shape} does not match the solution's {np.shape(Z)}")
     rng = _rng.stream(seed, _rng.STREAM_SOLVER)
     g = rng.standard_normal((n_samples, rows.shape[1]))
     x = np.where(g @ rows.T >= 0, 1.0, -1.0)

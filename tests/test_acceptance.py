@@ -265,7 +265,7 @@ def _run_cli(args):
     assert code == 0, f"cli failed: {args}"
 
 
-def _cli_outputs(base: Path, tag: str):
+def _cli_outputs(base: Path, tag: str, monkeypatch):
     work = base / tag
     work.mkdir()
     inst = work / "inst"
@@ -274,12 +274,12 @@ def _cli_outputs(base: Path, tag: str):
     res = work / "res"
     _run_cli(["solve", "--in", inst, "--out", res])
     comm = work / "comm.json"
-    _run_cli(["round", "--in", res, "--mode", "communities", "--k", 2, "--seed", 3,
+    _run_cli(["round", "--in", res, "--k", 2, "--seed", 3,
               "--out", comm])
     ev = work / "eval.json"
     _run_cli(["evaluate", "--in", comm, "--instance", inst, "--out", ev])
     cl = work / "cl.json"
-    _run_cli(["cluster", "--in", inst, "--input", "raw", "--algo", "bnc", "--out", cl])
+    _run_cli(["cluster", "--in", inst, "--algo", "bnc", "--out", cl])
 
     sy = work / "sy"
     _run_cli(["generate", "--problem", "sync", "--n", 14, "--sigma", 0.2, "--seed", 5,
@@ -287,7 +287,7 @@ def _cli_outputs(base: Path, tag: str):
     syres = work / "syres"
     _run_cli(["solve", "--in", sy, "--out", syres])
     ph = work / "ph.json"
-    _run_cli(["round", "--in", syres, "--mode", "phases", "--out", ph])
+    _run_cli(["round", "--in", syres, "--out", ph])
 
     mc = work / "mc"
     _run_cli(["generate", "--problem", "maxcut", "--n", 12, "--eta", 0.1,
@@ -295,7 +295,7 @@ def _cli_outputs(base: Path, tag: str):
     mcres = work / "mcres"
     _run_cli(["solve", "--in", mc, "--out", mcres])
     cut = work / "cut.json"
-    _run_cli(["round", "--in", mcres, "--mode", "cut", "--instance", mc,
+    _run_cli(["round", "--in", mcres, "--instance", mc,
               "--samples", 64, "--seed", 8, "--out", cut])
 
     bound = work / "bound.json"
@@ -318,7 +318,10 @@ def _cli_outputs(base: Path, tag: str):
     gfile = work / "g.gset"
     gfile.write_text("6 6\n1 2 1\n2 3 1\n3 4 1\n4 5 1\n5 6 1\n6 1 1\n")
     gsw = work / "gsw"
-    _run_cli(["gset", "--in", gfile, "--sweep", "--delta-grid", "0.5,1.0",
+    # the sweep's sidecar echoes the file's path as given: a relative one
+    # reads the same in both runs
+    monkeypatch.chdir(work)
+    _run_cli(["gset", "--in", gfile.name, "--sweep", "--delta-grid", "0.5,1.0",
               "--replicates", 2, "--seed", 4, "--out", gsw])
 
     produced = {}
@@ -328,10 +331,10 @@ def _cli_outputs(base: Path, tag: str):
     return produced
 
 
-def test_09_cli_determinism(tmp_path):
+def test_09_cli_determinism(tmp_path, monkeypatch):
     with criterion(9, "CLI determinism", budget_s=600):
-        first = _cli_outputs(tmp_path, "run1")
-        second = _cli_outputs(tmp_path, "run2")
+        first = _cli_outputs(tmp_path, "run1", monkeypatch)
+        second = _cli_outputs(tmp_path, "run2", monkeypatch)
         assert first.keys() == second.keys()
         for name in first:
             assert first[name] == second[name], f"output differs across reruns: {name}"

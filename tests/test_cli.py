@@ -4,10 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from graphsdp.cli import main
+from graphsdp.cli import build_parser, main
 from graphsdp.experiments import EXPERIMENTS
 from graphsdp.fileio import read_csv, read_json
 from graphsdp.metrics import BOUNDS, bound_report
+from graphsdp.problems import PROBLEMS
 
 
 def run(args):
@@ -31,12 +32,25 @@ class TestGenerateSolveRoundEvaluate:
         report = read_json(str(res) + ".json")["report"]
         assert report["termination"] == "converged" and report["gap"] is None
         out = tmp_path / "comm.json"
-        assert run(["round", "--in", res, "--mode", "communities", "--k", 2,
-                    "--out", out]) == 0
+        assert run(["round", "--in", res, "--k", 2, "--out", out]) == 0
         ev = tmp_path / "eval.json"
         assert run(["evaluate", "--in", out, "--instance", inst, "--out", ev]) == 0
         result = read_json(ev)
         assert result["ari"] == 1.0 and result["gamma"] == 0.0
+
+    def test_answer_of_another_problem_names_the_key(self, tmp_path, capsys):
+        # signed labels scored against a MAX-CUT instance
+        inst, res, labels = tmp_path / "inst", tmp_path / "res", tmp_path / "labels.json"
+        run(["generate", "--problem", "signed", "--n", 8, "--out", inst])
+        run(["solve", "--in", inst, "--out", res])
+        run(["round", "--in", res, "--out", labels])
+        mc = tmp_path / "mc"
+        run(["generate", "--problem", "maxcut", "--n", 8, "--out", mc])
+        ev = tmp_path / "ev.json"
+        assert run(["evaluate", "--in", labels, "--instance", mc, "--out", ev]) == 2
+        err = capsys.readouterr().err
+        assert "'cut_vector'" in err and "maxcut" in err and "KeyError" not in err
+        assert not ev.exists()
 
     def test_negative_seed_names_the_param(self, tmp_path, capsys):
         out = tmp_path / "inst"
@@ -61,7 +75,7 @@ class TestGenerateSolveRoundEvaluate:
         report = read_json(str(res) + ".json")["report"]
         assert report["gap"] <= 1e-7 * (1.0 + abs(report["objective"]))
         out = tmp_path / "cut.json"
-        assert run(["round", "--in", res, "--mode", "cut", "--instance", inst,
+        assert run(["round", "--in", res, "--instance", inst,
                     "--samples", 100, "--seed", 2, "--out", out]) == 0
         ev = tmp_path / "ev.json"
         assert run(["evaluate", "--in", out, "--instance", inst, "--out", ev]) == 0
@@ -77,7 +91,7 @@ class TestGenerateSolveRoundEvaluate:
                     "--seed", 3, "--out", inst]) == 0
         assert run(["solve", "--in", inst, "--out", res]) == 0
         out = tmp_path / "ph.json"
-        assert run(["round", "--in", res, "--mode", "phases", "--out", out]) == 0
+        assert run(["round", "--in", res, "--out", out]) == 0
         ev = tmp_path / "ev.json"
         assert run(["evaluate", "--in", out, "--instance", inst, "--out", ev]) == 0
         assert read_json(ev)["mse"] < 1e-6
@@ -175,35 +189,106 @@ class TestGenerateSolveRoundEvaluate:
         assert abs(trace[-1] - report["objective"]) <= 1e-6 * abs(report["objective"])
 
 
+class TestRoundCommand:
+    # the result sidecar's problem picks the rounding and names the output's mode
+    MODES = {"community": "communities", "signed": "communities", "sync": "phases",
+             "maxcut": "cut"}
+
+    @pytest.mark.parametrize("problem", list(MODES))
+    def test_problem_picks_the_rounding(self, tmp_path, problem):
+        inst, res, out = tmp_path / "inst", tmp_path / "res", tmp_path / "r.json"
+        assert run(["generate", "--problem", problem, "--n", 8, "--seed", 1,
+                    "--out", inst]) == 0
+        run(["solve", "--in", inst, "--out", res])
+        assert run(["round", "--in", res, "--instance", inst, "--samples", 20,
+                    "--out", out]) == 0
+        rounded = read_json(out)
+        assert rounded["mode"] == self.MODES[problem]
+        assert PROBLEMS[problem].answer_key in rounded
+        assert run(["evaluate", "--in", out, "--instance", inst,
+                    "--out", tmp_path / "e.json"]) == 0
+
+    def test_result_without_a_sidecar_names_it(self, tmp_path, capsys):
+        inst, res = tmp_path / "inst", tmp_path / "res"
+        run(["generate", "--problem", "sync", "--n", 6, "--out", inst])
+        run(["solve", "--in", inst, "--out", res])
+        Path(str(res) + ".json").unlink()
+        out = tmp_path / "r.json"
+        assert run(["round", "--in", res, "--out", out]) == 2
+        assert "res.json" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cut_graph_of_the_wrong_shape_names_both_shapes(self, tmp_path, capsys):
+        mc, mc6, res = tmp_path / "mc", tmp_path / "mc6", tmp_path / "res"
+        run(["generate", "--problem", "maxcut", "--n", 8, "--out", mc])
+        run(["generate", "--problem", "maxcut", "--n", 6, "--out", mc6])
+        run(["solve", "--in", mc, "--out", res])
+        out = tmp_path / "cut.json"
+        assert run(["round", "--in", res, "--graph", str(mc6) + ".full.coo",
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "(6, 6)" in err and "(8, 8)" in err
+        assert not out.exists()
+
+
+class TestFlags:
+    # a subcommand takes --seed and --threads only where it reads them, and
+    # neither a rounding mode nor a cluster input that its inputs decide
+    VALID = {
+        "generate": ["generate", "--problem", "signed", "--n", 8],
+        "solve": ["solve", "--in", "inst"],
+        "round": ["round", "--in", "res"],
+        "cluster": ["cluster", "--in", "inst"],
+        "evaluate": ["evaluate", "--bound", "maxcut_rstar", "--n", 10, "--p", 0.5],
+        "fixed-point": ["fixed-point", "--r-grid", "5"],
+        "experiment": ["experiment", "--config", "exp.json"],
+        "gset": ["gset", "--in", "g.gset"],
+    }
+
+    @staticmethod
+    def parse(args):
+        return build_parser().parse_args([str(a) for a in args])
+
+    @pytest.mark.parametrize("command, flag", [
+        *((command, "--threads") for command in
+          ("generate", "solve", "round", "cluster", "evaluate", "fixed-point")),
+        ("evaluate", "--seed"), ("round", "--mode"), ("cluster", "--input"),
+    ])
+    def test_flag_it_does_not_take_is_rejected(self, capsys, command, flag):
+        self.parse(self.VALID[command])
+        with pytest.raises(SystemExit) as exc:
+            self.parse(self.VALID[command] + [flag, 3])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["experiment", "gset"])
+    def test_sweeps_take_threads(self, command):
+        assert self.parse(self.VALID[command] + ["--threads", 3]).threads == 3
+
+    def test_seed_defaults_to_zero_and_experiment_keeps_the_configs(self):
+        for command, args in self.VALID.items():
+            if command == "evaluate":
+                assert not hasattr(self.parse(args), "seed")
+            else:
+                assert self.parse(args).seed == (None if command == "experiment" else 0)
+
+
 class TestClusterCommand:
     def test_raw_and_sdp_modes(self, tmp_path):
         inst = tmp_path / "inst"
         run(["generate", "--problem", "signed", "--n", 20, "--k", 2,
              "--p", 0.95, "--q", 0.05, "--delta", 1.0, "--seed", 5, "--out", inst])
         raw_out = tmp_path / "raw.json"
-        assert run(["cluster", "--in", inst, "--input", "raw", "--algo", "lbar_sym",
-                    "--out", raw_out]) == 0
+        assert run(["cluster", "--in", inst, "--algo", "lbar_sym", "--out", raw_out]) == 0
         assert read_json(raw_out)["ari"] == 1.0
+        assert read_json(raw_out)["input"] == "raw"
         res = tmp_path / "res"
         run(["solve", "--in", inst, "--out", res])
         sdp_out = tmp_path / "sdp.json"
-        assert run(["cluster", "--in", inst, "--input", "sdp", "--solution", res,
+        assert run(["cluster", "--in", inst, "--solution", res,
                     "--algo", "adjacency", "--out", sdp_out]) == 0
         assert read_json(sdp_out)["ari"] == 1.0
-
-    def test_in_process_solve_equals_a_saved_solution(self, tmp_path):
-        # --input sdp without --solution solves the instance as `solve` does
-        inst = tmp_path / "inst"
-        run(["generate", "--problem", "signed", "--n", 16, "--k", 2, "--p", 0.95,
-             "--q", 0.05, "--delta", 0.9, "--seed", 7, "--out", inst])
-        res = tmp_path / "res"
-        assert run(["solve", "--in", inst, "--out", res]) == 0
-        saved, in_process = tmp_path / "saved.json", tmp_path / "in_process.json"
-        assert run(["cluster", "--in", inst, "--input", "sdp", "--solution", res,
-                    "--algo", "bnc", "--out", saved]) == 0
-        assert run(["cluster", "--in", inst, "--input", "sdp", "--algo", "bnc",
-                    "--out", in_process]) == 0
-        assert file_bytes(saved) == file_bytes(in_process)
+        assert read_json(sdp_out)["input"] == "sdp"
 
     def test_k_zero_is_invalid_input(self, tmp_path, capsys):
         # --k 0 reaches k-means, which needs 1 <= K <= n, instead of giving
@@ -422,6 +507,24 @@ class TestGsetCommand:
         _, agg = read_csv(str(out) + ".agg.csv")
         assert float(agg[0]["mean_cut_full"]) == 4.0  # 4-cycle max cut
 
+    def test_sweep_writes_what_experiment_writes(self, tmp_path):
+        # the command runs a maxcut_gset_sweep config: same three files
+        f = tmp_path / "g.gset"
+        f.write_text("4 4\n1 2 1\n2 3 1\n3 4 1\n4 1 1\n")
+        out = tmp_path / "sweep"
+        assert run(["gset", "--in", f, "--sweep", "--delta-grid", "0.5,1.0",
+                    "--replicates", 2, "--samples", 20, "--seed", 3, "--out", out]) == 0
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "experiment": "maxcut_gset_sweep", "replicates": 2, "seed": 3,
+            "params": {"gset_path": str(f), "gw_samples": 20, "delta_grid": [0.5, 1.0]}}))
+        assert run(["experiment", "--config", cfg, "--out", tmp_path / "exp"]) == 0
+        suffixes = (".csv", ".agg.csv", ".json")
+        assert file_bytes(*(str(out) + s for s in suffixes)) == \
+            file_bytes(*(str(tmp_path / "exp") + s for s in suffixes))
+        side = read_json(str(out) + ".json")
+        assert side["rows"] == side["rows_ok"] == 4
+
     def test_sweep_writes_the_experiment_headers(self, tmp_path, monkeypatch):
         # a column the experiment gains reaches the CLI's csv and aggregate
         spec = EXPERIMENTS["maxcut_gset_sweep"]
@@ -498,7 +601,7 @@ class TestDeterminism:
             res = tmp_path / name
             run(["solve", "--in", inst, "--out", res])
             cut = tmp_path / (name + "cut.json")
-            run(["round", "--in", res, "--mode", "cut", "--instance", inst,
+            run(["round", "--in", res, "--instance", inst,
                  "--samples", 50, "--seed", 5, "--out", cut])
             outputs.append(file_bytes(str(res) + ".coo", str(res) + ".json", cut))
         assert outputs[0] == outputs[1]

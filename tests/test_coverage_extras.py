@@ -1,5 +1,7 @@
 """Cross-cutting paths not exercised by the per-module suites."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,12 +52,37 @@ class TestFixedPointFlagging:
             estimate_fixed_point(self.make_generator(), signed_atoms(), "l1",
                                  0.2, 5, [1.0, 2.0], seed=0)
 
-    def test_unreliable_flag_via_partial_budget(self):
+    def test_converged_replicates_are_all_effective(self):
         from graphsdp.solvers import signed_atoms
-        # generous but finite budget: solves converge, nothing flagged
+        # the default budget: solves converge, nothing flagged
         est = estimate_fixed_point(self.make_generator(), signed_atoms(), "l2",
                                    0.2, 5, [1.0, 4.0], seed=0)
-        assert est.n_flagged == 0 and not est.unreliable
+        assert est.n_flagged == 0 and est.n_effective == 5 and not est.unreliable
+
+    @pytest.mark.parametrize("n_mc, flagged, unreliable", [
+        (5, {3}, True), (5, {1, 3, 4}, True), (10, {7}, False), (10, {2, 7}, True)])
+    def test_unreliable_above_a_tenth_flagged(self, monkeypatch, n_mc, flagged, unreliable):
+        from graphsdp.solvers import signed_atoms
+        # the chosen replicates' solves report no convergence; the estimate is
+        # unreliable when more than a tenth of them are flagged
+        generator, current = self.make_generator(), []
+
+        def counting_generator(rng):
+            current.append(len(current))
+            return generator(rng)
+
+        def solve(*args, **kwargs):
+            Z, report = pierra_solve(*args, **kwargs)
+            if current[-1] in flagged:
+                report = dataclasses.replace(report, termination="max_iters")
+            return Z, report
+
+        monkeypatch.setattr(metrics, "pierra_solve", solve)
+        est = estimate_fixed_point(counting_generator, signed_atoms(), "l2",
+                                   0.2, n_mc, [1.0, 4.0], seed=0)
+        assert current == list(range(n_mc))
+        assert est.n_flagged == len(flagged) and est.n_effective == n_mc - len(flagged)
+        assert est.unreliable is unreliable and est.to_dict()["unreliable"] is unreliable
 
 
 class TestCliRemainingPaths:
@@ -65,8 +92,7 @@ class TestCliRemainingPaths:
                     "--p", 0.95, "--q", 0.05, "--seed", 2, "--out", inst]) == 0
         assert run(["solve", "--in", inst, "--out", res]) == 0
         out = tmp_path / "lbl.json"
-        assert run(["round", "--in", res, "--mode", "communities", "--k", 2,
-                    "--out", out]) == 0
+        assert run(["round", "--in", res, "--k", 2, "--out", out]) == 0
         ev = tmp_path / "ev.json"
         assert run(["evaluate", "--in", out, "--instance", inst, "--out", ev]) == 0
         assert read_json(ev)["ari"] == 1.0
@@ -81,7 +107,7 @@ class TestCliRemainingPaths:
              "--delta", 1.0, "--seed", 1, "--out", mc])
         assert run(["solve", "--in", mc, "--out", mcres]) == 0
         out = tmp_path / "cut.json"
-        assert run(["round", "--in", mcres, "--mode", "cut", "--instance", mc,
+        assert run(["round", "--in", mcres, "--instance", mc,
                     "--samples", 50, "--out", out]) == 0
         assert read_json(out)["best_cut"] == 25.0  # bipartite 5x5 optimum
 
@@ -91,7 +117,7 @@ class TestCliRemainingPaths:
              "--delta", 1.0, "--seed", 0, "--out", mc])
         run(["solve", "--in", mc, "--out", mcres])
         out = tmp_path / "cut.json"
-        assert run(["round", "--in", mcres, "--mode", "cut",
+        assert run(["round", "--in", mcres,
                     "--graph", str(mc) + ".full.coo", "--samples", 20,
                     "--out", out]) == 0
         assert read_json(out)["best_cut"] == 16.0

@@ -127,6 +127,17 @@ class TestGwRound:
         with pytest.raises(InvalidInputError):
             gw_round(Z, np.ones((3, 3)) - np.eye(3), 10)
 
+    @pytest.mark.parametrize("graph, message", [
+        (np.ones((6, 6)) - np.eye(6),
+         r"graph of shape \(6, 6\) does not match the solution's \(8, 8\)"),
+        (np.ones((8, 6)), r"graph must be square, got shape \(8, 6\)"),
+        (np.full((8, 8), np.nan), "graph has non-finite entries"),
+    ])
+    def test_rejects_a_graph_that_is_not_the_solutions(self, graph, message):
+        Z = random_unit_diag_psd(8, np.random.default_rng(4))
+        with pytest.raises(InvalidInputError, match=message):
+            gw_round(Z, graph, 10)
+
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         Z = random_unit_diag_psd(5, rng)
