@@ -111,10 +111,24 @@ def _cmd_solve(args) -> int:
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
+def _given(args, flags) -> list:
+    """The flags among ``flags`` (names of args with a None default) on the command line."""
+    return ["--" + name.replace("_", "-") for name in flags if getattr(args, name) is not None]
+
+
+# the round flags each rounding step reads, besides --in, --seed and --out
+_ROUND_FLAGS = {"cut_vector": ("instance", "graph", "samples"), "labels": ("k",), "phases": ()}
+
+
 def _cmd_round(args) -> int:
     """Round as the result's problem is scored: its answer key picks the step."""
     Z = load_matrix(args.infile + ".coo")
-    key = PROBLEMS[read_json(args.infile + ".json")["problem"]].answer_key
+    problem = read_json(args.infile + ".json")["problem"]
+    key = PROBLEMS[problem].answer_key
+    unread = _given(args, [f for flags in _ROUND_FLAGS.values() for f in flags
+                           if f not in _ROUND_FLAGS[key]])
+    if unread:
+        raise InvalidInputError(f"{', '.join(unread)} not read when rounding a {problem} result")
     out = args.out or "rounded.json"
     if key == "cut_vector":
         if args.instance:
@@ -123,11 +137,12 @@ def _cmd_round(args) -> int:
             graph = load_matrix(args.graph)
         else:
             raise InvalidInputError("cut rounding needs --instance or --graph")
-        x, mean_cut = gw_round(Z, graph, args.samples, seed=args.seed)
+        samples = 200 if args.samples is None else args.samples
+        x, mean_cut = gw_round(Z, graph, samples, seed=args.seed)
         write_json({"mode": "cut", "cut_vector": x, "best_cut": cut_value(graph, x),
                     "mean_cut": mean_cut}, out)
     elif key == "labels":
-        labels = extract_communities(Z, args.k, seed=args.seed)
+        labels = extract_communities(Z, 2 if args.k is None else args.k, seed=args.seed)
         write_json({"mode": "communities", "labels": labels}, out)
     else:  # phases
         x = extract_phases(Z)
@@ -161,13 +176,17 @@ def _cmd_evaluate(args) -> int:
         return EXIT_OK
     if args.infile is None or args.instance is None:
         raise InvalidInputError("evaluate needs --bound, or both --in and --instance")
-    meta, _, graph = _load_instance(args.instance)
+    meta, observed, graph = _load_instance(args.instance)
     problem = PROBLEMS[meta["problem"]]
     rounded = read_json(args.infile)
     if problem.answer_key not in rounded:
         raise InvalidInputError(f"{args.infile} holds no '{problem.answer_key}', the answer "
                                 f"a {meta['problem']} instance is scored on")
     answer = rounded[problem.answer_key]
+    n = observed.shape[0]
+    if np.shape(answer) != (n,):
+        raise InvalidInputError(f"{args.infile} holds {np.size(answer)} '{problem.answer_key}' "
+                                f"entries, but the instance {args.instance} has n = {n}")
     result = {"problem": meta["problem"],
               **problem.score(answer, meta.get("ground_truth"), graph)}
     write_json(result, out)
@@ -197,14 +216,23 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+# the gset flags only a sweep reads, and their defaults
+_SWEEP_DEFAULTS = {"delta_grid": "0.2,0.5,0.8,1.0", "replicates": 5, "samples": 100, "threads": 1}
+
+
 def _cmd_gset(args) -> int:
     if args.sweep:
-        config = ExperimentConfig("maxcut_gset_sweep", replicates=args.replicates,
+        sweep = {name: (default if getattr(args, name) is None else getattr(args, name))
+                 for name, default in _SWEEP_DEFAULTS.items()}
+        config = ExperimentConfig("maxcut_gset_sweep", replicates=sweep["replicates"],
                                   seed=args.seed, params={
-                                      "gset_path": args.infile, "gw_samples": args.samples,
-                                      "delta_grid": _float_list(args.delta_grid)})
-        run_experiment(config, args.out or "gset_sweep", threads=args.threads)
+                                      "gset_path": args.infile, "gw_samples": sweep["samples"],
+                                      "delta_grid": _float_list(sweep["delta_grid"])})
+        run_experiment(config, args.out or "gset_sweep", threads=sweep["threads"])
         return EXIT_OK
+    unread = _given(args, _SWEEP_DEFAULTS)
+    if unread:
+        raise InvalidInputError(f"{', '.join(unread)} only apply with --sweep")
     graph = parse_gset(Path(args.infile).read_text())
     info = {"n": graph.n, "m": graph.m, "average_degree": graph.average_degree}
     if args.out:
@@ -258,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="result prefix; its sidecar's problem picks the rounding")
     r.add_argument("--instance", help="instance prefix (for cut evaluation)")
     r.add_argument("--graph", help="explicit graph .coo (for cut evaluation)")
-    r.add_argument("--samples", type=int, default=200)
-    r.add_argument("--k", type=int, default=2)
+    r.add_argument("--samples", type=int, help="hyperplane samples of a cut (default 200)")
+    r.add_argument("--k", type=int, help="clusters of a labelling (default 2)")
     r.set_defaults(func=_cmd_round)
 
     c = add_parser("cluster", help="signed clustering baselines, before/after")
@@ -304,9 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
     gs = add_parser("gset", threads=True, help="benchmark graph utilities")
     gs.add_argument("--in", dest="infile", required=True, help="edge-list file")
     gs.add_argument("--sweep", action="store_true")
-    gs.add_argument("--delta-grid", default="0.2,0.5,0.8,1.0")
-    gs.add_argument("--replicates", type=int, default=5)
-    gs.add_argument("--samples", type=int, default=100)
+    # the sweep's flags default to None, so that a given one without --sweep exits 2
+    gs.set_defaults(threads=None)
+    gs.add_argument("--delta-grid", help=f"default {_SWEEP_DEFAULTS['delta_grid']}")
+    gs.add_argument("--replicates", type=int, help=f"default {_SWEEP_DEFAULTS['replicates']}")
+    gs.add_argument("--samples", type=int, help=f"default {_SWEEP_DEFAULTS['samples']}")
     gs.set_defaults(func=_cmd_gset)
 
     return parser

@@ -351,7 +351,8 @@ def _locality_distance(kind: str, EA, Z_star, Z) -> float:
     return float(np.abs(D).sum()) if kind == "l1" else float(np.real(np.vdot(D, D)))
 
 
-_FIXED_POINT_CONFIG = PierraConfig(feas_tol=1e-6)    # the inner solves' settings
+# the inner solves' settings: each stops on a certified gap of 1e-6 relative
+_FIXED_POINT_CONFIG = PierraConfig(feas_tol=1e-6, gap_tol=1e-6)
 
 
 def estimate_fixed_point(
@@ -368,16 +369,18 @@ def estimate_fixed_point(
     ``generator(rng)`` must yield one replicate ``(A, EA, Z_star)``.  For
     each replicate and each radius in the ascending grid, the localized
     noise supremum ``h(r) = sup <A - EA, Z - Z*>`` over the constraint set
-    intersected with the chosen locality is the value of a warm-started
+    intersected with the chosen locality is bounded by a warm-started
     splitting solve; the curve of empirical (1-delta) quantiles is then
     scanned for the first radius dominating twice the supremum (``r_hat``,
     a grid point).  Replicates whose inner solve does not converge are
     excluded and counted; above 10% exclusions the estimate is flagged
     unreliable, and a grid that never resolves is flagged unresolved.
 
-    The inner programs run at a looser feasibility tolerance
-    (``_FIXED_POINT_CONFIG``, 1e-6) than estimation solves; the suprema of
-    solved radii are therefore conservative up to that tolerance.
+    The inner solves (``_FIXED_POINT_CONFIG``) stop on a certified gap of
+    1e-6 relative, with the locality met to ``feas_tol`` 1e-6, and each
+    solved radius carries its certified upper bound ``objective + gap``
+    (less the offset ``<A - EA, Z*>``): the curve holds upper bounds on the
+    suprema, within the gap of them.
 
     When the atoms are exactly the unit-diagonal set, each replicate first
     solves its unlocalized program by certified BM (``bm_solve(W, "max")``
@@ -441,7 +444,7 @@ def estimate_fixed_point(
                     n_flagged += 1
                     break
                 state = report.state
-                value = report.objective - offset
+                value = report.objective + report.gap - offset
             # nested suprema: enforce monotonicity along the grid
             row.append(max(value, row[-1]) if row else value)
         else:

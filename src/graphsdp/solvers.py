@@ -17,8 +17,11 @@ Two solver families cover every program in the library:
   last 10 steps extrapolates it.  A safeguard rejects an extrapolated point
   whose fixed-point residual exceeds the last accepted one and takes the
   plain step instead.  The memory is cleared on a rejection and on a penalty
-  change.  The returned matrix is the psd projection of the last iterate,
-  which lies in P, and the reported residuals are measured on it.
+  change.  By default the solve stops when the objective has stalled and
+  the residuals are small, and returns the psd projection of the last
+  iterate, which lies in P; with ``PierraConfig.gap_tol`` it stops on a
+  certified duality gap and returns a repaired psd point.  The reported
+  residuals are measured on the returned matrix.
 * :func:`bm_solve` optimizes ``<M, Y Y*>`` over unit-norm rows of a low-rank
   factor Y (Barzilai-Borwein gradient descent with a nonmonotone line
   search on a product of spheres/circles), for the special constraint set
@@ -163,14 +166,25 @@ class PierraConfig:
     steps and a safeguard that falls back to the plain step whenever an
     extrapolated point raises the fixed-point residual; ``max_iters``
     counts every sweep, rejected ones included.
+
+    ``gap_tol`` None keeps the default stop: the residuals are under
+    ``feas_tol`` and the objective has moved by at most ``obj_tol``
+    (relative) over 10 sweeps.  A positive ``gap_tol`` replaces it with a
+    certified stop (see :func:`pierra_solve`): the returned point's
+    objective is within ``gap_tol * (1 + |objective|)`` of a proven upper
+    bound, which ``SolveReport.gap`` reports.  It needs a set with a finite
+    upper bound on the diagonal.
     """
 
     max_iters: int = 50_000
     feas_tol: float = 1e-7
     obj_tol: float = 1e-9
+    gap_tol: Optional[float] = None
 
     def __post_init__(self):
         kinds = {"max_iters": int, "feas_tol": float, "obj_tol": float}
+        if self.gap_tol is not None:
+            kinds["gap_tol"] = float
         check_fields(self, kinds, positive=kinds)
 
 
@@ -223,7 +237,8 @@ class SolveReport:
     # BM: certified bound on the distance from objective to optimum, from a
     # Cholesky factor of the dual slack (2 n^2 eps ||S||_F, or at most the stop
     # target from a factor at the shift target / (2n)) when that meets the
-    # stop target, else from its eigenvalues; None for splitting
+    # stop target, else from its eigenvalues; splitting: upper bound less
+    # objective of a solve that stopped on ``gap_tol``, else None
     gap: Optional[float] = None
     # splitting: the end state (Z, U, rho), for ``pierra_solve(warm_start=...)``; not serialized
     state: Optional[tuple] = field(default=None, repr=False, compare=False)
@@ -323,7 +338,7 @@ def _multiplier(V, N, sq, L, H, value, l2, tau):
     return tau, None
 
 
-def _set_projection(atoms, M):
+def _set_projection(atoms, M, certify=False):
     """Exact projection onto the intersection of the atoms, for real
     C-contiguous iterates shaped like ``M``.
 
@@ -339,6 +354,11 @@ def _set_projection(atoms, M):
     is ``clip(c + (V - c) / (1 + tau))``.  Each step is entrywise or
     applies one scalar to every entry, so a symmetric V projects to a
     symmetric point.
+
+    With ``certify`` it returns ``(project, certificate)``, the certificate
+    of :func:`_certificate_of` built beside the projection, whose last
+    multiplier it reads; a set with no finite upper bound on the diagonal
+    then raises.
     """
     for a in atoms:
         if a.kind not in (*_ENTRY_BOUNDS, "total_sum_leq", "affine_halfspace", "l1_ball", "l2_ball"):
@@ -348,14 +368,23 @@ def _set_projection(atoms, M):
     if len(extra) > 1:
         raise InvalidInputError("a constraint set takes at most one half-space or ball "
                                 "besides entrywise bounds, got " + ", ".join(a.kind for a in extra))
-    lo, hi = np.full(M.shape, -np.inf), np.full(M.shape, np.inf)
+    # off-diagonal lo, hi and diagonal lo, hi: every entrywise atom bounds
+    # all off-diagonal entries alike and all diagonal entries alike
+    olo, ohi, dlo, dhi = -np.inf, np.inf, -np.inf, np.inf
     if entrywise:
         bounds = np.array([_ENTRY_BOUNDS[a.kind] for a in entrywise])
-        lo[:], hi[:] = bounds[:, 0].max(), bounds[:, 1].min()
-        np.fill_diagonal(lo, bounds[:, 2].max())
-        np.fill_diagonal(hi, bounds[:, 3].min())
+        olo, ohi, dlo, dhi = bounds[:, 0].max(), bounds[:, 1].min(), bounds[:, 2].max(), bounds[:, 3].min()
+    lo, hi = np.full(M.shape, olo), np.full(M.shape, ohi)
+    np.fill_diagonal(lo, dlo)
+    np.fill_diagonal(hi, dhi)
+    if certify and not math.isfinite(dhi):
+        raise InvalidInputError("a certified solve needs a finite upper bound on the diagonal "
+                                "(diag_eq_one, diag_leq_one or box01)")
     if not extra:
-        return lambda V: _clip(V, lo, hi)
+        def project(V):
+            return _clip(V, lo, hi)
+
+        return (project, _certificate_of(M, (olo, ohi, dlo, dhi))) if certify else project
     (atom,) = extra
     A = np.ones(M.shape) if atom.kind == "total_sum_leq" else atom.matrix
     if np.shape(A) != M.shape:    # a hand-built atom may have no matrix
@@ -391,19 +420,120 @@ def _set_projection(atoms, M):
         def direction(V):
             return fixed
 
-    last = [0.0]    # the multiplier moves little from one sweep to the next
+    # the multiplier of the last search, where the next one starts (it moves
+    # little from one sweep to the next), and of the last projection: 0 when
+    # the clip alone met the atom
+    last = [0.0, 0.0]
 
     def project(V):
         Z = _clip(V, lo, hi)
         if value(Z) <= 0:
+            last[1] = 0.0
             return Z
         N, sq, L, H = direction(V)
         last[0], Z = _multiplier(V, N, sq, L, H, value, l2, last[0])
+        last[1] = last[0]
         if Z is None:
             Z = _clip(V - (last[0] / (1.0 + last[0]) if l2 else last[0]) * N, L, H)
         return Z
 
-    return project
+    if not certify:
+        return project
+    return project, _certificate_of(M, (olo, ohi, dlo, dhi),
+                                    (atom.kind, A, atom.bound, lambda: last[1]))
+
+
+def _certificate_of(M, bounds, extra=None):
+    """The certificate of a splitting solve over the psd cone intersected
+    with P: entrywise bounds ``(off-diagonal lo, hi, diagonal lo, hi)``,
+    the upper diagonal one finite, and at most one half-space, total-sum
+    cap or ball, given as ``extra = (kind, C, b, multiplier)``: its normal
+    or center C, its offset or radius b, and a callable that returns its
+    projection's last multiplier.  Returns ``certificate(X, V, rho) -> (Z,
+    lower, upper)`` for a sweep's ``X = P_psd(V)`` at penalty rho.
+
+    Dual side: ``S = rho (X - V)`` is psd, so ``<M, Z> <= <M + S, Z>`` on
+    the cone, and every psd Z in P lies in the box B with diagonal
+    ``[max(dlo, 0), dhi]`` and off-diagonal ``[max(olo, -dhi), min(ohi,
+    dhi)]`` (``|Z_ij| <= sqrt(Z_ii Z_jj)``).  So the support of ``G = M +
+    S`` over B intersected with the extra set bounds the optimum.  For the
+    extra set, any multiplier mu >= 0 gives a Lagrangian bound, closed form
+    over the box: ``supp_B(G - mu C) + mu b`` for the half-space ``<C, Z> <= b``
+    (the cap is C = J), each entry's best of ``G z - mu |z - c|`` at the
+    box's ends or the clipped center for the l1 ball of radius b, and of
+    ``G z - mu/2 (z - c)^2`` at ``clip(c + G/mu)`` plus ``mu b^2 / 2`` for
+    the l2 ball.  ``upper`` is the lesser of the bounds at mu = 0 and at
+    ``mu = rho tau`` (the projection's own multiplier, scaled as U is),
+    plus the roundoff allowance ``n eps rho ||V||_F n dhi`` for the
+    eigenvalues ``eigh`` leaves below zero in S.
+
+    Primal side: X is repaired by steps that keep it psd: a diagonal
+    congruence onto the diagonal bounds (the diagonal is then set to its
+    target, which also fills a zero row), a mix with ``dhi J`` that lifts
+    the least entry to a finite off-diagonal lower bound, and a scale-down
+    onto a total-sum cap.  ``lower = <M, Z>`` at that point Z, which meets
+    the bounds and the cap to roundoff; a half-space or ball it may still
+    violate, and the caller measures that residual.
+    """
+    olo, ohi, dlo, dhi = bounds
+    n = M.shape[0]
+    blo, bhi = np.full(M.shape, max(olo, -dhi)), np.full(M.shape, min(ohi, dhi))
+    np.fill_diagonal(blo, max(dlo, 0.0))
+    np.fill_diagonal(bhi, dhi)
+    mid, half = (blo + bhi) / 2, (bhi - blo) / 2
+    roundoff = n * np.finfo(float).eps * n * dhi
+    kind, C, b, multiplier = extra or (None, None, 0.0, lambda: 0.0)
+
+    def support(G):
+        return float(np.vdot(G, mid)) + float(np.vdot(np.abs(G), half))
+
+    if kind == "l1_ball":
+        ends = (blo, bhi, _clip(C, blo, bhi))
+
+        def lagrangian(G, mu):
+            best = None
+            for z in ends:
+                f = G * z - mu * np.abs(z - C)
+                best = f if best is None else np.maximum(best, f, out=best)
+            return float(best.sum()) + mu * b
+    elif kind == "l2_ball":
+        def lagrangian(G, mu):
+            Z = _clip(C + G / mu, blo, bhi)
+            D = Z - C
+            return float(np.vdot(G, Z)) + 0.5 * mu * (b * b - float(np.vdot(D, D)))
+    else:
+        def lagrangian(G, mu):
+            return support(G - mu * C) + mu * b
+
+    def repair(X):
+        d = np.diagonal(X)
+        target = np.clip(d, max(dlo, 0.0), dhi)
+        # a zero diagonal entry of a psd X has a zero row, which stays zero
+        scale = np.sqrt(np.divide(target, d, out=np.zeros_like(d), where=d > 0))
+        Z = X * np.outer(scale, scale)
+        np.fill_diagonal(Z, target)
+        least = float(Z.min())
+        if least < olo < dhi:
+            t = (olo - least) / (dhi - least)
+            Z *= 1.0 - t
+            Z += t * dhi
+        if kind == "total_sum_leq":
+            total = float(Z.sum())
+            if total > b > 0:
+                Z *= b / total
+        return Z
+
+    def certificate(X, V, rho):
+        Z = repair(X)
+        G = M + rho * (X - V)
+        upper = support(G)
+        tau = multiplier()
+        if tau > 0:
+            upper = min(upper, lagrangian(G, rho * tau))
+        upper += roundoff * rho * frobenius_norm(V)
+        return Z, float(np.vdot(M, Z)), upper
+
+    return certificate
 
 
 class _Anderson:
@@ -466,13 +596,23 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
     InvalidInputError.  Complex unit-diagonal programs are :func:`bm_solve`'s.
 
     Returns ``(Z_hat, SolveReport)``.  Runs two-block ADMM with Anderson
-    acceleration and terminates once the scaled feasibility residual of the
-    iterate drops below ``feas_tol`` and the objective has moved by at most
-    ``obj_tol`` (relative) over 10 iterations.  ``Z_hat`` is the psd
-    projection of the last iterate, which lies in P; the report's objective
-    and residuals (``"0:psd"``, then ``"i:<kind>"`` for atom i from 1) are
-    measured on it.  ``warm_start``, an earlier report's ``state``, resumes
-    the sweeps where that solve ended (continuation over a related set).
+    acceleration.  By default it terminates once the scaled feasibility
+    residual of the iterate drops below ``feas_tol`` and the objective has
+    moved by at most ``obj_tol`` (relative) over 10 iterations; ``Z_hat``
+    is then the psd projection of the last iterate, which lies in P, and
+    the report's ``gap`` is None.  The report's objective and residuals
+    (``"0:psd"``, then ``"i:<kind>"`` for atom i from 1) are measured on
+    ``Z_hat``.  ``warm_start``, an earlier report's ``state``, resumes the
+    sweeps where that solve ended (continuation over a related set).
+
+    With ``config.gap_tol`` set, every 10th sweep builds a certificate
+    from its ``X = P_psd(V)`` (see ``_certificate_of``): an upper bound on
+    the optimum from the psd ``S = rho (X - V)``, and a repaired psd point
+    Z that meets P's bounds and total-sum cap.  The solve terminates once
+    ``0 <= upper - <M, Z> <= gap_tol * (1 + |<M, Z>|)`` and Z's residuals,
+    a half-space's or ball's among them, are at most ``feas_tol``; it
+    returns ``Z_hat = Z`` with ``objective = <M, Z>`` and ``gap = upper -
+    objective``, so ``objective + gap`` bounds the optimum from above.
 
     The sweep is the Douglas-Rachford map on ``y = Z + U``:
     ``Z = P_P(y)``, ``X = P_psd(2Z - y + M/rho)``, ``T(y) = y + X - Z``.
@@ -488,8 +628,8 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
     ``||rho U||`` for the scaled dual ``U = y - Z``; ``rho`` doubles when
     the primal exceeds 10 times the dual, halves in the opposite case, and
     stays when either reference norm is zero.  The set
-    projection, and one projection per atom for the residuals, are built
-    once per solve.
+    projection, its certificate when ``gap_tol`` is set, and one projection
+    per atom for the residuals, are built once per solve.
 
     The report's ``state`` is ``(Z, U, rho)``: the last iterate in P, the
     scaled dual and the penalty.  Its ``counters`` count the extrapolated
@@ -512,7 +652,11 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
                                 "bm_solve solves complex unit-diagonal programs")
     # the sweeps run in double precision
     M = symmetrize_unchecked(M.astype(float, copy=False))
-    project_set = _set_projection(atoms, M)
+    certificate = None
+    if config.gap_tol is None:
+        project_set = _set_projection(atoms, M)
+    else:
+        project_set, certificate = _set_projection(atoms, M, certify=True)
     # one projection per atom, for its residual ||P(Z) - Z||_F; the cone's
     # residual comes from its eigenvalues alone
     projections = {f"{i}:{a.kind}": _set_projection([a], M) for i, a in enumerate(atoms, 1)}
@@ -551,6 +695,10 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
         g_norm = frobenius_norm(g)
         if not math.isfinite(g_norm):
             raise InvalidInputError("matrix has non-finite entries")
+        if certificate is not None and it % _CHECK_EVERY == 0:
+            # before the next projection: the bound takes the multiplier of
+            # the one that gave this sweep's Z
+            Z_cert, lower, upper = certificate(X, V, rho)
         if extrapolated and g_norm > accepted_norm:
             counters["extrapolations_rejected"] += 1
             y, extrapolated = accel.F, False
@@ -567,7 +715,13 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
         trace.append(float(np.vdot(M, Z)))
         if it % _CHECK_EVERY:
             continue
-        if len(trace) > _CHECK_EVERY:
+        if certificate is not None:
+            if (0.0 <= upper - lower <= config.gap_tol * (1.0 + abs(lower))
+                    and max(residuals(Z_cert).values()) <= config.feas_tol):
+                termination = "converged"
+                iterations = it
+                break
+        elif len(trace) > _CHECK_EVERY:
             prev = trace[-1 - _CHECK_EVERY]
             if (abs(trace[-1] - prev) <= config.obj_tol * (1.0 + abs(trace[-1]))
                     and max(residuals(Z).values()) <= config.feas_tol):
@@ -593,14 +747,20 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
         M_rho = M / rho
         counters["penalty_changes"] += 1
         accel.clear()
-    Z_hat = project_psd(Z)
+    gap = None
+    if certificate is not None and termination == "converged":
+        Z_hat, objective, gap = Z_cert, lower, upper - lower
+    else:
+        Z_hat = project_psd(Z)
+        objective = float(np.vdot(M, Z_hat))
     report = SolveReport(
         solver="pierra",
         iterations=iterations,
         termination=termination,
-        objective=float(np.vdot(M, Z_hat)),
+        objective=objective,
         objective_trace=np.asarray(trace),
         residuals=residuals(Z_hat),
+        gap=gap,
         state=(Z, y - Z, rho),
         counters={**counters, "rho": rho},
     )

@@ -50,6 +50,21 @@ class TestGenerateSolveRoundEvaluate:
         assert run(["evaluate", "--in", labels, "--instance", mc, "--out", ev]) == 2
         err = capsys.readouterr().err
         assert "'cut_vector'" in err and "maxcut" in err and "KeyError" not in err
+
+    @pytest.mark.parametrize("problem", ["signed", "community", "sync", "maxcut"])
+    def test_answer_of_another_size_names_both_files(self, tmp_path, capsys, problem):
+        # an answer rounded from an n=8 result scored against an n=12 instance
+        inst, res, rounded = tmp_path / "inst8", tmp_path / "res", tmp_path / "rounded.json"
+        run(["generate", "--problem", problem, "--n", 8, "--out", inst])
+        run(["solve", "--in", inst, "--out", res])
+        cut = ["--instance", inst, "--samples", 5] if problem == "maxcut" else []
+        assert run(["round", "--in", res, *cut, "--out", rounded]) == 0
+        other, ev = tmp_path / "inst12", tmp_path / "ev.json"
+        run(["generate", "--problem", problem, "--n", 12, "--out", other])
+        assert run(["evaluate", "--in", rounded, "--instance", other, "--out", ev]) == 2
+        err = capsys.readouterr().err
+        assert "rounded.json" in err and "inst12" in err and " 8 " in err and "n = 12" in err
+        assert not ev.exists()
         assert not ev.exists()
 
     def test_negative_seed_names_the_param(self, tmp_path, capsys):
@@ -200,8 +215,9 @@ class TestRoundCommand:
         assert run(["generate", "--problem", problem, "--n", 8, "--seed", 1,
                     "--out", inst]) == 0
         run(["solve", "--in", inst, "--out", res])
-        assert run(["round", "--in", res, "--instance", inst, "--samples", 20,
-                    "--out", out]) == 0
+        # a cut reads the instance's graph and its sample count; nothing else does
+        cut = ["--instance", inst, "--samples", 20] if problem == "maxcut" else []
+        assert run(["round", "--in", res, *cut, "--out", out]) == 0
         rounded = read_json(out)
         assert rounded["mode"] == self.MODES[problem]
         assert PROBLEMS[problem].answer_key in rounded
@@ -216,6 +232,22 @@ class TestRoundCommand:
         out = tmp_path / "r.json"
         assert run(["round", "--in", res, "--out", out]) == 2
         assert "res.json" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("problem, flags", [
+        ("signed", ["--graph", "nonexistent.coo", "--samples", -5]),
+        ("community", ["--instance", "inst"]),
+        ("sync", ["--k", 3, "--samples", 20]),
+        ("maxcut", ["--k", 3]),
+    ])
+    def test_flags_the_problem_does_not_read_are_named(self, tmp_path, capsys, problem, flags):
+        inst, res, out = tmp_path / "inst", tmp_path / "res", tmp_path / "r.json"
+        run(["generate", "--problem", problem, "--n", 8, "--seed", 1, "--out", inst])
+        run(["solve", "--in", inst, "--out", res])
+        cut = ["--instance", inst] if problem == "maxcut" else []
+        assert run(["round", "--in", res, *cut, *flags, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert all(f in err for f in flags if str(f).startswith("--")) and problem in err
         assert not out.exists()
 
     def test_cut_graph_of_the_wrong_shape_names_both_shapes(self, tmp_path, capsys):
@@ -506,6 +538,18 @@ class TestGsetCommand:
                     "--replicates", 2, "--seed", 0, "--out", out]) == 0
         _, agg = read_csv(str(out) + ".agg.csv")
         assert float(agg[0]["mean_cut_full"]) == 4.0  # 4-cycle max cut
+
+    @pytest.mark.parametrize("flags", [
+        ["--replicates", 9, "--samples", 0, "--threads", 3, "--delta-grid", "x"],
+        ["--samples", 100], ["--threads", 1], ["--delta-grid", "1.0"], ["--replicates", 5]])
+    def test_sweep_flags_without_sweep_are_named(self, tmp_path, capsys, flags):
+        # given at their sweep defaults too: without --sweep nothing reads them
+        f = tmp_path / "g.gset"
+        f.write_text("4 4\n1 2 1\n2 3 1\n3 4 1\n4 1 1\n")
+        assert run(["gset", "--in", f, *flags]) == 2
+        captured = capsys.readouterr()
+        assert all(str(flag) in captured.err for flag in flags[::2]) and "--sweep" in captured.err
+        assert captured.out == ""
 
     def test_sweep_writes_what_experiment_writes(self, tmp_path):
         # the command runs a maxcut_gset_sweep config: same three files

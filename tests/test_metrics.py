@@ -34,6 +34,7 @@ from graphsdp.models import (
 )
 from graphsdp.solvers import (
     BmConfig,
+    PierraConfig,
     affine_halfspace,
     bm_solve,
     l1_ball_around,
@@ -393,6 +394,42 @@ def count_solves(monkeypatch):
 
     monkeypatch.setattr(metrics, "pierra_solve", spy)
     return iterations
+
+
+class TestCertifiedCurve:
+    """Each solved radius carries its certified upper bound ``objective + gap``."""
+
+    @pytest.mark.parametrize("localization", metrics.LOCALIZATIONS)
+    @pytest.mark.parametrize("problem", ["maxcut", "signed"])
+    def test_curve_bounds_each_supremum_from_above(self, monkeypatch, problem, localization):
+        if problem == "maxcut":
+            replicate, W = masked_maxcut(8, 41)
+            atoms = unit_diag_atoms()
+        else:
+            inst = gen_ssbm(SsbmParams(n=8, n_clusters=2, p=0.9, q=0.1, delta=0.8), seed=41)
+            replicate, W = (inst.observed, inst.expected, inst.oracle), inst.observed - inst.expected
+            atoms = signed_atoms()
+        _, EA, Z_star = replicate
+        radii = {"excess_risk": [2.0, 5.0, 10.0], "l1": [2.0, 5.0, 10.0], "l2": [0.5, 2.0, 4.0]}[localization]
+        reports = []
+
+        def spy(*args, **kwargs):
+            Z, report = pierra_solve(*args, **kwargs)
+            reports.append(report)
+            return Z, report
+
+        monkeypatch.setattr(metrics, "pierra_solve", spy)
+        # delta 0.5 of one replicate: the curve is that replicate's suprema
+        est = estimate_fixed_point(lambda _: replicate, atoms, localization, 0.5, 1, radii)
+        for report in reports:
+            assert report.converged
+            assert 0.0 <= report.gap <= 1e-6 * (1.0 + abs(report.objective))
+        offset = np.vdot(W, Z_star)
+        tight = PierraConfig(feas_tol=1e-10, obj_tol=1e-14)
+        optima = [pierra_solve(W, atoms + [metrics._localization_atom(localization, EA, Z_star, r)],
+                               tight)[1].objective - offset for r in radii]
+        for (_, q), h in zip(est.quantile_curve, np.maximum.accumulate(optima)):
+            assert h - 1e-9 * (1.0 + abs(h)) <= q <= h + 2e-6 * (1.0 + abs(h))
 
 
 class TestFixedPointSkip:

@@ -707,6 +707,154 @@ class TestPierra:
         assert abs(split - rb.objective) <= 1e-8 * abs(rb.objective)
 
 
+# entrywise bounds of each set family; "none" adds no localization, so the
+# community family keeps its total-sum cap there
+CERTIFIED_FAMILIES = {
+    "signed": signed_atoms,
+    "unit_diag": unit_diag_atoms,
+    "community": lambda: [nonneg(), diag_leq_one()],
+}
+TIGHT = PierraConfig(feas_tol=1e-10, obj_tol=1e-14)
+CERTIFIED = PierraConfig(feas_tol=1e-6, gap_tol=1e-6)
+
+
+def certified_case(family, localization, seed, n=8):
+    """(objective, atoms) of a random program whose localization, around
+    the identity (a point of every family), cuts off the optimum without it."""
+    M = _symmetric(n, np.random.default_rng(seed))
+    atoms = CERTIFIED_FAMILIES[family]()
+    if localization == "none":
+        return M, atoms + ([total_sum_leq(n * n / 4)] if family == "community" else [])
+    Z_free, _ = pierra_solve(M, atoms, TIGHT)
+    D = Z_free - np.eye(n)
+    if localization == "halfspace":
+        return M, atoms + [affine_halfspace(D, float(np.vdot(D, np.eye(n) + D / 2)))]
+    if localization == "l1":
+        return M, atoms + [l1_ball_around(np.eye(n), float(np.abs(D).sum()) / 2)]
+    return M, atoms + [l2_ball_around(np.eye(n), frobenius_norm(D) / 2)]
+
+
+def spy_certificates(monkeypatch):
+    """The (Z, lower, upper) of every certificate the solves build."""
+    found, build = [], solvers._certificate_of
+
+    def spy(*args, **kwargs):
+        certificate = build(*args, **kwargs)
+
+        def recorded(X, V, rho):
+            found.append(certificate(X, V, rho))
+            return found[-1]
+
+        return recorded
+
+    monkeypatch.setattr(solvers, "_certificate_of", spy)
+    return found
+
+
+class TestCertifiedStop:
+    """``PierraConfig.gap_tol``: the solve stops on the gap between a dual
+    bound and a repaired psd point."""
+
+    @pytest.mark.parametrize("localization", ["none", "halfspace", "l1", "l2"])
+    @pytest.mark.parametrize("family", list(CERTIFIED_FAMILIES))
+    def test_upper_bound_holds_at_every_check(self, monkeypatch, family, localization):
+        seed = 10 * list(CERTIFIED_FAMILIES).index(family) + len(localization)
+        M, atoms = certified_case(family, localization, seed)
+        _, tight = pierra_solve(M, atoms, TIGHT)
+        assert tight.converged
+        optimum = tight.objective - 1e-8 * (1.0 + abs(tight.objective))
+        checks = spy_certificates(monkeypatch)
+        _, report = pierra_solve(M, atoms, CERTIFIED)
+        assert report.converged and len(checks) == report.iterations // 10
+        assert all(upper >= optimum for _, _, upper in checks)
+        assert 0.0 <= report.gap <= 1e-6 * (1.0 + abs(report.objective))
+        assert report.objective + report.gap >= optimum
+        assert report.to_dict()["gap"] == report.gap
+
+    @pytest.mark.parametrize("localization", ["none", "halfspace", "l1", "l2"])
+    @pytest.mark.parametrize("family", list(CERTIFIED_FAMILIES))
+    def test_repaired_point_is_feasible(self, monkeypatch, family, localization):
+        seed = 10 * list(CERTIFIED_FAMILIES).index(family) + len(localization)
+        M, atoms = certified_case(family, localization, seed)
+        checks = spy_certificates(monkeypatch)
+        Z_hat, report = pierra_solve(M, atoms, CERTIFIED)
+        # every check's point is psd and meets the entrywise bounds and the
+        # cap to roundoff, from the first check on; the localization only
+        # within feas_tol, which the returned point meets
+        for Z, lower, _ in checks:
+            assert np.array_equal(Z, Z.T)
+            assert np.linalg.eigvalsh(Z).min() >= -1e-13
+            for atom in atoms:
+                if atom.kind in ("nonneg", "box01", "diag_leq_one", "diag_eq_one", "total_sum_leq"):
+                    assert frobenius_norm(project_atom(atom, Z) - Z) <= 1e-14, atom.kind
+            assert lower == float(np.vdot(M, Z))
+        assert Z_hat is checks[-1][0] and report.objective == checks[-1][1]
+        assert max(report.residuals.values()) <= CERTIFIED.feas_tol
+
+    def test_optimum_at_the_ball_center_certifies_at_once(self):
+        # the l2 replicate of test_coverage_extras' TestFixedPointFlagging
+        # (rep 4) whose optimum is the ball's center Z*: the ball constrains
+        # nothing, its projection's multiplier is 0, and the bound is the box's
+        from graphsdp import _rng
+        from graphsdp.metrics import _FIXED_POINT_CONFIG, _localization_atom
+
+        params = SsbmParams(n=6, n_clusters=2, p=0.9, q=0.1, delta=0.8)
+        rng = _rng.stream(0, _rng.STREAM_NOISE, 4)
+        inst = gen_ssbm(params, seed=int(rng.integers(0, 2**32)))
+        W = symmetrize(inst.observed - inst.expected)
+        state = None
+        for r in (1.0, 4.0):
+            atoms = signed_atoms() + [_localization_atom("l2", inst.expected, inst.oracle, r)]
+            _, report = pierra_solve(W, atoms, _FIXED_POINT_CONFIG, warm_start=state)
+            assert report.converged and report.iterations <= 20
+            assert abs(report.objective - np.vdot(W, inst.oracle)) <= 1e-9
+            state = report.state
+
+    @pytest.mark.parametrize("seed, kind, rho", [
+        (3, "signed", 1e15), (2, "l2", 1e15), (1, "unit_diag", 1e15), (1, "signed", 1e18)])
+    def test_runaway_penalty_keeps_the_bound(self, monkeypatch, seed, kind, rho):
+        # a warm start far past the balanced penalty: the eigenvalues eigh
+        # leaves below zero in S = rho (X - V) are scaled by rho, and without
+        # the roundoff allowance each of these starts has a check whose bound
+        # is below the optimum (by 1.6e-5 to 12)
+        inst = gen_ssbm(SsbmParams(n=12, n_clusters=2, p=0.8, q=0.2, delta=0.8), seed=seed)
+        M = inst.observed - inst.params["alpha"]
+        atoms = {"signed": signed_atoms(), "unit_diag": unit_diag_atoms(),
+                 "l2": signed_atoms() + [l2_ball_around(inst.oracle, 3.0)]}[kind]
+        _, tight = pierra_solve(M, atoms, TIGHT)
+        optimum = tight.objective - 1e-8 * (1.0 + abs(tight.objective))
+        _, start = pierra_solve(M, atoms, CERTIFIED)
+        Z, U, rho0 = start.state
+        checks = spy_certificates(monkeypatch)
+        _, report = pierra_solve(M, atoms, CERTIFIED, warm_start=(Z, U * rho0 / rho, rho))
+        assert report.converged and report.gap >= 0.0
+        assert all(upper >= optimum for _, _, upper in checks)
+
+    @pytest.mark.parametrize("atoms", [[nonneg()], [affine_halfspace(np.eye(4), 1.0)],
+                                       [nonneg(), total_sum_leq(4.0)]])
+    def test_set_without_a_diagonal_bound_raises(self, atoms):
+        with pytest.raises(InvalidInputError, match="finite upper bound on the diagonal"):
+            pierra_solve(np.eye(4), atoms, PierraConfig(gap_tol=1e-6))
+        pierra_solve(np.eye(4), atoms, PierraConfig(max_iters=10))    # the default stop takes it
+
+    @pytest.mark.parametrize("gap_tol", [0.0, -1e-6, "1e-6", True])
+    def test_gap_tol_must_be_a_positive_number(self, gap_tol):
+        with pytest.raises(InvalidInputError, match="gap_tol"):
+            PierraConfig(gap_tol=gap_tol)
+
+    def test_default_stop_is_unchanged(self):
+        # (seed, sweeps, objective bits) of pierra_signed before gap_tol existed
+        expected = [(0, 240, "0x1.1e506fb2128cap+7"), (1, 140, "0x1.ea0057d15bb4dp+6"),
+                    (2, 260, "0x1.e93506b4be1f5p+6"), (3, 600, "0x1.032c98b1f7984p+7"),
+                    (4, 3360, "0x1.1c56885b49deap+7"), (5, 120, "0x1.e028c40d6ce88p+6"),
+                    (6, 510, "0x1.0a03d73cf5c54p+7"), (7, 200, "0x1.f8277d8e607bep+6")]
+        for seed, sweeps, bits in expected:
+            inst = gen_ssbm(SsbmParams(n=30, n_clusters=3, p=0.8, q=0.2, delta=0.5), seed=seed)
+            _, report = pierra_signed(inst.observed, inst.params["alpha"])
+            assert (report.iterations, report.objective.hex()) == (sweeps, bits)
+            assert report.gap is None
+
+
 def naive_anderson(pairs, memory):
     """Reference for :class:`_Anderson`: stack the last ``memory``
     differences of the accepted (F, g) and solve the regularized normal
