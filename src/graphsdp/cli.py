@@ -249,16 +249,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, seed=True, threads=False, **kw):
-        """A subcommand with ``--out``, and ``--seed`` and ``--threads`` where it reads them."""
+    def add_parser(name, seed=True, **kw):
+        """A subcommand with ``--out``, and ``--seed`` where it reads it."""
         p = sub.add_parser(name, **kw)
         if seed:
             p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        if threads:
-            p.add_argument("--threads", type=int, default=1,
-                           help="worker threads of the sweep (the output does not depend on it)")
         p.add_argument("--out", help="output path or prefix")
         return p
+
+    threads_help = "worker threads of the sweep (the output does not depend on it)"
 
     g = add_parser("generate", help="generate a synthetic instance")
     g.add_argument("--problem", required=True, choices=list(PROBLEMS))
@@ -323,17 +322,19 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--r-grid", required=True, help="comma-separated radii")
     f.set_defaults(func=_cmd_fixed_point)
 
-    x = add_parser("experiment", threads=True, help="run a configured sweep")
+    x = add_parser("experiment", help="run a configured sweep")
     x.set_defaults(seed=None)    # None keeps the config's seed
+    x.add_argument("--threads", type=int, default=1, help=threads_help)
     x.add_argument("--config", required=True, help="experiment config JSON")
     x.add_argument("--full", action="store_true", help="paper-scale parameters")
     x.set_defaults(func=_cmd_experiment)
 
-    gs = add_parser("gset", threads=True, help="benchmark graph utilities")
+    gs = add_parser("gset", help="benchmark graph utilities")
     gs.add_argument("--in", dest="infile", required=True, help="edge-list file")
     gs.add_argument("--sweep", action="store_true")
-    # the sweep's flags default to None, so that a given one without --sweep exits 2
-    gs.set_defaults(threads=None)
+    # the sweep's flags default to None, so that a given one without --sweep
+    # exits 2; _SWEEP_DEFAULTS resolves them for a sweep
+    gs.add_argument("--threads", type=int, help=threads_help)
     gs.add_argument("--delta-grid", help=f"default {_SWEEP_DEFAULTS['delta_grid']}")
     gs.add_argument("--replicates", type=int, help=f"default {_SWEEP_DEFAULTS['replicates']}")
     gs.add_argument("--samples", type=int, help=f"default {_SWEEP_DEFAULTS['samples']}")

@@ -351,8 +351,7 @@ def _locality_distance(kind: str, EA, Z_star, Z) -> float:
     return float(np.abs(D).sum()) if kind == "l1" else float(np.real(np.vdot(D, D)))
 
 
-# the inner solves' settings: each stops on a certified gap of 1e-6 relative
-_FIXED_POINT_CONFIG = PierraConfig(feas_tol=1e-6, gap_tol=1e-6)
+_FIXED_POINT_CONFIG = PierraConfig(feas_tol=1e-6)    # the inner solves' settings
 
 
 def estimate_fixed_point(
@@ -376,11 +375,12 @@ def estimate_fixed_point(
     excluded and counted; above 10% exclusions the estimate is flagged
     unreliable, and a grid that never resolves is flagged unresolved.
 
-    The inner solves (``_FIXED_POINT_CONFIG``) stop on a certified gap of
-    1e-6 relative, with the locality met to ``feas_tol`` 1e-6, and each
+    The inner solves (``_FIXED_POINT_CONFIG``, ``feas_tol`` 1e-6) are
+    anchored at Z*, a point of every locality: each stops on a certified
+    gap of at most 1e-6 (1 + |q|), q the supremum read off Z*, and each
     solved radius carries its certified upper bound ``objective + gap``
     (less the offset ``<A - EA, Z*>``): the curve holds upper bounds on the
-    suprema, within the gap of them.
+    suprema, within that gap of them.
 
     When the atoms are exactly the unit-diagonal set, each replicate first
     solves its unlocalized program by certified BM (``bm_solve(W, "max")``
@@ -438,7 +438,7 @@ def estimate_fixed_point(
                 loc = _localization_atom(localization, EA, Z_star, r)
                 # warm-start along the ascending grid: the localities are nested
                 _, report = pierra_solve(W, list(atoms) + [loc], _FIXED_POINT_CONFIG,
-                                         warm_start=state)
+                                         warm_start=state, anchor=Z_star)
                 sweeps += report.iterations
                 if not report.converged:
                     n_flagged += 1

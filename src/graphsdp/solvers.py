@@ -19,9 +19,9 @@ Two solver families cover every program in the library:
   plain step instead.  The memory is cleared on a rejection and on a penalty
   change.  By default the solve stops when the objective has stalled and
   the residuals are small, and returns the psd projection of the last
-  iterate, which lies in P; with ``PierraConfig.gap_tol`` it stops on a
-  certified duality gap and returns a repaired psd point.  The reported
-  residuals are measured on the returned matrix.
+  iterate, which lies in P; given a point of the set as an anchor, it
+  stops on a certified duality gap and returns a psd point repaired into
+  the set.  The reported residuals are measured on the returned matrix.
 * :func:`bm_solve` optimizes ``<M, Y Y*>`` over unit-norm rows of a low-rank
   factor Y (Barzilai-Borwein gradient descent with a nonmonotone line
   search on a product of spheres/circles), for the special constraint set
@@ -166,25 +166,14 @@ class PierraConfig:
     steps and a safeguard that falls back to the plain step whenever an
     extrapolated point raises the fixed-point residual; ``max_iters``
     counts every sweep, rejected ones included.
-
-    ``gap_tol`` None keeps the default stop: the residuals are under
-    ``feas_tol`` and the objective has moved by at most ``obj_tol``
-    (relative) over 10 sweeps.  A positive ``gap_tol`` replaces it with a
-    certified stop (see :func:`pierra_solve`): the returned point's
-    objective is within ``gap_tol * (1 + |objective|)`` of a proven upper
-    bound, which ``SolveReport.gap`` reports.  It needs a set with a finite
-    upper bound on the diagonal.
     """
 
     max_iters: int = 50_000
     feas_tol: float = 1e-7
     obj_tol: float = 1e-9
-    gap_tol: Optional[float] = None
 
     def __post_init__(self):
         kinds = {"max_iters": int, "feas_tol": float, "obj_tol": float}
-        if self.gap_tol is not None:
-            kinds["gap_tol"] = float
         check_fields(self, kinds, positive=kinds)
 
 
@@ -238,7 +227,7 @@ class SolveReport:
     # Cholesky factor of the dual slack (2 n^2 eps ||S||_F, or at most the stop
     # target from a factor at the shift target / (2n)) when that meets the
     # stop target, else from its eigenvalues; splitting: upper bound less
-    # objective of a solve that stopped on ``gap_tol``, else None
+    # objective of a solve that stopped on a certified gap, else None
     gap: Optional[float] = None
     # splitting: the end state (Z, U, rho), for ``pierra_solve(warm_start=...)``; not serialized
     state: Optional[tuple] = field(default=None, repr=False, compare=False)
@@ -338,7 +327,7 @@ def _multiplier(V, N, sq, L, H, value, l2, tau):
     return tau, None
 
 
-def _set_projection(atoms, M, certify=False):
+def _set_projection(atoms, M, anchor=None):
     """Exact projection onto the intersection of the atoms, for real
     C-contiguous iterates shaped like ``M``.
 
@@ -355,10 +344,10 @@ def _set_projection(atoms, M, certify=False):
     applies one scalar to every entry, so a symmetric V projects to a
     symmetric point.
 
-    With ``certify`` it returns ``(project, certificate)``, the certificate
-    of :func:`_certificate_of` built beside the projection, whose last
-    multiplier it reads; a set with no finite upper bound on the diagonal
-    then raises.
+    Given an ``anchor``, a point of the set, it returns ``(project,
+    certificate)``, the certificate of :func:`_certificate_of` built beside
+    the projection, whose last multiplier it reads; a set with no finite
+    upper bound on the diagonal then raises.
     """
     for a in atoms:
         if a.kind not in (*_ENTRY_BOUNDS, "total_sum_leq", "affine_halfspace", "l1_ball", "l2_ball"):
@@ -377,6 +366,7 @@ def _set_projection(atoms, M, certify=False):
     lo, hi = np.full(M.shape, olo), np.full(M.shape, ohi)
     np.fill_diagonal(lo, dlo)
     np.fill_diagonal(hi, dhi)
+    certify = anchor is not None
     if certify and not math.isfinite(dhi):
         raise InvalidInputError("a certified solve needs a finite upper bound on the diagonal "
                                 "(diag_eq_one, diag_leq_one or box01)")
@@ -384,7 +374,7 @@ def _set_projection(atoms, M, certify=False):
         def project(V):
             return _clip(V, lo, hi)
 
-        return (project, _certificate_of(M, (olo, ohi, dlo, dhi))) if certify else project
+        return (project, _certificate_of(M, (olo, ohi, dlo, dhi), anchor)) if certify else project
     (atom,) = extra
     A = np.ones(M.shape) if atom.kind == "total_sum_leq" else atom.matrix
     if np.shape(A) != M.shape:    # a hand-built atom may have no matrix
@@ -439,18 +429,19 @@ def _set_projection(atoms, M, certify=False):
 
     if not certify:
         return project
-    return project, _certificate_of(M, (olo, ohi, dlo, dhi),
+    return project, _certificate_of(M, (olo, ohi, dlo, dhi), anchor,
                                     (atom.kind, A, atom.bound, lambda: last[1]))
 
 
-def _certificate_of(M, bounds, extra=None):
+def _certificate_of(M, bounds, anchor, extra=None):
     """The certificate of a splitting solve over the psd cone intersected
     with P: entrywise bounds ``(off-diagonal lo, hi, diagonal lo, hi)``,
     the upper diagonal one finite, and at most one half-space, total-sum
     cap or ball, given as ``extra = (kind, C, b, multiplier)``: its normal
     or center C, its offset or radius b, and a callable that returns its
-    projection's last multiplier.  Returns ``certificate(X, V, rho) -> (Z,
-    lower, upper)`` for a sweep's ``X = P_psd(V)`` at penalty rho.
+    projection's last multiplier; ``anchor`` is a point of the set.
+    Returns ``certificate(X, V, rho) -> (Z, lower, upper)`` for a sweep's
+    ``X = P_psd(V)`` at penalty rho, with ``lower <= optimum <= upper``.
 
     Dual side: ``S = rho (X - V)`` is psd, so ``<M, Z> <= <M + S, Z>`` on
     the cone, and every psd Z in P lies in the box B with diagonal
@@ -470,10 +461,13 @@ def _certificate_of(M, bounds, extra=None):
     Primal side: X is repaired by steps that keep it psd: a diagonal
     congruence onto the diagonal bounds (the diagonal is then set to its
     target, which also fills a zero row), a mix with ``dhi J`` that lifts
-    the least entry to a finite off-diagonal lower bound, and a scale-down
-    onto a total-sum cap.  ``lower = <M, Z>`` at that point Z, which meets
-    the bounds and the cap to roundoff; a half-space or ball it may still
-    violate, and the caller measures that residual.
+    the least entry to a finite off-diagonal lower bound, and a mix with
+    the anchor onto the extra set.  That last mix keeps the bounds, since
+    the anchor meets them; it takes the anchor's share from the extra
+    set's level (``<C, Z>``, ``||Z - c||_1`` or ``||Z - c||_F``), which is
+    convex, so the mixed point meets the set (exactly, up to roundoff, for
+    a half-space or a ball around the anchor).  ``lower = <M, Z>`` at that
+    point Z, which lies in the set to roundoff.
     """
     olo, ohi, dlo, dhi = bounds
     n = M.shape[0]
@@ -490,6 +484,9 @@ def _certificate_of(M, bounds, extra=None):
     if kind == "l1_ball":
         ends = (blo, bhi, _clip(C, blo, bhi))
 
+        def level(Z):
+            return float(np.abs(Z - C).sum())
+
         def lagrangian(G, mu):
             best = None
             for z in ends:
@@ -497,13 +494,23 @@ def _certificate_of(M, bounds, extra=None):
                 best = f if best is None else np.maximum(best, f, out=best)
             return float(best.sum()) + mu * b
     elif kind == "l2_ball":
+        def level(Z):
+            return frobenius_norm(Z - C)
+
         def lagrangian(G, mu):
             Z = _clip(C + G / mu, blo, bhi)
             D = Z - C
             return float(np.vdot(G, Z)) + 0.5 * mu * (b * b - float(np.vdot(D, D)))
     else:
+        def level(Z):
+            return float(np.vdot(C, Z))
+
         def lagrangian(G, mu):
             return support(G - mu * C) + mu * b
+
+    base = level(anchor) if kind else 0.0
+    if base > b:
+        raise InvalidInputError(f"the anchor of a certified solve lies outside its {kind}")
 
     def repair(X):
         d = np.diagonal(X)
@@ -517,10 +524,11 @@ def _certificate_of(M, bounds, extra=None):
             t = (olo - least) / (dhi - least)
             Z *= 1.0 - t
             Z += t * dhi
-        if kind == "total_sum_leq":
-            total = float(Z.sum())
-            if total > b > 0:
-                Z *= b / total
+        top = level(Z) if kind else 0.0
+        if top > b:
+            Z -= anchor
+            Z *= (b - base) / (top - base)
+            Z += anchor
         return Z
 
     def certificate(X, V, rho):
@@ -588,7 +596,7 @@ class _Anderson:
 
 
 def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraConfig | None = None,
-                 warm_start=None):
+                 warm_start=None, *, anchor: Optional[np.ndarray] = None):
     """Maximize ``<M, Z>`` for a real ``M`` over the psd cone intersected
     with the set P that ``atoms`` name (none: the cone alone), entrywise
     bounds and at most one half-space, l1 ball or l2 ball whose matrix is
@@ -605,14 +613,18 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
     ``Z_hat``.  ``warm_start``, an earlier report's ``state``, resumes the
     sweeps where that solve ended (continuation over a related set).
 
-    With ``config.gap_tol`` set, every 10th sweep builds a certificate
-    from its ``X = P_psd(V)`` (see ``_certificate_of``): an upper bound on
-    the optimum from the psd ``S = rho (X - V)``, and a repaired psd point
-    Z that meets P's bounds and total-sum cap.  The solve terminates once
-    ``0 <= upper - <M, Z> <= gap_tol * (1 + |<M, Z>|)`` and Z's residuals,
-    a half-space's or ball's among them, are at most ``feas_tol``; it
-    returns ``Z_hat = Z`` with ``objective = <M, Z>`` and ``gap = upper -
-    objective``, so ``objective + gap`` bounds the optimum from above.
+    Given an ``anchor``, a point of the set, the solve certifies instead:
+    every 10th sweep builds a certificate from its ``X = P_psd(V)`` (see
+    ``_certificate_of``): an upper bound on the optimum from the psd
+    ``S = rho (X - V)``, and a psd point Z repaired into the set, partly
+    by a mix with the anchor.  The solve terminates once ``0 <= upper -
+    <M, Z> <= feas_tol * (1 + |<M, Z - anchor>|)`` and Z's residuals are
+    at most ``feas_tol``; it returns ``Z_hat = Z`` with ``objective = <M,
+    Z>`` and ``gap = upper - objective``, so the optimum lies in
+    ``[objective, objective + gap]``.  The gap is relative to the value
+    read off the anchor, ``objective - <M, anchor>``, as a localized
+    supremum is.  A set with no finite upper bound on the diagonal, or
+    whose extra atom the anchor violates, raises.
 
     The sweep is the Douglas-Rachford map on ``y = Z + U``:
     ``Z = P_P(y)``, ``X = P_psd(2Z - y + M/rho)``, ``T(y) = y + X - Z``.
@@ -628,7 +640,7 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
     ``||rho U||`` for the scaled dual ``U = y - Z``; ``rho`` doubles when
     the primal exceeds 10 times the dual, halves in the opposite case, and
     stays when either reference norm is zero.  The set
-    projection, its certificate when ``gap_tol`` is set, and one projection
+    projection, its certificate when the solve certifies, and one projection
     per atom for the residuals, are built once per solve.
 
     The report's ``state`` is ``(Z, U, rho)``: the last iterate in P, the
@@ -653,10 +665,14 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
     # the sweeps run in double precision
     M = symmetrize_unchecked(M.astype(float, copy=False))
     certificate = None
-    if config.gap_tol is None:
+    if anchor is None:
         project_set = _set_projection(atoms, M)
     else:
-        project_set, certificate = _set_projection(atoms, M, certify=True)
+        anchor = np.asarray(anchor, dtype=float)
+        if anchor.shape != M.shape:
+            raise InvalidInputError(f"anchor has shape {anchor.shape}, the objective {M.shape}")
+        project_set, certificate = _set_projection(atoms, M, anchor)
+        origin = float(np.vdot(M, anchor))
     # one projection per atom, for its residual ||P(Z) - Z||_F; the cone's
     # residual comes from its eigenvalues alone
     projections = {f"{i}:{a.kind}": _set_projection([a], M) for i, a in enumerate(atoms, 1)}
@@ -716,7 +732,7 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
         if it % _CHECK_EVERY:
             continue
         if certificate is not None:
-            if (0.0 <= upper - lower <= config.gap_tol * (1.0 + abs(lower))
+            if (0.0 <= upper - lower <= config.feas_tol * (1.0 + abs(lower - origin))
                     and max(residuals(Z_cert).values()) <= config.feas_tol):
                 termination = "converged"
                 iterations = it

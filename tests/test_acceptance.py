@@ -227,7 +227,7 @@ def test_06_fixed_point_below_theoretical_bound():
         assert not est.unreliable
         assert not est.unresolved
         assert est.r_hat <= bound
-        # the localized solves stop on a certified gap (65,230 sweeps)
+        # the localized solves stop on a certified gap (65,530 sweeps)
         assert est.sweeps <= 70_000
 
 

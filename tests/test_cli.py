@@ -50,6 +50,7 @@ class TestGenerateSolveRoundEvaluate:
         assert run(["evaluate", "--in", labels, "--instance", mc, "--out", ev]) == 2
         err = capsys.readouterr().err
         assert "'cut_vector'" in err and "maxcut" in err and "KeyError" not in err
+        assert not ev.exists()
 
     @pytest.mark.parametrize("problem", ["signed", "community", "sync", "maxcut"])
     def test_answer_of_another_size_names_both_files(self, tmp_path, capsys, problem):
@@ -64,7 +65,6 @@ class TestGenerateSolveRoundEvaluate:
         assert run(["evaluate", "--in", rounded, "--instance", other, "--out", ev]) == 2
         err = capsys.readouterr().err
         assert "rounded.json" in err and "inst12" in err and " 8 " in err and "n = 12" in err
-        assert not ev.exists()
         assert not ev.exists()
 
     def test_negative_seed_names_the_param(self, tmp_path, capsys):

@@ -715,7 +715,7 @@ CERTIFIED_FAMILIES = {
     "community": lambda: [nonneg(), diag_leq_one()],
 }
 TIGHT = PierraConfig(feas_tol=1e-10, obj_tol=1e-14)
-CERTIFIED = PierraConfig(feas_tol=1e-6, gap_tol=1e-6)
+CERTIFIED = PierraConfig(feas_tol=1e-6)    # the certified stop's gap target is feas_tol
 
 
 def certified_case(family, localization, seed, n=8):
@@ -752,8 +752,8 @@ def spy_certificates(monkeypatch):
 
 
 class TestCertifiedStop:
-    """``PierraConfig.gap_tol``: the solve stops on the gap between a dual
-    bound and a repaired psd point."""
+    """``pierra_solve(anchor=...)``: the solve stops on the gap between a
+    dual bound and a psd point repaired into the set."""
 
     @pytest.mark.parametrize("localization", ["none", "halfspace", "l1", "l2"])
     @pytest.mark.parametrize("family", list(CERTIFIED_FAMILIES))
@@ -764,12 +764,31 @@ class TestCertifiedStop:
         assert tight.converged
         optimum = tight.objective - 1e-8 * (1.0 + abs(tight.objective))
         checks = spy_certificates(monkeypatch)
-        _, report = pierra_solve(M, atoms, CERTIFIED)
+        _, report = pierra_solve(M, atoms, CERTIFIED, anchor=np.eye(8))
         assert report.converged and len(checks) == report.iterations // 10
-        assert all(upper >= optimum for _, _, upper in checks)
-        assert 0.0 <= report.gap <= 1e-6 * (1.0 + abs(report.objective))
+        # every check brackets the optimum: its point lies in the set
+        ceiling = tight.objective + 1e-8 * (1.0 + abs(tight.objective))
+        assert all(lower <= ceiling and upper >= optimum for _, lower, upper in checks)
+        assert 0.0 <= report.gap <= 1e-6 * (1.0 + abs(report.objective - np.trace(M)))
         assert report.objective + report.gap >= optimum
         assert report.to_dict()["gap"] == report.gap
+
+    @pytest.mark.parametrize("localization", ["none", "halfspace", "l1", "l2"])
+    @pytest.mark.parametrize("family", ["signed", "unit_diag"])
+    def test_gap_is_small_against_the_value_read(self, family, localization):
+        # 1e4 I adds 8e4 to every objective of a unit-diagonal set, as an
+        # offset <W, Z*> does to the estimator's: the gap is held to the
+        # value read off the anchor, feas_tol (1 + |<M, Z - I>|), not to
+        # feas_tol (1 + |<M, Z>|)
+        seed = 10 * list(CERTIFIED_FAMILIES).index(family) + len(localization)
+        M, atoms = certified_case(family, localization, seed)
+        M = M + 1e4 * np.eye(8)
+        _, tight = pierra_solve(M, atoms, TIGHT)
+        _, report = pierra_solve(M, atoms, CERTIFIED, anchor=np.eye(8))
+        value = report.objective - np.trace(M)
+        assert report.converged and report.objective > 8e4
+        assert 0.0 <= report.gap <= 1e-6 * (1.0 + abs(value))
+        assert report.objective - 1e-9 <= tight.objective <= report.objective + report.gap + 1e-9
 
     @pytest.mark.parametrize("localization", ["none", "halfspace", "l1", "l2"])
     @pytest.mark.parametrize("family", list(CERTIFIED_FAMILIES))
@@ -777,16 +796,14 @@ class TestCertifiedStop:
         seed = 10 * list(CERTIFIED_FAMILIES).index(family) + len(localization)
         M, atoms = certified_case(family, localization, seed)
         checks = spy_certificates(monkeypatch)
-        Z_hat, report = pierra_solve(M, atoms, CERTIFIED)
-        # every check's point is psd and meets the entrywise bounds and the
-        # cap to roundoff, from the first check on; the localization only
-        # within feas_tol, which the returned point meets
+        Z_hat, report = pierra_solve(M, atoms, CERTIFIED, anchor=np.eye(8))
+        # every check's point is psd and meets every atom to roundoff, from
+        # the first check on
         for Z, lower, _ in checks:
             assert np.array_equal(Z, Z.T)
             assert np.linalg.eigvalsh(Z).min() >= -1e-13
             for atom in atoms:
-                if atom.kind in ("nonneg", "box01", "diag_leq_one", "diag_eq_one", "total_sum_leq"):
-                    assert frobenius_norm(project_atom(atom, Z) - Z) <= 1e-14, atom.kind
+                assert frobenius_norm(project_atom(atom, Z) - Z) <= 1e-13, atom.kind
             assert lower == float(np.vdot(M, Z))
         assert Z_hat is checks[-1][0] and report.objective == checks[-1][1]
         assert max(report.residuals.values()) <= CERTIFIED.feas_tol
@@ -805,7 +822,8 @@ class TestCertifiedStop:
         state = None
         for r in (1.0, 4.0):
             atoms = signed_atoms() + [_localization_atom("l2", inst.expected, inst.oracle, r)]
-            _, report = pierra_solve(W, atoms, _FIXED_POINT_CONFIG, warm_start=state)
+            _, report = pierra_solve(W, atoms, _FIXED_POINT_CONFIG, warm_start=state,
+                                     anchor=inst.oracle)
             assert report.converged and report.iterations <= 20
             assert abs(report.objective - np.vdot(W, inst.oracle)) <= 1e-9
             state = report.state
@@ -823,10 +841,11 @@ class TestCertifiedStop:
                  "l2": signed_atoms() + [l2_ball_around(inst.oracle, 3.0)]}[kind]
         _, tight = pierra_solve(M, atoms, TIGHT)
         optimum = tight.objective - 1e-8 * (1.0 + abs(tight.objective))
-        _, start = pierra_solve(M, atoms, CERTIFIED)
+        _, start = pierra_solve(M, atoms, CERTIFIED, anchor=inst.oracle)
         Z, U, rho0 = start.state
         checks = spy_certificates(monkeypatch)
-        _, report = pierra_solve(M, atoms, CERTIFIED, warm_start=(Z, U * rho0 / rho, rho))
+        _, report = pierra_solve(M, atoms, CERTIFIED, warm_start=(Z, U * rho0 / rho, rho),
+                                 anchor=inst.oracle)
         assert report.converged and report.gap >= 0.0
         assert all(upper >= optimum for _, _, upper in checks)
 
@@ -834,16 +853,19 @@ class TestCertifiedStop:
                                        [nonneg(), total_sum_leq(4.0)]])
     def test_set_without_a_diagonal_bound_raises(self, atoms):
         with pytest.raises(InvalidInputError, match="finite upper bound on the diagonal"):
-            pierra_solve(np.eye(4), atoms, PierraConfig(gap_tol=1e-6))
+            pierra_solve(np.eye(4), atoms, anchor=np.eye(4))
         pierra_solve(np.eye(4), atoms, PierraConfig(max_iters=10))    # the default stop takes it
 
-    @pytest.mark.parametrize("gap_tol", [0.0, -1e-6, "1e-6", True])
-    def test_gap_tol_must_be_a_positive_number(self, gap_tol):
-        with pytest.raises(InvalidInputError, match="gap_tol"):
-            PierraConfig(gap_tol=gap_tol)
+    def test_anchor_of_another_shape_or_outside_the_ball_raises(self):
+        M, atoms = certified_case("signed", "l2", 0)
+        with pytest.raises(InvalidInputError, match="anchor has shape"):
+            pierra_solve(M, atoms, CERTIFIED, anchor=np.eye(9))
+        # -I lies 2 sqrt(8) from the ball's center I, past its radius
+        with pytest.raises(InvalidInputError, match="anchor .* outside its l2_ball"):
+            pierra_solve(M, atoms, CERTIFIED, anchor=-np.eye(8))
 
     def test_default_stop_is_unchanged(self):
-        # (seed, sweeps, objective bits) of pierra_signed before gap_tol existed
+        # (seed, sweeps, objective bits) of pierra_signed before the certified stop existed
         expected = [(0, 240, "0x1.1e506fb2128cap+7"), (1, 140, "0x1.ea0057d15bb4dp+6"),
                     (2, 260, "0x1.e93506b4be1f5p+6"), (3, 600, "0x1.032c98b1f7984p+7"),
                     (4, 3360, "0x1.1c56885b49deap+7"), (5, 120, "0x1.e028c40d6ce88p+6"),
