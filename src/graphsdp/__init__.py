@@ -24,6 +24,7 @@ from .solvers import (
     PierraConfig,
     bm_rank,
     bm_solve,
+    ipm_solve,
     pierra_signed,
     pierra_solve,
 )
@@ -39,6 +40,7 @@ __all__ = [
     "PierraConfig",
     "bm_rank",
     "bm_solve",
+    "ipm_solve",
     "pierra_signed",
     "pierra_solve",
     "__version__",

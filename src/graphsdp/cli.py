@@ -116,8 +116,9 @@ def _given(args, flags) -> list:
     return ["--" + name.replace("_", "-") for name in flags if getattr(args, name) is not None]
 
 
-# the round flags each rounding step reads, besides --in, --seed and --out
-_ROUND_FLAGS = {"cut_vector": ("instance", "graph", "samples"), "labels": ("k",), "phases": ()}
+# the round flags each rounding step reads, besides --in and --out
+_ROUND_FLAGS = {"cut_vector": ("instance", "graph", "samples", "seed"), "labels": ("k", "seed"),
+                "phases": ()}
 
 
 def _cmd_round(args) -> int:
@@ -125,11 +126,12 @@ def _cmd_round(args) -> int:
     Z = load_matrix(args.infile + ".coo")
     problem = read_json(args.infile + ".json")["problem"]
     key = PROBLEMS[problem].answer_key
-    unread = _given(args, [f for flags in _ROUND_FLAGS.values() for f in flags
-                           if f not in _ROUND_FLAGS[key]])
+    unread = _given(args, dict.fromkeys(f for flags in _ROUND_FLAGS.values() for f in flags
+                                        if f not in _ROUND_FLAGS[key]))
     if unread:
         raise InvalidInputError(f"{', '.join(unread)} not read when rounding a {problem} result")
     out = args.out or "rounded.json"
+    seed = 0 if args.seed is None else args.seed
     if key == "cut_vector":
         if args.instance:
             _, _, graph = _load_instance(args.instance)
@@ -138,11 +140,11 @@ def _cmd_round(args) -> int:
         else:
             raise InvalidInputError("cut rounding needs --instance or --graph")
         samples = 200 if args.samples is None else args.samples
-        x, mean_cut = gw_round(Z, graph, samples, seed=args.seed)
+        x, mean_cut = gw_round(Z, graph, samples, seed=seed)
         write_json({"mode": "cut", "cut_vector": x, "best_cut": cut_value(graph, x),
                     "mean_cut": mean_cut}, out)
     elif key == "labels":
-        labels = extract_communities(Z, 2 if args.k is None else args.k, seed=args.seed)
+        labels = extract_communities(Z, 2 if args.k is None else args.k, seed=seed)
         write_json({"mode": "communities", "labels": labels}, out)
     else:  # phases
         x = extract_phases(Z)
@@ -217,7 +219,8 @@ def _cmd_experiment(args) -> int:
 
 
 # the gset flags only a sweep reads, and their defaults
-_SWEEP_DEFAULTS = {"delta_grid": "0.2,0.5,0.8,1.0", "replicates": 5, "samples": 100, "threads": 1}
+_SWEEP_DEFAULTS = {"delta_grid": "0.2,0.5,0.8,1.0", "replicates": 5, "samples": 100, "threads": 1,
+                   "seed": 0}
 
 
 def _cmd_gset(args) -> int:
@@ -225,7 +228,7 @@ def _cmd_gset(args) -> int:
         sweep = {name: (default if getattr(args, name) is None else getattr(args, name))
                  for name, default in _SWEEP_DEFAULTS.items()}
         config = ExperimentConfig("maxcut_gset_sweep", replicates=sweep["replicates"],
-                                  seed=args.seed, params={
+                                  seed=sweep["seed"], params={
                                       "gset_path": args.infile, "gw_samples": sweep["samples"],
                                       "delta_grid": _float_list(sweep["delta_grid"])})
         run_experiment(config, args.out or "gset_sweep", threads=sweep["threads"])
@@ -281,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_solve)
 
     r = add_parser("round", help="round a solved matrix")
+    r.set_defaults(seed=None)    # None, so that a seed given to a step that reads none exits 2
     r.add_argument("--in", dest="infile", required=True,
                    help="result prefix; its sidecar's problem picks the rounding")
     r.add_argument("--instance", help="instance prefix (for cut evaluation)")
@@ -332,8 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     gs = add_parser("gset", help="benchmark graph utilities")
     gs.add_argument("--in", dest="infile", required=True, help="edge-list file")
     gs.add_argument("--sweep", action="store_true")
-    # the sweep's flags default to None, so that a given one without --sweep
-    # exits 2; _SWEEP_DEFAULTS resolves them for a sweep
+    # the sweep's flags, --seed included, default to None, so that a given
+    # one without --sweep exits 2; _SWEEP_DEFAULTS resolves them for a sweep
+    gs.set_defaults(seed=None)
     gs.add_argument("--threads", type=int, help=threads_help)
     gs.add_argument("--delta-grid", help=f"default {_SWEEP_DEFAULTS['delta_grid']}")
     gs.add_argument("--replicates", type=int, help=f"default {_SWEEP_DEFAULTS['replicates']}")

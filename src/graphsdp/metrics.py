@@ -16,10 +16,12 @@ import numpy as np
 from . import _rng
 from .linalg import InvalidInputError, check_square, check_value, symmetrize
 from .solvers import (
+    IPM_GAP_TOL,
     ConstraintAtom,
     PierraConfig,
     affine_halfspace,
     bm_solve,
+    ipm_solve,
     is_unit_diagonal,
     l1_ball_around,
     l2_ball_around,
@@ -296,8 +298,10 @@ class FixedPointEstimate:
     ``r_star`` is a certified upper bound on the fixed point from the
     unlocalized solves (None off the unit-diagonal set), and exact to the
     solves' gaps when ``r_star_exact``; ``sweeps`` counts the splitting
-    iterations of every localized solve and ``bm_solves`` the unlocalized
-    solves run.
+    iterations of the localized solves (on the interior-point route, those
+    of the radii it left uncertified), ``ipm_iterations`` the
+    interior-point steps of the localized solves, and ``bm_solves`` the
+    unlocalized solves run.
     """
 
     r_hat: float
@@ -311,6 +315,7 @@ class FixedPointEstimate:
     r_star: Optional[float]
     r_star_exact: bool
     sweeps: int
+    ipm_iterations: int
     bm_solves: int
 
     def to_dict(self) -> dict:
@@ -325,6 +330,7 @@ class FixedPointEstimate:
             "r_star": None if self.r_star is None else float(self.r_star),
             "r_star_exact": self.r_star_exact,
             "sweeps": int(self.sweeps),
+            "ipm_iterations": int(self.ipm_iterations),
             "bm_solves": int(self.bm_solves),
             "quantile_curve": [[float(r), float(q)] for r, q in self.quantile_curve],
         }
@@ -351,7 +357,7 @@ def _locality_distance(kind: str, EA, Z_star, Z) -> float:
     return float(np.abs(D).sum()) if kind == "l1" else float(np.real(np.vdot(D, D)))
 
 
-_FIXED_POINT_CONFIG = PierraConfig(feas_tol=1e-6)    # the inner solves' settings
+_FIXED_POINT_CONFIG = PierraConfig(feas_tol=IPM_GAP_TOL)    # the splitting solves' settings
 
 
 def estimate_fixed_point(
@@ -368,19 +374,28 @@ def estimate_fixed_point(
     ``generator(rng)`` must yield one replicate ``(A, EA, Z_star)``.  For
     each replicate and each radius in the ascending grid, the localized
     noise supremum ``h(r) = sup <A - EA, Z - Z*>`` over the constraint set
-    intersected with the chosen locality is bounded by a warm-started
-    splitting solve; the curve of empirical (1-delta) quantiles is then
-    scanned for the first radius dominating twice the supremum (``r_hat``,
-    a grid point).  Replicates whose inner solve does not converge are
-    excluded and counted; above 10% exclusions the estimate is flagged
-    unreliable, and a grid that never resolves is flagged unresolved.
+    intersected with the chosen locality is bounded by a certified solve;
+    the curve of empirical (1-delta) quantiles is then scanned for the
+    first radius dominating twice the supremum (``r_hat``, a grid point).
+    Replicates whose inner solve does not converge are excluded and
+    counted; above 10% exclusions the estimate is flagged unreliable, and a
+    grid that never resolves is flagged unresolved.
 
-    The inner solves (``_FIXED_POINT_CONFIG``, ``feas_tol`` 1e-6) are
-    anchored at Z*, a point of every locality: each stops on a certified
-    gap of at most 1e-6 (1 + |q|), q the supremum read off Z*, and each
-    solved radius carries its certified upper bound ``objective + gap``
-    (less the offset ``<A - EA, Z*>``): the curve holds upper bounds on the
-    suprema, within that gap of them.
+    The set's shape picks the inner solver, as ``Problem.solve`` picks BM:
+    the unit-diagonal set under the ``excess_risk`` half-space, which has
+    n + 1 linear constraints, takes one :func:`ipm_solve` per radius
+    (``ipm_iterations``); every other set and locality takes splitting
+    solves (``_FIXED_POINT_CONFIG``), warm-started along the ascending grid
+    (``sweeps``).  A radius whose interior-point solve ends uncertified (at
+    radii near 1e-3 the half-space's multiplier grows large, and the
+    roundoff of the primal iterate spoils its repaired lower bound) is
+    solved again by splitting, so no radius certifies less often than on
+    the splitting route alone.  Both solvers are anchored at Z*, a point of
+    every locality: each
+    stops on a certified gap of at most 1e-6 (1 + |q|), q the supremum read
+    off Z*, and each solved radius carries its certified upper bound
+    ``objective + gap`` (less the offset ``<A - EA, Z*>``): the curve holds
+    upper bounds on the suprema, within that gap of them.
 
     When the atoms are exactly the unit-diagonal set, each replicate first
     solves its unlocalized program by certified BM (``bm_solve(W, "max")``
@@ -413,9 +428,10 @@ def estimate_fixed_point(
         raise InvalidInputError("r_grid must be positive and sorted ascending")
 
     unit_diagonal = is_unit_diagonal(atoms)
+    interior = unit_diagonal and localization == "excess_risk"
     sups = []
     unlocalized = []    # (s, s + g, e) of each effective replicate
-    n_flagged = sweeps = bm_solves = 0
+    n_flagged = sweeps = ipm_iterations = bm_solves = 0
     for rep in range(n_mc):
         rng = _rng.stream(seed, _rng.STREAM_NOISE, rep)
         A, EA, Z_star = generator(rng)
@@ -436,14 +452,19 @@ def estimate_fixed_point(
                 value = upper
             else:
                 loc = _localization_atom(localization, EA, Z_star, r)
-                # warm-start along the ascending grid: the localities are nested
-                _, report = pierra_solve(W, list(atoms) + [loc], _FIXED_POINT_CONFIG,
-                                         warm_start=state, anchor=Z_star)
-                sweeps += report.iterations
+                report = None
+                if interior:
+                    _, report = ipm_solve(W, list(atoms) + [loc], Z_star)
+                    ipm_iterations += report.iterations
+                if report is None or not report.converged:
+                    # warm-start along the ascending grid: the localities are nested
+                    _, report = pierra_solve(W, list(atoms) + [loc], _FIXED_POINT_CONFIG,
+                                             warm_start=state, anchor=Z_star)
+                    sweeps += report.iterations
+                    state = report.state
                 if not report.converged:
                     n_flagged += 1
                     break
-                state = report.state
                 value = report.objective + report.gap - offset
             # nested suprema: enforce monotonicity along the grid
             row.append(max(value, row[-1]) if row else value)
@@ -488,5 +509,6 @@ def estimate_fixed_point(
         r_star=r_star,
         r_star_exact=r_star_exact,
         sweeps=sweeps,
+        ipm_iterations=ipm_iterations,
         bm_solves=bm_solves,
     )

@@ -1,6 +1,8 @@
-"""SDP solvers: two-block ADMM over the psd cone and low-rank factorization.
+"""SDP solvers: two-block ADMM over the psd cone, a primal-dual interior
+point method for the unit-diagonal set cut by a half-space, and low-rank
+factorization.
 
-Two solver families cover every program in the library:
+Three solver families cover every program in the library:
 
 * :func:`pierra_solve` maximizes ``<M, Z>`` over the psd cone intersected
   with a set P given as convex constraint atoms.  The cone is always one
@@ -22,6 +24,12 @@ Two solver families cover every program in the library:
   iterate, which lies in P; given a point of the set as an anchor, it
   stops on a certified duality gap and returns a psd point repaired into
   the set.  The reported residuals are measured on the returned matrix.
+* :func:`ipm_solve` maximizes ``<M, Z>`` over {Z psd, diag(Z) = 1,
+  <C, Z> <= b} only, the set of the fixed-point estimator's excess-risk
+  localization on MAX-CUT, whose n + 1 linear constraints make an
+  (n+1) x (n+1) Schur complement: HKM directions with Mehrotra's
+  predictor-corrector, stopped on the anchored certificate of the
+  splitting solver, with the same repair into the set.
 * :func:`bm_solve` optimizes ``<M, Y Y*>`` over unit-norm rows of a low-rank
   factor Y (Barzilai-Borwein gradient descent with a nonmonotone line
   search on a product of spheres/circles), for the special constraint set
@@ -68,6 +76,7 @@ __all__ = [
     "SolveReport",
     "pierra_solve",
     "pierra_signed",
+    "ipm_solve",
     "bm_solve",
     "bm_rank",
 ]
@@ -217,8 +226,9 @@ def _thin(trace) -> np.ndarray:
 class SolveReport:
     solver: str
     iterations: int
-    # "converged" (BM: certified to ``gap``) | "max_iters" (budget spent) |
-    # "stalled" (BM: not certified and no escape decreases the objective)
+    # "converged" (BM, interior point: certified to ``gap``) | "max_iters"
+    # (budget spent) | "stalled" (BM: not certified and no escape decreases
+    # the objective; interior point: a Cholesky factor of the iterate failed)
     termination: str
     objective: float
     objective_trace: np.ndarray     # complete; ``to_dict`` thins it to 1000 entries
@@ -227,7 +237,8 @@ class SolveReport:
     # Cholesky factor of the dual slack (2 n^2 eps ||S||_F, or at most the stop
     # target from a factor at the shift target / (2n)) when that meets the
     # stop target, else from its eigenvalues; splitting: upper bound less
-    # objective of a solve that stopped on a certified gap, else None
+    # objective of a solve that stopped on a certified gap, else None;
+    # interior point: upper bound less objective at the last certificate
     gap: Optional[float] = None
     # splitting: the end state (Z, U, rho), for ``pierra_solve(warm_start=...)``; not serialized
     state: Optional[tuple] = field(default=None, repr=False, compare=False)
@@ -376,12 +387,7 @@ def _set_projection(atoms, M, anchor=None):
 
         return (project, _certificate_of(M, (olo, ohi, dlo, dhi), anchor)) if certify else project
     (atom,) = extra
-    A = np.ones(M.shape) if atom.kind == "total_sum_leq" else atom.matrix
-    if np.shape(A) != M.shape:    # a hand-built atom may have no matrix
-        raise InvalidInputError(f"{atom.kind} matrix has shape {np.shape(A)}, the objective {M.shape}")
-    if A.dtype.kind == "c" or not np.array_equal(A, A.T):
-        raise InvalidInputError(f"{atom.kind} matrix must be real and exactly symmetric")
-    A = np.ascontiguousarray(A, dtype=M.dtype)
+    A = _atom_matrix(atom, M)
     l2 = atom.kind == "l2_ball"
     if atom.kind == "l1_ball":
         stop = _clip(A, lo, hi)
@@ -433,6 +439,70 @@ def _set_projection(atoms, M, anchor=None):
                                     (atom.kind, A, atom.bound, lambda: last[1]))
 
 
+def _atom_matrix(atom, M):
+    """The matrix of a half-space, cap or ball atom, as a C-contiguous array
+    of M's dtype; one of another shape than M, complex or not exactly
+    symmetric raises."""
+    A = np.ones(M.shape) if atom.kind == "total_sum_leq" else atom.matrix
+    if np.shape(A) != M.shape:    # a hand-built atom may have no matrix
+        raise InvalidInputError(f"{atom.kind} matrix has shape {np.shape(A)}, the objective {M.shape}")
+    if A.dtype.kind == "c" or not np.array_equal(A, A.T):
+        raise InvalidInputError(f"{atom.kind} matrix must be real and exactly symmetric")
+    return np.ascontiguousarray(A, dtype=M.dtype)
+
+
+def _anchor_of(anchor, M) -> np.ndarray:
+    """The anchor of a certified solve as a float array; one of another
+    shape than M raises."""
+    anchor = np.asarray(anchor, dtype=float)
+    if anchor.shape != M.shape:
+        raise InvalidInputError(f"anchor has shape {anchor.shape}, the objective {M.shape}")
+    return anchor
+
+
+def _repair_into(bounds, anchor, kind=None, level=None, b=0.0):
+    """The map of a certified solve from psd matrices into its set: the
+    psd cone with entrywise ``bounds = (off-diagonal lo, hi, diagonal lo,
+    hi)``, the upper diagonal one finite, cut by at most one convex atom
+    ``kind``, ``{level(Z) <= b}``; ``anchor`` is a point of the set, and
+    one outside the atom raises.
+
+    The steps keep X psd: a diagonal congruence onto the diagonal bounds
+    (the diagonal is then set to its target, which also fills a zero row),
+    a mix with ``dhi J`` that lifts the least entry to a finite off-diagonal
+    lower bound, and a mix with the anchor onto the atom.  That last mix
+    keeps the bounds, since the anchor meets them; it takes the anchor's
+    share from the atom's level, which is convex, so the mixed point meets
+    the atom (exactly, up to roundoff, for a half-space or a ball around
+    the anchor).  The repaired point lies in the set to roundoff.
+    """
+    olo, ohi, dlo, dhi = bounds
+    base = level(anchor) if kind else 0.0
+    if base > b:
+        raise InvalidInputError(f"the anchor of a certified solve lies outside its {kind}")
+
+    def repair(X):
+        d = np.diagonal(X)
+        target = np.clip(d, max(dlo, 0.0), dhi)
+        # a zero diagonal entry of a psd X has a zero row, which stays zero
+        scale = np.sqrt(np.divide(target, d, out=np.zeros_like(d), where=d > 0))
+        Z = X * np.outer(scale, scale)
+        np.fill_diagonal(Z, target)
+        least = float(Z.min())
+        if least < olo < dhi:
+            t = (olo - least) / (dhi - least)
+            Z *= 1.0 - t
+            Z += t * dhi
+        top = level(Z) if kind else 0.0
+        if top > b:
+            Z -= anchor
+            Z *= (b - base) / (top - base)
+            Z += anchor
+        return Z
+
+    return repair
+
+
 def _certificate_of(M, bounds, anchor, extra=None):
     """The certificate of a splitting solve over the psd cone intersected
     with P: entrywise bounds ``(off-diagonal lo, hi, diagonal lo, hi)``,
@@ -458,16 +528,10 @@ def _certificate_of(M, bounds, anchor, extra=None):
     plus the roundoff allowance ``n eps rho ||V||_F n dhi`` for the
     eigenvalues ``eigh`` leaves below zero in S.
 
-    Primal side: X is repaired by steps that keep it psd: a diagonal
-    congruence onto the diagonal bounds (the diagonal is then set to its
-    target, which also fills a zero row), a mix with ``dhi J`` that lifts
-    the least entry to a finite off-diagonal lower bound, and a mix with
-    the anchor onto the extra set.  That last mix keeps the bounds, since
-    the anchor meets them; it takes the anchor's share from the extra
-    set's level (``<C, Z>``, ``||Z - c||_1`` or ``||Z - c||_F``), which is
-    convex, so the mixed point meets the set (exactly, up to roundoff, for
-    a half-space or a ball around the anchor).  ``lower = <M, Z>`` at that
-    point Z, which lies in the set to roundoff.
+    Primal side: X is repaired into the set by :func:`_repair_into`, whose
+    last step mixes it with the anchor along the extra set's level
+    (``<C, Z>``, ``||Z - c||_1`` or ``||Z - c||_F``), and ``lower = <M, Z>``
+    at the repaired point Z.
     """
     olo, ohi, dlo, dhi = bounds
     n = M.shape[0]
@@ -508,28 +572,7 @@ def _certificate_of(M, bounds, anchor, extra=None):
         def lagrangian(G, mu):
             return support(G - mu * C) + mu * b
 
-    base = level(anchor) if kind else 0.0
-    if base > b:
-        raise InvalidInputError(f"the anchor of a certified solve lies outside its {kind}")
-
-    def repair(X):
-        d = np.diagonal(X)
-        target = np.clip(d, max(dlo, 0.0), dhi)
-        # a zero diagonal entry of a psd X has a zero row, which stays zero
-        scale = np.sqrt(np.divide(target, d, out=np.zeros_like(d), where=d > 0))
-        Z = X * np.outer(scale, scale)
-        np.fill_diagonal(Z, target)
-        least = float(Z.min())
-        if least < olo < dhi:
-            t = (olo - least) / (dhi - least)
-            Z *= 1.0 - t
-            Z += t * dhi
-        top = level(Z) if kind else 0.0
-        if top > b:
-            Z -= anchor
-            Z *= (b - base) / (top - base)
-            Z += anchor
-        return Z
+    repair = _repair_into(bounds, anchor, kind, level, b)
 
     def certificate(X, V, rho):
         Z = repair(X)
@@ -593,6 +636,21 @@ class _Anderson:
                                 self._dG[:k] @ g.reshape(-1))
         correction = (gamma @ self._dF[:k]).reshape(F.shape)
         return np.subtract(F, correction, out=correction), True
+
+
+def _residuals_of(atoms, M):
+    """``residuals(Z)``: the psd cone's and each atom's residual of Z,
+    ``||P(Z) - Z||_F / (1 + ||Z||_F)``, keyed ``"0:psd"``, then
+    ``"i:<kind>"`` for atom i from 1.  The cone's residual comes from its
+    eigenvalues alone; each atom's projection is built once."""
+    projections = {f"{i}:{a.kind}": _set_projection([a], M) for i, a in enumerate(atoms, 1)}
+
+    def residuals(Z):
+        scale = 1.0 + frobenius_norm(Z)
+        return {"0:psd": psd_residual(Z) / scale,
+                **{key: frobenius_norm(project(Z) - Z) / scale for key, project in projections.items()}}
+
+    return residuals
 
 
 def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraConfig | None = None,
@@ -668,20 +726,10 @@ def pierra_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], config: PierraC
     if anchor is None:
         project_set = _set_projection(atoms, M)
     else:
-        anchor = np.asarray(anchor, dtype=float)
-        if anchor.shape != M.shape:
-            raise InvalidInputError(f"anchor has shape {anchor.shape}, the objective {M.shape}")
+        anchor = _anchor_of(anchor, M)
         project_set, certificate = _set_projection(atoms, M, anchor)
         origin = float(np.vdot(M, anchor))
-    # one projection per atom, for its residual ||P(Z) - Z||_F; the cone's
-    # residual comes from its eigenvalues alone
-    projections = {f"{i}:{a.kind}": _set_projection([a], M) for i, a in enumerate(atoms, 1)}
-
-    def residuals(Z):
-        scale = 1.0 + frobenius_norm(Z)
-        return {"0:psd": psd_residual(Z) / scale,
-                **{key: frobenius_norm(project(Z) - Z) / scale for key, project in projections.items()}}
-
+    residuals = _residuals_of(atoms, M)
     if warm_start is not None:
         Z, U, rho = warm_start
     else:
@@ -809,6 +857,164 @@ def pierra_signed(A: np.ndarray, alpha: float):
     A = np.asarray(A, dtype=float)
     M = A - alpha * np.ones_like(A)     # pierra_solve checks it
     return pierra_solve(M, signed_atoms())
+
+
+# ---------------------------------------------------------------------------
+# primal-dual interior point on the unit-diagonal set cut by a half-space
+
+# the certified gap, relative to the value read off the anchor, at which an
+# interior-point solve stops (the fixed-point estimator's splitting solves
+# stop at the same target)
+IPM_GAP_TOL = 1e-6
+_IPM_MAX_ITERS = 50    # steps one interior-point solve may take
+_IPM_STEP = 0.95       # share of the largest step that keeps the iterate interior
+
+
+def _max_step(L_inv, D):
+    """The largest alpha with ``L L* + alpha D`` psd, for the inverse L_inv
+    of a Cholesky factor L: inf when D is psd."""
+    least = np.linalg.eigvalsh(L_inv @ D @ L_inv.T)[0]
+    return -1.0 / least if least < 0 else np.inf
+
+
+def _hkm_step(M, C, b, Z, s, y, t, S, R):
+    """One Mehrotra predictor-corrector step along the HKM direction for
+    ``max <M, Z>`` s.t. ``diag(Z) = 1``, ``<C, Z> + s = b``, Z psd, s >= 0,
+    and its dual ``min sum(y) + t b`` s.t. ``S = Diag(y) + t C - M`` psd,
+    t >= 0, from the iterate (Z, s; y, t, S) with dual residual
+    ``R = Diag(y) + t C - M - S``; returns the next iterate.
+
+    With G = S^-1 the direction solves the (n+1) x (n+1) Schur system
+    ``[[Z o G, diag(Z C G)], [diag(Z C G)*, <C, Z C G> + s/t]] (dy, dt) =
+    rhs``, then ``dS = Diag(dy) + dt C + R`` and ``dZ = K - Z - sym(Z dS
+    G)``, where K is 0 for the predictor and ``sigma mu G - sym(dZa dSa G)``
+    for the corrector, ``sigma = (mu_aff / mu)^3`` (Mehrotra 1992).  Z and
+    s take ``_IPM_STEP`` of their largest step to the boundary (from a
+    Cholesky factor and ``eigvalsh``), S and t theirs, each at most 1; a
+    failed factor raises ``np.linalg.LinAlgError``."""
+    n = Z.shape[0]
+    mu = (float(np.vdot(Z, S)) + s * t) / (n + 1)
+    Lz_inv = np.linalg.inv(np.linalg.cholesky(Z))
+    Ls_inv = np.linalg.inv(np.linalg.cholesky(S))
+    G = Ls_inv.T @ Ls_inv
+    ZCG = Z @ (C @ G)
+    ZRG = Z @ (R @ G)
+    H = np.empty((n + 1, n + 1))
+    np.multiply(Z, G, out=H[:n, :n])
+    H[:n, n] = H[n, :n] = np.diagonal(ZCG)
+    H[n, n] = float(np.vdot(C, ZCG)) + s / t
+    rhs = np.empty(n + 1)
+
+    def direction(K, kappa):
+        rhs[:n] = np.diagonal(K) - 1.0 - np.diagonal(ZRG)
+        rhs[n] = float(np.vdot(C, K - ZRG)) + kappa / t - b
+        sol = np.linalg.solve(H, rhs)
+        dy, dt = sol[:n], float(sol[n])
+        dS = R + dt * C
+        dS.flat[::n + 1] += dy
+        T = Z @ (dS @ G)
+        dZ = K - Z - (T + T.T) / 2
+        ds = (kappa - s * dt) / t - s
+        return dZ, ds, dy, dt, dS
+
+    def steps(dZ, ds, dt, dS, share):
+        primal = min(_max_step(Lz_inv, dZ), -s / ds if ds < 0 else np.inf)
+        dual = min(_max_step(Ls_inv, dS), -t / dt if dt < 0 else np.inf)
+        return min(1.0, share * primal), min(1.0, share * dual)
+
+    dZ, ds, dy, dt, dS = direction(np.zeros_like(Z), 0.0)
+    ap, ad = steps(dZ, ds, dt, dS, 1.0)
+    mu_aff = (float(np.vdot(Z + ap * dZ, S + ad * dS)) + (s + ap * ds) * (t + ad * dt)) / (n + 1)
+    sigma = min(1.0, (mu_aff / mu) ** 3)
+    T = dZ @ (dS @ G)
+    dZ, ds, dy, dt, dS = direction(sigma * mu * G - (T + T.T) / 2, sigma * mu - ds * dt)
+    ap, ad = steps(dZ, ds, dt, dS, _IPM_STEP)
+    return Z + ap * dZ, s + ap * ds, y + ad * dy, t + ad * dt, S + ad * dS
+
+
+def ipm_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], anchor: np.ndarray):
+    """Maximize ``<M, Z>`` for a real ``M`` over the unit-diagonal set cut
+    by one half-space, {Z psd, diag(Z) = 1, <C, Z> <= b}: ``atoms`` must be
+    exactly :func:`unit_diag_atoms` and one real, exactly symmetric
+    :func:`affine_halfspace`, and ``anchor`` a point of the set.  Any other
+    set, a complex M and an anchor outside the half-space raise
+    InvalidInputError.
+
+    A primal-dual interior-point method: HKM directions (Helmberg, Rendl,
+    Vanderbei & Wolkowicz 1996) with Mehrotra's predictor-corrector, from
+    an infeasible start (``Z = I``, a slack s >= 1, and a dual point
+    ``S = Diag(y) + t C - M`` with t = 1 and ``S >= (1 + ||M||_F /
+    sqrt(n)) I``); see :func:`_hkm_step`.  C is scaled to unit norm (and b
+    with it) first.  Before each step it builds the certificate of
+    :func:`pierra_solve`'s anchored stop: the upper bound ``sum(y) + t b +
+    n max(0, slack - lambda_min(Diag(y) + t C - M))`` with ``slack = n eps
+    ||Diag(y) + t C - M||_F``, valid since t >= 0 and ``trace Z = n`` on the
+    set, and the lower bound ``<M, Z_hat>`` at the iterate repaired into
+    the set by :func:`_repair_into`.  It stops once ``0 <= upper - lower <=
+    IPM_GAP_TOL (1 + |lower - <M, anchor>|)`` (``IPM_GAP_TOL`` = 1e-6): the
+    gap is relative to the value read off the anchor.  ``_IPM_MAX_ITERS``
+    steps are its budget; a spent budget ends as ``"max_iters"``, and a
+    Cholesky factor that fails (the iterate has reached the cone's boundary
+    to roundoff) as ``"stalled"``.  Near a radius of 1e-3 some solves end
+    either way short of their target: the half-space's multiplier grows
+    large, and the roundoff of the primal iterate, times it, spoils the
+    repaired lower bound.
+
+    Returns ``(Z_hat, SolveReport)`` at the last certificate: ``objective``
+    is the lower bound and ``gap`` the upper bound less it, so the optimum
+    lies in ``[objective, objective + gap]`` whatever the termination;
+    ``iterations`` counts the steps, and ``objective_trace`` holds the lower
+    bound of every certificate.  The residuals are measured on Z_hat.
+    """
+    M = check_square(M, "objective")
+    if M.dtype.kind == "c":
+        raise InvalidInputError("the interior-point solver takes a real objective")
+    M = symmetrize_unchecked(M.astype(float, copy=False))
+    cuts = [a for a in atoms if a.kind == "affine_halfspace"]
+    if len(cuts) != 1 or not is_unit_diagonal([a for a in atoms if a.kind != "affine_halfspace"]):
+        raise InvalidInputError("the interior-point solver takes the unit-diagonal set cut by one "
+                                "affine_halfspace, got " + (", ".join(a.kind for a in atoms) or "none"))
+    anchor = _anchor_of(anchor, M)
+    C = _atom_matrix(cuts[0], M)
+    norm = frobenius_norm(C)
+    C, b = C / norm, cuts[0].bound / norm
+    repair = _repair_into((-np.inf, np.inf, 1.0, 1.0), anchor, "affine_halfspace",
+                          lambda Z: float(np.vdot(C, Z)), b)
+    n = M.shape[0]
+    origin = float(np.vdot(M, anchor))
+    roundoff = n * np.finfo(float).eps
+    Z, s, t = np.eye(n), max(1.0, b - float(np.trace(C))), 1.0
+    y = np.full(n, 1.0 + frobenius_norm(M) / math.sqrt(n) - np.linalg.eigvalsh(C - M)[0])
+    S = np.diag(y) + C - M
+    trace = []
+    termination = "max_iters"
+    for it in range(_IPM_MAX_ITERS + 1):
+        dual = np.diag(y) + t * C - M
+        upper = (float(y.sum()) + t * b
+                 + n * max(0.0, roundoff * frobenius_norm(dual) - np.linalg.eigvalsh(dual)[0]))
+        Z_hat = repair(Z)
+        lower = float(np.vdot(M, Z_hat))
+        trace.append(lower)
+        if 0.0 <= upper - lower <= IPM_GAP_TOL * (1.0 + abs(lower - origin)):
+            termination = "converged"
+            break
+        if it == _IPM_MAX_ITERS:
+            break
+        try:
+            Z, s, y, t, S = _hkm_step(M, C, b, Z, s, y, t, S, dual - S)
+        except np.linalg.LinAlgError:
+            termination = "stalled"
+            break
+    report = SolveReport(
+        solver="ipm",
+        iterations=it,
+        termination=termination,
+        objective=lower,
+        objective_trace=np.asarray(trace),
+        residuals=_residuals_of(atoms, M)(Z_hat),
+        gap=upper - lower,
+    )
+    return Z_hat, report
 
 
 # ---------------------------------------------------------------------------

@@ -222,13 +222,15 @@ def test_06_fixed_point_below_theoretical_bound():
         est = estimate_fixed_point(generator, unit_diag_atoms(), "excess_risk",
                                    delta_prob=delta, n_mc=200, r_grid=grid, seed=7)
         bound = maxcut_rstar_bound(n, p)
-        print(f"\n  r_hat={est.r_hat} bound={bound:.1f} "
-              f"flagged={est.n_flagged} unresolved={est.unresolved} sweeps={est.sweeps}")
+        print(f"\n  r_hat={est.r_hat} bound={bound:.1f} flagged={est.n_flagged} "
+              f"unresolved={est.unresolved} ipm_iterations={est.ipm_iterations}")
         assert not est.unreliable
         assert not est.unresolved
         assert est.r_hat <= bound
-        # the localized solves stop on a certified gap (65,530 sweeps)
-        assert est.sweeps <= 70_000
+        # the localized solves are interior-point solves stopped on a
+        # certified gap (5,695 steps for 633 solves), not splitting sweeps
+        assert est.sweeps == 0
+        assert est.ipm_iterations <= 6_000
 
 
 def test_07_before_after_sdp_improvement(tmp_path):

@@ -239,6 +239,7 @@ class TestRoundCommand:
         ("community", ["--instance", "inst"]),
         ("sync", ["--k", 3, "--samples", 20]),
         ("maxcut", ["--k", 3]),
+        ("sync", ["--seed", 3]),
     ])
     def test_flags_the_problem_does_not_read_are_named(self, tmp_path, capsys, problem, flags):
         inst, res, out = tmp_path / "inst", tmp_path / "res", tmp_path / "r.json"
@@ -298,11 +299,14 @@ class TestFlags:
         assert self.parse(self.VALID[command] + ["--threads", 3]).threads == 3
 
     def test_seed_defaults_to_zero_and_experiment_keeps_the_configs(self):
+        # round and gset resolve a seed left as None to 0 where a step reads
+        # it, and exit 2 on a given one that no step reads
         for command, args in self.VALID.items():
             if command == "evaluate":
                 assert not hasattr(self.parse(args), "seed")
             else:
-                assert self.parse(args).seed == (None if command == "experiment" else 0)
+                unset = command in ("experiment", "round", "gset")
+                assert self.parse(args).seed == (None if unset else 0)
 
 
 class TestClusterCommand:
@@ -541,7 +545,8 @@ class TestGsetCommand:
 
     @pytest.mark.parametrize("flags", [
         ["--replicates", 9, "--samples", 0, "--threads", 3, "--delta-grid", "x"],
-        ["--samples", 100], ["--threads", 1], ["--delta-grid", "1.0"], ["--replicates", 5]])
+        ["--samples", 100], ["--threads", 1], ["--delta-grid", "1.0"], ["--replicates", 5],
+        ["--seed", 5]])
     def test_sweep_flags_without_sweep_are_named(self, tmp_path, capsys, flags):
         # given at their sweep defaults too: without --sweep nothing reads them
         f = tmp_path / "g.gset"

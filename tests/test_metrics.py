@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from graphsdp import metrics
+from graphsdp import metrics, solvers
 from graphsdp.linalg import InvalidInputError
 from graphsdp.metrics import (
     BOUNDS,
@@ -37,6 +37,7 @@ from graphsdp.solvers import (
     PierraConfig,
     affine_halfspace,
     bm_solve,
+    ipm_solve,
     l1_ball_around,
     l2_ball_around,
     pierra_solve,
@@ -383,17 +384,28 @@ def masked_maxcut(n, seed):
     return (A, -A0, Z_star), A + A0
 
 
-def count_solves(monkeypatch):
-    """Record the iterations of every splitting solve the estimator runs."""
-    iterations = []
+def spy_solves(monkeypatch):
+    """Record the report of every localized solve the estimator runs, by
+    the splitting solver (``report.solver == "pierra"``) or the interior
+    point one (``"ipm"``)."""
+    reports = []
 
-    def spy(*args, **kwargs):
-        Z, report = pierra_solve(*args, **kwargs)
-        iterations.append(report.iterations)
-        return Z, report
+    def spy_on(solve):
+        def spy(*args, **kwargs):
+            Z, report = solve(*args, **kwargs)
+            reports.append(report)
+            return Z, report
 
-    monkeypatch.setattr(metrics, "pierra_solve", spy)
-    return iterations
+        return spy
+
+    monkeypatch.setattr(metrics, "pierra_solve", spy_on(pierra_solve))
+    monkeypatch.setattr(metrics, "ipm_solve", spy_on(ipm_solve))
+    return reports
+
+
+def work(reports, solver):
+    """The iterations of the recorded solves by ``solver``."""
+    return sum(r.iterations for r in reports if r.solver == solver)
 
 
 class TestCertifiedCurve:
@@ -411,17 +423,12 @@ class TestCertifiedCurve:
             atoms = signed_atoms()
         _, EA, Z_star = replicate
         radii = {"excess_risk": [2.0, 5.0, 10.0], "l1": [2.0, 5.0, 10.0], "l2": [0.5, 2.0, 4.0]}[localization]
-        reports = []
-
-        def spy(*args, **kwargs):
-            Z, report = pierra_solve(*args, **kwargs)
-            reports.append(report)
-            return Z, report
-
-        monkeypatch.setattr(metrics, "pierra_solve", spy)
+        reports = spy_solves(monkeypatch)
         # delta 0.5 of one replicate: the curve is that replicate's suprema
         est = estimate_fixed_point(lambda _: replicate, atoms, localization, 0.5, 1, radii)
         offset = np.vdot(W, Z_star)
+        interior = problem == "maxcut" and localization == "excess_risk"
+        assert reports and {r.solver for r in reports} == {"ipm" if interior else "pierra"}
         for report in reports:
             # the gap is relative to the supremum read off Z*, not to <W, Z>
             assert report.converged
@@ -447,10 +454,10 @@ class TestFixedPointSkip:
         D = Z_star - Z_u
         e = {"excess_risk": np.vdot(EA, D), "l1": np.abs(D).sum(), "l2": np.vdot(D, D)}[localization]
         radii = [f * e for f in (0.25, 0.5, 0.9, 1.1, 2.0)]    # two radii past e
-        iterations = count_solves(monkeypatch)
+        reports = spy_solves(monkeypatch)
         est = estimate_fixed_point(lambda _: replicate, unit_diag_atoms(), localization,
                                    0.5, 1, radii)
-        assert len(iterations) == 3
+        assert len(reports) == 3
         offset = np.vdot(W, Z_star)
         cold = []
         for r in radii:
@@ -472,14 +479,14 @@ class TestFixedPointSkip:
         assert lo < hi
         radii = [0.5 * lo, (2 * lo + hi) / 3, (lo + 2 * hi) / 3]
         stream = iter(replicate for replicate, _ in replicates)
-        iterations = count_solves(monkeypatch)
+        reports = spy_solves(monkeypatch)
         est = estimate_fixed_point(lambda _: next(stream), unit_diag_atoms(), "excess_risk",
                                    0.5, 2, radii)
-        assert len(iterations) == 3 + 1
-        assert est.sweeps == sum(iterations) > 0
+        assert len(reports) == 3 + 1
+        assert est.ipm_iterations == work(reports, "ipm") > 0 and est.sweeps == 0
         assert est.bm_solves == 2
         out = est.to_dict()
-        assert (out["sweeps"], out["bm_solves"]) == (est.sweeps, 2)
+        assert (out["sweeps"], out["ipm_iterations"], out["bm_solves"]) == (0, est.ipm_iterations, 2)
         assert out["r_star"] == est.r_star and out["r_star_exact"] == est.r_star_exact
 
     def test_other_sets_solve_every_radius(self, monkeypatch):
@@ -489,10 +496,10 @@ class TestFixedPointSkip:
             inst = gen_ssbm(params, seed=int(rng.integers(0, 2**32)))
             return inst.observed, inst.expected, inst.oracle
 
-        iterations = count_solves(monkeypatch)
+        reports = spy_solves(monkeypatch)
         est = estimate_fixed_point(generator, signed_atoms(), "l1", 0.2, 3, [1.0, 100.0])
-        assert len(iterations) == 3 * 2 and est.sweeps == sum(iterations)
-        assert est.bm_solves == 0
+        assert len(reports) == 3 * 2 and est.sweeps == work(reports, "pierra")
+        assert est.bm_solves == 0 and est.ipm_iterations == 0
         assert est.r_star is None and not est.r_star_exact
         assert est.to_dict()["r_star"] is None
 
@@ -512,15 +519,91 @@ class TestFixedPointSkip:
             return Y, Z, dataclasses.replace(report, termination="max_iters")
 
         monkeypatch.setattr(metrics, "bm_solve", uncertified)
-        iterations = count_solves(monkeypatch)
+        reports = spy_solves(monkeypatch)
         est = estimate()
-        assert len(iterations) == len(radii)
-        assert est.sweeps == sum(iterations) > certified.sweeps
+        assert len(reports) == len(radii)
+        assert est.ipm_iterations == work(reports, "ipm") > certified.ipm_iterations
         assert est.bm_solves == 1
         # the gap still bounds the supremum, but no radius is known to be slack
         assert est.r_star == certified.r_star and not est.r_star_exact
         for (_, q), (_, c) in zip(est.quantile_curve, certified.quantile_curve):
             assert abs(q - c) <= 1e-5 * (1 + abs(c))
+
+    def test_excess_risk_on_the_unit_diagonal_set_runs_no_sweep(self, monkeypatch):
+        # the interior-point route replaces the warm-started splitting chain
+        replicates = [masked_maxcut(10, 50 + k)[0] for k in range(3)]
+        stream = iter(replicates)
+        reports = spy_solves(monkeypatch)
+        est = estimate_fixed_point(lambda _: next(stream), unit_diag_atoms(), "excess_risk",
+                                   0.5, 3, [1.0, 4.0, 16.0])
+        assert reports and all(r.solver == "ipm" and r.converged for r in reports)
+        assert est.sweeps == 0 and est.ipm_iterations == work(reports, "ipm") > 0
+        assert est.n_flagged == 0
+
+    @pytest.mark.parametrize("problem, localization", [
+        ("maxcut", "l1"), ("maxcut", "l2"),
+        ("signed", "excess_risk"), ("signed", "l1"), ("signed", "l2")])
+    def test_balls_and_signed_sets_run_no_interior_point_solve(self, monkeypatch, problem,
+                                                                localization):
+        if problem == "maxcut":
+            replicate, _ = masked_maxcut(8, 41)
+            atoms = unit_diag_atoms()
+        else:
+            inst = gen_ssbm(SsbmParams(n=8, n_clusters=2, p=0.9, q=0.1, delta=0.8), seed=41)
+            replicate, atoms = (inst.observed, inst.expected, inst.oracle), signed_atoms()
+        radii = {"l2": [0.5, 2.0]}.get(localization, [2.0, 5.0])
+        reports = spy_solves(monkeypatch)
+        est = estimate_fixed_point(lambda _: replicate, atoms, localization, 0.5, 1, radii)
+        assert reports and all(r.solver == "pierra" for r in reports)
+        assert est.ipm_iterations == 0 and est.sweeps == work(reports, "pierra") > 0
+
+    @staticmethod
+    def run_one_solved_radius(monkeypatch):
+        """Two replicates and two radii such that the replicate whose
+        unlocalized maximizer is nearer Z* skips both radii and the other
+        solves both: (estimate, reports of the solves)."""
+        replicates = [masked_maxcut(10, 30 + k) for k in range(2)]
+        lo, hi = sorted(np.vdot(EA, Z_star - bm_solve(W, "max")[1])
+                        for (_, EA, Z_star), W in replicates)
+        stream = iter(replicate for replicate, _ in replicates)
+        reports = spy_solves(monkeypatch)
+        est = estimate_fixed_point(lambda _: next(stream), unit_diag_atoms(), "excess_risk",
+                                   0.5, 2, [(2 * lo + hi) / 3, (lo + 2 * hi) / 3])
+        return est, reports
+
+    def test_spent_interior_point_budget_solves_the_radius_by_splitting(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_IPM_MAX_ITERS", 2)
+        est, reports = self.run_one_solved_radius(monkeypatch)
+        assert [(r.solver, r.termination) for r in reports] == [("ipm", "max_iters"),
+                                                                ("pierra", "converged")] * 2
+        assert est.n_flagged == 0 and not est.unreliable
+        assert est.ipm_iterations == 4 and est.sweeps == work(reports, "pierra") > 0
+
+    def test_radius_neither_solver_certifies_flags_the_replicate(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_IPM_MAX_ITERS", 2)
+        monkeypatch.setattr(metrics, "_FIXED_POINT_CONFIG", PierraConfig(max_iters=5, feas_tol=1e-6))
+        est, reports = self.run_one_solved_radius(monkeypatch)
+        assert [(r.solver, r.termination) for r in reports] == [("ipm", "max_iters"),
+                                                                ("pierra", "max_iters")]
+        assert est.n_flagged == 1 and est.n_effective == 1 and est.unreliable
+        assert est.ipm_iterations == 2 and est.sweeps == 5
+
+    def test_small_radius_the_interior_point_solve_leaves_uncertified(self, monkeypatch):
+        # at r = 1e-3 on n = 60 the interior-point solve ends short of its
+        # target; splitting certifies the radius, within the first bracket
+        replicate, W = masked_maxcut(60, 3)
+        reports = spy_solves(monkeypatch)
+        est = estimate_fixed_point(lambda _: replicate, unit_diag_atoms(), "excess_risk",
+                                   0.5, 1, [1e-3])
+        ipm, split = reports
+        assert (ipm.solver, ipm.converged, split.solver, split.converged) == ("ipm", False,
+                                                                              "pierra", True)
+        assert est.n_flagged == 0
+        assert (est.ipm_iterations, est.sweeps) == (ipm.iterations, split.iterations)
+        assert ipm.objective <= split.objective + split.gap
+        assert split.objective <= ipm.objective + ipm.gap
+        offset = float(np.vdot(W, replicate[2]))
+        assert est.quantile_curve[0][1] == split.objective + split.gap - offset
 
     def test_exact_fixed_point_picks_the_first_grid_radius_past_it(self):
         # criterion 6's instance with 20 replicates and a grid around r*

@@ -877,6 +877,101 @@ class TestCertifiedStop:
             assert report.gap is None
 
 
+def excess_risk_case(n, seed, fraction=0.5, radius=None):
+    """(W, atoms, Z*) of a masked MAX-CUT replicate (edge probability 0.5,
+    mask 0.8) cut by the excess-risk half-space at ``radius``, or else at
+    ``fraction`` of the radius past which the half-space binds nothing."""
+    rng = np.random.default_rng(seed)
+    A0 = np.triu((rng.random((n, n)) < 0.5).astype(float), 1)
+    A0 = A0 + A0.T
+    _, Z_star, _ = bm_solve(-A0, "max", BmConfig(seed=0))
+    mask = np.triu(rng.random((n, n)) < 0.8, 1)
+    W = A0 - A0 * (mask + mask.T) / 0.8
+    _, Z_free, _ = bm_solve(W, "max")
+    r = radius if radius is not None else fraction * float(np.vdot(A0, Z_free - Z_star))
+    return W, unit_diag_atoms() + [affine_halfspace(A0, r + float(np.vdot(A0, Z_star)))], Z_star
+
+
+class TestIpm:
+    """``ipm_solve``: interior-point solves over the unit-diagonal set cut by
+    one half-space, stopped on the anchored certificate."""
+
+    @pytest.mark.parametrize("n, seed", [(8, 1), (20, 2), (60, 3)])
+    @pytest.mark.parametrize("fraction", [0.1, 0.5])
+    def test_optimum_lies_within_the_gap(self, n, seed, fraction):
+        W, atoms, Z_star = excess_risk_case(n, seed, fraction)
+        _, tight = pierra_solve(W, atoms, TIGHT)
+        assert tight.converged
+        Z, report = solvers.ipm_solve(W, atoms, Z_star)
+        assert report.converged and report.solver == "ipm"
+        value = report.objective - np.vdot(W, Z_star)
+        assert 0.0 <= report.gap <= 1e-6 * (1.0 + abs(value))
+        slack = 1e-9 * (1.0 + abs(tight.objective))
+        assert report.objective - slack <= tight.objective <= report.objective + report.gap + slack
+        assert report.objective == float(np.vdot(W, Z)) and report.objective_trace[-1] == report.objective
+
+    @pytest.mark.parametrize("n, seed", [(8, 1), (20, 2), (60, 3)])
+    def test_returned_point_lies_in_the_set(self, n, seed):
+        W, atoms, Z_star = excess_risk_case(n, seed)
+        Z, report = solvers.ipm_solve(W, atoms, Z_star)
+        assert np.array_equal(Z, Z.T)
+        assert np.linalg.eigvalsh(Z).min() >= -1e-13
+        assert np.array_equal(np.diagonal(Z), np.ones(n))
+        halfspace = atoms[-1]
+        assert np.vdot(halfspace.matrix, Z) <= halfspace.bound + 1e-12 * (1.0 + abs(halfspace.bound))
+        assert list(report.residuals) == ["0:psd", "1:diag_eq_one", "2:affine_halfspace"]
+        assert max(report.residuals.values()) <= 1e-13
+
+    @pytest.mark.parametrize("n, seed", [(8, 1), (8, 4), (20, 2)])
+    def test_small_radius_certifies(self, n, seed):
+        # r = 1e-3 leaves a thin slice of the set around Z*'s face
+        W, atoms, Z_star = excess_risk_case(n, seed, radius=1e-3)
+        Z, report = solvers.ipm_solve(W, atoms, Z_star)
+        assert report.converged
+        value = report.objective - np.vdot(W, Z_star)
+        assert 0.0 <= value and 0.0 <= report.gap <= 1e-6 * (1.0 + value)
+
+    @pytest.mark.parametrize("n, seed", [(20, 1), (20, 4)])
+    def test_small_radius_left_uncertified_still_brackets_the_optimum(self, n, seed):
+        # at r = 1e-3 these solves end short of their target (the estimator
+        # then solves the radius by splitting); their bracket still holds
+        W, atoms, Z_star = excess_risk_case(n, seed, radius=1e-3)
+        _, report = solvers.ipm_solve(W, atoms, Z_star)
+        _, split = pierra_solve(W, atoms, CERTIFIED, anchor=Z_star)
+        assert not report.converged and split.converged
+        assert report.gap >= 0.0
+        assert report.objective <= split.objective + split.gap
+        assert split.objective <= report.objective + report.gap
+
+    @pytest.mark.parametrize("atoms", [
+        unit_diag_atoms(), signed_atoms() + [affine_halfspace(np.ones((6, 6)), 30.0)],
+        [diag_leq_one(), affine_halfspace(np.ones((6, 6)), 30.0)],
+        unit_diag_atoms() + [affine_halfspace(np.ones((6, 6)), 30.0)] * 2,
+        unit_diag_atoms() + [l2_ball_around(np.eye(6), 1.0)], []])
+    def test_other_sets_raise(self, atoms):
+        with pytest.raises(InvalidInputError, match="unit-diagonal set cut by one affine_halfspace"):
+            solvers.ipm_solve(np.ones((6, 6)), atoms, np.eye(6))
+
+    def test_complex_objective_or_anchor_outside_raises(self):
+        atoms = unit_diag_atoms() + [affine_halfspace(np.ones((6, 6)), 30.0)]
+        with pytest.raises(InvalidInputError, match="real objective"):
+            solvers.ipm_solve(np.ones((6, 6)) * 1j, atoms, np.eye(6))
+        with pytest.raises(InvalidInputError, match="anchor .* outside its affine_halfspace"):
+            solvers.ipm_solve(np.eye(6), atoms, np.ones((6, 6)))
+        with pytest.raises(InvalidInputError, match="anchor has shape"):
+            solvers.ipm_solve(np.eye(6), atoms, np.eye(5))
+
+    def test_spent_budget_still_brackets_the_optimum(self, monkeypatch):
+        W, atoms, Z_star = excess_risk_case(20, 2)
+        _, tight = pierra_solve(W, atoms, TIGHT)
+        monkeypatch.setattr(solvers, "_IPM_MAX_ITERS", 2)
+        Z, report = solvers.ipm_solve(W, atoms, Z_star)
+        assert (report.termination, report.iterations) == ("max_iters", 2)
+        assert len(report.objective_trace) == 3
+        assert report.objective <= tight.objective <= report.objective + report.gap
+        assert report.to_dict()["termination"] == "max_iters"
+
+
 def naive_anderson(pairs, memory):
     """Reference for :class:`_Anderson`: stack the last ``memory``
     differences of the accepted (F, g) and solve the regularized normal
