@@ -25,6 +25,7 @@ from .solvers import (
     bm_rank,
     bm_solve,
     ipm_solve,
+    ipm_solve_batch,
     pierra_signed,
     pierra_solve,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "bm_rank",
     "bm_solve",
     "ipm_solve",
+    "ipm_solve_batch",
     "pierra_signed",
     "pierra_solve",
     "__version__",

@@ -365,7 +365,7 @@ EXPERIMENTS = {
     ),
     "fixed_point_curve": _FixedPointSpec(
         desk_defaults={"problem": "maxcut", "n": 20, "localization": "excess_risk",
-                       "delta_prob": 0.005, "r_grid": [2.0 * k for k in range(1, 41)]},
+                       "delta_prob": 0.005, "r_grid": [2.0 * k for k in range(1, 81)]},
         full_defaults={"problem": "maxcut", "n": 40, "localization": "excess_risk",
                        "delta_prob": 0.005, "r_grid": [5.0 * k for k in range(1, 61)]},
     ),

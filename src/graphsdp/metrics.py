@@ -21,7 +21,7 @@ from .solvers import (
     PierraConfig,
     affine_halfspace,
     bm_solve,
-    ipm_solve,
+    ipm_solve_batch,
     is_unit_diagonal,
     l1_ball_around,
     l2_ball_around,
@@ -300,8 +300,9 @@ class FixedPointEstimate:
     solves' gaps when ``r_star_exact``; ``sweeps`` counts the splitting
     iterations of the localized solves (on the interior-point route, those
     of the radii it left uncertified), ``ipm_iterations`` the
-    interior-point steps of the localized solves, and ``bm_solves`` the
-    unlocalized solves run.
+    interior-point steps of the localized solves, ``ipm_fallbacks`` the
+    radii that splitting solved again after an uncertified interior-point
+    solve, and ``bm_solves`` the unlocalized solves run.
     """
 
     r_hat: float
@@ -316,6 +317,7 @@ class FixedPointEstimate:
     r_star_exact: bool
     sweeps: int
     ipm_iterations: int
+    ipm_fallbacks: int
     bm_solves: int
 
     def to_dict(self) -> dict:
@@ -331,6 +333,7 @@ class FixedPointEstimate:
             "r_star_exact": self.r_star_exact,
             "sweeps": int(self.sweeps),
             "ipm_iterations": int(self.ipm_iterations),
+            "ipm_fallbacks": int(self.ipm_fallbacks),
             "bm_solves": int(self.bm_solves),
             "quantile_curve": [[float(r), float(q)] for r, q in self.quantile_curve],
         }
@@ -383,14 +386,15 @@ def estimate_fixed_point(
 
     The set's shape picks the inner solver, as ``Problem.solve`` picks BM:
     the unit-diagonal set under the ``excess_risk`` half-space, which has
-    n + 1 linear constraints, takes one :func:`ipm_solve` per radius
-    (``ipm_iterations``); every other set and locality takes splitting
-    solves (``_FIXED_POINT_CONFIG``), warm-started along the ascending grid
-    (``sweeps``).  A radius whose interior-point solve ends uncertified (at
-    radii near 1e-3 the half-space's multiplier grows large, and the
-    roundoff of the primal iterate spoils its repaired lower bound) is
-    solved again by splitting, so no radius certifies less often than on
-    the splitting route alone.  Both solvers are anchored at Z*, a point of
+    n + 1 linear constraints, takes one :func:`ipm_solve_batch` per
+    replicate over every radius it solves (``ipm_iterations``); every other
+    set and locality takes splitting solves (``_FIXED_POINT_CONFIG``),
+    warm-started along the ascending grid (``sweeps``).  A radius whose
+    interior-point solve ends uncertified (at radii near 1e-3 the
+    half-space's multiplier grows large, and the roundoff of the primal
+    iterate spoils its repaired lower bound) is solved again by splitting
+    (``ipm_fallbacks``), so no radius certifies less often than on the
+    splitting route alone.  Both solvers are anchored at Z*, a point of
     every locality: each
     stops on a certified gap of at most 1e-6 (1 + |q|), q the supremum read
     off Z*, and each solved radius carries its certified upper bound
@@ -431,7 +435,7 @@ def estimate_fixed_point(
     interior = unit_diagonal and localization == "excess_risk"
     sups = []
     unlocalized = []    # (s, s + g, e) of each effective replicate
-    n_flagged = sweeps = ipm_iterations = bm_solves = 0
+    n_flagged = sweeps = ipm_iterations = ipm_fallbacks = bm_solves = 0
     for rep in range(n_mc):
         rng = _rng.stream(seed, _rng.STREAM_NOISE, rep)
         A, EA, Z_star = generator(rng)
@@ -445,20 +449,23 @@ def estimate_fixed_point(
             upper = lower + bm.gap
             if bm.converged:
                 slack_from = _locality_distance(localization, EA, Z_star, Z_u)
+        # the grid ascends, so the radii to solve are the ones before slack_from
+        cuts = [_localization_atom(localization, EA, Z_star, r) for r in r_grid if r < slack_from]
+        batch = []
+        if interior and cuts:
+            batch = [report for _, report in ipm_solve_batch(W, atoms, cuts, Z_star)]
+            ipm_iterations += sum(report.iterations for report in batch)
         row = []
         state = None
-        for r in r_grid:
+        for k, r in enumerate(r_grid):
             if r >= slack_from:
                 value = upper
             else:
-                loc = _localization_atom(localization, EA, Z_star, r)
-                report = None
-                if interior:
-                    _, report = ipm_solve(W, list(atoms) + [loc], Z_star)
-                    ipm_iterations += report.iterations
+                report = batch[k] if batch else None
                 if report is None or not report.converged:
+                    ipm_fallbacks += interior
                     # warm-start along the ascending grid: the localities are nested
-                    _, report = pierra_solve(W, list(atoms) + [loc], _FIXED_POINT_CONFIG,
+                    _, report = pierra_solve(W, list(atoms) + [cuts[k]], _FIXED_POINT_CONFIG,
                                              warm_start=state, anchor=Z_star)
                     sweeps += report.iterations
                     state = report.state
@@ -510,5 +517,6 @@ def estimate_fixed_point(
         r_star_exact=r_star_exact,
         sweeps=sweeps,
         ipm_iterations=ipm_iterations,
+        ipm_fallbacks=ipm_fallbacks,
         bm_solves=bm_solves,
     )

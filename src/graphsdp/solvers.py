@@ -30,6 +30,8 @@ Three solver families cover every program in the library:
   (n+1) x (n+1) Schur complement: HKM directions with Mehrotra's
   predictor-corrector, stopped on the anchored certificate of the
   splitting solver, with the same repair into the set.
+  :func:`ipm_solve_batch` solves several offsets b of one half-space as one
+  stack of iterates, each slice as a lone solve would.
 * :func:`bm_solve` optimizes ``<M, Y Y*>`` over unit-norm rows of a low-rank
   factor Y (Barzilai-Borwein gradient descent with a nonmonotone line
   search on a product of spheres/circles), for the special constraint set
@@ -77,6 +79,7 @@ __all__ = [
     "pierra_solve",
     "pierra_signed",
     "ipm_solve",
+    "ipm_solve_batch",
     "bm_solve",
     "bm_rank",
 ]
@@ -460,12 +463,19 @@ def _anchor_of(anchor, M) -> np.ndarray:
     return anchor
 
 
+def _diagonals(A):
+    """The diagonal of a C-contiguous matrix, or of each slice of a
+    C-contiguous stack, as a writeable view."""
+    return A.reshape(A.shape[:-2] + (-1,))[..., ::A.shape[-1] + 1]
+
+
 def _repair_into(bounds, anchor, kind=None, level=None, b=0.0):
     """The map of a certified solve from psd matrices into its set: the
     psd cone with entrywise ``bounds = (off-diagonal lo, hi, diagonal lo,
     hi)``, the upper diagonal one finite, cut by at most one convex atom
     ``kind``, ``{level(Z) <= b}``; ``anchor`` is a point of the set, and
-    one outside the atom raises.
+    one outside the atom raises.  The map also takes a stack of matrices,
+    one set per slice, and ``repair(X, b)`` one offset per slice.
 
     The steps keep X psd: a diagonal congruence onto the diagonal bounds
     (the diagonal is then set to its target, which also fills a zero row),
@@ -478,26 +488,29 @@ def _repair_into(bounds, anchor, kind=None, level=None, b=0.0):
     """
     olo, ohi, dlo, dhi = bounds
     base = level(anchor) if kind else 0.0
-    if base > b:
+    if np.any(base > np.asarray(b)):
         raise InvalidInputError(f"the anchor of a certified solve lies outside its {kind}")
 
-    def repair(X):
-        d = np.diagonal(X)
+    def repair(X, b=b):
+        d = np.diagonal(X, axis1=-2, axis2=-1)
         target = np.clip(d, max(dlo, 0.0), dhi)
         # a zero diagonal entry of a psd X has a zero row, which stays zero
         scale = np.sqrt(np.divide(target, d, out=np.zeros_like(d), where=d > 0))
-        Z = X * np.outer(scale, scale)
-        np.fill_diagonal(Z, target)
-        least = float(Z.min())
-        if least < olo < dhi:
-            t = (olo - least) / (dhi - least)
-            Z *= 1.0 - t
-            Z += t * dhi
-        top = level(Z) if kind else 0.0
-        if top > b:
-            Z -= anchor
-            Z *= (b - base) / (top - base)
-            Z += anchor
+        Z = X * (scale[..., :, None] * scale[..., None, :])
+        _diagonals(Z)[...] = target
+        # the two mixes slice by slice, in place on views of Z
+        offsets = np.broadcast_to(b, Z.shape[:-2]).ravel()
+        for z, offset in zip(Z.reshape((-1,) + Z.shape[-2:]), offsets):
+            least = float(z.min())
+            if least < olo < dhi:
+                t = (olo - least) / (dhi - least)
+                z *= 1.0 - t
+                z += t * dhi
+            top = level(z) if kind else 0.0
+            if top > offset:
+                z -= anchor
+                z *= (offset - base) / (top - base)
+                z += anchor
         return Z
 
     return repair
@@ -868,13 +881,41 @@ def pierra_signed(A: np.ndarray, alpha: float):
 IPM_GAP_TOL = 1e-6
 _IPM_MAX_ITERS = 50    # steps one interior-point solve may take
 _IPM_STEP = 0.95       # share of the largest step that keeps the iterate interior
+# most matrix entries one stacked array of a batched interior-point solve may
+# hold (4 MB of floats); a batch runs in chunks of slices that stay under it
+_IPM_STACK_ENTRIES = 1 << 19
 
 
-def _max_step(L_inv, D):
-    """The largest alpha with ``L L* + alpha D`` psd, for the inverse L_inv
-    of a Cholesky factor L: inf when D is psd."""
-    least = np.linalg.eigvalsh(L_inv @ D @ L_inv.T)[0]
-    return -1.0 / least if least < 0 else np.inf
+def _dots(A, B):
+    """``<A_k, B_k>`` for each slice of a matrix or stack A and B of the same
+    shape, or one matrix B for every slice, as a flat array: one BLAS dot
+    per slice, the sum ``np.vdot`` takes."""
+    rows = A.reshape(-1, 1, A.shape[-2] * A.shape[-1])
+    return np.matmul(rows, B.reshape(-1, rows.shape[-1], 1)).ravel()
+
+
+def _column(values):
+    """Per-slice scalars as an (R, 1, 1) array, to scale a stack slice by slice."""
+    return np.array(values)[:, None, None]
+
+
+def _to_boundary(room, rate):
+    """How far a quantity with ``room`` left moves at ``rate`` before it
+    reaches zero: ``-room / rate``, or inf when the rate is not negative."""
+    return -room / rate if rate < 0 else math.inf
+
+
+def _no_factor(A):
+    """Mask of the slices of a stack of symmetric matrices that have no
+    Cholesky factor: one stacked factorization, and one per slice only when
+    the stacked one fails in a stack of several."""
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        if len(A) == 1:
+            return np.ones(1, dtype=bool)
+        return np.concatenate([_no_factor(A[i:i + 1]) for i in range(len(A))])
+    return np.zeros(len(A), dtype=bool)
 
 
 def _hkm_step(M, C, b, Z, s, y, t, S, R):
@@ -882,54 +923,190 @@ def _hkm_step(M, C, b, Z, s, y, t, S, R):
     ``max <M, Z>`` s.t. ``diag(Z) = 1``, ``<C, Z> + s = b``, Z psd, s >= 0,
     and its dual ``min sum(y) + t b`` s.t. ``S = Diag(y) + t C - M`` psd,
     t >= 0, from the iterate (Z, s; y, t, S) with dual residual
-    ``R = Diag(y) + t C - M - S``; returns the next iterate.
+    ``R = Diag(y) + t C - M - S``; returns the next iterate.  Every argument
+    but M and C is a stack over slices, one program per offset b, and the
+    scalars b, s and t are lists of Python floats.  Each slice takes the
+    arithmetic of a lone solve: numpy's stacked kernels run one LAPACK or
+    BLAS call per slice, and the scalars are computed slice by slice.
 
     With G = S^-1 the direction solves the (n+1) x (n+1) Schur system
     ``[[Z o G, diag(Z C G)], [diag(Z C G)*, <C, Z C G> + s/t]] (dy, dt) =
     rhs``, then ``dS = Diag(dy) + dt C + R`` and ``dZ = K - Z - sym(Z dS
     G)``, where K is 0 for the predictor and ``sigma mu G - sym(dZa dSa G)``
     for the corrector, ``sigma = (mu_aff / mu)^3`` (Mehrotra 1992).  Z and
-    s take ``_IPM_STEP`` of their largest step to the boundary (from a
-    Cholesky factor and ``eigvalsh``), S and t theirs, each at most 1; a
-    failed factor raises ``np.linalg.LinAlgError``."""
-    n = Z.shape[0]
-    mu = (float(np.vdot(Z, S)) + s * t) / (n + 1)
-    Lz_inv = np.linalg.inv(np.linalg.cholesky(Z))
-    Ls_inv = np.linalg.inv(np.linalg.cholesky(S))
-    G = Ls_inv.T @ Ls_inv
+    s take ``_IPM_STEP`` of their largest step to the boundary, S and t
+    theirs, each at most 1: the cone's limits come from one stacked
+    ``eigvalsh`` of ``L^-1 D L^-*`` over the Cholesky factors L of Z and S
+    and the directions D = dZ, dS.  A failed factor or Schur solve in any
+    slice raises ``np.linalg.LinAlgError``."""
+    k, n = Z.shape[:2]
+    mu = [(v + si * ti) / (n + 1) for v, si, ti in zip(_dots(Z, S).tolist(), s, t)]
+    L_inv = np.linalg.inv(np.linalg.cholesky(np.concatenate([Z, S])))
+    L_inv_t = L_inv.swapaxes(1, 2)
+    G = L_inv_t[k:] @ L_inv[k:]
     ZCG = Z @ (C @ G)
     ZRG = Z @ (R @ G)
-    H = np.empty((n + 1, n + 1))
-    np.multiply(Z, G, out=H[:n, :n])
-    H[:n, n] = H[n, :n] = np.diagonal(ZCG)
-    H[n, n] = float(np.vdot(C, ZCG)) + s / t
-    rhs = np.empty(n + 1)
+    H = np.empty((k, n + 1, n + 1))
+    np.multiply(Z, G, out=H[:, :n, :n])
+    H[:, :n, n] = H[:, n, :n] = _diagonals(ZCG)
+    H[:, n, n] = [v + si / ti for v, si, ti in zip(_dots(ZCG, C).tolist(), s, t)]
+    rhs = np.empty((k, n + 1, 1))
 
     def direction(K, kappa):
-        rhs[:n] = np.diagonal(K) - 1.0 - np.diagonal(ZRG)
-        rhs[n] = float(np.vdot(C, K - ZRG)) + kappa / t - b
+        rhs[:, :n, 0] = _diagonals(K) - 1.0 - _diagonals(ZRG)
+        rhs[:, n, 0] = [v + kp / ti - bi
+                        for v, kp, ti, bi in zip(_dots(K - ZRG, C).tolist(), kappa, t, b)]
         sol = np.linalg.solve(H, rhs)
-        dy, dt = sol[:n], float(sol[n])
-        dS = R + dt * C
-        dS.flat[::n + 1] += dy
+        dS = R + sol[:, n:] * C
+        _diagonals(dS)[...] += sol[:, :n, 0]
         T = Z @ (dS @ G)
-        dZ = K - Z - (T + T.T) / 2
-        ds = (kappa - s * dt) / t - s
-        return dZ, ds, dy, dt, dS
+        dZ = K - Z - (T + T.swapaxes(1, 2)) / 2
+        dt = sol[:, n, 0].tolist()
+        ds = [(kp - si * d) / ti - si for kp, si, d, ti in zip(kappa, s, dt, t)]
+        return dZ, ds, sol[:, :n, 0], dt, dS
 
     def steps(dZ, ds, dt, dS, share):
-        primal = min(_max_step(Lz_inv, dZ), -s / ds if ds < 0 else np.inf)
-        dual = min(_max_step(Ls_inv, dS), -t / dt if dt < 0 else np.inf)
-        return min(1.0, share * primal), min(1.0, share * dual)
+        least = np.linalg.eigvalsh(L_inv @ np.concatenate([dZ, dS]) @ L_inv_t)[:, 0].tolist()
+        return ([min(1.0, share * min(_to_boundary(1.0, cone), _to_boundary(room, rate)))
+                 for cone, room, rate in zip(least[part], rooms, rates)]
+                for part, rooms, rates in ((slice(k), s, ds), (slice(k, None), t, dt)))
 
-    dZ, ds, dy, dt, dS = direction(np.zeros_like(Z), 0.0)
+    dZ, ds, dy, dt, dS = direction(np.zeros_like(Z), [0.0] * k)
     ap, ad = steps(dZ, ds, dt, dS, 1.0)
-    mu_aff = (float(np.vdot(Z + ap * dZ, S + ad * dS)) + (s + ap * ds) * (t + ad * dt)) / (n + 1)
-    sigma = min(1.0, (mu_aff / mu) ** 3)
+    inner = _dots(Z + _column(ap) * dZ, S + _column(ad) * dS).tolist()
+    # sigma in Python's float power: numpy's vectorized power rounds otherwise
+    target = [min(1.0, ((v + (si + p * dsi) * (ti + d * dti)) / (n + 1) / m) ** 3) * m
+              for v, si, p, dsi, ti, d, dti, m in zip(inner, s, ap, ds, t, ad, dt, mu)]
     T = dZ @ (dS @ G)
-    dZ, ds, dy, dt, dS = direction(sigma * mu * G - (T + T.T) / 2, sigma * mu - ds * dt)
+    dZ, ds, dy, dt, dS = direction(_column(target) * G - (T + T.swapaxes(1, 2)) / 2,
+                                   [tg - dsi * dti for tg, dsi, dti in zip(target, ds, dt)])
     ap, ad = steps(dZ, ds, dt, dS, _IPM_STEP)
-    return Z + ap * dZ, s + ap * ds, y + ad * dy, t + ad * dt, S + ad * dS
+    return (Z + _column(ap) * dZ, [si + p * dsi for si, p, dsi in zip(s, ap, ds)],
+            y + np.array(ad)[:, None] * dy, [ti + d * dti for ti, d, dti in zip(t, ad, dt)],
+            S + _column(ad) * dS)
+
+
+def _ipm_stack(M, C, b, repair, origin):
+    """The interior-point iterations of :func:`ipm_solve_batch` on one chunk
+    of offsets b, a list (C at unit norm, ``repair`` the map into the sets):
+    a list of ``(Z_hat, termination, steps, lower, upper, trace)``, one per
+    slice.  A slice leaves the stack when it stops; a step that fails in the
+    stack is taken again one slice at a time, so a slice that stalls ends
+    alone and the others keep their arithmetic."""
+    k, n = len(b), M.shape[0]
+    roundoff = n * np.finfo(float).eps
+    y0 = np.full(n, 1.0 + frobenius_norm(M) / math.sqrt(n) - np.linalg.eigvalsh(C - M)[0])
+    Z = np.repeat(np.eye(n)[None], k, axis=0)
+    S = np.repeat((np.diag(y0) + C - M)[None], k, axis=0)
+    trace_C = float(np.trace(C))
+    s, y, t = [max(1.0, bi - trace_C) for bi in b], np.repeat(y0[None], k, axis=0), [1.0] * k
+    live = list(range(k))    # the slice of each stack row
+    out, bounds = [None] * k, [None] * k
+    traces = [[] for _ in range(k)]
+    for it in range(_IPM_MAX_ITERS + 1):
+        dual = _column(t) * C
+        _diagonals(dual)[...] += y
+        dual -= M
+        # n max(0, slack - lambda_min(dual)) is 0 exactly when dual - slack I
+        # has a Cholesky factor, so eigvalsh runs only on a slice without one
+        slack = roundoff * np.sqrt(_dots(dual, dual))
+        shifted = dual.copy()
+        _diagonals(shifted)[...] -= slack[:, None]
+        short = _no_factor(shifted)
+        upper = [v + ti * bi for v, ti, bi in zip(y.sum(axis=1).tolist(), t, b)]
+        if short.any():
+            least = np.linalg.eigvalsh(dual[short])[:, 0].tolist()
+            for i, low in zip(np.flatnonzero(short), least):
+                upper[i] += n * max(0.0, float(slack[i]) - low)
+        Z_hat = repair(Z, b)
+        stop = []
+        for i, (j, lower, top) in enumerate(zip(live, _dots(Z_hat, M).tolist(), upper)):
+            traces[j].append(lower)
+            bounds[j] = lower, top
+            stop.append(0.0 <= top - lower <= IPM_GAP_TOL * (1.0 + abs(lower - origin)))
+            if stop[i] or it == _IPM_MAX_ITERS:
+                termination = "converged" if stop[i] else "max_iters"
+                out[j] = (Z_hat[i], termination, it, lower, top, traces[j])
+        if it == _IPM_MAX_ITERS or all(stop):
+            break
+        if any(stop):
+            go = np.logical_not(stop)
+            Z, y, S, dual, Z_hat = (a[go] for a in (Z, y, S, dual, Z_hat))
+            live, b, s, t = ([v for v, keep in zip(a, go) if keep] for a in (live, b, s, t))
+        try:
+            Z, s, y, t, S = _hkm_step(M, C, b, Z, s, y, t, S, dual - S)
+        except np.linalg.LinAlgError:
+            taken, go = [], []
+            for i in range(len(live)):
+                one = slice(i, i + 1)
+                try:
+                    taken.append(_hkm_step(M, C, b[one], Z[one], s[one], y[one], t[one], S[one],
+                                           dual[one] - S[one]))
+                    go.append(i)
+                except np.linalg.LinAlgError:
+                    out[live[i]] = (Z_hat[i], "stalled", it, *bounds[live[i]], traces[live[i]])
+            if not go:
+                break
+            live, b = [live[i] for i in go], [b[i] for i in go]
+            Z, s, y, t, S = (np.concatenate(parts) for parts in zip(*taken))
+            s, t = s.tolist(), t.tolist()
+    return out
+
+
+def ipm_solve_batch(M: np.ndarray, atoms: Sequence[ConstraintAtom], cuts: Sequence[ConstraintAtom],
+                    anchor: np.ndarray):
+    """:func:`ipm_solve` over a batch of sets that differ in the offset of
+    their half-space alone: maximize ``<M, Z>`` over {Z psd, diag(Z) = 1,
+    <C, Z> <= b_k} for each ``cuts[k]``, an :func:`affine_halfspace` ``<C,
+    Z> <= b_k``; ``atoms`` must be exactly :func:`unit_diag_atoms` and every
+    cut must share one normal C.  Returns one ``(Z_hat, SolveReport)`` per
+    cut, in order, each as :func:`ipm_solve` returns it for ``atoms`` and
+    that cut, with the residuals of ``atoms`` then the cut.
+
+    The slices run as one stack: for every slice still running, a step
+    takes one stacked Cholesky factor and inverse of Z and S, and each of
+    its two directions one stacked Schur solve and one stacked
+    ``eigvalsh``; each slice stops on its own test and then leaves the
+    stack, and a slice's steps, termination and values are those of a lone
+    solve.
+    The stack runs in chunks of slices whose largest array, the 2 R n^2
+    entries of the joint step-length test, stays within
+    ``_IPM_STACK_ENTRIES``."""
+    M = check_square(M, "objective")
+    if M.dtype.kind == "c":
+        raise InvalidInputError("the interior-point solver takes a real objective")
+    M = symmetrize_unchecked(M.astype(float, copy=False))
+    if not cuts or any(c.kind != "affine_halfspace" for c in cuts) or not is_unit_diagonal(atoms):
+        raise InvalidInputError("the interior-point solver takes the unit-diagonal set cut by one "
+                                "affine_halfspace, got " + (", ".join(a.kind for a in atoms) or "none")
+                                + " cut by " + (", ".join(c.kind for c in cuts) or "none"))
+    anchor = _anchor_of(anchor, M)
+    C = _atom_matrix(cuts[0], M)
+    if any(not np.array_equal(c.matrix, cuts[0].matrix) for c in cuts[1:]):
+        raise InvalidInputError("the cuts of a batched interior-point solve must share one normal")
+    norm = frobenius_norm(C)
+    C = C / norm
+    b = [c.bound / norm for c in cuts]
+    repair = _repair_into((-np.inf, np.inf, 1.0, 1.0), anchor, "affine_halfspace",
+                          lambda Z: float(np.vdot(C, Z)), b)
+    origin = float(np.vdot(M, anchor))
+    n = M.shape[0]
+    width = max(1, _IPM_STACK_ENTRIES // (2 * n * n))
+    solved = []
+    for first in range(0, len(b), width):
+        solved += _ipm_stack(M, C, b[first:first + width], repair, origin)
+    results = []
+    for cut, (Z_hat, termination, steps, lower, upper, trace) in zip(cuts, solved):
+        results.append((Z_hat, SolveReport(
+            solver="ipm",
+            iterations=steps,
+            termination=termination,
+            objective=lower,
+            objective_trace=np.asarray(trace),
+            residuals=_residuals_of(list(atoms) + [cut], M)(Z_hat),
+            gap=upper - lower,
+        )))
+    return results
 
 
 def ipm_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], anchor: np.ndarray):
@@ -938,7 +1115,7 @@ def ipm_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], anchor: np.ndarray
     exactly :func:`unit_diag_atoms` and one real, exactly symmetric
     :func:`affine_halfspace`, and ``anchor`` a point of the set.  Any other
     set, a complex M and an anchor outside the half-space raise
-    InvalidInputError.
+    InvalidInputError.  It is the batch of one of :func:`ipm_solve_batch`.
 
     A primal-dual interior-point method: HKM directions (Helmberg, Rendl,
     Vanderbei & Wolkowicz 1996) with Mehrotra's predictor-corrector, from
@@ -949,16 +1126,17 @@ def ipm_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], anchor: np.ndarray
     :func:`pierra_solve`'s anchored stop: the upper bound ``sum(y) + t b +
     n max(0, slack - lambda_min(Diag(y) + t C - M))`` with ``slack = n eps
     ||Diag(y) + t C - M||_F``, valid since t >= 0 and ``trace Z = n`` on the
-    set, and the lower bound ``<M, Z_hat>`` at the iterate repaired into
-    the set by :func:`_repair_into`.  It stops once ``0 <= upper - lower <=
-    IPM_GAP_TOL (1 + |lower - <M, anchor>|)`` (``IPM_GAP_TOL`` = 1e-6): the
-    gap is relative to the value read off the anchor.  ``_IPM_MAX_ITERS``
-    steps are its budget; a spent budget ends as ``"max_iters"``, and a
-    Cholesky factor that fails (the iterate has reached the cone's boundary
-    to roundoff) as ``"stalled"``.  Near a radius of 1e-3 some solves end
-    either way short of their target: the half-space's multiplier grows
-    large, and the roundoff of the primal iterate, times it, spoils the
-    repaired lower bound.
+    set (the last term is 0, and no eigenvalue is computed, when ``Diag(y) +
+    t C - M - slack I`` has a Cholesky factor), and the lower bound ``<M,
+    Z_hat>`` at the iterate repaired into the set by :func:`_repair_into`.
+    It stops once ``0 <= upper - lower <= IPM_GAP_TOL (1 + |lower - <M,
+    anchor>|)`` (``IPM_GAP_TOL`` = 1e-6): the gap is relative to the value
+    read off the anchor.  ``_IPM_MAX_ITERS`` steps are its budget; a spent
+    budget ends as ``"max_iters"``, and a Cholesky factor that fails (the
+    iterate has reached the cone's boundary to roundoff) as ``"stalled"``.
+    Near a radius of 1e-3 some solves end either way short of their target:
+    the half-space's multiplier grows large, and the roundoff of the primal
+    iterate, times it, spoils the repaired lower bound.
 
     Returns ``(Z_hat, SolveReport)`` at the last certificate: ``objective``
     is the lower bound and ``gap`` the upper bound less it, so the optimum
@@ -966,55 +1144,12 @@ def ipm_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], anchor: np.ndarray
     ``iterations`` counts the steps, and ``objective_trace`` holds the lower
     bound of every certificate.  The residuals are measured on Z_hat.
     """
-    M = check_square(M, "objective")
-    if M.dtype.kind == "c":
-        raise InvalidInputError("the interior-point solver takes a real objective")
-    M = symmetrize_unchecked(M.astype(float, copy=False))
     cuts = [a for a in atoms if a.kind == "affine_halfspace"]
-    if len(cuts) != 1 or not is_unit_diagonal([a for a in atoms if a.kind != "affine_halfspace"]):
+    if len(cuts) != 1:
         raise InvalidInputError("the interior-point solver takes the unit-diagonal set cut by one "
                                 "affine_halfspace, got " + (", ".join(a.kind for a in atoms) or "none"))
-    anchor = _anchor_of(anchor, M)
-    C = _atom_matrix(cuts[0], M)
-    norm = frobenius_norm(C)
-    C, b = C / norm, cuts[0].bound / norm
-    repair = _repair_into((-np.inf, np.inf, 1.0, 1.0), anchor, "affine_halfspace",
-                          lambda Z: float(np.vdot(C, Z)), b)
-    n = M.shape[0]
-    origin = float(np.vdot(M, anchor))
-    roundoff = n * np.finfo(float).eps
-    Z, s, t = np.eye(n), max(1.0, b - float(np.trace(C))), 1.0
-    y = np.full(n, 1.0 + frobenius_norm(M) / math.sqrt(n) - np.linalg.eigvalsh(C - M)[0])
-    S = np.diag(y) + C - M
-    trace = []
-    termination = "max_iters"
-    for it in range(_IPM_MAX_ITERS + 1):
-        dual = np.diag(y) + t * C - M
-        upper = (float(y.sum()) + t * b
-                 + n * max(0.0, roundoff * frobenius_norm(dual) - np.linalg.eigvalsh(dual)[0]))
-        Z_hat = repair(Z)
-        lower = float(np.vdot(M, Z_hat))
-        trace.append(lower)
-        if 0.0 <= upper - lower <= IPM_GAP_TOL * (1.0 + abs(lower - origin)):
-            termination = "converged"
-            break
-        if it == _IPM_MAX_ITERS:
-            break
-        try:
-            Z, s, y, t, S = _hkm_step(M, C, b, Z, s, y, t, S, dual - S)
-        except np.linalg.LinAlgError:
-            termination = "stalled"
-            break
-    report = SolveReport(
-        solver="ipm",
-        iterations=it,
-        termination=termination,
-        objective=lower,
-        objective_trace=np.asarray(trace),
-        residuals=_residuals_of(atoms, M)(Z_hat),
-        gap=upper - lower,
-    )
-    return Z_hat, report
+    [result] = ipm_solve_batch(M, [a for a in atoms if a is not cuts[0]], cuts, anchor)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ class TestConfig:
         desk = ExperimentConfig(experiment="fixed_point_curve").resolved_params()
         assert desk == {"problem": "maxcut", "n": 20, "p": 0.8,
                         "localization": "excess_risk", "delta_prob": 0.005,
-                        "r_grid": [2.0 * k for k in range(1, 41)],
+                        "r_grid": [2.0 * k for k in range(1, 81)],
                         "avg_degree": 9.5, "graph_seed": 7}
         full = ExperimentConfig(experiment="fixed_point_curve",
                                 full_scale=True).resolved_params()
@@ -297,6 +297,14 @@ class TestRunExperiment:
                 "unreliable", "quantile_curve"} <= set(summary)
         assert summary["n_mc"] == 8 and summary["r_hat"] in (5.0, 20.0, 80.0)
         assert summary["resolved_params"]["graph_seed"] == 7
+
+    def test_fixed_point_curve_desk_defaults_resolve(self, tmp_path):
+        # at the default 20 replicates the grid reaches past r_star, exact
+        # here, so r_hat is the first grid point (step 2) at or past it
+        _, summary = run_to_tmp(tmp_path, ExperimentConfig("fixed_point_curve"), "fp")
+        assert summary["n_mc"] == 20 and summary["r_star_exact"]
+        assert not summary["unresolved"]
+        assert summary["r_star"] <= summary["r_hat"] < summary["r_star"] + 2.0
 
     def test_fixed_point_curve_rejects_an_edgeless_half_space(self, tmp_path):
         # the l1 and l2 balls take the same graph (see the CLI test)

@@ -37,7 +37,7 @@ from graphsdp.solvers import (
     PierraConfig,
     affine_halfspace,
     bm_solve,
-    ipm_solve,
+    ipm_solve_batch,
     l1_ball_around,
     l2_ball_around,
     pierra_solve,
@@ -385,21 +385,23 @@ def masked_maxcut(n, seed):
 
 
 def spy_solves(monkeypatch):
-    """Record the report of every localized solve the estimator runs, by
-    the splitting solver (``report.solver == "pierra"``) or the interior
-    point one (``"ipm"``)."""
+    """Record the report of every localized solve the estimator runs: one
+    per splitting solve (``report.solver == "pierra"``) and one per slice
+    of a batched interior-point solve (``"ipm"``)."""
     reports = []
 
-    def spy_on(solve):
-        def spy(*args, **kwargs):
-            Z, report = solve(*args, **kwargs)
-            reports.append(report)
-            return Z, report
+    def split(*args, **kwargs):
+        Z, report = pierra_solve(*args, **kwargs)
+        reports.append(report)
+        return Z, report
 
-        return spy
+    def batch(*args, **kwargs):
+        results = ipm_solve_batch(*args, **kwargs)
+        reports.extend(report for _, report in results)
+        return results
 
-    monkeypatch.setattr(metrics, "pierra_solve", spy_on(pierra_solve))
-    monkeypatch.setattr(metrics, "ipm_solve", spy_on(ipm_solve))
+    monkeypatch.setattr(metrics, "pierra_solve", split)
+    monkeypatch.setattr(metrics, "ipm_solve_batch", batch)
     return reports
 
 
@@ -487,6 +489,7 @@ class TestFixedPointSkip:
         assert est.bm_solves == 2
         out = est.to_dict()
         assert (out["sweeps"], out["ipm_iterations"], out["bm_solves"]) == (0, est.ipm_iterations, 2)
+        assert est.ipm_fallbacks == out["ipm_fallbacks"] == 0
         assert out["r_star"] == est.r_star and out["r_star_exact"] == est.r_star_exact
 
     def test_other_sets_solve_every_radius(self, monkeypatch):
@@ -572,21 +575,24 @@ class TestFixedPointSkip:
         return est, reports
 
     def test_spent_interior_point_budget_solves_the_radius_by_splitting(self, monkeypatch):
+        # the replicate's two radii run as one batch, then each falls back
         monkeypatch.setattr(solvers, "_IPM_MAX_ITERS", 2)
         est, reports = self.run_one_solved_radius(monkeypatch)
-        assert [(r.solver, r.termination) for r in reports] == [("ipm", "max_iters"),
-                                                                ("pierra", "converged")] * 2
+        assert [(r.solver, r.termination) for r in reports] == ([("ipm", "max_iters")] * 2
+                                                                + [("pierra", "converged")] * 2)
         assert est.n_flagged == 0 and not est.unreliable
         assert est.ipm_iterations == 4 and est.sweeps == work(reports, "pierra") > 0
+        assert est.ipm_fallbacks == est.to_dict()["ipm_fallbacks"] == 2
 
     def test_radius_neither_solver_certifies_flags_the_replicate(self, monkeypatch):
         monkeypatch.setattr(solvers, "_IPM_MAX_ITERS", 2)
         monkeypatch.setattr(metrics, "_FIXED_POINT_CONFIG", PierraConfig(max_iters=5, feas_tol=1e-6))
         est, reports = self.run_one_solved_radius(monkeypatch)
-        assert [(r.solver, r.termination) for r in reports] == [("ipm", "max_iters"),
-                                                                ("pierra", "max_iters")]
+        # the batch spent both radii's budgets before the first fell back
+        assert [(r.solver, r.termination) for r in reports] == [("ipm", "max_iters")] * 2 + [
+            ("pierra", "max_iters")]
         assert est.n_flagged == 1 and est.n_effective == 1 and est.unreliable
-        assert est.ipm_iterations == 2 and est.sweeps == 5
+        assert est.ipm_iterations == 4 and est.sweeps == 5 and est.ipm_fallbacks == 1
 
     def test_small_radius_the_interior_point_solve_leaves_uncertified(self, monkeypatch):
         # at r = 1e-3 on n = 60 the interior-point solve ends short of its
@@ -600,6 +606,7 @@ class TestFixedPointSkip:
                                                                               "pierra", True)
         assert est.n_flagged == 0
         assert (est.ipm_iterations, est.sweeps) == (ipm.iterations, split.iterations)
+        assert est.ipm_fallbacks == 1
         assert ipm.objective <= split.objective + split.gap
         assert split.objective <= ipm.objective + ipm.gap
         offset = float(np.vdot(W, replicate[2]))

@@ -972,6 +972,120 @@ class TestIpm:
         assert report.to_dict()["termination"] == "max_iters"
 
 
+def excess_risk_cuts(n, seed, fractions):
+    """(W, unit-diagonal atoms, excess-risk half-spaces at ``fractions`` of
+    the radius past which the half-space binds nothing, Z*)."""
+    W, atoms, Z_star = excess_risk_case(n, seed)
+    C, offset = atoms[-1].matrix, float(np.vdot(atoms[-1].matrix, Z_star))
+    r_free = (atoms[-1].bound - offset) / 0.5    # the case cuts at half that radius
+    return W, atoms[:-1], [affine_halfspace(C, f * r_free + offset) for f in fractions], Z_star
+
+
+def same_solve(batched, lone):
+    """A slice of a batch against a lone solve: equal steps and stop, and
+    values within 1e-12 relative."""
+    (Z, report), (Z1, report1) = batched, lone
+    assert (report.iterations, report.termination) == (report1.iterations, report1.termination)
+    for a, b in ((report.objective, report1.objective), (report.gap, report1.gap)):
+        assert abs(a - b) <= 1e-12 * (1.0 + abs(b))
+    assert np.allclose(report.objective_trace, report1.objective_trace, rtol=1e-12, atol=1e-12)
+    assert np.allclose(Z, Z1, rtol=1e-12, atol=1e-12)
+    assert report.residuals.keys() == report1.residuals.keys()
+
+
+class TestIpmBatch:
+    """``ipm_solve_batch``: the offsets of one half-space as one stack, each
+    slice solved as a lone ``ipm_solve`` solves it."""
+
+    @pytest.mark.parametrize("n, seed", [(8, 1), (20, 2), (60, 3)])
+    def test_each_slice_matches_a_lone_solve(self, n, seed):
+        W, atoms, cuts, Z_star = excess_risk_cuts(n, seed, [0.05, 0.2, 0.5, 0.8, 1.2])
+        batch = solvers.ipm_solve_batch(W, atoms, cuts, Z_star)
+        assert len(batch) == len(cuts)
+        for result, cut in zip(batch, cuts):
+            same_solve(result, solvers.ipm_solve(W, atoms + [cut], Z_star))
+        # slices stop at different steps and leave the stack
+        assert all(report.converged for _, report in batch)
+        assert len({report.iterations for _, report in batch}) > 1
+
+    def test_an_uncertified_slice_changes_no_other(self):
+        # r = 1e-3 on this replicate spends its budget uncertified
+        W, atoms, cuts, Z_star = excess_risk_cuts(20, 1, [0.2, 0.6])
+        C, offset = cuts[0].matrix, float(np.vdot(cuts[0].matrix, Z_star))
+        cuts.insert(1, affine_halfspace(C, 1e-3 + offset))
+        batch = solvers.ipm_solve_batch(W, atoms, cuts, Z_star)
+        assert [report.converged for _, report in batch] == [True, False, True]
+        for result, cut in zip(batch, cuts):
+            same_solve(result, solvers.ipm_solve(W, atoms + [cut], Z_star))
+
+    def test_a_slice_whose_step_fails_stalls_alone(self, monkeypatch):
+        # the middle slice's third step raises, in the stack and alone
+        W, atoms, cuts, Z_star = excess_risk_cuts(20, 2, [0.2, 0.5, 0.8])
+        lone = [solvers.ipm_solve(W, atoms + [cut], Z_star) for cut in cuts]
+        failing = cuts[1].bound / frobenius_norm(cuts[1].matrix)
+        step, taken = solvers._hkm_step, []
+
+        def step_or_fail(M, C, b, *iterate):
+            if failing in b and len(taken) >= 2:
+                raise np.linalg.LinAlgError("no factor")
+            taken.append(len(b))
+            return step(M, C, b, *iterate)
+
+        monkeypatch.setattr(solvers, "_hkm_step", step_or_fail)
+        first, stalled, last = solvers.ipm_solve_batch(W, atoms, cuts, Z_star)
+        assert taken[:4] == [3, 3, 1, 1]    # the stack, then the two slices left alone
+        same_solve(first, lone[0])
+        same_solve(last, lone[2])
+        _, report = stalled
+        assert (report.termination, report.iterations) == ("stalled", 2)
+        assert report.objective == lone[1][1].objective_trace[2]
+        assert list(report.objective_trace) == list(lone[1][1].objective_trace[:3])
+
+    def test_certificate_reads_eigenvalues_only_without_a_factor(self, monkeypatch):
+        # n max(0, slack - lambda_min) is 0 wherever dual - slack I factors,
+        # so reading the eigenvalues of every slice gives the same bounds
+        W, atoms, cuts, Z_star = excess_risk_cuts(20, 2, [0.2, 0.5])
+        factored = solvers.ipm_solve_batch(W, atoms, cuts, Z_star)
+        monkeypatch.setattr(solvers, "_no_factor", lambda A: np.ones(len(A), dtype=bool))
+        for (Z, report), (Z1, report1) in zip(solvers.ipm_solve_batch(W, atoms, cuts, Z_star),
+                                              factored):
+            assert np.array_equal(Z, Z1) and report.to_dict() == report1.to_dict()
+
+    def test_no_factor_marks_the_slices_without_one(self):
+        stack = np.array([np.eye(4), -np.eye(4), np.diag([1.0, 1.0, 1.0, -1e-3]), 2 * np.eye(4)])
+        assert solvers._no_factor(stack).tolist() == [False, True, True, False]
+        assert solvers._no_factor(stack[1:2]).tolist() == [True]
+        assert solvers._no_factor(stack[3:]).tolist() == [False]
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_chunks_give_the_same_results(self, monkeypatch, width):
+        W, atoms, cuts, Z_star = excess_risk_cuts(12, 5, [0.1, 0.3, 0.5, 0.7, 0.9])
+        whole = solvers.ipm_solve_batch(W, atoms, cuts, Z_star)
+        # a chunk holds the slices whose 2 R n^2 entries fit the bound
+        monkeypatch.setattr(solvers, "_IPM_STACK_ENTRIES", width * 2 * 12 * 12)
+        chunked = solvers.ipm_solve_batch(W, atoms, cuts, Z_star)
+        for (Z, report), (Z1, report1) in zip(chunked, whole):
+            assert np.array_equal(Z, Z1)
+            assert report.to_dict() == report1.to_dict()
+
+    def test_other_inputs_raise(self):
+        atoms = unit_diag_atoms()
+        cut = affine_halfspace(np.ones((6, 6)), 30.0)
+        with pytest.raises(InvalidInputError, match="unit-diagonal set cut by one affine_halfspace"):
+            solvers.ipm_solve_batch(np.eye(6), atoms, [], np.eye(6))
+        with pytest.raises(InvalidInputError, match="unit-diagonal set cut by one affine_halfspace"):
+            solvers.ipm_solve_batch(np.eye(6), atoms, [l2_ball_around(np.eye(6), 1.0)], np.eye(6))
+        with pytest.raises(InvalidInputError, match="unit-diagonal set cut by one affine_halfspace"):
+            solvers.ipm_solve_batch(np.eye(6), signed_atoms(), [cut], np.eye(6))
+        with pytest.raises(InvalidInputError, match="share one normal"):
+            solvers.ipm_solve_batch(np.eye(6), atoms, [cut, affine_halfspace(np.eye(6), 30.0)],
+                                    np.eye(6))
+        # every offset must hold the anchor
+        with pytest.raises(InvalidInputError, match="anchor .* outside its affine_halfspace"):
+            solvers.ipm_solve_batch(np.eye(6), atoms, [cut, affine_halfspace(np.ones((6, 6)), 1.0)],
+                                    np.eye(6))
+
+
 def naive_anderson(pairs, memory):
     """Reference for :class:`_Anderson`: stack the last ``memory``
     differences of the accepted (F, g) and solve the regularized normal
