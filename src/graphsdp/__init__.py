@@ -24,7 +24,6 @@ from .solvers import (
     PierraConfig,
     bm_rank,
     bm_solve,
-    ipm_solve,
     ipm_solve_batch,
     pierra_signed,
     pierra_solve,
@@ -41,7 +40,6 @@ __all__ = [
     "PierraConfig",
     "bm_rank",
     "bm_solve",
-    "ipm_solve",
     "ipm_solve_batch",
     "pierra_signed",
     "pierra_solve",

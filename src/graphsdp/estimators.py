@@ -1,9 +1,9 @@
 """Estimator-style front end (fit / fit_predict / get_params / set_params).
 
-Thin wrappers over ``PROBLEMS[name].solve`` (whose constraint set picks the
-solver) and the rounding steps, so the four programs compose with
-scikit-learn-style tooling without a scikit-learn dependency.  Fitted
-attributes follow the trailing-underscore convention.
+Thin wrappers over ``PROBLEMS[name].solve`` (:func:`solvers.solve`, where
+the constraint set picks the solver) and the rounding steps, so the four
+programs compose with scikit-learn-style tooling without a scikit-learn
+dependency.  Fitted attributes follow the trailing-underscore convention.
 """
 
 from __future__ import annotations

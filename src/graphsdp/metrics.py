@@ -8,6 +8,7 @@ localized noise-maximization programs over Monte Carlo replicates.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -16,16 +17,13 @@ import numpy as np
 from . import _rng
 from .linalg import InvalidInputError, check_square, check_value, symmetrize
 from .solvers import (
-    IPM_GAP_TOL,
     ConstraintAtom,
-    PierraConfig,
     affine_halfspace,
-    bm_solve,
-    ipm_solve_batch,
     is_unit_diagonal,
     l1_ball_around,
     l2_ball_around,
-    pierra_solve,
+    solve,
+    solve_localized,
 )
 
 __all__ = [
@@ -360,9 +358,6 @@ def _locality_distance(kind: str, EA, Z_star, Z) -> float:
     return float(np.abs(D).sum()) if kind == "l1" else float(np.real(np.vdot(D, D)))
 
 
-_FIXED_POINT_CONFIG = PierraConfig(feas_tol=IPM_GAP_TOL)    # the splitting solves' settings
-
-
 def estimate_fixed_point(
     generator: Callable[[np.random.Generator], tuple],
     atoms: Sequence[ConstraintAtom],
@@ -384,26 +379,23 @@ def estimate_fixed_point(
     counted; above 10% exclusions the estimate is flagged unreliable, and a
     grid that never resolves is flagged unresolved.
 
-    The set's shape picks the inner solver, as ``Problem.solve`` picks BM:
-    the unit-diagonal set under the ``excess_risk`` half-space, which has
-    n + 1 linear constraints, takes one :func:`ipm_solve_batch` per
-    replicate over every radius it solves (``ipm_iterations``); every other
-    set and locality takes splitting solves (``_FIXED_POINT_CONFIG``),
-    warm-started along the ascending grid (``sweeps``).  A radius whose
-    interior-point solve ends uncertified (at radii near 1e-3 the
-    half-space's multiplier grows large, and the roundoff of the primal
-    iterate spoils its repaired lower bound) is solved again by splitting
+    Each replicate's radii are solved by :func:`solvers.solve_localized`
+    as nested cuts of the set, anchored at Z*, a point of every locality;
+    the set's shape picks the solver there.  The unit-diagonal set under
+    the ``excess_risk`` half-space, which has n + 1 linear constraints,
+    takes one interior-point stack per replicate (``ipm_iterations``), and
+    a radius it leaves uncertified near 1e-3 is solved again by splitting
     (``ipm_fallbacks``), so no radius certifies less often than on the
-    splitting route alone.  Both solvers are anchored at Z*, a point of
-    every locality: each
+    splitting route alone.  Every other set and locality takes splitting
+    solves warm-started along the ascending grid (``sweeps``).  Each solve
     stops on a certified gap of at most 1e-6 (1 + |q|), q the supremum read
     off Z*, and each solved radius carries its certified upper bound
     ``objective + gap`` (less the offset ``<A - EA, Z*>``): the curve holds
     upper bounds on the suprema, within that gap of them.
 
     When the atoms are exactly the unit-diagonal set, each replicate first
-    solves its unlocalized program by certified BM (``bm_solve(W, "max")``
-    at the default config): value s with gap g, and maximizer Z_u at
+    solves its unlocalized program by :func:`solvers.solve`, certified BM
+    at the default config: value s with gap g, and maximizer Z_u at
     locality distance e from Z*.  Z_u is feasible for every radius r >= e,
     so h(r) lies in [s, s + g] there, and such radii are not solved: they
     carry the upper value s + g.  An uncertified BM solve skips nothing.
@@ -432,10 +424,10 @@ def estimate_fixed_point(
         raise InvalidInputError("r_grid must be positive and sorted ascending")
 
     unit_diagonal = is_unit_diagonal(atoms)
-    interior = unit_diagonal and localization == "excess_risk"
     sups = []
     unlocalized = []    # (s, s + g, e) of each effective replicate
-    n_flagged = sweeps = ipm_iterations = ipm_fallbacks = bm_solves = 0
+    n_flagged = bm_solves = 0
+    work = Counter()
     for rep in range(n_mc):
         rng = _rng.stream(seed, _rng.STREAM_NOISE, rep)
         A, EA, Z_star = generator(rng)
@@ -443,7 +435,7 @@ def estimate_fixed_point(
         offset = float(np.real(np.vdot(W, Z_star)))
         slack_from = np.inf    # the least radius past which the locality is slack
         if unit_diagonal:
-            _, Z_u, bm = bm_solve(W, "max")
+            Z_u, bm = solve(W, atoms)
             bm_solves += 1
             lower = bm.objective - offset
             upper = lower + bm.gap
@@ -451,34 +443,19 @@ def estimate_fixed_point(
                 slack_from = _locality_distance(localization, EA, Z_star, Z_u)
         # the grid ascends, so the radii to solve are the ones before slack_from
         cuts = [_localization_atom(localization, EA, Z_star, r) for r in r_grid if r < slack_from]
-        batch = []
-        if interior and cuts:
-            batch = [report for _, report in ipm_solve_batch(W, atoms, cuts, Z_star)]
-            ipm_iterations += sum(report.iterations for report in batch)
+        reports, tally = solve_localized(W, atoms, cuts, Z_star)
+        work.update(tally)
+        if reports and not reports[-1].converged:
+            n_flagged += 1
+            continue
         row = []
-        state = None
-        for k, r in enumerate(r_grid):
-            if r >= slack_from:
-                value = upper
-            else:
-                report = batch[k] if batch else None
-                if report is None or not report.converged:
-                    ipm_fallbacks += interior
-                    # warm-start along the ascending grid: the localities are nested
-                    _, report = pierra_solve(W, list(atoms) + [cuts[k]], _FIXED_POINT_CONFIG,
-                                             warm_start=state, anchor=Z_star)
-                    sweeps += report.iterations
-                    state = report.state
-                if not report.converged:
-                    n_flagged += 1
-                    break
-                value = report.objective + report.gap - offset
+        for k in range(len(r_grid)):
+            value = reports[k].objective + reports[k].gap - offset if k < len(cuts) else upper
             # nested suprema: enforce monotonicity along the grid
             row.append(max(value, row[-1]) if row else value)
-        else:
-            sups.append(row)
-            if unit_diagonal:
-                unlocalized.append((lower, upper, slack_from))
+        sups.append(row)
+        if unit_diagonal:
+            unlocalized.append((lower, upper, slack_from))
 
     n_effective = len(sups)
     if n_effective == 0:
@@ -515,8 +492,8 @@ def estimate_fixed_point(
         unreliable=n_flagged > 0.1 * n_mc,
         r_star=r_star,
         r_star_exact=r_star_exact,
-        sweeps=sweeps,
-        ipm_iterations=ipm_iterations,
-        ipm_fallbacks=ipm_fallbacks,
+        sweeps=work["sweeps"],
+        ipm_iterations=work["ipm_iterations"],
+        ipm_fallbacks=work["ipm_fallbacks"],
         bm_solves=bm_solves,
     )

@@ -5,8 +5,8 @@ set and then rounds the solution.  A :class:`Problem` entry holds what
 differs between them: how to build the objective ``M`` from an observation
 and its sidecar params, which constraint atoms to solve over, and how to
 score a rounded answer against the ground truth.  The atoms also pick the
-solver.  The command line, the estimators and the experiment cells read this
-table instead of wiring each problem by hand.
+solver, in :func:`solvers.solve`.  The command line, the estimators and the
+experiment cells read this table instead of wiring each problem by hand.
 """
 
 from __future__ import annotations
@@ -18,14 +18,7 @@ import numpy as np
 
 from .metrics import ari, cut_value, phase_aligned_l2, signed_error_rate, sync_mse
 from .models import membership_matrix, rescale_masked
-from .solvers import (
-    bm_solve,
-    community_atoms,
-    is_unit_diagonal,
-    pierra_solve,
-    signed_atoms,
-    unit_diag_atoms,
-)
+from .solvers import community_atoms, signed_atoms, solve, unit_diag_atoms
 
 __all__ = ["Problem", "PROBLEMS", "signed_ground_truth_matrix"]
 
@@ -45,17 +38,11 @@ class Problem:
     answer_key: str        # field of a round output holding the answer
 
     def solve(self, observed, params, pierra_config=None, bm_config=None):
-        """Maximize the objective over the atoms; returns ``(Z_hat, SolveReport)``.
-
-        The constraint set picks the solver: the certified low-rank one
-        (``bm_config``) when the atoms are exactly the unit-diagonal set,
-        the two-block ADMM (``pierra_config``) otherwise.
-        """
-        M = self.objective(observed, params)
-        atoms = self.atoms(params)
-        if is_unit_diagonal(atoms):
-            return bm_solve(M, "max", bm_config)[1:]    # (Z, report) without the factor
-        return pierra_solve(M, atoms, pierra_config)
+        """Maximize the objective over the atoms by :func:`solvers.solve`,
+        whose constraint set picks the solver (``bm_config`` for BM on the
+        unit-diagonal set, ``pierra_config`` for splitting otherwise);
+        returns ``(Z_hat, SolveReport)``."""
+        return solve(self.objective(observed, params), self.atoms(params), pierra_config, bm_config)
 
 
 def _score_communities(labels, truth, graph=None):

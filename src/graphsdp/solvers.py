@@ -1,8 +1,6 @@
-"""SDP solvers: two-block ADMM over the psd cone, a primal-dual interior
-point method for the unit-diagonal set cut by a half-space, and low-rank
-factorization.
-
-Three solver families cover every program in the library:
+"""SDP solvers, and the two entry points where the set's shape picks one:
+:func:`solve` and :func:`solve_localized`.  Three solver families cover
+every program in the library:
 
 * :func:`pierra_solve` maximizes ``<M, Z>`` over the psd cone intersected
   with a set P given as convex constraint atoms.  The cone is always one
@@ -24,14 +22,14 @@ Three solver families cover every program in the library:
   iterate, which lies in P; given a point of the set as an anchor, it
   stops on a certified duality gap and returns a psd point repaired into
   the set.  The reported residuals are measured on the returned matrix.
-* :func:`ipm_solve` maximizes ``<M, Z>`` over {Z psd, diag(Z) = 1,
+* :func:`ipm_solve_batch` maximizes ``<M, Z>`` over {Z psd, diag(Z) = 1,
   <C, Z> <= b} only, the set of the fixed-point estimator's excess-risk
   localization on MAX-CUT, whose n + 1 linear constraints make an
   (n+1) x (n+1) Schur complement: HKM directions with Mehrotra's
   predictor-corrector, stopped on the anchored certificate of the
-  splitting solver, with the same repair into the set.
-  :func:`ipm_solve_batch` solves several offsets b of one half-space as one
-  stack of iterates, each slice as a lone solve would.
+  splitting solver, with the same repair into the set.  It solves several
+  offsets b of one half-space as one stack of iterates, each slice as a
+  lone solve would.
 * :func:`bm_solve` optimizes ``<M, Y Y*>`` over unit-norm rows of a low-rank
   factor Y (Barzilai-Borwein gradient descent with a nonmonotone line
   search on a product of spheres/circles), for the special constraint set
@@ -78,10 +76,11 @@ __all__ = [
     "SolveReport",
     "pierra_solve",
     "pierra_signed",
-    "ipm_solve",
     "ipm_solve_batch",
     "bm_solve",
     "bm_rank",
+    "solve",
+    "solve_localized",
 ]
 
 
@@ -876,9 +875,10 @@ def pierra_signed(A: np.ndarray, alpha: float):
 # primal-dual interior point on the unit-diagonal set cut by a half-space
 
 # the certified gap, relative to the value read off the anchor, at which an
-# interior-point solve stops (the fixed-point estimator's splitting solves
-# stop at the same target)
+# interior-point solve stops; solve_localized's splitting solves stop at the
+# same target
 IPM_GAP_TOL = 1e-6
+_FIXED_POINT_CONFIG = PierraConfig(feas_tol=IPM_GAP_TOL)    # solve_localized's splitting solves
 _IPM_MAX_ITERS = 50    # steps one interior-point solve may take
 _IPM_STEP = 0.95       # share of the largest step that keeps the iterate interior
 # most matrix entries one stacked array of a batched interior-point solve may
@@ -1053,25 +1053,10 @@ def _ipm_stack(M, C, b, repair, origin):
     return out
 
 
-def ipm_solve_batch(M: np.ndarray, atoms: Sequence[ConstraintAtom], cuts: Sequence[ConstraintAtom],
-                    anchor: np.ndarray):
-    """:func:`ipm_solve` over a batch of sets that differ in the offset of
-    their half-space alone: maximize ``<M, Z>`` over {Z psd, diag(Z) = 1,
-    <C, Z> <= b_k} for each ``cuts[k]``, an :func:`affine_halfspace` ``<C,
-    Z> <= b_k``; ``atoms`` must be exactly :func:`unit_diag_atoms` and every
-    cut must share one normal C.  Returns one ``(Z_hat, SolveReport)`` per
-    cut, in order, each as :func:`ipm_solve` returns it for ``atoms`` and
-    that cut, with the residuals of ``atoms`` then the cut.
-
-    The slices run as one stack: for every slice still running, a step
-    takes one stacked Cholesky factor and inverse of Z and S, and each of
-    its two directions one stacked Schur solve and one stacked
-    ``eigvalsh``; each slice stops on its own test and then leaves the
-    stack, and a slice's steps, termination and values are those of a lone
-    solve.
-    The stack runs in chunks of slices whose largest array, the 2 R n^2
-    entries of the joint step-length test, stays within
-    ``_IPM_STACK_ENTRIES``."""
+def _ipm_slices(M, atoms, cuts, anchor):
+    """:func:`ipm_solve_batch` but for the residuals: the objective as the
+    solves read it, and one ``(Z_hat, SolveReport)`` per cut whose
+    ``residuals`` are empty."""
     M = check_square(M, "objective")
     if M.dtype.kind == "c":
         raise InvalidInputError("the interior-point solver takes a real objective")
@@ -1095,27 +1080,21 @@ def ipm_solve_batch(M: np.ndarray, atoms: Sequence[ConstraintAtom], cuts: Sequen
     solved = []
     for first in range(0, len(b), width):
         solved += _ipm_stack(M, C, b[first:first + width], repair, origin)
-    results = []
-    for cut, (Z_hat, termination, steps, lower, upper, trace) in zip(cuts, solved):
-        results.append((Z_hat, SolveReport(
-            solver="ipm",
-            iterations=steps,
-            termination=termination,
-            objective=lower,
-            objective_trace=np.asarray(trace),
-            residuals=_residuals_of(list(atoms) + [cut], M)(Z_hat),
-            gap=upper - lower,
-        )))
-    return results
+    return M, [(Z_hat, SolveReport(solver="ipm", iterations=steps, termination=termination,
+                                   objective=lower, objective_trace=np.asarray(trace),
+                                   gap=upper - lower))
+               for Z_hat, termination, steps, lower, upper, trace in solved]
 
 
-def ipm_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], anchor: np.ndarray):
+def ipm_solve_batch(M: np.ndarray, atoms: Sequence[ConstraintAtom], cuts: Sequence[ConstraintAtom],
+                    anchor: np.ndarray):
     """Maximize ``<M, Z>`` for a real ``M`` over the unit-diagonal set cut
-    by one half-space, {Z psd, diag(Z) = 1, <C, Z> <= b}: ``atoms`` must be
-    exactly :func:`unit_diag_atoms` and one real, exactly symmetric
-    :func:`affine_halfspace`, and ``anchor`` a point of the set.  Any other
-    set, a complex M and an anchor outside the half-space raise
-    InvalidInputError.  It is the batch of one of :func:`ipm_solve_batch`.
+    by each of several half-spaces that differ in their offset alone, {Z
+    psd, diag(Z) = 1, <C, Z> <= b_k} for each ``cuts[k]``: ``atoms`` must be
+    exactly :func:`unit_diag_atoms`, every cut a real, exactly symmetric
+    :func:`affine_halfspace` of one normal C, and ``anchor`` a point of
+    every set.  Any other set, a complex M and an anchor outside a
+    half-space raise InvalidInputError.
 
     A primal-dual interior-point method: HKM directions (Helmberg, Rendl,
     Vanderbei & Wolkowicz 1996) with Mehrotra's predictor-corrector, from
@@ -1138,18 +1117,26 @@ def ipm_solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], anchor: np.ndarray
     the half-space's multiplier grows large, and the roundoff of the primal
     iterate, times it, spoils the repaired lower bound.
 
-    Returns ``(Z_hat, SolveReport)`` at the last certificate: ``objective``
-    is the lower bound and ``gap`` the upper bound less it, so the optimum
-    lies in ``[objective, objective + gap]`` whatever the termination;
-    ``iterations`` counts the steps, and ``objective_trace`` holds the lower
-    bound of every certificate.  The residuals are measured on Z_hat.
-    """
-    cuts = [a for a in atoms if a.kind == "affine_halfspace"]
-    if len(cuts) != 1:
-        raise InvalidInputError("the interior-point solver takes the unit-diagonal set cut by one "
-                                "affine_halfspace, got " + (", ".join(a.kind for a in atoms) or "none"))
-    [result] = ipm_solve_batch(M, [a for a in atoms if a is not cuts[0]], cuts, anchor)
-    return result
+    Returns one ``(Z_hat, SolveReport)`` per cut, in order, at its last
+    certificate: ``objective`` is the lower bound and ``gap`` the upper
+    bound less it, so the optimum lies in ``[objective, objective + gap]``
+    whatever the termination; ``iterations`` counts the steps, and
+    ``objective_trace`` holds the lower bound of every certificate.  The
+    residuals, of ``atoms`` then the cut, are measured on Z_hat.
+
+    The slices run as one stack: for every slice still running, a step
+    takes one stacked Cholesky factor and inverse of Z and S, and each of
+    its two directions one stacked Schur solve and one stacked
+    ``eigvalsh``; each slice stops on its own test and then leaves the
+    stack, and a slice's steps, termination and values are those of a lone
+    solve.
+    The stack runs in chunks of slices whose largest array, the 2 R n^2
+    entries of the joint step-length test, stays within
+    ``_IPM_STACK_ENTRIES``."""
+    M, results = _ipm_slices(M, atoms, cuts, anchor)
+    for cut, (Z_hat, report) in zip(cuts, results):
+        report.residuals = _residuals_of(list(atoms) + [cut], M)(Z_hat)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -1433,3 +1420,53 @@ def bm_solve(M: np.ndarray, sense: str = "max", config: BmConfig | None = None):
         counters={**counters, "rank": Y.shape[1]},
     )
     return Y, Z, report
+
+
+# ---------------------------------------------------------------------------
+# the entry points: the set's shape picks the solver
+
+
+def solve(M: np.ndarray, atoms: Sequence[ConstraintAtom], pierra_config: PierraConfig | None = None,
+          bm_config: BmConfig | None = None):
+    """Maximize ``<M, Z>`` over the set the ``atoms`` name; returns
+    ``(Z_hat, SolveReport)``.  The set picks the solver: certified
+    :func:`bm_solve` (``bm_config``) when the atoms are exactly the
+    unit-diagonal set, :func:`pierra_solve` (``pierra_config``) otherwise."""
+    if is_unit_diagonal(atoms):
+        return bm_solve(M, "max", bm_config)[1:]    # (Z, report) without the factor
+    return pierra_solve(M, atoms, pierra_config)
+
+
+def solve_localized(M: np.ndarray, atoms: Sequence[ConstraintAtom], cuts: Sequence[ConstraintAtom],
+                    anchor: np.ndarray):
+    """Certified bounds on the maximum of ``<M, Z>`` over the set the
+    ``atoms`` name cut by each of the nested ``cuts`` (each holds the one
+    before it, and all hold ``anchor``): ``(reports, tally)``, a
+    :class:`SolveReport` per cut up to and including the first that no
+    solver certifies.  A certified report's optimum lies in ``[objective,
+    objective + gap]``, the gap at most ``IPM_GAP_TOL (1 + |objective -
+    <M, anchor>|)``.  On exactly the unit-diagonal set cut by half-spaces of
+    one normal, one :func:`ipm_solve_batch` stack solves every cut (its
+    reports carry no residuals); elsewhere, and for a cut the stack leaves
+    uncertified, the anchored splitting solve at ``_FIXED_POINT_CONFIG``
+    runs, warm-started where the last one ended.  ``tally`` counts the
+    steps of every slice (``ipm_iterations``), the splitting iterations
+    (``sweeps``) and the cuts splitting solved again (``ipm_fallbacks``).
+    """
+    tally = dict.fromkeys(("ipm_iterations", "sweeps", "ipm_fallbacks"), 0)
+    batch = [None] * len(cuts)
+    if cuts and is_unit_diagonal(atoms) and all(c.kind == "affine_halfspace" for c in cuts):
+        batch = [report for _, report in _ipm_slices(M, atoms, cuts, anchor)[1]]
+        tally["ipm_iterations"] = sum(report.iterations for report in batch)
+    reports, state = [], None
+    for cut, report in zip(cuts, batch):
+        if report is None or not report.converged:
+            tally["ipm_fallbacks"] += report is not None
+            _, report = pierra_solve(M, list(atoms) + [cut], _FIXED_POINT_CONFIG,
+                                     warm_start=state, anchor=anchor)
+            tally["sweeps"] += report.iterations
+            state = report.state
+        reports.append(report)
+        if not report.converged:
+            break
+    return reports, tally

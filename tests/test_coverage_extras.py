@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from graphsdp import metrics
+from graphsdp import solvers
 from graphsdp.cli import main
 from graphsdp.experiments import ExperimentConfig, run_experiment
 from graphsdp.fileio import read_csv, read_json, render_gset, parse_gset
@@ -47,7 +47,7 @@ class TestFixedPointFlagging:
         from graphsdp.solvers import signed_atoms
         # a 3-iteration budget cannot converge: everything gets flagged
         starved = PierraConfig(max_iters=3, feas_tol=1e-12, obj_tol=1e-14)
-        monkeypatch.setattr(metrics, "_FIXED_POINT_CONFIG", starved)
+        monkeypatch.setattr(solvers, "_FIXED_POINT_CONFIG", starved)
         with pytest.raises(InvalidInputError):
             estimate_fixed_point(self.make_generator(), signed_atoms(), "l1",
                                  0.2, 5, [1.0, 2.0], seed=0)
@@ -77,7 +77,7 @@ class TestFixedPointFlagging:
                 report = dataclasses.replace(report, termination="max_iters")
             return Z, report
 
-        monkeypatch.setattr(metrics, "pierra_solve", solve)
+        monkeypatch.setattr(solvers, "pierra_solve", solve)
         est = estimate_fixed_point(counting_generator, signed_atoms(), "l2",
                                    0.2, n_mc, [1.0, 4.0], seed=0)
         assert current == list(range(n_mc))

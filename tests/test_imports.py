@@ -19,6 +19,30 @@ def test_no_private_cross_module_imports():
     assert private_imports() == set()
 
 
+SOLVERS = {"bm_solve", "ipm_solve_batch", "pierra_solve"}
+
+
+def solver_references():
+    """(module, name) for every import or attribute named like a solver in
+    ``SOLVERS`` outside ``solvers``, whose ``solve`` and ``solve_localized``
+    pick one; ``__init__`` re-exports them as the library surface."""
+    found = set()
+    for path in sorted(Path(graphsdp.__file__).parent.glob("*.py")):
+        if path.stem in ("solvers", "__init__"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            else:
+                names = {node.attr} if isinstance(node, ast.Attribute) else set()
+            found |= {(path.stem, name) for name in names & SOLVERS}
+    return found
+
+
+def test_only_solvers_picks_a_solver():
+    assert solver_references() == set()
+
+
 def imported_modules(stem):
     """The sibling modules ``graphsdp/<stem>.py`` imports (``from .mod import``
     and ``from . import mod``)."""

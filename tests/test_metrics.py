@@ -37,7 +37,6 @@ from graphsdp.solvers import (
     PierraConfig,
     affine_halfspace,
     bm_solve,
-    ipm_solve_batch,
     l1_ball_around,
     l2_ball_around,
     pierra_solve,
@@ -387,8 +386,10 @@ def masked_maxcut(n, seed):
 def spy_solves(monkeypatch):
     """Record the report of every localized solve the estimator runs: one
     per splitting solve (``report.solver == "pierra"``) and one per slice
-    of a batched interior-point solve (``"ipm"``)."""
+    of a batched interior-point solve (``"ipm"``), patched where
+    ``solvers.solve_localized`` looks them up."""
     reports = []
+    ipm_slices = solvers._ipm_slices
 
     def split(*args, **kwargs):
         Z, report = pierra_solve(*args, **kwargs)
@@ -396,12 +397,12 @@ def spy_solves(monkeypatch):
         return Z, report
 
     def batch(*args, **kwargs):
-        results = ipm_solve_batch(*args, **kwargs)
+        M, results = ipm_slices(*args, **kwargs)
         reports.extend(report for _, report in results)
-        return results
+        return M, results
 
-    monkeypatch.setattr(metrics, "pierra_solve", split)
-    monkeypatch.setattr(metrics, "ipm_solve_batch", batch)
+    monkeypatch.setattr(solvers, "pierra_solve", split)
+    monkeypatch.setattr(solvers, "_ipm_slices", batch)
     return reports
 
 
@@ -521,7 +522,7 @@ class TestFixedPointSkip:
             Y, Z, report = bm_solve(M, sense, config)
             return Y, Z, dataclasses.replace(report, termination="max_iters")
 
-        monkeypatch.setattr(metrics, "bm_solve", uncertified)
+        monkeypatch.setattr(solvers, "bm_solve", uncertified)
         reports = spy_solves(monkeypatch)
         est = estimate()
         assert len(reports) == len(radii)
@@ -586,7 +587,7 @@ class TestFixedPointSkip:
 
     def test_radius_neither_solver_certifies_flags_the_replicate(self, monkeypatch):
         monkeypatch.setattr(solvers, "_IPM_MAX_ITERS", 2)
-        monkeypatch.setattr(metrics, "_FIXED_POINT_CONFIG", PierraConfig(max_iters=5, feas_tol=1e-6))
+        monkeypatch.setattr(solvers, "_FIXED_POINT_CONFIG", PierraConfig(max_iters=5, feas_tol=1e-6))
         est, reports = self.run_one_solved_radius(monkeypatch)
         # the batch spent both radii's budgets before the first fell back
         assert [(r.solver, r.termination) for r in reports] == [("ipm", "max_iters")] * 2 + [

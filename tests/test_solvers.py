@@ -813,7 +813,8 @@ class TestCertifiedStop:
         # (rep 4) whose optimum is the ball's center Z*: the ball constrains
         # nothing, its projection's multiplier is 0, and the bound is the box's
         from graphsdp import _rng
-        from graphsdp.metrics import _FIXED_POINT_CONFIG, _localization_atom
+        from graphsdp.metrics import _localization_atom
+        from graphsdp.solvers import _FIXED_POINT_CONFIG
 
         params = SsbmParams(n=6, n_clusters=2, p=0.9, q=0.1, delta=0.8)
         rng = _rng.stream(0, _rng.STREAM_NOISE, 4)
@@ -892,8 +893,15 @@ def excess_risk_case(n, seed, fraction=0.5, radius=None):
     return W, unit_diag_atoms() + [affine_halfspace(A0, r + float(np.vdot(A0, Z_star)))], Z_star
 
 
+def lone_ipm_solve(M, atoms, anchor):
+    """``ipm_solve_batch`` with one cut, the last of ``atoms``: a lone
+    interior-point solve."""
+    [result] = solvers.ipm_solve_batch(M, atoms[:-1], atoms[-1:], anchor)
+    return result
+
+
 class TestIpm:
-    """``ipm_solve``: interior-point solves over the unit-diagonal set cut by
+    """Lone interior-point solves over the unit-diagonal set cut by
     one half-space, stopped on the anchored certificate."""
 
     @pytest.mark.parametrize("n, seed", [(8, 1), (20, 2), (60, 3)])
@@ -902,7 +910,7 @@ class TestIpm:
         W, atoms, Z_star = excess_risk_case(n, seed, fraction)
         _, tight = pierra_solve(W, atoms, TIGHT)
         assert tight.converged
-        Z, report = solvers.ipm_solve(W, atoms, Z_star)
+        Z, report = lone_ipm_solve(W, atoms, Z_star)
         assert report.converged and report.solver == "ipm"
         value = report.objective - np.vdot(W, Z_star)
         assert 0.0 <= report.gap <= 1e-6 * (1.0 + abs(value))
@@ -913,7 +921,7 @@ class TestIpm:
     @pytest.mark.parametrize("n, seed", [(8, 1), (20, 2), (60, 3)])
     def test_returned_point_lies_in_the_set(self, n, seed):
         W, atoms, Z_star = excess_risk_case(n, seed)
-        Z, report = solvers.ipm_solve(W, atoms, Z_star)
+        Z, report = lone_ipm_solve(W, atoms, Z_star)
         assert np.array_equal(Z, Z.T)
         assert np.linalg.eigvalsh(Z).min() >= -1e-13
         assert np.array_equal(np.diagonal(Z), np.ones(n))
@@ -926,7 +934,7 @@ class TestIpm:
     def test_small_radius_certifies(self, n, seed):
         # r = 1e-3 leaves a thin slice of the set around Z*'s face
         W, atoms, Z_star = excess_risk_case(n, seed, radius=1e-3)
-        Z, report = solvers.ipm_solve(W, atoms, Z_star)
+        Z, report = lone_ipm_solve(W, atoms, Z_star)
         assert report.converged
         value = report.objective - np.vdot(W, Z_star)
         assert 0.0 <= value and 0.0 <= report.gap <= 1e-6 * (1.0 + value)
@@ -936,7 +944,7 @@ class TestIpm:
         # at r = 1e-3 these solves end short of their target (the estimator
         # then solves the radius by splitting); their bracket still holds
         W, atoms, Z_star = excess_risk_case(n, seed, radius=1e-3)
-        _, report = solvers.ipm_solve(W, atoms, Z_star)
+        _, report = lone_ipm_solve(W, atoms, Z_star)
         _, split = pierra_solve(W, atoms, CERTIFIED, anchor=Z_star)
         assert not report.converged and split.converged
         assert report.gap >= 0.0
@@ -950,22 +958,22 @@ class TestIpm:
         unit_diag_atoms() + [l2_ball_around(np.eye(6), 1.0)], []])
     def test_other_sets_raise(self, atoms):
         with pytest.raises(InvalidInputError, match="unit-diagonal set cut by one affine_halfspace"):
-            solvers.ipm_solve(np.ones((6, 6)), atoms, np.eye(6))
+            lone_ipm_solve(np.ones((6, 6)), atoms, np.eye(6))
 
     def test_complex_objective_or_anchor_outside_raises(self):
         atoms = unit_diag_atoms() + [affine_halfspace(np.ones((6, 6)), 30.0)]
         with pytest.raises(InvalidInputError, match="real objective"):
-            solvers.ipm_solve(np.ones((6, 6)) * 1j, atoms, np.eye(6))
+            lone_ipm_solve(np.ones((6, 6)) * 1j, atoms, np.eye(6))
         with pytest.raises(InvalidInputError, match="anchor .* outside its affine_halfspace"):
-            solvers.ipm_solve(np.eye(6), atoms, np.ones((6, 6)))
+            lone_ipm_solve(np.eye(6), atoms, np.ones((6, 6)))
         with pytest.raises(InvalidInputError, match="anchor has shape"):
-            solvers.ipm_solve(np.eye(6), atoms, np.eye(5))
+            lone_ipm_solve(np.eye(6), atoms, np.eye(5))
 
     def test_spent_budget_still_brackets_the_optimum(self, monkeypatch):
         W, atoms, Z_star = excess_risk_case(20, 2)
         _, tight = pierra_solve(W, atoms, TIGHT)
         monkeypatch.setattr(solvers, "_IPM_MAX_ITERS", 2)
-        Z, report = solvers.ipm_solve(W, atoms, Z_star)
+        Z, report = lone_ipm_solve(W, atoms, Z_star)
         assert (report.termination, report.iterations) == ("max_iters", 2)
         assert len(report.objective_trace) == 3
         assert report.objective <= tight.objective <= report.objective + report.gap
@@ -995,7 +1003,7 @@ def same_solve(batched, lone):
 
 class TestIpmBatch:
     """``ipm_solve_batch``: the offsets of one half-space as one stack, each
-    slice solved as a lone ``ipm_solve`` solves it."""
+    slice solved as a batch of one solves it."""
 
     @pytest.mark.parametrize("n, seed", [(8, 1), (20, 2), (60, 3)])
     def test_each_slice_matches_a_lone_solve(self, n, seed):
@@ -1003,7 +1011,7 @@ class TestIpmBatch:
         batch = solvers.ipm_solve_batch(W, atoms, cuts, Z_star)
         assert len(batch) == len(cuts)
         for result, cut in zip(batch, cuts):
-            same_solve(result, solvers.ipm_solve(W, atoms + [cut], Z_star))
+            same_solve(result, lone_ipm_solve(W, atoms + [cut], Z_star))
         # slices stop at different steps and leave the stack
         assert all(report.converged for _, report in batch)
         assert len({report.iterations for _, report in batch}) > 1
@@ -1016,12 +1024,12 @@ class TestIpmBatch:
         batch = solvers.ipm_solve_batch(W, atoms, cuts, Z_star)
         assert [report.converged for _, report in batch] == [True, False, True]
         for result, cut in zip(batch, cuts):
-            same_solve(result, solvers.ipm_solve(W, atoms + [cut], Z_star))
+            same_solve(result, lone_ipm_solve(W, atoms + [cut], Z_star))
 
     def test_a_slice_whose_step_fails_stalls_alone(self, monkeypatch):
         # the middle slice's third step raises, in the stack and alone
         W, atoms, cuts, Z_star = excess_risk_cuts(20, 2, [0.2, 0.5, 0.8])
-        lone = [solvers.ipm_solve(W, atoms + [cut], Z_star) for cut in cuts]
+        lone = [lone_ipm_solve(W, atoms + [cut], Z_star) for cut in cuts]
         failing = cuts[1].bound / frobenius_norm(cuts[1].matrix)
         step, taken = solvers._hkm_step, []
 
@@ -1084,6 +1092,126 @@ class TestIpmBatch:
         with pytest.raises(InvalidInputError, match="anchor .* outside its affine_halfspace"):
             solvers.ipm_solve_batch(np.eye(6), atoms, [cut, affine_halfspace(np.ones((6, 6)), 1.0)],
                                     np.eye(6))
+
+
+def localized_case(set_name, localization):
+    """(W, atoms, nested cuts at three radii around Z*, Z*) of a masked
+    MAX-CUT replicate on the unit-diagonal set or a signed one on its set."""
+    if set_name == "unit_diag":
+        W, atoms, Z_star = excess_risk_case(12, 5)
+        atoms, EA = atoms[:-1], -atoms[-1].matrix
+    else:
+        inst = gen_ssbm(SsbmParams(n=8, n_clusters=2, p=0.9, q=0.1, delta=0.8), seed=41)
+        W, atoms, EA, Z_star = (symmetrize(inst.observed - inst.expected), signed_atoms(),
+                                inst.expected, inst.oracle)
+    cut = {"excess_risk": lambda r: affine_halfspace(-EA, r - float(np.vdot(EA, Z_star))),
+           "l1": lambda r: l1_ball_around(Z_star, r),
+           "l2": lambda r: l2_ball_around(Z_star, float(np.sqrt(r)))}[localization]
+    return W, atoms, [cut(r) for r in (1.0, 4.0, 12.0)], Z_star
+
+
+def chain(W, atoms, cuts, anchor):
+    """The anchored splitting solves of ``cuts``, each warm-started where
+    the one before it ended."""
+    reports, state = [], None
+    for cut in cuts:
+        _, report = pierra_solve(W, atoms + [cut], solvers._FIXED_POINT_CONFIG, warm_start=state,
+                                 anchor=anchor)
+        reports.append(report)
+        state = report.state
+    return reports
+
+
+def same_report(report, expected):
+    assert (report.solver, report.iterations, report.termination) == (
+        expected.solver, expected.iterations, expected.termination)
+    assert (report.objective, report.gap) == (expected.objective, expected.gap)
+    assert np.array_equal(report.objective_trace, expected.objective_trace)
+
+
+class TestEntryPoints:
+    """``solve`` and ``solve_localized``: the set's shape picks the solver."""
+
+    def test_solve_picks_bm_on_the_unit_diagonal_set_only(self):
+        M = _symmetric(8, np.random.default_rng(3))
+        Z, report = solvers.solve(M, unit_diag_atoms(), bm_config=BmConfig(seed=4))
+        _, Z_bm, expected = bm_solve(M, "max", BmConfig(seed=4))
+        assert report.solver == "bm" and np.array_equal(Z, Z_bm)
+        assert report.to_dict() == expected.to_dict()
+        config = PierraConfig(max_iters=50)
+        for atoms in (signed_atoms(), community_atoms(4.0)):
+            Z, report = solvers.solve(M, atoms, pierra_config=config)
+            Z_split, expected = pierra_solve(M, atoms, config)
+            assert report.solver == "pierra" and np.array_equal(Z, Z_split)
+            assert report.to_dict() == expected.to_dict()
+
+    def test_halfspace_cuts_on_the_unit_diagonal_set_are_the_batch(self):
+        W, atoms, cuts, Z_star = excess_risk_cuts(20, 2, [0.2, 0.5, 0.8])
+        reports, tally = solvers.solve_localized(W, atoms, cuts, Z_star)
+        batch = [report for _, report in solvers.ipm_solve_batch(W, atoms, cuts, Z_star)]
+        assert len(reports) == len(batch) == 3
+        for report, expected in zip(reports, batch):
+            same_report(report, expected)
+            assert report.residuals == {} and expected.residuals
+        steps = sum(report.iterations for report in batch)
+        assert tally == {"ipm_iterations": steps, "sweeps": 0, "ipm_fallbacks": 0}
+
+    def test_uncertified_slice_is_solved_again_by_splitting(self):
+        # r = 1e-3 on this replicate spends its interior-point budget uncertified
+        W, atoms, cuts, Z_star = excess_risk_cuts(20, 1, [0.2, 0.6])
+        C, offset = cuts[0].matrix, float(np.vdot(cuts[0].matrix, Z_star))
+        cuts.insert(0, affine_halfspace(C, 1e-3 + offset))
+        batch = [report for _, report in solvers.ipm_solve_batch(W, atoms, cuts, Z_star)]
+        assert [report.converged for report in batch] == [False, True, True]
+        reports, tally = solvers.solve_localized(W, atoms, cuts, Z_star)
+        [split] = chain(W, atoms, cuts[:1], Z_star)
+        assert split.converged
+        for report, expected in zip(reports, [split] + batch[1:]):
+            same_report(report, expected)
+        assert tally == {"ipm_iterations": sum(report.iterations for report in batch),
+                         "sweeps": split.iterations, "ipm_fallbacks": 1}
+
+    def test_fallbacks_warm_start_along_the_chain(self, monkeypatch):
+        W, atoms, cuts, Z_star = excess_risk_cuts(10, 3, [0.2, 0.5])
+        monkeypatch.setattr(solvers, "_IPM_MAX_ITERS", 2)
+        reports, tally = solvers.solve_localized(W, atoms, cuts, Z_star)
+        expected = chain(W, atoms, cuts, Z_star)
+        for report, split in zip(reports, expected):
+            same_report(report, split)
+        assert tally == {"ipm_iterations": 4, "sweeps": sum(r.iterations for r in expected),
+                         "ipm_fallbacks": 2}
+
+    @pytest.mark.parametrize("set_name, localization", [
+        ("unit_diag", "l1"), ("unit_diag", "l2"),
+        ("signed", "excess_risk"), ("signed", "l1"), ("signed", "l2")])
+    def test_other_sets_run_the_warm_started_splitting_chain(self, set_name, localization):
+        W, atoms, cuts, Z_star = localized_case(set_name, localization)
+        reports, tally = solvers.solve_localized(W, atoms, cuts, Z_star)
+        expected = chain(W, atoms, cuts, Z_star)
+        assert len(reports) == 3 and all(report.converged for report in reports)
+        for report, split in zip(reports, expected):
+            same_report(report, split)
+        assert tally == {"ipm_iterations": 0, "sweeps": sum(r.iterations for r in expected),
+                         "ipm_fallbacks": 0}
+
+    def test_no_solve_runs_after_the_first_uncertified_cut(self, monkeypatch):
+        W, atoms, cuts, Z_star = localized_case("signed", "l2")
+        monkeypatch.setattr(solvers, "_FIXED_POINT_CONFIG", PierraConfig(max_iters=5))
+        calls, split = [], solvers.pierra_solve
+
+        def counted(*args, **kwargs):
+            calls.append(args[1][-1])
+            return split(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "pierra_solve", counted)
+        reports, tally = solvers.solve_localized(W, atoms, cuts, Z_star)
+        assert calls == cuts[:1]
+        assert [report.termination for report in reports] == ["max_iters"]
+        assert tally == {"ipm_iterations": 0, "sweeps": 5, "ipm_fallbacks": 0}
+        # no cut at all: nothing runs
+        assert solvers.solve_localized(W, atoms, [], Z_star) == (
+            [], {"ipm_iterations": 0, "sweeps": 0, "ipm_fallbacks": 0})
+        assert calls == cuts[:1]
 
 
 def naive_anderson(pairs, memory):
